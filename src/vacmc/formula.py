@@ -488,56 +488,60 @@ def occurrence_polarity(phi, psi):
 # Negation normal form
 
 
+_NNF_DUAL = {And: Or, Or: And, PathA: PathE, PathE: PathA, Next: Next,
+             Until: Release, Release: Until, Future: Globally, Globally: Future}
+
+
 def nnf(phi):
     """Push negations to the atoms; A/E, U/R, F/G dualities; expands ->.
 
-    The input must be quantifier-free.
+    The input must be quantifier-free.  Works from an explicit stack, so
+    formula depth is not bounded by the recursion limit.
     """
     if isinstance(phi, QUANTIFIED):
         raise ValueError("nnf expects a quantifier-free formula")
-    return _nnf_pos(phi)
+    done = {}  # (id(node), polarity) -> NNF of the node, or of its negation
+    stack = [(phi, True)]
+    while stack:
+        f, pos = stack[-1]
+        if (id(f), pos) in done:
+            stack.pop()
+            continue
+        operands = _nnf_operands(f, pos)
+        pending = [(c, p) for c, p in operands if (id(c), p) not in done]
+        if pending:
+            stack += reversed(pending)
+            continue
+        stack.pop()
+        done[id(f), pos] = _nnf_node(f, pos, [done[id(c), p] for c, p in operands])
+    return done[id(phi), True]
 
 
-def _nnf_pos(f):
-    if isinstance(f, (Atom, SetAtom, TrueConst, FalseConst)):
-        return f
+def _nnf_operands(f, pos):
+    """(operand, polarity) pairs whose NNFs make up the NNF of f (or of !f)."""
     if isinstance(f, Not):
-        return _nnf_neg(f.child)
+        return [(f.child, not pos)]
     if isinstance(f, Implies):
-        return Or(_nnf_neg(f.left), _nnf_pos(f.right))
-    return _rebuild(f, [_nnf_pos(c) for c in f.children()])
+        return [(f.left, not pos), (f.right, pos)]
+    return [(c, pos) for c in f.children()]
 
 
-def _nnf_neg(f):
+def _nnf_node(f, pos, operands):
+    if isinstance(f, Not):
+        return operands[0]
+    if isinstance(f, Implies):
+        return Or(*operands) if pos else And(*operands)
+    if pos:
+        return _rebuild(f, operands)
     if isinstance(f, (Atom, SetAtom)):
         return Not(f)
     if isinstance(f, TrueConst):
         return FALSE
     if isinstance(f, FalseConst):
         return TRUE
-    if isinstance(f, Not):
-        return _nnf_pos(f.child)
-    if isinstance(f, And):
-        return Or(_nnf_neg(f.left), _nnf_neg(f.right))
-    if isinstance(f, Or):
-        return And(_nnf_neg(f.left), _nnf_neg(f.right))
-    if isinstance(f, Implies):
-        return And(_nnf_pos(f.left), _nnf_neg(f.right))
-    if isinstance(f, PathA):
-        return PathE(_nnf_neg(f.child))
-    if isinstance(f, PathE):
-        return PathA(_nnf_neg(f.child))
-    if isinstance(f, Next):
-        return Next(_nnf_neg(f.child))
-    if isinstance(f, Until):
-        return Release(_nnf_neg(f.left), _nnf_neg(f.right))
-    if isinstance(f, Release):
-        return Until(_nnf_neg(f.left), _nnf_neg(f.right))
-    if isinstance(f, Future):
-        return Globally(_nnf_neg(f.child))
-    if isinstance(f, Globally):
-        return Future(_nnf_neg(f.child))
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) not in _NNF_DUAL:
+        raise TypeError(f"not a formula: {f!r}")
+    return _NNF_DUAL[type(f)](*operands)
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +565,12 @@ def atoms(phi):
 def subformulas(phi):
     """Distinct subterms of phi, the DAG reading of the formula."""
     out = set()
-
-    def go(f):
-        if f in out:
-            return
-        out.add(f)
-        for c in f.children():
-            go(c)
-
-    go(phi)
+    todo = [phi]
+    while todo:
+        f = todo.pop()
+        if f not in out:
+            out.add(f)
+            todo.extend(f.children())
     return out
 
 

@@ -7,9 +7,25 @@ structures simply never use maybe).
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress
 
 from .errors import KripkeError
 from .kleene import F3, M3, T3, TruthValue3, from_bool
+
+
+_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def mask_members(mask):
+    """State indices in mask, ascending."""
+    if mask.bit_count() * 16 > mask.bit_length() + 128:  # dense: let C walk every position
+        return list(compress(range(mask.bit_length()), bin(mask)[:1:-1].encode().translate(_TO_BITS)))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class KripkeStructure:
@@ -115,16 +131,23 @@ class KripkeStructure:
     def labels_of(self, state):
         return {p: self.label3(state, p) for p in self.props}
 
+    def predecessors(self):
+        """Indices of the predecessors of each state, built anew on every call."""
+        pred = [[] for _ in range(self.n)]
+        index = self._index
+        for s, t in self.trans:
+            pred[index[t]].append(index[s])
+        return pred
+
     def reachable_mask(self, start_mask=None):
+        """States reachable from start_mask (default: init); each is expanded once."""
         m = self.init_mask if start_mask is None else start_mask
-        while True:
-            nxt = m
-            for i in range(self.n):
-                if m >> i & 1:
-                    nxt |= self.succ_masks[i]
-            if nxt == m:
-                return m
-            m = nxt
+        frontier = mask_members(m)
+        while frontier:
+            new = self.succ_masks[frontier.pop()] & ~m
+            m |= new
+            frontier.extend(mask_members(new))
+        return m
 
     # -- equality -----------------------------------------------------------
 

@@ -1,16 +1,20 @@
 """Model checking on classical structures.
 
-CTL-shaped nodes are evaluated by fixpoint iteration over state bitmasks
-(EX/EU/EG and duals); genuine path formulas go through the closure/atom
-("tableau") product with self-fulfilling-SCC acceptance.  Set atoms of a
-foreign structure are resolved through a bisimulation computed on demand.
+CTL-shaped nodes are labelled by backward frontier propagation over state
+bitmasks (Clarke-Emerson-Sistla): EX is pre(mask), E[l U r] grows from r by
+pre(newly added) & l, E[l R r] drops the states of r & ~l left with no
+successor inside, and the A-forms are complements of E-forms.  Subformulas
+are evaluated bottom-up from an explicit stack.  Genuine path formulas go
+through the closure/atom ("tableau") product with self-fulfilling-SCC
+acceptance.  Set atoms of a foreign structure are resolved through a
+bisimulation computed on demand.
 """
 
 from dataclasses import dataclass
 
 from . import formula as F
 from .errors import EvalError
-from .kripke import KripkeStructure
+from .kripke import KripkeStructure, mask_members
 
 _TEMPORAL = (F.Next, F.Until, F.Release, F.Future, F.Globally)
 
@@ -170,12 +174,10 @@ class AtomGraph:
         self.adj = [[] for _ in self.atoms]
         for a, (si, _) in enumerate(self.atoms):
             va = self.vals[a]
-            succ = k.succ_masks[si]
-            for ti in range(k.n):
-                if succ >> ti & 1:
-                    for b in per_state[ti]:
-                        if self._edge_ok(va, self.vals[b]):
-                            self.adj[a].append(b)
+            for ti in mask_members(k.succ_masks[si]):
+                for b in per_state[ti]:
+                    if self._edge_ok(va, self.vals[b]):
+                        self.adj[a].append(b)
         self._sccs()
         self._mark_good()
 
@@ -296,76 +298,134 @@ class AtomGraph:
             stem_nodes.append(v)
             v = parent[v]
         stem_nodes.reverse()
+        # The loop visits one atom discharging each obligation pending in the
+        # SCC, then closes at entry; visiting every atom would be quadratic.
         comp = self.sccs[self.scc_of[entry]]
-        loop_nodes = [entry]
-        for target in comp:
-            if target != loop_nodes[-1]:
-                loop_nodes.extend(self._scc_path(comp, loop_nodes[-1], target))
-        if loop_nodes[-1] != entry:
-            loop_nodes.extend(self._scc_path(comp, loop_nodes[-1], entry))
-        loop_nodes = loop_nodes[:-1] if len(loop_nodes) > 1 else loop_nodes
-        if len(loop_nodes) == 1 and loop_nodes[0] not in self.adj[loop_nodes[0]]:
-            loop_nodes.extend(self._scc_path(comp, loop_nodes[0], loop_nodes[0]))
-            loop_nodes = loop_nodes[:-1]
+        pending = dict.fromkeys(ob for a in comp for ob in self._obligations(self.vals[a]))
+        walk = [entry]
+        for target, needed in pending:
+            stop = next(b for b in comp if self.vals[b][target] == needed)
+            if stop != walk[-1]:
+                walk.extend(self._scc_path(comp, walk[-1], stop))
+        walk.extend(self._scc_path(comp, walk[-1], entry))
+        loop_nodes = walk[:-1]
         states = self.k.states
         stem = [states[self.atoms[v][0]] for v in stem_nodes[:-1]]
         loop = [states[self.atoms[v][0]] for v in loop_nodes]
         return stem, loop
 
     def _scc_path(self, comp, src, dst):
-        """Nodes after src up to and including dst, inside the SCC."""
+        """Nodes after src up to and including dst inside the SCC; a cycle if src == dst."""
         members = set(comp)
-        parent = {src: None}
+        parent = {}
         frontier = [src]
-        while frontier:
+        while frontier and dst not in parent:
             nxt = []
             for v in frontier:
                 for w in self.adj[v]:
                     if w in members and w not in parent:
                         parent[w] = v
                         nxt.append(w)
-                        if w == dst:
-                            frontier = []
-                            nxt = []
-                            break
             frontier = nxt
-            if dst in parent:
-                break
-        path = []
-        v = dst
-        while v != src:
-            path.append(v)
-            v = parent[v]
+        path = [dst]
+        while parent[path[-1]] != src:
+            path.append(parent[path[-1]])
         path.reverse()
         return path
 
 
+_READY = object()
+
+
+def _ctl_operands(c):
+    """The state operands of a CTL-shaped path formula c, or None."""
+    if isinstance(c, (F.Next, F.Future, F.Globally)):
+        return (c.child,) if F.is_state_formula(c.child) else None
+    if isinstance(c, (F.Until, F.Release)):
+        return (c.left, c.right) if F.is_state_formula(c.left) and F.is_state_formula(c.right) else None
+    return (c,) if F.is_state_formula(c) else None
+
+
 class _Evaluator:
-    def __init__(self, k, env=None, force_tableau=False):
-        if not k.is_classical:
+    """Memoized bottom-up labelling of state formulas with state bitmasks.
+
+    definite=True admits a 3-valued k for NNF formulas: literal p reads "p
+    definitely true" and !p "p definitely false", so states(phi) is where phi
+    is definitely true.  On a classical k both readings coincide.
+    """
+
+    def __init__(self, k, env=None, force_tableau=False, definite=False):
+        if not (k.is_classical or definite):
             raise EvalError(f"{k.name} is 3-valued; use three_valued.eval_compositional3")
         self.k = k
+        self.full = k.full_mask
         self.env = dict(env or {})
         self.env.setdefault(k.name, k)
         self.force_tableau = force_tableau
         self.memo = {}
         self._foreign = {}
+        self._pred = None
+        self._tableau = set()  # path formulas that _operands sent to the tableau
 
     def states(self, phi):
-        got = self.memo.get(phi)
+        memo = self.memo
+        got = memo.get(phi)
         if got is not None:
             return got
-        mask = self._states(phi)
-        self.memo[phi] = mask
-        return mask
+        # Explicit post-order over the state-subformula DAG.  A node goes back
+        # on the stack under _READY with its operand count, and is labelled
+        # once its operands' masks have collected on top of `masks`.
+        stack, masks = [phi], []
+        while stack:
+            f = stack.pop()
+            if f is _READY:
+                f, n = stack.pop(), stack.pop()
+                mask = memo[f] = self._states(f, masks[-n:])
+                del masks[-n:]
+            else:
+                mask = memo.get(f)
+                if mask is None:
+                    operands = self._operands(f)
+                    if operands:
+                        stack += (len(operands), f, _READY)
+                        stack += reversed(operands)
+                        continue
+                    mask = memo[f] = self._states(f, ())
+            masks.append(mask)
+        return masks[0]
 
-    def _states(self, phi):
-        k = self.k
-        full = k.full_mask
+    def _operands(self, phi):
+        """The operands of a connective, or the state subformulas under a path
+        quantifier (the maximal ones on the tableau route): the masks that
+        _states(phi) is given."""
+        if isinstance(phi, F.Not):
+            return (phi.child,)
+        if isinstance(phi, (F.And, F.Or, F.Implies)):
+            return (phi.left, phi.right)
+        if not isinstance(phi, (F.PathA, F.PathE)):
+            return ()
+        operands = _ctl_operands(phi.child)
+        if operands is not None and not self.force_tableau:
+            return operands
+        self._tableau.add(phi)
+        out, todo = [], [phi.child]
+        while todo:
+            f = todo.pop()
+            if F.is_state_formula(f):
+                out.append(f)
+            else:
+                todo += reversed(f.children())
+        return out
+
+    def _states(self, phi, operands):
+        """Mask of phi from the masks of its _operands, in order."""
+        k, full = self.k, self.full
         if isinstance(phi, F.Atom):
             if phi.name not in k.props:
                 raise EvalError(f"proposition {phi.name!r} not in structure {k.name!r}")
             return k.true_mask(phi.name)
+        if isinstance(phi, (F.PathA, F.PathE)):
+            return self._quantified_path(phi, operands)
         if isinstance(phi, F.TrueConst):
             return full
         if isinstance(phi, F.FalseConst):
@@ -373,15 +433,16 @@ class _Evaluator:
         if isinstance(phi, F.SetAtom):
             return self._setatom(phi)
         if isinstance(phi, F.Not):
-            return full ^ self.states(phi.child)
+            mask = operands[0]
+            if isinstance(phi.child, F.Atom):
+                mask |= k.maybe_mask(phi.child.name)
+            return full ^ mask
         if isinstance(phi, F.And):
-            return self.states(phi.left) & self.states(phi.right)
+            return operands[0] & operands[1]
         if isinstance(phi, F.Or):
-            return self.states(phi.left) | self.states(phi.right)
+            return operands[0] | operands[1]
         if isinstance(phi, F.Implies):
-            return (full ^ self.states(phi.left)) | self.states(phi.right)
-        if isinstance(phi, (F.PathA, F.PathE)):
-            return self._quantified_path(phi)
+            return (full ^ operands[0]) | operands[1]
         if isinstance(phi, F.QUANTIFIED):
             raise EvalError("propositional quantifiers are handled by the qctl module")
         raise EvalError(f"not a state formula: {F.render_formula(phi)}")
@@ -415,73 +476,68 @@ class _Evaluator:
             mask |= pairs.get(s, 0)
         return mask
 
-    # -- CTL fixpoints -------------------------------------------------------
+    # -- CTL labelling -------------------------------------------------------
 
     def _ex(self, mask):
+        """pre(mask); pre(full) = full since transitions are total."""
+        if not mask or mask == self.full:
+            return mask
+        if self._pred is None:
+            self._pred = self.k.predecessors()
+        pred = self._pred
         out = 0
-        for i, sm in enumerate(self.k.succ_masks):
-            if sm & mask:
+        for j in mask_members(mask):
+            for i in pred[j]:
                 out |= 1 << i
         return out
 
-    def _ax(self, mask):
-        full = self.k.full_mask
-        return full ^ self._ex(full ^ mask)
+    def _eu(self, l, r):
+        """E[l U r]: grown from r by pre(newly added) & l & ~z."""
+        z = frontier = r
+        while frontier:
+            frontier = self._ex(frontier) & l & ~z
+            z |= frontier
+        return z
 
-    def _lfp(self, step):
-        z = 0
-        while True:
-            nz = step(z)
-            if nz == z:
-                return z
-            z = nz
+    def _er(self, l, r):
+        """E[l R r]: drop states of r & ~l with no successor left in z, re-examining
+        only predecessors of the states dropped last round (all of ~r at first)."""
+        succ = self.k.succ_masks
+        z, removed = r, self.full ^ r
+        while removed:
+            candidates = self._ex(removed) & z & ~l
+            removed = 0
+            for i in mask_members(candidates):
+                if not succ[i] & z:
+                    removed |= 1 << i
+            z ^= removed
+        return z
 
-    def _gfp(self, step):
-        z = self.k.full_mask
-        while True:
-            nz = step(z)
-            if nz == z:
-                return z
-            z = nz
-
-    def _ctl_shaped(self, phi):
+    def _quantified_path(self, phi, operands):
         c = phi.child
-        if F.is_state_formula(c):
-            return True
-        if isinstance(c, (F.Next, F.Future, F.Globally)):
-            return F.is_state_formula(c.child)
-        if isinstance(c, (F.Until, F.Release)):
-            return F.is_state_formula(c.left) and F.is_state_formula(c.right)
-        return False
-
-    def _quantified_path(self, phi):
-        if not self.force_tableau and self._ctl_shaped(phi):
-            return self._fixpoint(phi)
+        if phi not in self._tableau:
+            return self._fixpoint(phi, operands)
         if isinstance(phi, F.PathE):
-            return AtomGraph(self.k, self._pathform(phi.child)).e_mask()
-        return self.k.full_mask ^ AtomGraph(self.k, self._pathform(F.Not(phi.child))).e_mask()
+            return AtomGraph(self.k, self._pathform(c)).e_mask()
+        return self.full ^ AtomGraph(self.k, self._pathform(F.Not(c))).e_mask()
 
-    def _fixpoint(self, phi):
-        universal = isinstance(phi, F.PathA)
-        c = phi.child
-        if F.is_state_formula(c):
-            return self.states(c)
-        nxt = self._ax if universal else self._ex
+    def _fixpoint(self, phi, operands):
+        """A-forms by duality: AX r = ~EX ~r, A[l U r] = ~E[~l R ~r], A[l R r] = ~E[~l U ~r]."""
+        c, full = phi.child, self.full
+        if not isinstance(c, _TEMPORAL):
+            return operands[0]
+        existential = isinstance(phi, F.PathE)
         if isinstance(c, F.Next):
-            return nxt(self.states(c.child))
-        if isinstance(c, F.Future):
-            r = self.states(c.child)
-            return self._lfp(lambda z: r | nxt(z))
-        if isinstance(c, F.Globally):
-            r = self.states(c.child)
-            return self._gfp(lambda z: r & nxt(z))
-        if isinstance(c, F.Until):
-            l, r = self.states(c.left), self.states(c.right)
-            return self._lfp(lambda z: r | (l & nxt(z)))
-        if isinstance(c, F.Release):
-            l, r = self.states(c.left), self.states(c.right)
-            return self._gfp(lambda z: r & (l | nxt(z)))
-        raise EvalError("not a CTL-shaped formula")
+            r = operands[0]
+            return self._ex(r) if existential else full ^ self._ex(full ^ r)
+        if isinstance(c, (F.Until, F.Release)):
+            l, r = operands
+        else:
+            l, r = (full if isinstance(c, F.Future) else 0), operands[0]
+        until = isinstance(c, (F.Future, F.Until))
+        if existential:
+            return (self._eu if until else self._er)(l, r)
+        return full ^ (self._er if until else self._eu)(full ^ l, full ^ r)
 
     # -- tableau route -------------------------------------------------------
 

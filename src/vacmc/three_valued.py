@@ -1,7 +1,8 @@
 """3-valued structures: compositional CTL checking, refinement, completions,
 thorough semantics on K_x, and the vacuity reduction through it.
 
-Transitions stay 2-valued; only labels carry maybe.  Thorough semantics is
+Transitions stay 2-valued; only labels carry maybe, so compositional checking
+is two classical checks on NNF (Bruns-Godefroid).  Thorough semantics is
 computed exactly only for K_x-shaped inputs (one all-maybe proposition over
 a classical base), through the bisimulation-semantics machinery; arbitrary
 3-valued structures get sound (compositional, labeling) bounds instead.
@@ -12,7 +13,7 @@ from .bisim import Relation
 from .errors import EnumerationBoundError, EvalError, KripkeError
 from .kleene import F3, M3, T3
 from .kripke import KripkeStructure, restrict_init
-from .mc import check_ctl_star
+from .mc import _Evaluator, check_ctl_star
 from .qctl import eval_bisimulation
 from .vacuity import VacuityStatus, VacuityVerdict
 
@@ -20,113 +21,23 @@ from .vacuity import VacuityStatus, VacuityVerdict
 from .kleene import TruthValue3, and3, implies3, info_le, join3, kleene, meet3, not3, or3, truth_le  # noqa: F401
 
 
-class _Vals:
-    """Per-state truth vectors as a (true-mask, false-mask) pair."""
-
-    __slots__ = ("t", "f")
-
-    def __init__(self, t, f):
-        self.t = t
-        self.f = f
-
-
 def eval_compositional3(k, phi, env=None):
-    """Kleene fixpoint evaluation of a CTL formula; meet over initial states."""
+    """Compositional value of a CTL formula, met over initial states: the
+    classical labelling of nnf(phi), with literal p read as "p definitely
+    true" and !p as "p definitely false", gives the states where phi is
+    definitely true, and the same run on nnf(!phi) those where it is false."""
     if not F.is_ctl(phi):
         raise EvalError("3-valued compositional checking is restricted to CTL")
-    full = k.full_mask
-
-    def ex(v):
-        t = f = 0
-        for i, sm in enumerate(k.succ_masks):
-            if sm & v.t:
-                t |= 1 << i
-            if sm & ~v.f == 0:
-                f |= 1 << i
-        return _Vals(t, f)
-
-    def ax(v):
-        t = f = 0
-        for i, sm in enumerate(k.succ_masks):
-            if sm & ~v.t == 0:
-                t |= 1 << i
-            if sm & v.f:
-                f |= 1 << i
-        return _Vals(t, f)
-
-    def neg(v):
-        return _Vals(v.f, v.t)
-
-    def conj(a, b):
-        return _Vals(a.t & b.t, a.f | b.f)
-
-    def disj(a, b):
-        return _Vals(a.t | b.t, a.f & b.f)
-
-    def fix(step, start):
-        z = start
-        while True:
-            nz = step(z)
-            if nz.t == z.t and nz.f == z.f:
-                return z
-            z = nz
-
-    memo = {}
-
-    def go(f):
-        got = memo.get(f)
-        if got is not None:
-            return got
-        v = _go(f)
-        memo[f] = v
-        return v
-
-    def _go(node):
-        if isinstance(node, F.Atom):
-            t = k.true_mask(node.name)
-            return _Vals(t, full ^ (t | k.maybe_mask(node.name)))
-        if isinstance(node, F.TrueConst):
-            return _Vals(full, 0)
-        if isinstance(node, F.FalseConst):
-            return _Vals(0, full)
-        if isinstance(node, F.SetAtom):
-            if node.structure != k.name:
-                raise EvalError("foreign set atoms are not supported in 3-valued checking")
-            t = k.mask_of(node.states)
-            return _Vals(t, full ^ t)
-        if isinstance(node, F.Not):
-            return neg(go(node.child))
-        if isinstance(node, F.And):
-            return conj(go(node.left), go(node.right))
-        if isinstance(node, F.Or):
-            return disj(go(node.left), go(node.right))
-        if isinstance(node, F.Implies):
-            return disj(neg(go(node.left)), go(node.right))
-        quant = ax if isinstance(node, F.PathA) else ex
-        c = node.child
-        if isinstance(c, F.Next):
-            return quant(go(c.child))
-        if isinstance(c, F.Future):
-            r = go(c.child)
-            return fix(lambda z: disj(r, quant(z)), _Vals(0, full))
-        if isinstance(c, F.Globally):
-            r = go(c.child)
-            return fix(lambda z: conj(r, quant(z)), _Vals(full, 0))
-        if isinstance(c, F.Until):
-            l, r = go(c.left), go(c.right)
-            return fix(lambda z: disj(r, conj(l, quant(z))), _Vals(0, full))
-        if isinstance(c, F.Release):
-            l, r = go(c.left), go(c.right)
-            return fix(lambda z: conj(r, disj(l, quant(z))), _Vals(full, 0))
-        raise EvalError("not a CTL formula")
-
-    v = go(phi)
+    if any(isinstance(f, F.SetAtom) and f.structure != k.name for f in F.subformulas(phi)):
+        raise EvalError("foreign set atoms are not supported in 3-valued checking")
+    ev = _Evaluator(k, env, definite=True)
+    true, false = ev.states(F.nnf(phi)), ev.states(F.nnf(F.Not(phi)))
     verdict = T3
     for s in k.init:
         i = k.index(s)
-        if v.f >> i & 1:
+        if false >> i & 1:
             verdict = and3(verdict, F3)
-        elif not v.t >> i & 1:
+        elif not true >> i & 1:
             verdict = and3(verdict, M3)
     return verdict
 

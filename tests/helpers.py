@@ -3,6 +3,8 @@
 import random
 
 from vacmc import formula as F
+from vacmc.errors import EvalError
+from vacmc.kleene import F3, M3, T3, and3
 from vacmc.kripke import KripkeStructure
 from vacmc.mc import eval_mask
 
@@ -26,6 +28,36 @@ def rand_kripke(rng, max_states=4, props=("p", "q"), name="R", multi_init=True):
     else:
         init = [states[0]]
     return KripkeStructure(name, props, states, init, trans, labels)
+
+
+def shaped_kripke(rng, shape, n, props=("p", "q"), density=0.3, maybe=0.0):
+    """Seeded degree-3 random graph, chain, ring or ladder with random labels.
+
+    The chain ends in a self-loop and the ladder has n // 2 rungs, so chains,
+    rings and ladders have diameters in the hundreds for n of a few hundred.
+    With maybe > 0 that share of the labels is maybe.
+    """
+    states = [f"s{i}" for i in range(n)]
+    if shape == "random":
+        trans = [(s, rng.choice(states)) for s in states for _ in range(3)]
+    elif shape == "chain":
+        trans = [(states[i], states[min(i + 1, n - 1)]) for i in range(n)]
+    elif shape == "ring":
+        trans = [(states[i], states[(i + 1) % n]) for i in range(n)]
+    elif shape == "ladder":
+        half = n // 2
+        trans = []
+        for i in range(half):
+            up, down = states[i], states[half + i]
+            trans += [(up, down), (down, up)]
+            if i + 1 < half:
+                trans += [(up, states[i + 1]), (down, states[half + i + 1])]
+    else:
+        raise ValueError(shape)
+    labels = {
+        s: {p: (M3 if rng.random() < maybe else rng.random() < density) for p in props} for s in states
+    }
+    return KripkeStructure(f"{shape}{n}", props, states, [states[0]], trans, labels)
 
 
 def merge_abstraction(rng, k, name="A"):
@@ -221,3 +253,97 @@ def lassos(k, start, max_len):
 def oracle_e_path(k, start, phi, max_len, env=None):
     """Exhaustive ultimately-periodic-path search for E phi at start."""
     return any(eval_on_lasso(k, path, l, phi, env) for path, l in lassos(k, start, max_len))
+
+
+# ---------------------------------------------------------------------------
+# Kleene oracle: compositional 3-valued CTL by Kleene fixpoint iteration
+
+
+def kleene_compositional3(k, phi):
+    """3-valued CTL value by iterating (true-mask, false-mask) pairs to a fixpoint.
+
+    An independent reference for three_valued.eval_compositional3: every
+    operator is applied in Kleene logic state by state, with no NNF step.
+    """
+    if not F.is_ctl(phi):
+        raise EvalError("3-valued compositional checking is restricted to CTL")
+    full = k.full_mask
+
+    def ex(v):
+        t = f = 0
+        for i, sm in enumerate(k.succ_masks):
+            if sm & v[0]:
+                t |= 1 << i
+            if sm & ~v[1] == 0:
+                f |= 1 << i
+        return t, f
+
+    def ax(v):
+        t = f = 0
+        for i, sm in enumerate(k.succ_masks):
+            if sm & ~v[0] == 0:
+                t |= 1 << i
+            if sm & v[1]:
+                f |= 1 << i
+        return t, f
+
+    def disj(a, b):
+        return a[0] | b[0], a[1] & b[1]
+
+    def conj(a, b):
+        return a[0] & b[0], a[1] | b[1]
+
+    def fix(step, z):
+        while True:
+            nz = step(z)
+            if nz == z:
+                return z
+            z = nz
+
+    def go(node):
+        if isinstance(node, F.Atom):
+            t = k.true_mask(node.name)
+            return t, full ^ (t | k.maybe_mask(node.name))
+        if isinstance(node, F.TrueConst):
+            return full, 0
+        if isinstance(node, F.FalseConst):
+            return 0, full
+        if isinstance(node, F.SetAtom):
+            if node.structure != k.name:
+                raise EvalError("foreign set atoms are not supported in 3-valued checking")
+            t = k.mask_of(node.states)
+            return t, full ^ t
+        if isinstance(node, F.Not):
+            t, f = go(node.child)
+            return f, t
+        if isinstance(node, F.And):
+            return conj(go(node.left), go(node.right))
+        if isinstance(node, F.Or):
+            return disj(go(node.left), go(node.right))
+        if isinstance(node, F.Implies):
+            t, f = go(node.left)
+            return disj((f, t), go(node.right))
+        quant = ax if isinstance(node, F.PathA) else ex
+        c = node.child
+        if isinstance(c, F.Next):
+            return quant(go(c.child))
+        if isinstance(c, F.Future):
+            r = go(c.child)
+            return fix(lambda z: disj(r, quant(z)), (0, full))
+        if isinstance(c, F.Globally):
+            r = go(c.child)
+            return fix(lambda z: conj(r, quant(z)), (full, 0))
+        l, r = go(c.left), go(c.right)
+        if isinstance(c, F.Until):
+            return fix(lambda z: disj(r, conj(l, quant(z))), (0, full))
+        return fix(lambda z: conj(r, disj(l, quant(z))), (full, 0))
+
+    t, f = go(phi)
+    verdict = T3
+    for s in k.init:
+        i = k.index(s)
+        if f >> i & 1:
+            verdict = and3(verdict, F3)
+        elif not t >> i & 1:
+            verdict = and3(verdict, M3)
+    return verdict

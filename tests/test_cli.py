@@ -30,6 +30,17 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(model), "AG p")
         assert code == 0 and "value: M" in out
 
+    def test_deep_formula_on_a_long_ring(self, capsys, tmp_path):
+        lines = ["kripke R", "props: p", "init: s0"]
+        lines += [f"state s{i}:" + (" p" if i == 320 else "") for i in range(600)]
+        lines += [f"trans: s{i} s{(i + 1) % 600}" for i in range(600)]
+        model = tmp_path / "ring.kr"
+        model.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "check", str(model), "AX " * 320 + "p", "--format", "json")
+        assert code == 0 and json.loads(out)["result"] == {"value": True}
+        code, out, _ = run(capsys, "check", str(model), "AX " * 319 + "p", "--format", "json")
+        assert code == 0 and json.loads(out)["result"]["value"] is False
+
     def test_parse_error_exits_one(self, capsys):
         code, _, err = run(capsys, "check", "L", "AG (p ->")
         assert code == 1 and "error:" in err

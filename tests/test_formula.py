@@ -139,6 +139,16 @@ class TestNnf:
         assert nnf(p("!A[p U q]")) == p("E[!p R !q]")
         assert nnf(p("!(F p)")) == p("G !p")
 
+    def test_deep_formula_past_the_recursion_limit(self):
+        phi = F.Atom("p")
+        for _ in range(1500):
+            phi = F.PathA(F.Next(phi))
+        got = nnf(F.Not(phi))
+        for _ in range(1500):
+            assert isinstance(got, F.PathE) and isinstance(got.child, F.Next)
+            got = got.child.child
+        assert got == F.Not(F.Atom("p"))
+
     def test_negations_atomic_only(self, rng):
         def ok(f):
             if isinstance(f, F.Not):

@@ -13,7 +13,9 @@ from vacmc.kripke import (
     is_deterministic,
     isomorphic,
     load_fixture,
+    mask_members,
     parse_kripke,
+    reachable_part,
     remove_prop,
     render_kripke,
     structurally_equal,
@@ -21,7 +23,7 @@ from vacmc.kripke import (
     x_variants,
 )
 
-from helpers import rand_kripke
+from helpers import rand_kripke, shaped_kripke
 
 
 class TestFormat:
@@ -167,6 +169,37 @@ class TestDeterministic:
         assert not is_deterministic(fx("M"))
         assert is_deterministic(fx("P"))
         assert not is_deterministic(fx("chi"))
+
+
+class TestMaskMembers:
+    def test_sparse_and_dense_masks(self, rng):
+        for width in (1, 12, 64, 300, 3000):
+            for density in (0.0, 0.01, 0.5, 1.0):
+                members = [i for i in range(width) if rng.random() < density]
+                mask = sum(1 << i for i in members)
+                assert mask_members(mask) == members, (width, density)
+
+
+class TestReachable:
+    def test_matches_breadth_first_search(self, rng):
+        structures = [rand_kripke(rng, 6) for _ in range(20)]
+        structures += [shaped_kripke(rng, shape, 120) for shape in ("random", "chain", "ring", "ladder")]
+        for k in structures:
+            for start in (None, 1 << (k.n - 1)):
+                seen = set(k.init) if start is None else {k.states[-1]}
+                todo = list(seen)
+                while todo:
+                    for t in k.successors(todo.pop()):
+                        if t not in seen:
+                            seen.add(t)
+                            todo.append(t)
+                assert k.reachable_mask(start) == k.mask_of(seen), k.name
+
+    def test_reachable_part_of_a_long_chain(self, rng):
+        k = shaped_kripke(rng, "chain", 400)
+        assert k.reachable_mask() == k.full_mask
+        assert reachable_part(k).n == 400
+        assert is_deterministic(k)
 
 
 class TestUnrollingMap:

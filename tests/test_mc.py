@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from vacmc import formula as F
@@ -7,7 +9,7 @@ from vacmc.formula import parse_formula as p
 from vacmc.kripke import duplicate_m, load_fixture
 from vacmc.mc import StateSet, check_ctl_star, eval_states, eval_mask, explain_path
 
-from helpers import eval_on_lasso, oracle_e_path, rand_ctl, rand_kripke, rand_actl_star, rand_path
+from helpers import eval_on_lasso, oracle_e_path, rand_ctl, rand_kripke, rand_actl_star, rand_path, shaped_kripke
 
 P4 = p("AG ((AX p) | (AX !p))")
 
@@ -77,6 +79,46 @@ class TestCtlPathAgreement:
                 assert eval_mask(k, phi) == eval_mask(k, phi, force_tableau=True), F.render_formula(phi)
 
 
+class TestFrontierFixpoints:
+    FORMS = ("E[{l} U {r}]", "A[{l} U {r}]", "E[{l} R {r}]", "A[{l} R {r}]", "EF {r}", "AF {r}", "EG {r}", "AG {r}")
+    OPERANDS = (("q", "p"), ("!p | q", "p & !q"), ("EX q", "p | AX q"))
+
+    def test_frontier_equals_tableau_on_deep_and_random_graphs(self, rng):
+        shapes = [("random", 100), ("random", 200), ("random", 300),
+                  ("chain", 300), ("ring", 250), ("ladder", 200)]
+        sizes = set()
+        for shape, n in shapes:
+            k = shaped_kripke(rng, shape, n, density=0.5)
+            for (l, r), form in itertools.product(self.OPERANDS, self.FORMS):
+                phi = p(form.format(l=f"({l})", r=f"({r})"))
+                got = eval_mask(k, phi)
+                assert got == eval_mask(k, phi, force_tableau=True), (k.name, form, l, r)
+                sizes.add(got.bit_count())
+        assert len(sizes) > 50
+
+    def test_backward_reach_crosses_a_long_chain(self, rng):
+        k = shaped_kripke(rng, "chain", 300, density=0.0)
+        last = F.SetAtom(k.name, ["s299"])
+        assert eval_mask(k, F.PathE(F.Future(last))) == k.full_mask
+        assert eval_mask(k, F.PathA(F.Until(F.Not(last), last))) == k.full_mask
+        assert eval_mask(k, F.PathE(F.Globally(F.Not(last)))) == 0
+
+
+class TestDeepFormulas:
+    def test_nested_ax_past_the_recursion_limit(self, rng):
+        k = shaped_kripke(rng, "ring", 600, density=0.0)
+        hit = F.SetAtom(k.name, ["s320"])
+        phi = hit
+        for _ in range(320):
+            phi = F.PathA(F.Next(phi))
+        assert eval_mask(k, phi) == k.mask_of(["s0"])
+        assert check_ctl_star(k, phi)
+        assert not check_ctl_star(k, F.PathA(F.Next(phi)))
+        w = explain_path(k, F.PathA(F.Next(phi)))
+        assert w["kind"] == "counterexample" and w["state"] == "s0"
+        assert w["stem"] == [] and w["loop"] == list(k.states)
+
+
 class TestBisimulationClosure:
     def test_verdicts_agree_on_bisimilar_pairs(self, rng, fx):
         pool = [rand_ctl(rng, ("p",), 3) for _ in range(30)] + [P4]
@@ -131,6 +173,25 @@ class TestPathChecker:
             body = phi.child
             value = eval_on_lasso(k, path, loop_start, body)
             assert value == (w["kind"] == "witness")
+
+
+    def test_random_witnesses_replay(self, rng):
+        found = 0
+        for _ in range(40):
+            k = rand_kripke(rng, 5)
+            for _ in range(4):
+                phi = F.PathE(rand_path(rng, ("p", "q"), 3))
+                w = explain_path(k, phi)
+                assert (w is not None) == any(eval_mask(k, phi) >> k.index(s) & 1 for s in k.init)
+                if w is None:
+                    continue
+                found += 1
+                path, loop_start = tuple(w["stem"] + w["loop"]), len(w["stem"])
+                assert path[0] == w["state"]
+                assert all(b in k.successors(a) for a, b in zip(path, path[1:]))
+                assert path[loop_start] in k.successors(path[-1])
+                assert eval_on_lasso(k, path, loop_start, phi.child), F.render_formula(phi)
+        assert found > 40
 
 
 class TestSetAtoms:

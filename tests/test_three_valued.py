@@ -19,7 +19,7 @@ from vacmc.three_valued import (
 )
 from vacmc.vacuity import VacuityStatus, decide_bisim_vacuity, is_mon_vacuous
 
-from helpers import proper_subformulas, rand_ctl, rand_kripke
+from helpers import kleene_compositional3, proper_subformulas, rand_ctl, rand_kripke, shaped_kripke
 
 ALL3 = (T3, M3, F3)
 
@@ -70,6 +70,49 @@ class TestCompositional:
     def test_non_ctl_rejected(self, fx):
         with pytest.raises(EvalError, match="CTL"):
             eval_compositional3(fx("L"), p("A((X p) | (X !p))"))
+
+    def test_equals_kleene_fixpoint_oracle(self, rng):
+        structures = []
+        for _ in range(40):
+            base = rand_kripke(rng, 5)
+            labels = {s: {q: M3 if rng.random() < 0.3 else base.label3(s, q) for q in base.props}
+                      for s in base.states}
+            structures.append(KripkeStructure("K3", base.props, base.states, base.init, base.trans, labels))
+        structures += [shaped_kripke(rng, shape, 60, density=0.5, maybe=0.15)
+                       for shape in ("random", "chain", "ring", "ladder")]
+        pool = [rand_ctl(rng, ("p", "q"), 4) for _ in range(40)]
+        seen = set()
+        for k in structures:
+            for phi in pool:
+                got = eval_compositional3(k, phi)
+                assert got is kleene_compositional3(k, phi), (k.name, F.render_formula(phi))
+                seen.add(got)
+        assert seen == {T3, M3, F3}
+
+    def test_deep_formula_on_a_long_ring(self):
+        states = [f"s{i}" for i in range(600)]
+        labels = {s: {"p": i == 320, "q": M3} for i, s in enumerate(states)}
+        trans = [(s, states[(i + 1) % 600]) for i, s in enumerate(states)]
+        k = KripkeStructure("R3", ("p", "q"), states, ["s0"], trans, labels)
+        phi = F.Atom("p")
+        for _ in range(319):
+            phi = F.PathA(F.Next(phi))
+        assert eval_compositional3(k, phi) is F3
+        assert eval_compositional3(k, F.PathA(F.Next(phi))) is T3
+        assert eval_compositional3(k, F.Or(phi, F.Atom("q"))) is M3
+        for _ in range(200):
+            phi = F.PathA(F.Next(phi))
+        assert eval_compositional3(k, phi) is F3
+
+    def test_errors_match_kleene_fixpoint_oracle(self, fx):
+        kx = lift_kx(fx("L"), "x")
+        for phi in (p("A((X p) | (X !p))"), p("E(F G x)"), p("AG ({a0}@M -> x)"), p("EF (p & {b0}@M)")):
+            for k in (fx("L"), kx):
+                with pytest.raises(EvalError) as ours:
+                    eval_compositional3(k, phi)
+                with pytest.raises(EvalError) as oracle:
+                    kleene_compositional3(k, phi)
+                assert str(ours.value) == str(oracle.value)
 
 
 class TestRefinement:
