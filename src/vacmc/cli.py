@@ -15,7 +15,7 @@ from . import qctl, three_valued, vacuity
 from .bisim import bisimilar_over, quotient_bisim, simulates_over
 from .errors import VacmcError
 from .kripke import load_fixture, parse_kripke, render_kripke
-from .mc import check_ctl_star, explain_path
+from .mc import check_and_explain
 from .reductions import PropOrdering, decode_single_prop, ez_encode, f_translate_ctl, g_translate_ctl_star
 from .vacuity import VacuityStatus
 
@@ -71,10 +71,9 @@ def _cmd_check(args):
     if isinstance(phi, F.QUANTIFIED):
         raise VacmcError("quantified formulas go through the qctl subcommand")
     if k.is_classical:
-        value = check_ctl_star(k, phi)
+        value, witness = check_and_explain(k, phi)
         result = {"value": value}
-        witness = explain_path(k, phi)
-        if witness is not None and witness["kind"] == ("witness" if value else "counterexample"):
+        if witness is not None:
             result["witness"] = witness
     else:
         v = three_valued.eval_compositional3(k, phi)

@@ -334,9 +334,9 @@ def parse_formula(text):
 
 
 def _is_literal(f):
-    if isinstance(f, (Atom, SetAtom, TrueConst, FalseConst)):
-        return True
-    return isinstance(f, Not) and _is_literal(f.child)
+    while isinstance(f, Not):
+        f = f.child
+    return isinstance(f, (Atom, SetAtom, TrueConst, FalseConst))
 
 
 def _is_bracket_form(f):
@@ -344,15 +344,17 @@ def _is_bracket_form(f):
 
 
 def _unary_op_arg(arg):
+    """The items rendering the operand of a prefix operator."""
     if _is_literal(arg) or isinstance(arg, _UNARY):
-        return render_formula(arg)
-    return f"({render_formula(arg)})"
+        return (arg,)
+    return ("(", arg, ")")
 
 
 def _binary_operand(arg):
+    """The items rendering an operand of an infix operator."""
     if _is_literal(arg) or _is_bracket_form(arg):
-        return render_formula(arg)
-    return f"({render_formula(arg)})"
+        return (arg,)
+    return ("(", arg, ")")
 
 
 def _left_spine(f, node):
@@ -365,50 +367,64 @@ def _left_spine(f, node):
     return items
 
 
-def render_formula(f):
-    """Deterministic text form; parse_formula(render_formula(f)) == f."""
+_PREFIX = {Next: "X ", Future: "F ", Globally: "G "}
+_INFIX = {Until: " U ", Release: " R "}
+
+
+def _render_items(f):
+    """One node's rendering: a sequence of strings and subformulas, in order."""
     if isinstance(f, Atom):
-        return f.name
+        return (f.name,)
     if isinstance(f, SetAtom):
-        return "{" + ",".join(f.states) + "}@" + f.structure
+        return ("{" + ",".join(f.states) + "}@" + f.structure,)
     if isinstance(f, TrueConst):
-        return "true"
+        return ("true",)
     if isinstance(f, FalseConst):
-        return "false"
+        return ("false",)
     if isinstance(f, Not):
-        return "!" + _unary_op_arg(f.child)
+        return ("!",) + _unary_op_arg(f.child)
     if isinstance(f, (And, Or)):
         op = " & " if isinstance(f, And) else " | "
-        return op.join(_binary_operand(g) for g in _left_spine(f, type(f)))
+        items = []
+        for g in _left_spine(f, type(f)):
+            items += (op,) + _binary_operand(g)
+        return items[1:]
     if isinstance(f, Implies):
-        right = render_formula(f.right) if isinstance(f.right, Implies) else _binary_operand(f.right)
-        return f"{_binary_operand(f.left)} -> {right}"
+        right = (f.right,) if isinstance(f.right, Implies) else _binary_operand(f.right)
+        return _binary_operand(f.left) + (" -> ",) + right
     if isinstance(f, (Until, Release)):
-        op = " U " if isinstance(f, Until) else " R "
-        return _binary_operand(f.left) + op + _binary_operand(f.right)
-    if isinstance(f, Next):
-        return "X " + _unary_op_arg(f.child)
-    if isinstance(f, Future):
-        return "F " + _unary_op_arg(f.child)
-    if isinstance(f, Globally):
-        return "G " + _unary_op_arg(f.child)
+        return _binary_operand(f.left) + (_INFIX[type(f)],) + _binary_operand(f.right)
+    if isinstance(f, (Next, Future, Globally)):
+        return (_PREFIX[type(f)],) + _unary_op_arg(f.child)
     if isinstance(f, (PathA, PathE)):
         q = "A" if isinstance(f, PathA) else "E"
         c = f.child
-        if isinstance(c, Next):
-            return q + "X " + _unary_op_arg(c.child)
-        if isinstance(c, Future):
-            return q + "F " + _unary_op_arg(c.child)
-        if isinstance(c, Globally):
-            return q + "G " + _unary_op_arg(c.child)
+        if isinstance(c, (Next, Future, Globally)):
+            return (q + _PREFIX[type(c)],) + _unary_op_arg(c.child)
         if isinstance(c, (Until, Release)):
-            op = " U " if isinstance(c, Until) else " R "
-            return f"{q}[{_binary_operand(c.left)}{op}{render_formula(c.right)}]"
-        return f"{q} ({render_formula(c)})"
+            return (q + "[",) + _binary_operand(c.left) + (_INFIX[type(c)], c.right, "]")
+        return (q + " (", c, ")")
     if isinstance(f, QUANTIFIED):
         kw = "forall" if isinstance(f, ForallProp) else "exists"
-        return f"{kw} {f.var} . {render_formula(f.child)}"
+        return (f"{kw} {f.var} . ", f.child)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def render_formula(f):
+    """Deterministic text form; parse_formula(render_formula(f)) == f.
+
+    Expands nodes into strings from an explicit stack, so depth is unbounded
+    and the output is joined once.
+    """
+    out = []
+    stack = [f]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack += reversed(_render_items(item))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -601,20 +617,18 @@ def is_pure_path(f):
 
 def is_ctl(phi):
     """Every path quantifier immediately pairs with one temporal operator."""
-    if isinstance(phi, (Atom, SetAtom, TrueConst, FalseConst)):
-        return True
-    if isinstance(phi, Not):
-        return is_ctl(phi.child)
-    if isinstance(phi, (And, Or, Implies)):
-        return is_ctl(phi.left) and is_ctl(phi.right)
-    if isinstance(phi, (PathA, PathE)):
-        c = phi.child
-        if isinstance(c, (Next, Future, Globally)):
-            return is_ctl(c.child)
-        if isinstance(c, (Until, Release)):
-            return is_ctl(c.left) and is_ctl(c.right)
-        return False
-    return False
+    todo = [phi]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, (Atom, SetAtom, TrueConst, FalseConst)):
+            continue
+        if isinstance(f, (Not, And, Or, Implies)):
+            todo += f.children()
+        elif isinstance(f, (PathA, PathE)) and isinstance(f.child, (Next, Future, Globally, Until, Release)):
+            todo += f.child.children()
+        else:
+            return False
+    return True
 
 
 def _contains_quantifier(f, kinds):

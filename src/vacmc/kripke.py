@@ -41,6 +41,7 @@ class KripkeStructure:
             raise KripkeError(f"{name}: duplicate proposition names")
         self._index = {s: i for i, s in enumerate(self.states)}
         self.n = len(self.states)
+        self._pred = None
 
         init = tuple(dict.fromkeys(init))
         if not init:
@@ -101,7 +102,8 @@ class KripkeStructure:
         return m
 
     def names_of(self, mask):
-        return tuple(s for i, s in enumerate(self.states) if mask >> i & 1)
+        states = self.states
+        return tuple(states[i] for i in mask_members(mask))
 
     def successors(self, state):
         return self.names_of(self.succ_masks[self.index(state)])
@@ -132,12 +134,26 @@ class KripkeStructure:
         return {p: self.label3(state, p) for p in self.props}
 
     def predecessors(self):
-        """Indices of the predecessors of each state, built anew on every call."""
-        pred = [[] for _ in range(self.n)]
-        index = self._index
-        for s, t in self.trans:
-            pred[index[t]].append(index[s])
-        return pred
+        """Indices of the predecessors of each state, ascending; built on the
+        first call and shared by every later caller (do not mutate)."""
+        if self._pred is None:
+            pred = [[] for _ in range(self.n)]
+            index = self._index
+            for s, t in self.trans:
+                pred[index[t]].append(index[s])
+            self._pred = pred
+        return self._pred
+
+    def pre(self, mask):
+        """States with a successor in mask; pre(full) = full since transitions are total."""
+        if not mask or mask == self.full_mask:
+            return mask
+        pred = self.predecessors()
+        out = 0
+        for j in mask_members(mask):
+            for i in pred[j]:
+                out |= 1 << i
+        return out
 
     def reachable_mask(self, start_mask=None):
         """States reachable from start_mask (default: init); each is expanded once."""
@@ -312,15 +328,16 @@ def x_variants(k, prop):
     if prop in k.props:
         raise KripkeError(f"{k.name}: proposition {prop!r} already present")
     out = []
+    pred = k.predecessors()
     for mask in range(1 << k.n):
         labels = {}
         for i, s in enumerate(k.states):
             ls = dict(k.labels_of(s))
             ls[prop] = bool(mask >> i & 1)
             labels[s] = ls
-        out.append(
-            KripkeStructure(f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k.init, k.trans, labels)
-        )
+        variant = KripkeStructure(f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k.init, k.trans, labels)
+        variant._pred = pred  # same states and transitions as k
+        out.append(variant)
     return out
 
 

@@ -161,13 +161,11 @@ class AtomGraph:
         self.tindex = {n: i for i, n in enumerate(self.temporal)}
         self.atoms = []        # (state index, sigma)
         self.vals = []         # valuation dict per atom
-        index = {}
-        per_state = [[] for _ in range(k.n)]
+        self.per_state = per_state = [[] for _ in range(k.n)]  # atoms of each state
         for si in range(k.n):
             for sigma in range(1 << len(self.temporal)):
                 vals = self._vals(si, sigma)
                 if self._locally_consistent(vals):
-                    index[(si, sigma)] = len(self.atoms)
                     per_state[si].append(len(self.atoms))
                     self.atoms.append((si, sigma))
                     self.vals.append(vals)
@@ -259,8 +257,8 @@ class AtomGraph:
         self.good = good
 
     def _accepting_starts(self, si):
-        for a, (sj, _) in enumerate(self.atoms):
-            if sj == si and self.vals[a][self.root] and self.can_reach_good[self.scc_of[a]]:
+        for a in self.per_state[si]:
+            if self.vals[a][self.root] and self.can_reach_good[self.scc_of[a]]:
                 yield a
 
     def e_mask(self):
@@ -364,8 +362,8 @@ class _Evaluator:
         self.force_tableau = force_tableau
         self.memo = {}
         self._foreign = {}
-        self._pred = None
         self._tableau = set()  # path formulas that _operands sent to the tableau
+        self._graphs = {}
 
     def states(self, phi):
         memo = self.memo
@@ -454,58 +452,44 @@ class _Evaluator:
         home = atom.ref if atom.ref is not None else self.env.get(atom.structure)
         if home is None:
             raise EvalError(f"set atom over unknown structure {atom.structure!r}")
-        pairs = self._foreign.get(atom.structure)
-        if pairs is None:
+        rows = self._foreign.get(atom.structure)
+        if rows is None:
             from .bisim import bisimilar_over
 
             common = tuple(p for p in home.props if p in k.props)
-            rel = bisimilar_over(home, k, common)
+            rel = bisimilar_over(k, home, common)
             if rel is None:
                 raise EvalError(
                     f"set atom of {atom.structure!r} on {k.name!r}: no bisimulation over {common}"
                 )
-            pairs = {}
-            for s, t in rel.pairs:
-                pairs[s] = pairs.get(s, 0) | 1 << k.index(t)
-            self._foreign[atom.structure] = pairs
+            # rows[i]: the states of k in the block of home state i
+            rows = self._foreign[atom.structure] = rel.rows
         bad = [s for s in atom.states if s not in home.states]
         if bad:
             raise EvalError(f"set atom state {bad[0]!r} not in structure {atom.structure!r}")
         mask = 0
         for s in atom.states:
-            mask |= pairs.get(s, 0)
+            mask |= rows[home.index(s)]
         return mask
 
     # -- CTL labelling -------------------------------------------------------
 
-    def _ex(self, mask):
-        """pre(mask); pre(full) = full since transitions are total."""
-        if not mask or mask == self.full:
-            return mask
-        if self._pred is None:
-            self._pred = self.k.predecessors()
-        pred = self._pred
-        out = 0
-        for j in mask_members(mask):
-            for i in pred[j]:
-                out |= 1 << i
-        return out
-
     def _eu(self, l, r):
         """E[l U r]: grown from r by pre(newly added) & l & ~z."""
+        pre = self.k.pre
         z = frontier = r
         while frontier:
-            frontier = self._ex(frontier) & l & ~z
+            frontier = pre(frontier) & l & ~z
             z |= frontier
         return z
 
     def _er(self, l, r):
         """E[l R r]: drop states of r & ~l with no successor left in z, re-examining
         only predecessors of the states dropped last round (all of ~r at first)."""
-        succ = self.k.succ_masks
+        succ, pre = self.k.succ_masks, self.k.pre
         z, removed = r, self.full ^ r
         while removed:
-            candidates = self._ex(removed) & z & ~l
+            candidates = pre(removed) & z & ~l
             removed = 0
             for i in mask_members(candidates):
                 if not succ[i] & z:
@@ -514,12 +498,19 @@ class _Evaluator:
         return z
 
     def _quantified_path(self, phi, operands):
-        c = phi.child
         if phi not in self._tableau:
             return self._fixpoint(phi, operands)
-        if isinstance(phi, F.PathE):
-            return AtomGraph(self.k, self._pathform(c)).e_mask()
-        return self.full ^ AtomGraph(self.k, self._pathform(F.Not(c))).e_mask()
+        mask = self.graph(phi).e_mask()
+        return mask if isinstance(phi, F.PathE) else self.full ^ mask
+
+    def graph(self, phi):
+        """The AtomGraph of E c for phi = E c, or of E !c for phi = A c; built
+        once per evaluator, so a check and its witness share it."""
+        got = self._graphs.get(phi)
+        if got is None:
+            c = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
+            got = self._graphs[phi] = AtomGraph(self.k, self._pathform(c))
+        return got
 
     def _fixpoint(self, phi, operands):
         """A-forms by duality: AX r = ~EX ~r, A[l U r] = ~E[~l R ~r], A[l R r] = ~E[~l U ~r]."""
@@ -529,7 +520,8 @@ class _Evaluator:
         existential = isinstance(phi, F.PathE)
         if isinstance(c, F.Next):
             r = operands[0]
-            return self._ex(r) if existential else full ^ self._ex(full ^ r)
+            pre = self.k.pre
+            return pre(r) if existential else full ^ pre(full ^ r)
         if isinstance(c, (F.Until, F.Release)):
             l, r = operands
         else:
@@ -572,28 +564,34 @@ def check_ctl_star(k, phi, env=None, force_tableau=False):
     return k.init_mask & mask == k.init_mask
 
 
-def explain_path(k, phi, env=None):
+def explain_path(k, phi, env=None, evaluator=None):
     """Witness lasso for a top-level path quantifier, if one is relevant.
 
     For E psi true somewhere initial: a satisfying lasso.  For A psi false:
-    a falsifying lasso (a witness of E !psi).  Otherwise None.
+    a falsifying lasso (a witness of E !psi).  Otherwise None.  `evaluator`,
+    an _Evaluator of k, lends its labels and tableau graphs.
     """
     if not isinstance(phi, (F.PathA, F.PathE)):
         return None
-    ev = _Evaluator(k, env)
-    if isinstance(phi, F.PathE):
-        target = ev._pathform(phi.child)
-        wanted = True
-    else:
-        target = ev._pathform(F.Not(phi.child))
-        wanted = False
-    ag = AtomGraph(k, target)
+    ag = (evaluator or _Evaluator(k, env)).graph(phi)
     mask = ag.e_mask()
     for s in k.init:
         if mask >> k.index(s) & 1:
             got = ag.lasso(s)
             if got is not None:
                 stem, loop = got
-                kind = "witness" if wanted else "counterexample"
+                kind = "witness" if isinstance(phi, F.PathE) else "counterexample"
                 return {"kind": kind, "state": s, "stem": stem, "loop": loop}
     return None
+
+
+def check_and_explain(k, phi, env=None):
+    """(K |= phi, witness) from one evaluator: the witness is explain_path's
+    lasso when it backs the verdict (a satisfying lasso for E psi holding, a
+    falsifying one for A psi failing), else None."""
+    ev = _Evaluator(k, env)
+    value = k.init_mask & ev.states(phi) == k.init_mask
+    witness = explain_path(k, phi, env, ev)
+    if witness is not None and witness["kind"] != ("witness" if value else "counterexample"):
+        witness = None
+    return value, witness

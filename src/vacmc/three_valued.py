@@ -9,7 +9,7 @@ a classical base), through the bisimulation-semantics machinery; arbitrary
 """
 
 from . import formula as F
-from .bisim import Relation
+from .bisim import greatest_rows
 from .errors import EnumerationBoundError, EvalError, KripkeError
 from .kleene import F3, M3, T3
 from .kripke import KripkeStructure, restrict_init
@@ -43,34 +43,16 @@ def eval_compositional3(k, phi, env=None):
 
 
 def is_refinement(kless, kmore):
-    """Greatest refinement relation covering both initial-state sets, or None."""
+    """Greatest refinement relation covering both initial-state sets, or None.
+
+    (s, t) is related when s's labels are below t's in the information order
+    and each of s and t matches every step of the other inside the relation:
+    the two-sided form of the simulation engine.
+    """
     if sorted(kless.props) != sorted(kmore.props):
         raise KripkeError(f"refinement requires equal propositions ({kless.name} vs {kmore.name})")
-    pairs = {
-        (s, t)
-        for s in kless.states
-        for t in kmore.states
-        if all(info_le(kless.label3(s, p), kmore.label3(t, p)) for p in kless.props)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for s, t in list(pairs):
-            ok = all(
-                any((s2, t2) in pairs for t2 in kmore.successors(t))
-                for s2 in kless.successors(s)
-            ) and all(
-                any((s2, t2) in pairs for s2 in kless.successors(s))
-                for t2 in kmore.successors(t)
-            )
-            if not ok:
-                pairs.discard((s, t))
-                changed = True
-    fwd = all(any((s, t) in pairs for t in kmore.init) for s in kless.init)
-    bwd = all(any((s, t) in pairs for s in kless.init) for t in kmore.init)
-    if not (fwd and bwd):
-        return None
-    return Relation(kless.name, kmore.name, frozenset(pairs))
+    rel = greatest_rows(kless, kmore, kless.props, info_le, two_sided=True)
+    return rel if rel.covers_init(both_ways=True) else None
 
 
 def lift_kx(k, x):

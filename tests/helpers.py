@@ -4,7 +4,7 @@ import random
 
 from vacmc import formula as F
 from vacmc.errors import EvalError
-from vacmc.kleene import F3, M3, T3, and3
+from vacmc.kleene import F3, M3, T3, and3, info_le
 from vacmc.kripke import KripkeStructure
 from vacmc.mc import eval_mask
 
@@ -27,6 +27,19 @@ def rand_kripke(rng, max_states=4, props=("p", "q"), name="R", multi_init=True):
         init = [s for s in states if rng.random() < 0.4] or [states[0]]
     else:
         init = [states[0]]
+    return KripkeStructure(name, props, states, init, trans, labels)
+
+
+def rand_kripke3(rng, max_states=8, props=("p", "q", "r"), maybe=0.0, name="R"):
+    """Random structure of 1..max_states states, few labels, a share `maybe` of them maybe."""
+    n = rng.randint(1, max_states)
+    states = [f"s{i}" for i in range(n)]
+    labels = {s: {p: (M3 if rng.random() < maybe else rng.random() < 0.3) for p in props} for s in states}
+    trans = []
+    for s in states:
+        succ = [t for t in states if rng.random() < 0.3] or [rng.choice(states)]
+        trans.extend((s, t) for t in succ)
+    init = [s for s in states if rng.random() < 0.3] or [states[0]]
     return KripkeStructure(name, props, states, init, trans, labels)
 
 
@@ -347,3 +360,71 @@ def kleene_compositional3(k, phi):
         elif not t >> i & 1:
             verdict = and3(verdict, M3)
     return verdict
+
+
+# ---------------------------------------------------------------------------
+# Relation oracles: naive pair elimination and whole-union signature refinement
+
+
+def naive_greatest_bisimulation(k1, k2, over):
+    """Pairs equated by signature refinement that re-signs every state of the
+    disjoint union each round, until the renamed blocks repeat."""
+    union = [(0, s) for s in k1.states] + [(1, t) for t in k2.states]
+    structs = (k1, k2)
+    block = {(tag, s): tuple(structs[tag].label3(s, p) for p in over) for tag, s in union}
+    while True:
+        fresh = {}
+        renamed = {}
+        for tag, s in union:
+            key = (block[(tag, s)], frozenset(block[(tag, t)] for t in structs[tag].successors(s)))
+            renamed[(tag, s)] = fresh.setdefault(key, len(fresh))
+        if renamed == block:
+            break
+        block = renamed
+    return {(s, t) for s in k1.states for t in k2.states if block[(0, s)] == block[(1, t)]}
+
+
+def naive_greatest_simulation(k1, k2, over):
+    """Pairs (s, t), s in k1 simulating t in k2, by repeated pair elimination."""
+    pairs = {
+        (s, t)
+        for s in k1.states
+        for t in k2.states
+        if all(k1.label3(s, p) == k2.label3(t, p) for p in over)
+    }
+    changed = True
+    while changed:
+        changed = False
+        for s, t in list(pairs):
+            for t2 in k2.successors(t):
+                if not any((s2, t2) in pairs for s2 in k1.successors(s)):
+                    pairs.discard((s, t))
+                    changed = True
+                    break
+    return pairs
+
+
+def naive_refinement(kless, kmore):
+    """Greatest mixed (two-sided) refinement pairs by repeated pair
+    elimination, or None when it misses an initial state on either side."""
+    pairs = {
+        (s, t)
+        for s in kless.states
+        for t in kmore.states
+        if all(info_le(kless.label3(s, p), kmore.label3(t, p)) for p in kless.props)
+    }
+    changed = True
+    while changed:
+        changed = False
+        for s, t in list(pairs):
+            ok = all(
+                any((s2, t2) in pairs for t2 in kmore.successors(t)) for s2 in kless.successors(s)
+            ) and all(
+                any((s2, t2) in pairs for s2 in kless.successors(s)) for t2 in kmore.successors(t)
+            )
+            if not ok:
+                pairs.discard((s, t))
+                changed = True
+    fwd = all(any((s, t) in pairs for t in kmore.init) for s in kless.init)
+    bwd = all(any((s, t) in pairs for s in kless.init) for t in kmore.init)
+    return pairs if fwd and bwd else None

@@ -11,12 +11,20 @@ from vacmc.bisim import (
     quotient_bisim,
     simulates_over,
 )
-from vacmc.errors import KripkeError
+from vacmc.errors import EvalError, KripkeError
 from vacmc.formula import parse_formula as p
-from vacmc.kripke import chi, compose_sync, isomorphic, x_variants
-from vacmc.mc import check_ctl_star
+from vacmc.kripke import KripkeStructure, chi, compose_sync, duplicate_m, isomorphic, render_kripke, x_variants
+from vacmc.mc import check_ctl_star, eval_mask
 
-from helpers import rand_ctl, rand_kripke
+from helpers import (
+    merge_abstraction,
+    naive_greatest_bisimulation,
+    naive_greatest_simulation,
+    rand_ctl,
+    rand_kripke,
+    rand_kripke3,
+    shaped_kripke,
+)
 
 
 class TestBisimilarOver:
@@ -126,3 +134,130 @@ class TestQuotient:
             assert bisimilar_over(q, k, k.props) is not None
             for phi in pool:
                 assert check_ctl_star(q, phi) == check_ctl_star(k, phi), F.render_formula(phi)
+
+
+def relation_cases(rng, count):
+    """Seeded (k1, k2, over): 1-8 states, 2- and 3-valued labels, random pairs,
+    duplicates, merged abstractions and k2 is k1, over random subsets."""
+    for n in range(count):
+        maybe = 0.3 if n % 2 else 0.0
+        k1 = rand_kripke3(rng, 8, maybe=maybe, name="A")
+        kind = n % 4
+        if kind == 0:
+            k2 = rand_kripke3(rng, 8, maybe=maybe, name="B")
+        elif kind == 1:
+            k2 = duplicate_m(k1, rng.randint(2, 3))
+        elif kind == 2:
+            k2 = merge_abstraction(rng, k1, "B")[0]
+        else:
+            k2 = k1
+        yield k1, k2, tuple(q for q in k1.props if rng.random() < 0.6)
+
+
+def inits_covered(k1, k2, pairs):
+    """(every init of k1 related to an init of k2, every init of k2 to one of k1)."""
+    fwd = all(any((s, t) in pairs for t in k2.init) for s in k1.init)
+    bwd = all(any((s, t) in pairs for s in k1.init) for t in k2.init)
+    return fwd, bwd
+
+
+def naive_quotient_text(k, over):
+    """The quotient's .kr text, blocks in order of first state, from oracle pairs."""
+    pairs = naive_greatest_bisimulation(k, k, over)
+    blocks, assigned = [], {}
+    for s in k.states:
+        if s not in assigned:
+            members = [t for t in k.states if (s, t) in pairs]
+            for t in members:
+                assigned[t] = len(blocks)
+            blocks.append(members)
+    names = ["{" + ",".join(members) + "}" for members in blocks]
+    labels = {names[i]: {q: k.label3(members[0], q) for q in over} for i, members in enumerate(blocks)}
+    trans = sorted({(names[assigned[s]], names[assigned[t]]) for s, t in k.trans})
+    init = list(dict.fromkeys(names[assigned[s]] for s in k.init))
+    return render_kripke(KripkeStructure(f"{k.name}/~", over, names, init, trans, labels))
+
+
+class TestAgainstNaiveOracles:
+    def test_bisimulation(self, rng):
+        verdicts = set()
+        for k1, k2, over in relation_cases(rng, 300):
+            want = naive_greatest_bisimulation(k1, k2, over)
+            got = greatest_bisimulation(k1, k2, over)
+            assert got.pairs == want and len(got) == len(want)
+            assert is_bisimulation(k1, k2, over, got.pairs)
+            rel = bisimilar_over(k1, k2, over)
+            assert (rel is not None) == all(inits_covered(k1, k2, want))
+            verdicts.add((rel is not None, k1 is k2))
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_simulation(self, rng):
+        verdicts = set()
+        for k1, k2, over in relation_cases(rng, 300):
+            for left, right in ((k1, k2), (k2, k1)):
+                want = naive_greatest_simulation(left, right, over)
+                got = greatest_simulation(left, right, over)
+                assert got.pairs == want and len(got) == len(want)
+                assert is_simulation(left, right, over, got.pairs)
+                rel = simulates_over(left, right, over)
+                assert (rel is not None) == inits_covered(left, right, want)[1]
+                verdicts.add(rel is not None)
+        assert verdicts == {True, False}
+
+    def test_quotient_keeps_block_order_and_names(self, rng):
+        for k, _, over in relation_cases(rng, 150):
+            assert render_kripke(quotient_bisim(k, over)) == naive_quotient_text(k, over)
+
+    def test_foreign_set_atom_through_blocks_equals_through_pairs(self, rng):
+        checked = 0
+        for home, k, over in relation_cases(rng, 200):
+            if not k.is_classical or k is home:
+                continue
+            home = KripkeStructure("H", home.props, home.states, home.init, home.trans,
+                                   {s: home.labels_of(s) for s in home.states})
+            env = {"H": home}
+            common = home.props
+            rel = bisimilar_over(home, k, common)
+            for _ in range(3):
+                chosen = [s for s in home.states if rng.random() < 0.5]
+                atom = F.SetAtom("H", chosen)
+                if rel is None:
+                    with pytest.raises(EvalError):
+                        eval_mask(k, atom, env)
+                    continue
+                want = 0
+                for s, t in rel.pairs:
+                    if s in chosen:
+                        want |= 1 << k.index(t)
+                assert eval_mask(k, atom, env) == want
+                checked += 1
+        assert checked > 100
+
+
+class TestRelationView:
+    def test_pairs_are_a_frozenset_built_once(self, fx):
+        rel = bisimilar_over(fx("L"), fx("M"), ("p",))
+        assert isinstance(rel.pairs, frozenset) and rel.pairs is rel.pairs
+        assert set(rel) == rel.pairs and len(rel) == len(rel.pairs)
+        assert rel.related("a0", "b1") and not rel.related("a0", "nosuch")
+        assert rel.inverse().pairs == {(t, s) for s, t in rel.pairs}
+        assert (rel.left, rel.right) == ("L", "M")
+
+
+class TestScaling:
+    def test_quotient_of_a_long_chain(self):
+        n = 10_000
+        states = [f"s{i}" for i in range(n)]
+        trans = [(states[i], states[min(i + 1, n - 1)]) for i in range(n)]
+        k = KripkeStructure("chain", ("p",), states, ["s0"], trans, {states[-1]: {"p": True}})
+        q = quotient_bisim(k)
+        # every state is its own block: its distance to p tells it apart
+        assert q.n == n and q.states[:2] == ("{s0}", "{s1}") and q.init == ("{s0}",)
+
+    def test_random_graph_bisimilar_to_its_duplicate(self, rng):
+        k = shaped_kripke(rng, "random", 2000)
+        k2 = duplicate_m(k, 2)
+        rel = bisimilar_over(k, k2, k.props)
+        assert rel is not None
+        row = rel.rows[k2.index("(s7,1)")]
+        assert row >> k.index("s7") & 1

@@ -149,6 +149,17 @@ class TestNnf:
             got = got.child.child
         assert got == F.Not(F.Atom("p"))
 
+    def test_render_and_is_ctl_past_the_recursion_limit(self):
+        phi = F.Atom("p")
+        for _ in range(1000):
+            phi = F.PathA(F.Next(phi))
+        assert render_formula(phi) == "AX " * 1000 + "p"
+        assert F.is_ctl(phi) and not F.is_ctl(F.PathA(F.Not(phi)))
+        deep_not = F.Atom("p")
+        for _ in range(1000):
+            deep_not = F.Not(deep_not)
+        assert render_formula(F.PathE(F.Future(deep_not))) == "EF " + "!" * 1000 + "p"
+
     def test_negations_atomic_only(self, rng):
         def ok(f):
             if isinstance(f, F.Not):

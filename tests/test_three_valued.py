@@ -19,7 +19,15 @@ from vacmc.three_valued import (
 )
 from vacmc.vacuity import VacuityStatus, decide_bisim_vacuity, is_mon_vacuous
 
-from helpers import kleene_compositional3, proper_subformulas, rand_ctl, rand_kripke, shaped_kripke
+from helpers import (
+    kleene_compositional3,
+    naive_refinement,
+    proper_subformulas,
+    rand_ctl,
+    rand_kripke,
+    rand_kripke3,
+    shaped_kripke,
+)
 
 ALL3 = (T3, M3, F3)
 
@@ -103,6 +111,12 @@ class TestCompositional:
         for _ in range(200):
             phi = F.PathA(F.Next(phi))
         assert eval_compositional3(k, phi) is F3
+        for _ in range(401):  # AX^920 p and AX^1000 p: past the recursion limit in is_ctl too
+            phi = F.PathA(F.Next(phi))
+        assert eval_compositional3(k, phi) is T3
+        for _ in range(80):
+            phi = F.PathA(F.Next(phi))
+        assert eval_compositional3(k, phi) is F3
 
     def test_errors_match_kleene_fixpoint_oracle(self, fx):
         kx = lift_kx(fx("L"), "x")
@@ -153,6 +167,31 @@ class TestRefinement:
             for phi in pool:
                 assert info_le(eval_compositional3(k3, phi), eval_compositional3(base, phi))
         assert checked > 30
+
+
+    def test_matches_pair_elimination_oracle(self, rng):
+        """Seeded pairs of 1-8 states: random ones, and a structure below a
+        duplicate of itself or of a random 3-valued structure."""
+        verdicts = set()
+        for n in range(300):
+            kmore = rand_kripke3(rng, 8, maybe=0.3 if n % 2 else 0.0, name="More")
+            if n % 3 == 0:
+                kless = rand_kripke3(rng, 8, maybe=0.5, name="Less")
+            else:
+                base = duplicate_m(kmore, 2) if n % 3 == 1 else kmore
+                labels = {
+                    s: {q: (M3 if rng.random() < 0.4 else base.label3(s, q)) for q in base.props}
+                    for s in base.states
+                }
+                kless = KripkeStructure("Less", base.props, base.states, base.init, base.trans, labels)
+            for left, right in ((kless, kmore), (kmore, kless), (kmore, kmore)):
+                want = naive_refinement(left, right)
+                got = is_refinement(left, right)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.pairs == want and len(got) == len(want)
+                verdicts.add(got is not None)
+        assert verdicts == {True, False}
 
 
 class TestLiftAndCompletions:
