@@ -32,11 +32,20 @@ class Formula:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return False
-        return self._parts() == other._parts()
+        """Structural equality, compared from an explicit stack."""
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(a._parts(), b._parts()):
+                if isinstance(x, Formula):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -445,21 +454,41 @@ def _rebuild(f, new_children):
 
 
 def substitute(phi, psi, chi):
-    """Replace every maximal occurrence of psi (structural equality) by chi."""
+    """Replace every maximal occurrence of psi (structural equality) by chi.
 
-    def go(f):
-        if f == psi:
-            return chi
-        return _rebuild(f, [go(c) for c in f.children()])
-
-    return go(phi)
+    Rebuilds bottom-up from an explicit stack, so depth is unbounded; a
+    subterm object shared in phi is rebuilt once.
+    """
+    done = {}  # id(node) -> its rebuilt form
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        if id(f) in done:
+            stack.pop()
+        elif f == psi:
+            done[id(f)] = chi
+            stack.pop()
+        else:
+            pending = [c for c in f.children() if id(c) not in done]
+            if pending:
+                stack += pending
+            else:
+                stack.pop()
+                done[id(f)] = _rebuild(f, [done[id(c)] for c in f.children()])
+    return done[id(phi)]
 
 
 def count_occurrences(phi, psi):
     """Number of maximal occurrences of psi in phi."""
-    if phi == psi:
-        return 1
-    return sum(count_occurrences(c, psi) for c in phi.children())
+    n = 0
+    todo = [phi]
+    while todo:
+        f = todo.pop()
+        if f == psi:
+            n += 1
+        else:
+            todo += f.children()
+    return n
 
 
 class Polarity(enum.Enum):
@@ -476,21 +505,17 @@ def occurrence_polarity(phi, psi):
     only, matching substitute().
     """
     seen = set()
-
-    def go(f, parity):
+    todo = [(phi, 0)]
+    while todo:
+        f, parity = todo.pop()
         if f == psi:
             seen.add(parity)
-            return
-        if isinstance(f, Not):
-            go(f.child, parity ^ 1)
+        elif isinstance(f, Not):
+            todo.append((f.child, parity ^ 1))
         elif isinstance(f, Implies):
-            go(f.left, parity ^ 1)
-            go(f.right, parity)
+            todo += ((f.left, parity ^ 1), (f.right, parity))
         else:
-            for c in f.children():
-                go(c, parity)
-
-    go(phi, 0)
+            todo += ((c, parity) for c in f.children())
     if not seen:
         return Polarity.ABSENT
     if seen == {0}:
@@ -566,16 +591,7 @@ def _nnf_node(f, pos, operands):
 
 def atoms(phi):
     """All proposition names occurring in phi (quantified variables included)."""
-    out = set()
-
-    def go(f):
-        if isinstance(f, Atom):
-            out.add(f.name)
-        for c in f.children():
-            go(c)
-
-    go(phi)
-    return out
+    return {f.name for f in subformulas(phi) if isinstance(f, Atom)}
 
 
 def subformulas(phi):
@@ -610,9 +626,7 @@ def is_state_formula(f):
 
 def is_pure_path(f):
     """No path quantifier anywhere inside."""
-    if isinstance(f, (PathA, PathE) + QUANTIFIED):
-        return False
-    return all(is_pure_path(c) for c in f.children())
+    return not _contains_quantifier(f, (PathA, PathE) + QUANTIFIED)
 
 
 def is_ctl(phi):
@@ -632,33 +646,24 @@ def is_ctl(phi):
 
 
 def _contains_quantifier(f, kinds):
-    if isinstance(f, kinds):
-        return True
-    return any(_contains_quantifier(c, kinds) for c in f.children())
+    return any(isinstance(g, kinds) for g in subformulas(f))
 
 
 _MARKER = Atom("__sub__")
 
 
-def _scopes_universal(f, marker, inside_e=False):
-    """No occurrence of marker (or its negation) under a PathE scope."""
-    if f == marker or (isinstance(f, Not) and f.child == marker):
-        return not inside_e
-    if isinstance(f, PathE):
-        return _scopes_universal(f.child, marker, True)
-    if isinstance(f, PathA):
-        return _scopes_universal(f.child, marker, inside_e)
-    return all(_scopes_universal(c, marker, inside_e) for c in f.children())
-
-
-def _scopes_existential(f, marker, inside_a=False):
-    if f == marker or (isinstance(f, Not) and f.child == marker):
-        return not inside_a
-    if isinstance(f, PathA):
-        return _scopes_existential(f.child, marker, True)
-    if isinstance(f, PathE):
-        return _scopes_existential(f.child, marker, inside_a)
-    return all(_scopes_existential(c, marker, inside_a) for c in f.children())
+def _marker_outside(f, marker, scope):
+    """No occurrence of marker (or its negation) inside a `scope` quantifier."""
+    todo = [(f, False)]
+    while todo:
+        f, inside = todo.pop()
+        if f == marker or (isinstance(f, Not) and f.child == marker):
+            if inside:
+                return False
+        else:
+            inside = inside or isinstance(f, scope)
+            todo += ((c, inside) for c in f.children())
+    return True
 
 
 @dataclass(frozen=True)
@@ -684,8 +689,8 @@ def analyze(phi, psi=None):
         universal = existential = False
     else:
         marked = nnf(substitute(phi, psi, _MARKER))
-        universal = _scopes_universal(marked, _MARKER)
-        existential = _scopes_existential(marked, _MARKER)
+        universal = _marker_outside(marked, _MARKER, PathE)
+        existential = _marker_outside(marked, _MARKER, PathA)
     return Analysis(
         is_ctl=is_ctl(phi),
         is_ltl=ltl,

@@ -5,6 +5,7 @@ integer bitmasks over the state tuple; labels are 3-valued (classical
 structures simply never use maybe).
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from itertools import compress
@@ -124,6 +125,8 @@ class KripkeStructure:
         return self._tmask[prop]
 
     def maybe_mask(self, prop):
+        if prop not in self._mmask:
+            raise KripkeError(f"{self.name}: unknown proposition {prop!r}")
         return self._mmask[prop]
 
     @property
@@ -323,22 +326,42 @@ def remove_prop(k, prop):
     return KripkeStructure(k.name, props, k.states, k.init, k.trans, labels)
 
 
-def x_variants(k, prop):
-    """All 2^|S| ways of adding `prop` with a boolean labeling."""
-    if prop in k.props:
-        raise KripkeError(f"{k.name}: proposition {prop!r} already present")
-    out = []
-    pred = k.predecessors()
-    for mask in range(1 << k.n):
+class _XVariants(Sequence):
+    """The 2^|S| ways of adding `prop` to k with a boolean labeling, as a lazy
+    sequence: item `mask` labels prop true on the states in mask and is named
+    k.name^(mask+1).  Indexing builds that one variant, which shares k's
+    predecessor lists."""
+
+    def __init__(self, k, prop):
+        if prop in k.props:
+            raise KripkeError(f"{k.name}: proposition {prop!r} already present")
+        self.k = k
+        self.prop = prop
+
+    def __len__(self):
+        return 1 << self.k.n
+
+    def __getitem__(self, mask):
+        if isinstance(mask, slice):
+            return [self[i] for i in range(*mask.indices(len(self)))]
+        if mask < 0:
+            mask += len(self)
+        if not 0 <= mask < len(self):
+            raise IndexError("x-variant index out of range")
+        k, prop = self.k, self.prop
         labels = {}
         for i, s in enumerate(k.states):
             ls = dict(k.labels_of(s))
             ls[prop] = bool(mask >> i & 1)
             labels[s] = ls
         variant = KripkeStructure(f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k.init, k.trans, labels)
-        variant._pred = pred  # same states and transitions as k
-        out.append(variant)
-    return out
+        variant._pred = k.predecessors()  # same states and transitions as k
+        return variant
+
+
+def x_variants(k, prop):
+    """All 2^|S| ways of adding `prop` with a boolean labeling (a lazy _XVariants)."""
+    return _XVariants(k, prop)
 
 
 def restrict_init(k, inits):

@@ -7,10 +7,12 @@ successor inside, and the A-forms are complements of E-forms.  Subformulas
 are evaluated bottom-up from an explicit stack.  Genuine path formulas go
 through the closure/atom ("tableau") product with self-fulfilling-SCC
 acceptance.  Set atoms of a foreign structure are resolved through a
-bisimulation computed on demand.
+bisimulation computed on demand.  A sweep over the labelings of one fresh
+atom runs on one evaluator, relabelling only the subformulas that contain it.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import formula as F
 from .errors import EvalError
@@ -344,6 +346,35 @@ def _ctl_operands(c):
     return (c,) if F.is_state_formula(c) else None
 
 
+class _Dependents:
+    """The labelled nodes that depend on one assigned atom, in post-order,
+    each with its operands.
+
+    The memo's insertion order is a post-order (a node is stored after its
+    operands), so one pass over it finds them; the pass resumes where it
+    stopped when more has been labelled since.  Operands are kept as the
+    memo's own key objects, so relabelling looks them up by identity.
+    """
+
+    def __init__(self, atom):
+        self.scanned = 0
+        self.keys = {}
+        self.dependent = {atom}
+        self.nodes = []
+
+    def scan(self, ev):
+        memo, keys = ev.memo, self.keys
+        if self.scanned == len(memo):
+            return
+        for f in islice(memo, self.scanned, None):
+            keys[f] = f
+            operands = ev._operands(f)
+            if any(o in self.dependent for o in operands):
+                self.dependent.add(f)
+                self.nodes.append((f, tuple(keys[o] for o in operands)))
+        self.scanned = len(memo)
+
+
 class _Evaluator:
     """Memoized bottom-up labelling of state formulas with state bitmasks.
 
@@ -364,6 +395,26 @@ class _Evaluator:
         self._foreign = {}
         self._tableau = set()  # path formulas that _operands sent to the tableau
         self._graphs = {}
+        self._assigned = {}  # atom -> its _Dependents
+
+    def assign(self, atom, mask):
+        """Label `atom`, which is not a proposition of k, with `mask`; relabel
+        only the labelled nodes whose subformula contains it.
+
+        A sweep over the labelings of one atom thus labels the rest of the
+        formula, tableau graphs and foreign set atoms included, once.
+        """
+        if atom.name in self.k.props:
+            raise EvalError(f"cannot assign {atom.name!r}: a proposition of {self.k.name!r}")
+        memo = self.memo
+        deps = self._assigned.get(atom)
+        if deps is None:
+            deps = self._assigned[atom] = _Dependents(atom)
+        deps.scan(self)
+        memo[atom] = mask
+        for f, operands in deps.nodes:
+            self._graphs.pop(f, None)
+            memo[f] = self._states(f, [memo[o] for o in operands])
 
     def states(self, phi):
         memo = self.memo
@@ -432,7 +483,7 @@ class _Evaluator:
             return self._setatom(phi)
         if isinstance(phi, F.Not):
             mask = operands[0]
-            if isinstance(phi.child, F.Atom):
+            if isinstance(phi.child, F.Atom) and phi.child not in self._assigned:
                 mask |= k.maybe_mask(phi.child.name)
             return full ^ mask
         if isinstance(phi, F.And):
@@ -558,10 +609,21 @@ def eval_mask(k, phi, env=None, force_tableau=False):
     return _Evaluator(k, env, force_tableau).states(phi)
 
 
-def check_ctl_star(k, phi, env=None, force_tableau=False):
-    """K |= phi: every initial state satisfies phi."""
-    mask = _Evaluator(k, env, force_tableau).states(phi)
+def check_ctl_star(k, phi, env=None, force_tableau=False, evaluator=None):
+    """K |= phi: every initial state satisfies phi.  `evaluator`, an
+    _Evaluator of k, lends its labels (and atom assignments) instead."""
+    mask = (evaluator or _Evaluator(k, env, force_tableau)).states(phi)
     return k.init_mask & mask == k.init_mask
+
+
+def sweep(k, phi, atom, env=None):
+    """(mask, K |= phi with `atom` labelled true exactly on mask) for mask =
+    0 .. 2^|S|-1 in turn, all on one evaluator: what does not contain atom
+    is labelled once."""
+    ev = _Evaluator(k, env)
+    for mask in range(1 << k.n):
+        ev.assign(atom, mask)
+        yield mask, check_ctl_star(k, phi, evaluator=ev)
 
 
 def explain_path(k, phi, env=None, evaluator=None):

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 from . import formula as F
 from .errors import EnumerationBoundError, EvalError, KripkeError
-from .kripke import chi, compose_sync, duplicate_m, is_deterministic, structurally_equal, validate_unrolling_map, x_variants
+from .kripke import chi, compose_sync, duplicate_m, is_deterministic, structurally_equal, validate_unrolling_map
 from .bisim import quotient_bisim
-from .mc import check_ctl_star
+from .mc import check_ctl_star, sweep
+from .vacuity import _variant_disagreement
 
 BRUTE_FORCE_Y = "BruteForceY"
 K_PARALLEL_X = "KParallelX"
@@ -49,15 +50,11 @@ def eval_structural(k, q, bound=20, env=None):
     kind, var, body = _split(k, q)
     if k.n > bound:
         raise EnumerationBoundError(f"2^{k.n} labelings exceed the bound 2^{bound}")
-    target = F.Atom(var)
-    for mask in range(1 << k.n):
-        names = k.names_of(mask)
-        sub = F.substitute(body, target, F.SetAtom(k.name, names, ref=k))
-        holds = check_ctl_star(k, sub, env)
+    for mask, holds in sweep(k, body, F.Atom(var), env):  # var is not a proposition of k
         if kind == "forall" and not holds:
-            return False, names
+            return False, k.names_of(mask)
         if kind == "exists" and holds:
-            return True, names
+            return True, k.names_of(mask)
     return (True, None) if kind == "forall" else (False, None)
 
 
@@ -69,16 +66,13 @@ def _bisim_forall(k, var, body, bound, variant_bound, env):
         value, labeling = eval_structural(k, F.ForallProp(var, body), bound, env)
         if not value:
             return QEvalResult(False, CHAIN_IMPLICATION, {"labeling": list(labeling)})
-    for candidate in (quotient_bisim(k), duplicate_m(k, 2)):
-        if candidate.n > variant_bound:
-            continue
-        for variant in x_variants(candidate, var):
-            if not check_ctl_star(variant, body, env):
-                witness = {
-                    "structure": variant.name,
-                    "labeling": {s: variant.label3(s, var).value == "true" for s in variant.states},
-                }
-                return QEvalResult(False, REGULAR_WITNESS, witness)
+    variant = _variant_disagreement((quotient_bisim(k), duplicate_m(k, 2)), body, var, True, variant_bound, env)
+    if variant is not None:
+        witness = {
+            "structure": variant.name,
+            "labeling": {s: variant.label3(s, var).value == "true" for s in variant.states},
+        }
+        return QEvalResult(False, REGULAR_WITNESS, witness)
     return QEvalResult(None, UNKNOWN)
 
 

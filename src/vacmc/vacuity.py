@@ -16,7 +16,7 @@ from . import formula as F
 from .bisim import quotient_bisim
 from .errors import EnumerationBoundError, EvalError, NotApplicableError, PreconditionError
 from .kripke import KripkeStructure, chi, compose_sync, restrict_init, x_variants
-from .mc import check_ctl_star, eval_states
+from .mc import check_ctl_star, eval_states, sweep
 
 
 class VacuityStatus(enum.Enum):
@@ -63,18 +63,16 @@ def structure_vacuous(phi, psi, k, bound=20, env=None):
     """
     if k.n > bound:
         raise EnumerationBoundError(f"2^{k.n} substitutions exceed the bound 2^{bound}")
-    env = _env_with(k, env)
+    hole = F.Atom(_fresh_var(phi, k))
     sat_y = fal_y = None
-    for mask in range(1 << k.n):
-        names = k.names_of(mask)
-        sub = F.substitute(phi, psi, F.SetAtom(k.name, names, ref=k))
-        if check_ctl_star(k, sub, env):
+    for mask, holds in sweep(k, F.substitute(phi, psi, hole), hole, _env_with(k, env)):
+        if holds:
             if sat_y is None:
-                sat_y = names
+                sat_y = mask
         elif fal_y is None:
-            fal_y = names
+            fal_y = mask
         if sat_y is not None and fal_y is not None:
-            return False, (sat_y, fal_y)
+            return False, (k.names_of(sat_y), k.names_of(fal_y))
     return True, None
 
 
@@ -176,14 +174,31 @@ def enumerate_structures(props, max_states, limit=200_000):
                 yield KripkeStructure("probe", props, states, (states[0],), trans, labels)
 
 
-def _variant_disagreement(base_structs, phix, x, reference, bound):
-    """Search x-variants of the given structures for a verdict != reference."""
+def _variant_disagreement(base_structs, phix, x, reference, bound, env=None):
+    """The first x-variant of the given structures (of at most `bound` states)
+    on which phix's verdict != reference, or None.
+
+    Each structure is swept on one evaluator, x's labeling assigned per mask
+    in x_variants order; only the witness variant is built.  A variant is a
+    structure of another name, so when phix has a set atom named after ks or
+    one of its variants, every variant is built and checked instead.
+    """
+    hole = F.Atom(x)
     for ks in base_structs:
         if ks.n > bound:
             continue
-        for variant in x_variants(ks, x):
-            if check_ctl_star(variant, phix) != reference:
-                return variant
+        variants = x_variants(ks, x)
+        if any(
+            isinstance(f, F.SetAtom) and (f.structure == ks.name or f.structure.startswith(ks.name + "^"))
+            for f in F.subformulas(phix)
+        ):
+            for variant in variants:
+                if check_ctl_star(variant, phix, env) != reference:
+                    return variant
+            continue
+        for mask, holds in sweep(ks, phix, hole, env):
+            if holds != reference:
+                return variants[mask]
     return None
 
 

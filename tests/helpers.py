@@ -3,10 +3,10 @@
 import random
 
 from vacmc import formula as F
-from vacmc.errors import EvalError
+from vacmc.errors import EnumerationBoundError, EvalError
 from vacmc.kleene import F3, M3, T3, and3, info_le
 from vacmc.kripke import KripkeStructure
-from vacmc.mc import eval_mask
+from vacmc.mc import check_ctl_star, eval_mask
 
 
 # ---------------------------------------------------------------------------
@@ -428,3 +428,68 @@ def naive_refinement(kless, kmore):
     fwd = all(any((s, t) in pairs for t in kmore.init) for s in kless.init)
     bwd = all(any((s, t) in pairs for s in kless.init) for t in kmore.init)
     return pairs if fwd and bwd else None
+
+
+# ---------------------------------------------------------------------------
+# Sweep oracles: one substitution, one structure and one fresh check per labeling
+
+
+def oracle_x_variants(k, prop):
+    """Every x-variant of k built eagerly, named k.name^(mask+1)."""
+    out = []
+    for mask in range(1 << k.n):
+        labels = {}
+        for i, s in enumerate(k.states):
+            ls = dict(k.labels_of(s))
+            ls[prop] = bool(mask >> i & 1)
+            labels[s] = ls
+        out.append(KripkeStructure(f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k.init, k.trans, labels))
+    return out
+
+
+def oracle_structure_vacuous(phi, psi, k, bound=20, env=None):
+    """vacuity.structure_vacuous by a SetAtom substitution per state set."""
+    if k.n > bound:
+        raise EnumerationBoundError(f"2^{k.n} substitutions exceed the bound 2^{bound}")
+    env = dict(env or {})
+    env.setdefault(k.name, k)
+    sat_y = fal_y = None
+    for mask in range(1 << k.n):
+        names = k.names_of(mask)
+        sub = F.substitute(phi, psi, F.SetAtom(k.name, names, ref=k))
+        if check_ctl_star(k, sub, env):
+            if sat_y is None:
+                sat_y = names
+        elif fal_y is None:
+            fal_y = names
+        if sat_y is not None and fal_y is not None:
+            return False, (sat_y, fal_y)
+    return True, None
+
+
+def oracle_eval_structural(k, q, bound=20, env=None):
+    """qctl.eval_structural by a SetAtom substitution per labeling."""
+    kind, var, body = F.strip_quantifier(q)
+    if var in k.props:
+        raise EvalError(f"quantified variable {var!r} is already a proposition of {k.name}")
+    if k.n > bound:
+        raise EnumerationBoundError(f"2^{k.n} labelings exceed the bound 2^{bound}")
+    for mask in range(1 << k.n):
+        names = k.names_of(mask)
+        holds = check_ctl_star(k, F.substitute(body, F.Atom(var), F.SetAtom(k.name, names, ref=k)), env)
+        if kind == "forall" and not holds:
+            return False, names
+        if kind == "exists" and holds:
+            return True, names
+    return (True, None) if kind == "forall" else (False, None)
+
+
+def oracle_variant_disagreement(base_structs, phix, x, reference, bound, env=None):
+    """vacuity._variant_disagreement by a fresh check of every built x-variant."""
+    for ks in base_structs:
+        if ks.n > bound:
+            continue
+        for variant in oracle_x_variants(ks, x):
+            if check_ctl_star(variant, phix, env) != reference:
+                return variant
+    return None

@@ -71,6 +71,10 @@ class TestVacuity:
         )
         assert code == 0 and "vacuous-by-structure" in out
 
+    def test_deep_formula_goes_monotone(self, capsys):
+        code, out, _ = run(capsys, "vacuity", "L.kr", "AX " * 300 + "p", "--sub", "p", "--format", "json")
+        assert code == 0 and json.loads(out)["result"]["route"] == "monotone"
+
     def test_via_satx_precondition_error(self, capsys):
         code, _, err = run(capsys, "vacuity", "V", "AG p", "--sub", "p", "--via", "satx")
         assert code == 1 and "error" in err

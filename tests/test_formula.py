@@ -239,3 +239,49 @@ class TestAnalyze:
 
     def test_analysis_type(self):
         assert isinstance(analyze(p("AG p")), Analysis)
+
+
+class TestDeepPasses:
+    """Occurrence, substitution, equality and fragment passes past the recursion limit."""
+
+    @staticmethod
+    def deep(leaf, depth=2000):
+        f = F.Atom(leaf)
+        for i in range(depth):
+            f = F.Not(f) if i % 2 else F.PathA(F.Next(f))
+        return f
+
+    def test_occurrences_and_polarity(self):
+        phi, pa = self.deep("p"), F.Atom("p")
+        assert F.count_occurrences(phi, pa) == 1
+        assert F.count_occurrences(F.And(phi, F.Implies(phi, pa)), pa) == 3
+        assert F.occurrence_polarity(phi, pa) is Polarity.POSITIVE
+        assert F.occurrence_polarity(F.Not(phi), pa) is Polarity.NEGATIVE
+        assert F.occurrence_polarity(F.Implies(phi, phi), pa) is Polarity.MIXED
+
+    def test_substitute_and_equality(self):
+        phi = self.deep("p")
+        assert F.substitute(phi, F.Atom("p"), F.Atom("q")) == self.deep("q")
+        assert phi == self.deep("p") and phi != self.deep("q") and phi != self.deep("p", 1999)
+        assert F.substitute(F.Or(phi, F.Atom("r")), self.deep("p"), F.TRUE) == F.Or(F.TRUE, F.Atom("r"))
+
+    def test_atoms_and_fragments(self):
+        phi = self.deep("p")
+        assert F.atoms(F.And(phi, F.Atom("q"))) == {"p", "q"}
+        assert not F.is_pure_path(phi)
+        path = F.Atom("p")
+        for _ in range(2000):
+            path = F.Next(F.Not(path))
+        assert F.is_pure_path(path)
+        ax = F.Atom("p")
+        for _ in range(2000):
+            ax = F.PathA(F.Next(ax))
+        an = F.analyze(ax, F.Atom("p"))
+        assert an.is_ctl and an.is_actl_star and not an.is_ectl_star
+        assert an.universal_in and not an.existential_in
+        an = F.analyze(F.Not(ax), F.Atom("p"))
+        assert not an.is_actl_star and an.is_ectl_star
+        assert not an.universal_in and an.existential_in
+        an = F.analyze(phi, F.Atom("p"))  # A and E alternate once negations are pushed in
+        assert an.is_ctl and not an.is_actl_star and not an.is_ectl_star
+        assert not an.universal_in and not an.existential_in

@@ -1,3 +1,5 @@
+from collections.abc import Sequence
+
 import pytest
 
 from vacmc.bisim import bisimilar_over
@@ -23,7 +25,7 @@ from vacmc.kripke import (
     x_variants,
 )
 
-from helpers import rand_kripke, shaped_kripke
+from helpers import oracle_x_variants, rand_kripke, shaped_kripke
 
 
 class TestFormat:
@@ -52,6 +54,14 @@ class TestFormat:
     def test_undeclared_prop(self):
         with pytest.raises(KripkeError, match="undeclared proposition"):
             parse_kripke("kripke B\nprops: p\ninit: s\nstate s: q\ntrans: s s\n")
+
+    def test_unknown_proposition_in_any_mask(self, fx):
+        k = fx("L")
+        for lookup in (k.true_mask, k.maybe_mask):
+            with pytest.raises(KripkeError, match="unknown proposition 'z'"):
+                lookup("z")
+        with pytest.raises(KripkeError, match="unknown proposition 'z'"):
+            k.label3(k.states[0], "z")
 
     def test_empty_init(self):
         with pytest.raises(KripkeError, match="initial"):
@@ -161,6 +171,26 @@ class TestXVariants:
     def test_existing_prop_rejected(self, fx):
         with pytest.raises(KripkeError):
             x_variants(fx("L"), "p")
+
+    def test_lazy_sequence_matches_the_eager_list(self, fx, rng):
+        for k in [fx("M"), fx("P")] + [rand_kripke(rng, 5) for _ in range(4)]:
+            variants, eager = x_variants(k, "w"), oracle_x_variants(k, "w")
+            assert isinstance(variants, Sequence) and len(variants) == len(eager) == 2 ** k.n
+            for got, want in zip(variants, eager):
+                assert got.name == want.name and structurally_equal(got, want)
+            assert [v.name for v in variants] == [v.name for v in eager]
+            for i in (0, 1, -1, -len(eager)):
+                assert variants[i].name == eager[i].name and structurally_equal(variants[i], eager[i])
+            for part in (slice(None, 3), slice(1, None, 2), slice(-2, None), slice(None, None, -3), slice(5, 1)):
+                assert [v.name for v in variants[part]] == [v.name for v in eager[part]]
+            for i in (len(eager), -len(eager) - 1):
+                with pytest.raises(IndexError):
+                    variants[i]
+
+    def test_variants_share_predecessor_lists(self, fx):
+        k = fx("M")
+        variants = x_variants(k, "w")
+        assert variants[0].predecessors() is k.predecessors() is variants[-1].predecessors()
 
 
 class TestDeterministic:

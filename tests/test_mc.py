@@ -6,8 +6,9 @@ from vacmc import formula as F
 from vacmc.bisim import quotient_bisim
 from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
-from vacmc.kripke import duplicate_m, load_fixture
-from vacmc.mc import StateSet, check_ctl_star, eval_states, eval_mask, explain_path
+from vacmc.kleene import M3
+from vacmc.kripke import KripkeStructure, duplicate_m, load_fixture
+from vacmc.mc import StateSet, _Evaluator, check_ctl_star, eval_states, eval_mask, explain_path
 
 from helpers import eval_on_lasso, oracle_e_path, rand_ctl, rand_kripke, rand_actl_star, rand_path, shaped_kripke
 
@@ -212,3 +213,49 @@ class TestSetAtoms:
     def test_unknown_structure_rejected(self, fx):
         with pytest.raises(EvalError, match="unknown structure"):
             eval_states(fx("M"), p("{a0}@Z"))
+
+
+class TestAssign:
+    """An evaluator with an assigned atom relabels only what depends on it."""
+
+    X = F.Atom("x")
+
+    def test_relabelling_matches_a_fresh_evaluator(self, rng):
+        x = self.X
+        for _ in range(30):
+            k = rand_kripke(rng, 6)
+            phi = rand_ctl(rng, ["p", "q", "x"], 4)
+            path = F.PathE(F.And(F.Globally(F.Future(x)), rand_path(rng, ["p", "x"], 2)))
+            ev = _Evaluator(k)
+            masks = list(range(1 << k.n))
+            rng.shuffle(masks)
+            for i, mask in enumerate(masks):
+                ev.assign(x, mask)
+                here = F.SetAtom(k.name, k.names_of(mask), ref=k)
+                for f in [phi, path][: 1 + i % 2]:  # the path formula is first labelled mid-sweep
+                    assert ev.states(f) == eval_mask(k, F.substitute(f, x, here)), F.render_formula(f)
+                assert check_ctl_star(k, phi, evaluator=ev) == check_ctl_star(k, F.substitute(phi, x, here))
+
+    def test_hole_free_tableau_graphs_are_kept(self, fx):
+        k = fx("M")
+        fixed, moving = p("E (G F p & F !p)"), p("E (G F x & F !p)")
+        ev = _Evaluator(k)
+        ev.assign(self.X, 0)
+        ev.states(F.And(fixed, moving))
+        kept, dropped = ev.graph(fixed), ev.graph(moving)
+        ev.assign(self.X, 1)
+        assert ev.graph(fixed) is kept and ev.graph(moving) is not dropped
+
+    def test_negated_hole_on_a_three_valued_structure(self):
+        k = KripkeStructure("T", ("p",), ("s", "t"), ("s",), [("s", "t"), ("t", "s")],
+                            {"s": {"p": True}, "t": {"p": M3}})
+        ev = _Evaluator(k, definite=True)
+        phi = F.nnf(p("AX (!x | p) & EX !x"))
+        for mask in range(4):
+            ev.assign(self.X, mask)
+            here = F.SetAtom(k.name, k.names_of(mask), ref=k)
+            assert ev.states(phi) == _Evaluator(k, definite=True).states(F.substitute(phi, self.X, here))
+
+    def test_a_proposition_cannot_be_assigned(self, fx):
+        with pytest.raises(EvalError, match="a proposition of"):
+            _Evaluator(fx("L")).assign(F.Atom("p"), 0)

@@ -1,0 +1,194 @@
+"""Sweeps over the labelings of one atom: differential tests against the
+substitute-and-check-per-mask oracles, and guards on the work per sweep."""
+
+import pytest
+
+from vacmc import formula as F
+from vacmc import qctl, vacuity
+from vacmc.formula import parse_formula as p
+from vacmc.kripke import KripkeStructure, duplicate_m
+from vacmc.qctl import eval_bisimulation, eval_structural, eval_tree
+from vacmc.vacuity import _variant_disagreement, decide_bisim_vacuity, structure_vacuous
+
+from helpers import (
+    oracle_eval_structural,
+    oracle_structure_vacuous,
+    oracle_variant_disagreement,
+    proper_subformulas,
+    rand_ctl,
+    rand_kripke,
+)
+
+# (phi, psi): psi atomic and not, under one and under both polarities, inside
+# a genuine CTL* path formula (the tableau route), and next to a CTL part.
+CASES = [
+    ("(EX p) | (AX !p)", "p"),
+    ("AG ((AX (p & q)) | (AX !(p & q)))", "p & q"),
+    ("E (G F (p & q) & F !(p & q))", "p & q"),
+    ("A (F G q | G F !q) -> EX q", "q"),
+    ("E[p U EX q] & !EG (EX q)", "EX q"),
+    ("A (X p U q) | E (F !p & G q)", "p"),
+]
+
+# Quantified bodies over x, with the same coverage.
+BODIES = [
+    "AG (x -> AX x)",
+    "(EX x) | (AX !x)",
+    "E (G F x & F !x)",
+    "A (F x) -> EF (x & p)",
+    "AG (EX x | AX !x) & EF q",
+]
+
+
+def foreign_case(k):
+    """phi with a set atom of a structure bisimilar to k (not k itself)."""
+    h = duplicate_m(k, 2)
+    atom = F.SetAtom(h.name, h.states[::3], ref=h)
+    phi = F.And(F.PathE(F.Next(F.Atom("q"))), F.PathA(F.Next(F.Or(atom, F.Not(F.Atom("q"))))))
+    return phi, F.Atom("q")
+
+
+def foreign_body(k):
+    h = duplicate_m(k, 2)
+    atom = F.SetAtom(h.name, h.states[1::2], ref=h)
+    return F.Or(F.PathE(F.Future(F.And(F.Atom("x"), atom))), F.PathA(F.Globally(F.Not(F.Atom("x")))))
+
+
+def structures(rng, count, max_states=8):
+    return [rand_kripke(rng, max_states, name=f"R{i}") for i in range(count)]
+
+
+@pytest.fixture
+def as_oracle(monkeypatch):
+    """Run a call with every sweep replaced by its per-mask oracle."""
+
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(vacuity, "structure_vacuous", oracle_structure_vacuous)
+            m.setattr(vacuity, "_variant_disagreement", oracle_variant_disagreement)
+            m.setattr(qctl, "eval_structural", oracle_eval_structural)
+            m.setattr(qctl, "_variant_disagreement", oracle_variant_disagreement)
+            return fn(*args, **kwargs)
+
+    return run
+
+
+def _outcome(fn, *args, **kwargs):
+    """Result or raised error of a call, comparable across implementations."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as e:  # the oracle must raise the same error
+        return (type(e).__name__, str(e))
+
+
+class TestStructureSweep:
+    def test_cases_match_the_oracle(self, rng):
+        for k in structures(rng, 12):
+            cases = [(p(a), p(b)) for a, b in CASES] + [foreign_case(k)]
+            for phi, psi in cases:
+                assert structure_vacuous(phi, psi, k) == oracle_structure_vacuous(phi, psi, k), F.render_formula(phi)
+
+    def test_random_ctl_matches_the_oracle(self, rng):
+        for k in structures(rng, 25, max_states=6):
+            phi = rand_ctl(rng, ["p", "q"], 4)
+            psi = rng.choice(proper_subformulas(phi))
+            if not F.is_state_formula(psi):
+                continue
+            assert structure_vacuous(phi, psi, k) == oracle_structure_vacuous(phi, psi, k)
+
+    def test_labelings_match_the_oracle(self, rng):
+        for k in structures(rng, 12):
+            bodies = [p(b) for b in BODIES] + [foreign_body(k)]
+            for body in bodies:
+                for q in (F.ForallProp("x", body), F.ExistsProp("x", body)):
+                    assert eval_structural(k, q) == oracle_eval_structural(k, q), F.render_formula(q)
+
+    def test_errors_match_the_oracle(self, fx):
+        k = fx("M")
+        unknown = p("AG (x -> AX z)")
+        assert _outcome(eval_structural, k, F.ForallProp("x", unknown)) == _outcome(
+            oracle_eval_structural, k, F.ForallProp("x", unknown)
+        )
+        assert _outcome(structure_vacuous, p("EX p & EF z"), F.Atom("p"), k) == _outcome(
+            oracle_structure_vacuous, p("EX p & EF z"), F.Atom("p"), k
+        )
+
+
+class TestDecisionsMatchTheOracle:
+    def test_decide_bisim_vacuity(self, rng, as_oracle):
+        for k in structures(rng, 10, max_states=6):
+            cases = [(p(a), p(b)) for a, b in CASES] + [foreign_case(k)]
+            for phi, psi in cases:
+                got = _outcome(decide_bisim_vacuity, phi, psi, k, variant_bound=8)
+                want = as_oracle(_outcome, decide_bisim_vacuity, phi, psi, k, variant_bound=8)
+                got = got.to_dict() if hasattr(got, "to_dict") else got
+                want = want.to_dict() if hasattr(want, "to_dict") else want
+                assert got == want, F.render_formula(phi)
+
+    def test_eval_bisimulation_and_tree(self, rng, as_oracle):
+        for k in structures(rng, 10, max_states=6):
+            bodies = [p(b) for b in BODIES] + [foreign_body(k)]
+            for body in bodies:
+                for q in (F.ForallProp("x", body), F.ExistsProp("x", body)):
+                    for fn in (eval_bisimulation, eval_tree):
+                        got = _outcome(fn, k, q, variant_bound=8)
+                        assert got == as_oracle(_outcome, fn, k, q, variant_bound=8), F.render_formula(q)
+
+    def test_variant_witnesses(self, rng):
+        x = F.Atom("x")
+        for k in structures(rng, 15, max_states=6):
+            for body in [p(b) for b in BODIES] + [foreign_body(k)]:
+                for reference in (True, False):
+                    bases = (k, duplicate_m(k, 2))
+                    got = _outcome(_variant_disagreement, bases, body, x.name, reference, 8)
+                    want = _outcome(oracle_variant_disagreement, bases, body, x.name, reference, 8)
+                    if isinstance(want, KripkeStructure):
+                        assert got.name == want.name and got == want
+                    else:
+                        assert got == want
+
+
+class TestWorkPerSweep:
+    """A sweep substitutes and builds structures a constant number of times."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"substitute": 0, "structures": 0}
+        substitute, init = F.substitute, KripkeStructure.__init__
+
+        def counting_substitute(*args):
+            seen["substitute"] += 1
+            return substitute(*args)
+
+        def counting_init(self, *args):
+            seen["structures"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(F, "substitute", counting_substitute)
+        monkeypatch.setattr(KripkeStructure, "__init__", counting_init)
+        return seen
+
+    @staticmethod
+    def ring(n):
+        states = [f"s{i}" for i in range(n)]
+        trans = [(s, states[(i + 1) % n]) for i, s in enumerate(states)] + [(states[0], states[0])]
+        labels = {s: {"p": i % 3 == 0, "q": i % 2 == 0} for i, s in enumerate(states)}
+        return KripkeStructure(f"ring{n}", ("p", "q"), states, [states[0]], trans, labels)
+
+    def test_structure_sweep(self, counts):
+        phi = p("AG (EX (q & p) | EX !(q & p) | q)")  # the same verdict for every labeling
+        for n in (3, 10):
+            k = self.ring(n)
+            counts.update(substitute=0, structures=0)
+            assert structure_vacuous(phi, p("q & p"), k) == (True, None)
+            assert counts == {"substitute": 1, "structures": 0}, n
+
+    def test_variant_sweep(self, counts):
+        phix = p("AG (EX x | EX !x | q)")
+        for n in (3, 10):
+            k = self.ring(n)
+            counts.update(substitute=0, structures=0)
+            assert _variant_disagreement([k], phix, "x", True, 12) is None
+            assert counts == {"substitute": 0, "structures": 0}, n
+            found = _variant_disagreement([k], p("EF x"), "x", True, 12)
+            assert found.name == f"ring{n}^1" and counts["structures"] == 1
