@@ -162,6 +162,8 @@ class ExistsProp(Formula):
 _BINARY = (And, Or, Implies, Until, Release)
 _UNARY = (Not, Next, Future, Globally, PathA, PathE)
 QUANTIFIED = (ForallProp, ExistsProp)
+# State formulas whatever their children are.
+STATE_LEAVES = (Atom, SetAtom, TrueConst, FalseConst, PathA, PathE) + QUANTIFIED
 
 
 def conj(items):
@@ -613,15 +615,14 @@ def formula_size(phi):
 
 def is_state_formula(f):
     """True for formulas whose truth is a property of a state."""
-    if isinstance(f, (Atom, SetAtom, TrueConst, FalseConst, PathA, PathE)):
-        return True
-    if isinstance(f, Not):
-        return is_state_formula(f.child)
-    if isinstance(f, (And, Or, Implies)):
-        return is_state_formula(f.left) and is_state_formula(f.right)
-    if isinstance(f, QUANTIFIED):
-        return True
-    return False
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, (Not, And, Or, Implies)):
+            todo += f.children()
+        elif not isinstance(f, STATE_LEAVES):
+            return False
+    return True
 
 
 def is_pure_path(f):

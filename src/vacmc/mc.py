@@ -4,11 +4,18 @@ CTL-shaped nodes are labelled by backward frontier propagation over state
 bitmasks (Clarke-Emerson-Sistla): EX is pre(mask), E[l U r] grows from r by
 pre(newly added) & l, E[l R r] drops the states of r & ~l left with no
 successor inside, and the A-forms are complements of E-forms.  Subformulas
-are evaluated bottom-up from an explicit stack.  Genuine path formulas go
-through the closure/atom ("tableau") product with self-fulfilling-SCC
-acceptance.  Set atoms of a foreign structure are resolved through a
-bisimulation computed on demand.  A sweep over the labelings of one fresh
-atom runs on one evaluator, relabelling only the subformulas that contain it.
+are evaluated bottom-up from an explicit stack.
+
+Genuine path formulas are decided in the automata-theoretic style
+(Vardi-Wolper): a path formula's closure automaton (`_Closure`) does not
+depend on any structure.  Its atoms and one-step laws depend only on a
+state's leaf signature, the set of maximal state subformulas that hold
+there, so they are built once per signature and formula.  `AtomGraph` is
+the automaton's product with one structure, accepted through a
+self-fulfilling SCC.  Set atoms of a foreign structure are resolved through
+a bisimulation computed on demand.  A sweep over the labelings of one fresh
+atom runs on one evaluator: it relabels only the subformulas that contain
+the atom, and a path quantifier keeps its closure automaton throughout.
 """
 
 from dataclasses import dataclass
@@ -16,9 +23,12 @@ from itertools import islice
 
 from . import formula as F
 from .errors import EvalError
-from .kripke import KripkeStructure, mask_members
+from .kripke import mask_members
 
 _TEMPORAL = (F.Next, F.Until, F.Release, F.Future, F.Globally)
+_NOT, _AND, _OR, _IMPLIES, _X, _U, _R, _F, _G = range(9)
+_CODE = {F.Not: _NOT, F.And: _AND, F.Or: _OR, F.Implies: _IMPLIES,
+         F.Next: _X, F.Until: _U, F.Release: _R, F.Future: _F, F.Globally: _G}
 
 
 @dataclass(frozen=True)
@@ -32,220 +42,293 @@ class StateSet:
         return state in self.names
 
 
-class _Leaf(F.Formula):
-    """Internal tableau leaf: an already-evaluated state set (as a bitmask)."""
+def _state_nodes(root):
+    """is_state_formula of every node of root down to its path quantifiers,
+    in one bottom-up pass (asking it node by node from the top is quadratic)."""
+    state = {}
+    stack = [root]
+    while stack:
+        f = stack[-1]
+        if f in state:
+            stack.pop()
+        elif isinstance(f, F.STATE_LEAVES):
+            state[f] = True
+            stack.pop()
+        else:
+            todo = [c for c in f.children() if c not in state]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            state[f] = isinstance(f, (F.Not, F.And, F.Or, F.Implies)) and all(map(state.get, f.children()))
+    return state
 
-    __slots__ = ("mask",)
-    _fields = ("mask",)
+
+class _Table:
+    """The atoms of one leaf signature: their valuations in sigma order and
+    their compiled (care, want) laws."""
+
+    __slots__ = ("vals", "laws", "_succ")
+
+    def __init__(self, vals, laws):
+        self.vals, self.laws, self._succ = vals, laws, {}
+
+    def successors(self, source):
+        """For each atom a of the table `source`, the indices of the atoms b of
+        this one with vals[b] & care_a == want_a; kept per source."""
+        got = self._succ.get(source)
+        if got is None:
+            by_law = {}  # atoms with one law share one list
+            for care, want in source.laws:
+                if (care, want) not in by_law:
+                    by_law[care, want] = [b for b, v in enumerate(self.vals) if v & care == want]
+            got = self._succ[source] = [by_law[law] for law in source.laws]
+        return got
 
 
-def _postorder(root):
-    out = []
-    seen = set()
+class _Closure:
+    """The closure automaton of one path formula, independent of any structure.
 
-    def go(f):
-        if f in seen:
-            return
-        seen.add(f)
-        for c in f.children():
-            go(c)
-        out.append(f)
+    Positions are the formula's distinct subformulas in post-order, each
+    maximal state subformula a leaf (`leaves`, in that order).  A state's
+    signature has bit i set when leaves[i] holds there.  An atom is a
+    consistent valuation of the positions, one int with bit p for position p,
+    fixed by the signature and a guess sigma of the `temporal` positions (bit
+    t of sigma for temporal[t]).  Each atom's one-step law is compiled to a
+    (care, want) pair: atom b may follow atom a iff vals_b & care_a == want_a.
+    Atoms, laws and successor lists are built per signature on first use.
+    """
 
-    go(root)
-    return out
+    def __init__(self, pathform):
+        state = _state_nodes(pathform)
+        self.pathform = pathform
+        self.leaves = []       # maximal state subformulas
+        self.temporal = []     # temporal subformulas, in post-order
+        self._leaf_pos = []    # position of each leaf
+        self._ops = []         # (code, position, operand positions...) of the other positions
+        pos = {}
+        stack = [(pathform, False)]
+        while stack:
+            f, expanded = stack.pop()
+            if f in pos:
+                continue
+            if state[f]:
+                self._leaf_pos.append(len(pos))
+                pos[f] = len(pos)
+                self.leaves.append(f)
+            elif not expanded:
+                if type(f) not in _CODE:
+                    raise EvalError(f"not a path formula: {F.render_formula(f)}")
+                stack.append((f, True))
+                stack += ((c, False) for c in reversed(f.children()))
+            else:
+                self._ops.append((_CODE[type(f)], len(pos), *(pos[c] for c in f.children())))
+                pos[f] = len(pos)
+                if isinstance(f, _TEMPORAL):
+                    self.temporal.append(f)
+        self.npos = len(pos)
+        self.root = 1 << pos[pathform]
+        # (code, position bit, left bit, right bit) of each temporal position in
+        # order; a unary operator's child is both its left and its right.
+        self._steps = [(code, 1 << p, 1 << a[0], 1 << a[-1]) for code, p, *a in self._ops if code >= _X]
+        # An atom owes the target (right, or child) true while an eventual
+        # (U, F) position is set, and false while an invariant (R, G) one is unset.
+        self._owed = [(bit, r, code in (_U, _F)) for code, bit, l, r in self._steps if code != _X]
+        self._tables = {}
+
+    def table(self, sig):
+        """The _Table of leaf signature sig, built on first use."""
+        got = self._tables.get(sig)
+        if got is None:
+            got = self._tables[sig] = self._build_table(sig)
+        return got
+
+    def _build_table(self, sig):
+        # Each position's truth over all 2^T guesses at once: bit sigma of m[p].
+        T = len(self.temporal)
+        full = (1 << (1 << T)) - 1
+        m = [0] * self.npos
+        for i, p in enumerate(self._leaf_pos):
+            if sig >> i & 1:
+                m[p] = full
+        ok, t = full, 0
+        for code, p, *a in self._ops:
+            if code == _NOT:
+                m[p] = full ^ m[a[0]]
+            elif code == _AND:
+                m[p] = m[a[0]] & m[a[1]]
+            elif code == _OR:
+                m[p] = m[a[0]] | m[a[1]]
+            elif code == _IMPLIES:
+                m[p] = (full ^ m[a[0]]) | m[a[1]]
+            else:
+                # sigmas with bit t set: the upper half of every 2^(t+1)-bit block
+                block = 1 << (1 << t)
+                v = m[p] = (block - 1) * block * (full // (block * block - 1))
+                t += 1
+                nv, c = full ^ v, m[a[-1]]
+                if code == _U:
+                    ok &= (nv | m[a[0]] | c) & (v | full ^ c)
+                elif code == _R:
+                    ok &= (nv | c) & (v | full ^ (c & m[a[0]]))
+                elif code == _F:
+                    ok &= v | full ^ c
+                elif code == _G:
+                    ok &= nv | c
+        vals = dict.fromkeys(mask_members(ok), 0)
+        for p, mp in enumerate(m):
+            bit = 1 << p
+            for sigma in mask_members(mp & ok):
+                vals[sigma] |= bit
+        vals = list(vals.values())
+        return _Table(vals, [self._law(v) for v in vals])
+
+    def _law(self, v):
+        """(care, want) of the successors of an atom valued v; (0, 1), which
+        nothing obeys, when two laws pull one position both ways (X F p with !F p)."""
+        ones = zeros = 0
+        for code, bit, l, r in self._steps:
+            if code == _X:
+                if v & bit:
+                    ones |= r
+                else:
+                    zeros |= r
+            elif v & bit:
+                # set U and F stay set until their target r holds, R until its
+                # left holds; set G always stays set
+                if code == _G or not v & (l if code == _R else r):
+                    ones |= bit
+            elif code == _F or v & (r if code == _R else l):
+                # unset F stays unset, U while its left holds, R while its
+                # right holds, G while its child holds
+                zeros |= bit
+        if ones & zeros:
+            return 0, 1
+        return ones | zeros, ones
+
+    def obligations(self, v):
+        """(target bit, value owed) of an atom valued v, in temporal order."""
+        return [(target, eventual) for p, target, eventual in self._owed if bool(v & p) == eventual]
+
+    def fulfilled(self, some, every):
+        """Whether a component whose valuations OR to `some` and AND to `every`
+        discharges every obligation pending in it."""
+        for p, target, eventual in self._owed:
+            if eventual:
+                if some & p and not some & target:
+                    return False
+            elif not every & p and every & target:
+                return False
+        return True
 
 
 class AtomGraph:
-    """Closure/atom product of one path formula with one structure.
+    """Product of a path formula's closure automaton with one structure.
 
-    Atoms pair a state with a guessed valuation of the temporal subformulas;
-    edges enforce the one-step expansion laws; acceptance is reachability of
-    a nontrivial SCC discharging every pending until-style obligation.
+    `leaves` are the state masks on k of the closure's leaves, in order; the
+    closure is built from `pathform` unless given.  State si gets the atoms of
+    its leaf signature in sigma order (`atoms[a]` is atom a's state, `vals[a]`
+    its valuation), and edges follow the transitions where the successor atom
+    obeys the law, successors in state-then-atom order.  E pathform holds at
+    si iff an atom of si with the root set reaches a nontrivial SCC that
+    discharges every obligation pending in it.
     """
 
     MAX_TEMPORAL = 14
 
-    def __init__(self, k, pathform):
+    def __init__(self, k, pathform, leaves, closure=None):
+        closure = closure or _Closure(pathform)
         self.k = k
-        self.root = pathform
-        self.order = _postorder(pathform)
-        self.temporal = [n for n in self.order if isinstance(n, _TEMPORAL)]
+        self.closure = closure
+        self.temporal = closure.temporal
         if len(self.temporal) > self.MAX_TEMPORAL:
             raise EvalError(f"path formula closure too large ({len(self.temporal)} temporal operators)")
-        self._build()
+        self._build(leaves)
 
-    def _vals(self, si, sigma):
-        vals = {}
-        tix = self.tindex
-        for n in self.order:
-            if isinstance(n, _Leaf):
-                v = bool(n.mask >> si & 1)
-            elif isinstance(n, F.TrueConst):
-                v = True
-            elif isinstance(n, F.FalseConst):
-                v = False
-            elif isinstance(n, F.Not):
-                v = not vals[n.child]
-            elif isinstance(n, F.And):
-                v = vals[n.left] and vals[n.right]
-            elif isinstance(n, F.Or):
-                v = vals[n.left] or vals[n.right]
-            elif isinstance(n, F.Implies):
-                v = (not vals[n.left]) or vals[n.right]
-            else:
-                v = bool(sigma >> tix[n] & 1)
-            vals[n] = v
-        return vals
-
-    def _locally_consistent(self, vals):
-        for n in self.temporal:
-            v = vals[n]
-            if isinstance(n, F.Until):
-                if v and not (vals[n.right] or vals[n.left]):
-                    return False
-                if not v and vals[n.right]:
-                    return False
-            elif isinstance(n, F.Release):
-                if v and not vals[n.right]:
-                    return False
-                if not v and vals[n.right] and vals[n.left]:
-                    return False
-            elif isinstance(n, F.Future):
-                if not v and vals[n.child]:
-                    return False
-            elif isinstance(n, F.Globally):
-                if v and not vals[n.child]:
-                    return False
-        return True
-
-    def _edge_ok(self, va, vb):
-        for n in self.temporal:
-            if isinstance(n, F.Next):
-                if va[n] != vb[n.child]:
-                    return False
-            elif isinstance(n, F.Until):
-                if va[n] and not va[n.right] and not vb[n]:
-                    return False
-                if not va[n] and va[n.left] and vb[n]:
-                    return False
-            elif isinstance(n, F.Release):
-                if va[n] and not va[n.left] and not vb[n]:
-                    return False
-                if not va[n] and va[n.right] and vb[n]:
-                    return False
-            elif isinstance(n, F.Future):
-                if va[n] and not va[n.child] and not vb[n]:
-                    return False
-                if not va[n] and vb[n]:
-                    return False
-            elif isinstance(n, F.Globally):
-                if va[n] and not vb[n]:
-                    return False
-                if not va[n] and va[n.child] and vb[n]:
-                    return False
-        return True
-
-    def _obligations(self, vals):
-        out = []
-        for n in self.temporal:
-            if isinstance(n, F.Until) and vals[n]:
-                out.append((n.right, True))
-            elif isinstance(n, F.Future) and vals[n]:
-                out.append((n.child, True))
-            elif isinstance(n, F.Release) and not vals[n]:
-                out.append((n.right, False))
-            elif isinstance(n, F.Globally) and not vals[n]:
-                out.append((n.child, False))
-        return out
-
-    def _build(self):
+    def _build(self, leaves):
         k = self.k
-        self.tindex = {n: i for i, n in enumerate(self.temporal)}
-        self.atoms = []        # (state index, sigma)
-        self.vals = []         # valuation dict per atom
-        self.per_state = per_state = [[] for _ in range(k.n)]  # atoms of each state
-        for si in range(k.n):
-            for sigma in range(1 << len(self.temporal)):
-                vals = self._vals(si, sigma)
-                if self._locally_consistent(vals):
-                    per_state[si].append(len(self.atoms))
-                    self.atoms.append((si, sigma))
-                    self.vals.append(vals)
-        self.adj = [[] for _ in self.atoms]
-        for a, (si, _) in enumerate(self.atoms):
-            va = self.vals[a]
+        sig = [0] * k.n
+        for i, mask in enumerate(leaves):
+            for si in mask_members(mask):
+                sig[si] |= 1 << i
+        tables = [self.closure.table(s) for s in sig]
+        self.first = first = [0]   # atoms of state si: first[si] .. first[si+1]-1
+        self.atoms, self.vals = atoms, vals = [], []
+        for si, tab in enumerate(tables):
+            atoms += [si] * len(tab.vals)
+            vals += tab.vals
+            first.append(len(vals))
+        self.adj = adj = []
+        for si, tab in enumerate(tables):
+            rows = [[] for _ in tab.vals]
             for ti in mask_members(k.succ_masks[si]):
-                for b in per_state[ti]:
-                    if self._edge_ok(va, self.vals[b]):
-                        self.adj[a].append(b)
+                base = first[ti]
+                for row, succ in zip(rows, tables[ti].successors(tab)):
+                    row += map(base.__add__, succ)
+            adj += rows
         self._sccs()
         self._mark_good()
 
     def _sccs(self):
-        n = len(self.atoms)
-        index = [0] * n
+        """Tarjan's algorithm from an explicit stack of (atom, successor iterator)."""
+        adj = self.adj
+        n = len(adj)
+        index = [-1] * n
         low = [0] * n
         on_stack = [False] * n
-        visited = [False] * n
-        self.scc_of = [-1] * n
-        self.sccs = []
-        counter = [0]
+        self.scc_of = scc_of = [-1] * n
+        self.sccs = sccs = []
         stack = []
+        counter = 0
         for root in range(n):
-            if visited[root]:
+            if index[root] >= 0:
                 continue
-            work = [(root, 0)]
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(adj[root]))]
             while work:
-                v, pi = work.pop()
-                if pi == 0:
-                    visited[v] = True
-                    index[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                recurse = False
-                for j in range(pi, len(self.adj[v])):
-                    w = self.adj[v][j]
-                    if not visited[w]:
-                        work.append((v, j + 1))
-                        work.append((w, 0))
-                        recurse = True
+                v, successors = work[-1]
+                for w in successors:
+                    if index[w] < 0:
+                        index[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, iter(adj[w])))
                         break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if recurse:
-                    continue
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        self.scc_of[w] = len(self.sccs)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    self.sccs.append(comp)
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                    if on_stack[w] and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if low[v] == index[v]:
+                        comp = []
+                        while True:
+                            w = stack.pop()
+                            on_stack[w] = False
+                            scc_of[w] = len(sccs)
+                            comp.append(w)
+                            if w == v:
+                                break
+                        sccs.append(comp)
+                    if work:
+                        u = work[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
 
     def _mark_good(self):
+        vals, adj, fulfilled = self.vals, self.adj, self.closure.fulfilled
         good = []
         for comp in self.sccs:
-            members = set(comp)
-            nontrivial = len(comp) > 1 or any(w in members for w in self.adj[comp[0]])
-            if not nontrivial:
+            if len(comp) == 1 and comp[0] not in adj[comp[0]]:
                 good.append(False)
                 continue
-            ok = True
+            some, every = 0, -1
             for a in comp:
-                for target, needed in self._obligations(self.vals[a]):
-                    if not any(self.vals[b][target] == needed for b in comp):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            good.append(ok)
+                some |= vals[a]
+                every &= vals[a]
+            good.append(fulfilled(some, every))
         # Tarjan emits each SCC after all of its successors.
         self.can_reach_good = [False] * len(self.sccs)
         for ci, comp in enumerate(self.sccs):
@@ -259,8 +342,9 @@ class AtomGraph:
         self.good = good
 
     def _accepting_starts(self, si):
-        for a in self.per_state[si]:
-            if self.vals[a][self.root] and self.can_reach_good[self.scc_of[a]]:
+        root, vals, scc_of, reach = self.closure.root, self.vals, self.scc_of, self.can_reach_good
+        for a in range(self.first[si], self.first[si + 1]):
+            if vals[a] & root and reach[scc_of[a]]:
                 yield a
 
     def e_mask(self):
@@ -301,17 +385,18 @@ class AtomGraph:
         # The loop visits one atom discharging each obligation pending in the
         # SCC, then closes at entry; visiting every atom would be quadratic.
         comp = self.sccs[self.scc_of[entry]]
-        pending = dict.fromkeys(ob for a in comp for ob in self._obligations(self.vals[a]))
+        vals, obligations = self.vals, self.closure.obligations
+        pending = dict.fromkeys(ob for a in comp for ob in obligations(vals[a]))
         walk = [entry]
         for target, needed in pending:
-            stop = next(b for b in comp if self.vals[b][target] == needed)
+            stop = next(b for b in comp if bool(vals[b] & target) == needed)
             if stop != walk[-1]:
                 walk.extend(self._scc_path(comp, walk[-1], stop))
         walk.extend(self._scc_path(comp, walk[-1], entry))
         loop_nodes = walk[:-1]
         states = self.k.states
-        stem = [states[self.atoms[v][0]] for v in stem_nodes[:-1]]
-        loop = [states[self.atoms[v][0]] for v in loop_nodes]
+        stem = [states[self.atoms[v]] for v in stem_nodes[:-1]]
+        loop = [states[self.atoms[v]] for v in loop_nodes]
         return stem, loop
 
     def _scc_path(self, comp, src, dst):
@@ -394,6 +479,7 @@ class _Evaluator:
         self.memo = {}
         self._foreign = {}
         self._tableau = set()  # path formulas that _operands sent to the tableau
+        self._closures = {}  # path quantifier -> its _Closure, kept across assign
         self._graphs = {}
         self._assigned = {}  # atom -> its _Dependents
 
@@ -457,14 +543,7 @@ class _Evaluator:
         if operands is not None and not self.force_tableau:
             return operands
         self._tableau.add(phi)
-        out, todo = [], [phi.child]
-        while todo:
-            f = todo.pop()
-            if F.is_state_formula(f):
-                out.append(f)
-            else:
-                todo += reversed(f.children())
-        return out
+        return self._closure(phi).leaves
 
     def _states(self, phi, operands):
         """Mask of phi from the masks of its _operands, in order."""
@@ -554,13 +633,23 @@ class _Evaluator:
         mask = self.graph(phi).e_mask()
         return mask if isinstance(phi, F.PathE) else self.full ^ mask
 
-    def graph(self, phi):
-        """The AtomGraph of E c for phi = E c, or of E !c for phi = A c; built
-        once per evaluator, so a check and its witness share it."""
-        got = self._graphs.get(phi)
+    def _closure(self, phi):
+        """The closure automaton of E c for phi = E c, or of E !c for phi = A c.
+        It does not depend on k's labels, so assign keeps it."""
+        got = self._closures.get(phi)
         if got is None:
             c = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
-            got = self._graphs[phi] = AtomGraph(self.k, self._pathform(c))
+            got = self._closures[phi] = _Closure(c)
+        return got
+
+    def graph(self, phi):
+        """The AtomGraph of phi's closure automaton with k; built once per
+        evaluator and labeling, so a check and its witness share it."""
+        got = self._graphs.get(phi)
+        if got is None:
+            closure = self._closure(phi)
+            leaves = [self.states(f) for f in closure.leaves]
+            got = self._graphs[phi] = AtomGraph(self.k, closure.pathform, leaves, closure)
         return got
 
     def _fixpoint(self, phi, operands):
@@ -581,21 +670,6 @@ class _Evaluator:
         if existential:
             return (self._eu if until else self._er)(l, r)
         return full ^ (self._er if until else self._eu)(full ^ l, full ^ r)
-
-    # -- tableau route -------------------------------------------------------
-
-    def _pathform(self, f):
-        if F.is_state_formula(f):
-            return _Leaf(self.states(f))
-        if isinstance(f, F.Not):
-            return F.Not(self._pathform(f.child))
-        if isinstance(f, (F.And, F.Or, F.Implies)):
-            return type(f)(self._pathform(f.left), self._pathform(f.right))
-        if isinstance(f, (F.Next, F.Future, F.Globally)):
-            return type(f)(self._pathform(f.child))
-        if isinstance(f, (F.Until, F.Release)):
-            return type(f)(self._pathform(f.left), self._pathform(f.right))
-        raise EvalError(f"not a path formula: {F.render_formula(f)}")
 
 
 def eval_states(k, phi, env=None, force_tableau=False):

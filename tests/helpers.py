@@ -5,7 +5,7 @@ import random
 from vacmc import formula as F
 from vacmc.errors import EnumerationBoundError, EvalError
 from vacmc.kleene import F3, M3, T3, and3, info_le
-from vacmc.kripke import KripkeStructure
+from vacmc.kripke import KripkeStructure, mask_members
 from vacmc.mc import check_ctl_star, eval_mask
 
 
@@ -493,3 +493,283 @@ def oracle_variant_disagreement(base_structs, phix, x, reference, bound, env=Non
             if check_ctl_star(variant, phix, env) != reference:
                 return variant
     return None
+
+
+# ---------------------------------------------------------------------------
+# Tableau oracle: the closure/atom product built per state and guess, with a
+# valuation dict per atom and the edge laws checked per pair of atoms
+
+
+class _OracleLeaf(F.Formula):
+    """A maximal state subformula with its state mask.  Leaves are told apart
+    by formula, as the closure automaton tells them apart."""
+
+    __slots__ = ("formula", "mask")
+    _fields = ("formula", "mask")
+
+    def children(self):
+        return ()
+
+
+_TEMPORAL = (F.Next, F.Until, F.Release, F.Future, F.Globally)
+
+
+def oracle_atom_graph(k, phi, env=None):
+    """The per-state product of E c for phi = E c, or of E !c for phi = A c."""
+    c = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
+    return OracleAtomGraph(k, _oracle_pathform(k, c, env))
+
+
+def _oracle_pathform(k, f, env):
+    if F.is_state_formula(f):
+        return _OracleLeaf(f, eval_mask(k, f, env))
+    return type(f)(*(_oracle_pathform(k, c, env) for c in f.children()))
+
+
+def _postorder(root):
+    out = []
+    seen = set()
+
+    def go(f):
+        if f in seen:
+            return
+        seen.add(f)
+        for c in f.children():
+            go(c)
+        out.append(f)
+
+    go(root)
+    return out
+
+
+class OracleAtomGraph:
+    """Atoms pair a state with a guessed valuation of the temporal subformulas;
+    edges enforce the one-step expansion laws; acceptance is reachability of
+    a nontrivial SCC discharging every pending until-style obligation."""
+
+    def __init__(self, k, pathform):
+        self.k = k
+        self.root = pathform
+        self.order = _postorder(pathform)
+        self.temporal = [n for n in self.order if isinstance(n, _TEMPORAL)]
+        self.tindex = {n: i for i, n in enumerate(self.temporal)}
+        self.atoms = []        # (state index, sigma)
+        self.vals = []         # valuation dict per atom
+        self.per_state = [[] for _ in range(k.n)]
+        for si in range(k.n):
+            for sigma in range(1 << len(self.temporal)):
+                vals = self._vals(si, sigma)
+                if self._locally_consistent(vals):
+                    self.per_state[si].append(len(self.atoms))
+                    self.atoms.append((si, sigma))
+                    self.vals.append(vals)
+        self.adj = [[] for _ in self.atoms]
+        for a, (si, _) in enumerate(self.atoms):
+            for ti in mask_members(k.succ_masks[si]):
+                for b in self.per_state[ti]:
+                    if self._edge_ok(self.vals[a], self.vals[b]):
+                        self.adj[a].append(b)
+        self._sccs()
+        self._mark_good()
+
+    def _vals(self, si, sigma):
+        vals = {}
+        for n in self.order:
+            if isinstance(n, _OracleLeaf):
+                v = bool(n.mask >> si & 1)
+            elif isinstance(n, F.Not):
+                v = not vals[n.child]
+            elif isinstance(n, F.And):
+                v = vals[n.left] and vals[n.right]
+            elif isinstance(n, F.Or):
+                v = vals[n.left] or vals[n.right]
+            elif isinstance(n, F.Implies):
+                v = (not vals[n.left]) or vals[n.right]
+            else:
+                v = bool(sigma >> self.tindex[n] & 1)
+            vals[n] = v
+        return vals
+
+    def _locally_consistent(self, vals):
+        for n in self.temporal:
+            v = vals[n]
+            if isinstance(n, F.Until):
+                if v and not (vals[n.right] or vals[n.left]):
+                    return False
+                if not v and vals[n.right]:
+                    return False
+            elif isinstance(n, F.Release):
+                if v and not vals[n.right]:
+                    return False
+                if not v and vals[n.right] and vals[n.left]:
+                    return False
+            elif isinstance(n, F.Future):
+                if not v and vals[n.child]:
+                    return False
+            elif isinstance(n, F.Globally):
+                if v and not vals[n.child]:
+                    return False
+        return True
+
+    def _edge_ok(self, va, vb):
+        for n in self.temporal:
+            if isinstance(n, F.Next):
+                if va[n] != vb[n.child]:
+                    return False
+            elif isinstance(n, F.Until):
+                if va[n] and not va[n.right] and not vb[n]:
+                    return False
+                if not va[n] and va[n.left] and vb[n]:
+                    return False
+            elif isinstance(n, F.Release):
+                if va[n] and not va[n.left] and not vb[n]:
+                    return False
+                if not va[n] and va[n.right] and vb[n]:
+                    return False
+            elif isinstance(n, F.Future):
+                if va[n] and not va[n.child] and not vb[n]:
+                    return False
+                if not va[n] and vb[n]:
+                    return False
+            elif isinstance(n, F.Globally):
+                if va[n] and not vb[n]:
+                    return False
+                if not va[n] and va[n.child] and vb[n]:
+                    return False
+        return True
+
+    def _obligations(self, vals):
+        out = []
+        for n in self.temporal:
+            if isinstance(n, F.Until) and vals[n]:
+                out.append((n.right, True))
+            elif isinstance(n, F.Future) and vals[n]:
+                out.append((n.child, True))
+            elif isinstance(n, F.Release) and not vals[n]:
+                out.append((n.right, False))
+            elif isinstance(n, F.Globally) and not vals[n]:
+                out.append((n.child, False))
+        return out
+
+    def _sccs(self):
+        n = len(self.atoms)
+        index, low = [0] * n, [0] * n
+        on_stack, visited = [False] * n, [False] * n
+        self.scc_of = [-1] * n
+        self.sccs = []
+        counter = 0
+        stack = []
+        for root in range(n):
+            if visited[root]:
+                continue
+            work = [(root, 0)]
+            while work:
+                v, pi = work.pop()
+                if pi == 0:
+                    visited[v] = True
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append(v)
+                    on_stack[v] = True
+                recurse = False
+                for j in range(pi, len(self.adj[v])):
+                    w = self.adj[v][j]
+                    if not visited[w]:
+                        work.append((v, j + 1))
+                        work.append((w, 0))
+                        recurse = True
+                        break
+                    if on_stack[w]:
+                        low[v] = min(low[v], index[w])
+                if recurse:
+                    continue
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        self.scc_of[w] = len(self.sccs)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    self.sccs.append(comp)
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+
+    def _mark_good(self):
+        self.good = []
+        for comp in self.sccs:
+            members = set(comp)
+            if not (len(comp) > 1 or any(w in members for w in self.adj[comp[0]])):
+                self.good.append(False)
+                continue
+            self.good.append(all(any(self.vals[b][target] == needed for b in comp)
+                                 for a in comp for target, needed in self._obligations(self.vals[a])))
+        # Tarjan emits each SCC after all of its successors.
+        self.can_reach_good = [False] * len(self.sccs)
+        for ci, comp in enumerate(self.sccs):
+            self.can_reach_good[ci] = self.good[ci] or any(
+                self.can_reach_good[self.scc_of[w]] for v in comp for w in self.adj[v])
+
+    def _accepting_starts(self, si):
+        for a in self.per_state[si]:
+            if self.vals[a][self.root] and self.can_reach_good[self.scc_of[a]]:
+                yield a
+
+    def e_mask(self):
+        return sum(1 << si for si in range(self.k.n) if next(self._accepting_starts(si), None) is not None)
+
+    def lasso(self, state_name):
+        si = self.k.index(state_name)
+        start = next(self._accepting_starts(si), None)
+        if start is None:
+            return None
+        parent = {start: None}
+        frontier = [start]
+        entry = None
+        while frontier and entry is None:
+            nxt = []
+            for v in frontier:
+                if self.good[self.scc_of[v]]:
+                    entry = v
+                    break
+                for w in self.adj[v]:
+                    if w not in parent:
+                        parent[w] = v
+                        nxt.append(w)
+            frontier = nxt
+        stem_nodes = []
+        v = entry
+        while v is not None:
+            stem_nodes.append(v)
+            v = parent[v]
+        stem_nodes.reverse()
+        comp = self.sccs[self.scc_of[entry]]
+        pending = dict.fromkeys(ob for a in comp for ob in self._obligations(self.vals[a]))
+        walk = [entry]
+        for target, needed in pending:
+            stop = next(b for b in comp if self.vals[b][target] == needed)
+            if stop != walk[-1]:
+                walk.extend(self._scc_path(comp, walk[-1], stop))
+        walk.extend(self._scc_path(comp, walk[-1], entry))
+        states = self.k.states
+        return [states[self.atoms[v][0]] for v in stem_nodes[:-1]], [states[self.atoms[v][0]] for v in walk[:-1]]
+
+    def _scc_path(self, comp, src, dst):
+        members = set(comp)
+        parent = {}
+        frontier = [src]
+        while frontier and dst not in parent:
+            nxt = []
+            for v in frontier:
+                for w in self.adj[v]:
+                    if w in members and w not in parent:
+                        parent[w] = v
+                        nxt.append(w)
+            frontier = nxt
+        path = [dst]
+        while parent[path[-1]] != src:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path

@@ -41,6 +41,19 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(model), "AX " * 319 + "p", "--format", "json")
         assert code == 0 and json.loads(out)["result"]["value"] is False
 
+    def test_wide_operands_and_path_bodies(self, capsys):
+        # 1500 operands nest 1500 deep, past the interpreter's recursion limit
+        conj = " & ".join(["p"] * 1500)
+        witness = {"kind": "witness", "state": "a0", "stem": [], "loop": ["a0"]}
+        code, out, _ = run(capsys, "check", "L", f"EX ({conj})", "--format", "json")
+        assert code == 0 and json.loads(out)["result"] == {"value": True, "witness": witness}
+        disj = " | ".join(["X p"] * 1500)
+        code, out, _ = run(capsys, "check", "L", f"E({disj})", "--format", "json")
+        assert code == 0 and json.loads(out)["result"] == {"value": True, "witness": witness}
+        disj = " | ".join(["X !p"] * 1500)
+        code, out, _ = run(capsys, "check", "L", f"A({disj})", "--format", "json")
+        assert code == 0 and json.loads(out)["result"]["witness"]["kind"] == "counterexample"
+
     def test_parse_error_exits_one(self, capsys):
         code, _, err = run(capsys, "check", "L", "AG (p ->")
         assert code == 1 and "error:" in err
