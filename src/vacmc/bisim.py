@@ -98,11 +98,8 @@ def _partition(k1, k2, over):
     succ, pred, label = [], [], []
     for k in (k1,) if k1 is k2 else (k1, k2):
         base = len(succ)
-        succ += [[] for _ in range(k.n)]
-        for j, into in enumerate(k.predecessors(), base):
-            pred.append([base + i for i in into])
-            for i in into:
-                succ[base + i].append(j)
+        succ += ([base + j for j in row] for row in k.succ)
+        pred += ([base + i for i in into] for into in k.predecessors())
         code = [0] * k.n
         for b, p in enumerate(over):
             for i in mask_members(k.true_mask(p)):
@@ -206,8 +203,8 @@ def greatest_rows(k1, k2, props, admits, two_sided=False):
             for j in mask_members(mask2):
                 rows[j] &= allowed
     # Re-examine state j of k2 whenever the row of one of its successors shrank.
-    succ1 = k1.succ_masks
-    succ2 = [mask_members(m) for m in k2.succ_masks]
+    succ1 = k1.succ_masks if two_sided else None
+    succ2 = k2.succ
     pred2 = k2.predecessors()
     pre = {}  # j -> k1.pre(rows[j]), dropped when rows[j] shrinks
     todo = list(range(k2.n))

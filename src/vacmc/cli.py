@@ -5,6 +5,7 @@ Exit codes: 0 for a successful evaluation (the verdict is in the report),
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -207,7 +208,10 @@ def _cmd_table1(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process; parse_args fills a fresh
+    namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(prog="vacmc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -263,12 +267,19 @@ def main(argv=None):
     p = sub.add_parser("table1", help="reproduce the three-semantics comparison grid")
     common(p)
     p.set_defaults(fn=_cmd_table1)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except VacmcError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:  # a fault of vacmc itself: still one line, no traceback
+        message = " ".join(str(e).split())
+        print(f"error: internal {type(e).__name__}" + (f": {message}" if message else ""), file=sys.stderr)
         return 1
 
 

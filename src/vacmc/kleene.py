@@ -55,20 +55,6 @@ def info_le(a, b):
     return a is M3 or a is b
 
 
-def meet3(values, empty=T3):
-    out = empty
-    for v in values:
-        out = and3(out, v)
-    return out
-
-
-def join3(values, empty=F3):
-    out = empty
-    for v in values:
-        out = or3(out, v)
-    return out
-
-
 def kleene(op, a, b=None):
     """Dispatch by operator name; 'not' is unary, the rest binary."""
     if op == "not":
@@ -81,6 +67,3 @@ def kleene(op, a, b=None):
         return implies3(a, b)
     raise ValueError(f"unknown Kleene operator {op!r}")
 
-
-def from_bool(b):
-    return T3 if b else F3

@@ -1,20 +1,29 @@
 """Kripke structures, the .kr text format, and structure constructions.
 
-Structures are immutable after construction.  State sets are handled as
-integer bitmasks over the state tuple; labels are 3-valued (classical
-structures simply never use maybe).
+Structures are immutable after construction.  The graph is held as index
+lists: `succ[i]` lists the successors of state i in ascending order.  The
+predecessor lists, the sorted name pairs `trans` and the per-state
+successor bitmasks `succ_masks` are derived from it on first use.  State
+sets are integer bitmasks over the state tuple, and labels are one "true"
+and one "maybe" bitmask per proposition (classical structures simply never
+use maybe).  Masks are built from flags or indices in time linear in the
+number of states; ORing bits one by one into an n-bit int is quadratic.
 """
 
+import gc
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property, wraps
 from importlib import resources
 from itertools import compress
 
 from .errors import KripkeError
-from .kleene import F3, M3, T3, TruthValue3, from_bool
+from .kleene import F3, M3, T3
 
 
 _TO_BITS = bytes.maketrans(b"01", b"\0\1")
+_FROM_BITS = bytes.maketrans(b"\0\1", b"01")
+_SHORT = 256  # up to this many states ORing single bits costs about what a pass over flags does
 
 
 def mask_members(mask):
@@ -29,66 +38,130 @@ def mask_members(mask):
     return out
 
 
+def mask_flags(mask, n):
+    """A bytearray of n flags, flag i set (1) when bit i of mask is; mask < 2^n."""
+    flags = bytearray(bin(mask)[:1:-1].encode().translate(_TO_BITS))
+    flags += bytes(n - len(flags))
+    return flags
+
+
+def flags_mask(flags):
+    """The bitmask with bit i set when flags[i] is 1 (flags hold 0s and 1s)."""
+    return int(flags[::-1].translate(_FROM_BITS), 2)
+
+
+def indices_mask(indices, n):
+    """The bitmask of the given state indices, each below n."""
+    if n <= _SHORT:
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return mask
+    flags = bytearray(n)
+    for i in indices:
+        flags[i] = 1
+    return flags_mask(flags)
+
+
+def _gc_paused(build):
+    """build, run with the cyclic garbage collector paused.  For bulk builds of
+    acyclic lists: the collections their allocations trigger rescan every
+    live object, a cost that grows with the heap around the build."""
+
+    @wraps(build)
+    def run(*args):
+        if not gc.isenabled():
+            return build(*args)
+        gc.disable()
+        try:
+            return build(*args)
+        finally:
+            gc.enable()
+
+    return run
+
+
+@_gc_paused
+def _predecessor_lists(succ):
+    pred = [[] for _ in succ]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)
+    return pred
+
+
+def _initial(name, init, index):
+    """init without repeats, each an indexed state."""
+    init = tuple(dict.fromkeys(init))
+    if not init:
+        raise KripkeError(f"{name}: empty set of initial states")
+    for s in init:
+        if s not in index:
+            raise KripkeError(f"{name}: undeclared initial state {s!r}")
+    return init
+
+
 class KripkeStructure:
     """Finite transition system with total transitions and 3-valued labels."""
 
     def __init__(self, name, props, states, init, trans, labels):
-        self.name = name
-        self.props = tuple(props)
-        self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
+        props, states = tuple(props), tuple(states)
+        n = len(states)
+        index = {s: i for i, s in enumerate(states)}
+        if len(index) != n:
             raise KripkeError(f"{name}: duplicate state names")
-        if len(set(self.props)) != len(self.props):
+        if len(set(props)) != len(props):
             raise KripkeError(f"{name}: duplicate proposition names")
-        self._index = {s: i for i, s in enumerate(self.states)}
-        self.n = len(self.states)
-        self._pred = None
+        init = _initial(name, init, index)
 
-        init = tuple(dict.fromkeys(init))
-        if not init:
-            raise KripkeError(f"{name}: empty set of initial states")
-        for s in init:
-            if s not in self._index:
-                raise KripkeError(f"{name}: undeclared initial state {s!r}")
-        self.init = init
-        self.init_mask = self.mask_of(init)
+        succ = [[] for _ in range(n)]
+        try:
+            for s, t in trans:
+                succ[index[s]].append(index[t])
+        except KeyError:
+            raise KripkeError(f"{name}: transition on undeclared state ({s!r}, {t!r})") from None
+        if not all(succ):
+            raise KripkeError(f"{name}: state {states[succ.index([])]!r} has no outgoing transition")
+        succ = [row if len(row) == 1 else sorted(set(row)) for row in succ]
 
-        self.succ_masks = [0] * self.n
-        seen = set()
-        ordered = []
-        for s, t in trans:
-            if s not in self._index or t not in self._index:
-                raise KripkeError(f"{name}: transition on undeclared state ({s!r}, {t!r})")
-            if (s, t) in seen:
-                continue
-            seen.add((s, t))
-            ordered.append((s, t))
-            self.succ_masks[self._index[s]] |= 1 << self._index[t]
-        self.trans = tuple(sorted(ordered, key=lambda e: (self._index[e[0]], self._index[e[1]])))
-        for i, s in enumerate(self.states):
-            if self.succ_masks[i] == 0:
-                raise KripkeError(f"{name}: state {s!r} has no outgoing transition")
-
-        self._tmask = {p: 0 for p in self.props}
-        self._mmask = {p: 0 for p in self.props}
+        true = {p: [] for p in props}
+        maybe = {p: [] for p in props}
         for s, assignment in labels.items():
-            if s not in self._index:
+            i = index.get(s)
+            if i is None:
                 raise KripkeError(f"{name}: labels for undeclared state {s!r}")
             for p, v in assignment.items():
-                if p not in self._tmask:
+                if p not in true:
                     raise KripkeError(f"{name}: undeclared proposition {p!r} on state {s!r}")
-                if isinstance(v, bool):
-                    v = from_bool(v)
-                if v is T3:
-                    self._tmask[p] |= 1 << self._index[s]
+                if v is True or v is T3:
+                    true[p].append(i)
                 elif v is M3:
-                    self._mmask[p] |= 1 << self._index[s]
+                    maybe[p].append(i)
+        self._set(name, props, states, index, init, succ,
+                  {p: indices_mask(col, n) for p, col in true.items()},
+                  {p: indices_mask(col, n) for p, col in maybe.items()})
+
+    def _set(self, name, props, states, index, init, succ, tmask, mmask, pred=None):
+        self.name = name
+        self.props = props
+        self.states = states
+        self._index = index
+        self.n = len(states)
+        self.full_mask = (1 << self.n) - 1
+        self.init = init
+        self.init_mask = indices_mask(map(index.__getitem__, init), self.n)
+        self.succ = succ
+        self._pred = pred
+        self._tmask = tmask
+        self._mmask = mmask
+        return self
+
+    @classmethod
+    def _of(cls, name, props, states, index, init, succ, tmask, mmask, pred=None):
+        """A structure from checked index-level parts, without __init__'s checks."""
+        return object.__new__(cls)._set(name, props, states, index, init, succ, tmask, mmask, pred)
 
     # -- basic queries ------------------------------------------------------
-
-    @property
-    def full_mask(self):
-        return (1 << self.n) - 1
 
     def index(self, state):
         try:
@@ -97,17 +170,26 @@ class KripkeStructure:
             raise KripkeError(f"{self.name}: unknown state {state!r}") from None
 
     def mask_of(self, names):
-        m = 0
-        for s in names:
-            m |= 1 << self.index(s)
-        return m
+        return indices_mask(map(self.index, names), self.n)
 
     def names_of(self, mask):
         states = self.states
         return tuple(states[i] for i in mask_members(mask))
 
     def successors(self, state):
-        return self.names_of(self.succ_masks[self.index(state)])
+        states = self.states
+        return tuple(states[j] for j in self.succ[self.index(state)])
+
+    @cached_property
+    def trans(self):
+        """The transitions as (source, target) name pairs, by source then target index."""
+        states = self.states
+        return tuple((states[i], states[j]) for i, row in enumerate(self.succ) for j in row)
+
+    @cached_property
+    def succ_masks(self):
+        """The successors of each state as a bitmask (n bits per state: quadratic memory)."""
+        return [indices_mask(row, self.n) for row in self.succ]
 
     def label3(self, state, prop):
         if prop not in self._tmask:
@@ -140,11 +222,7 @@ class KripkeStructure:
         """Indices of the predecessors of each state, ascending; built on the
         first call and shared by every later caller (do not mutate)."""
         if self._pred is None:
-            pred = [[] for _ in range(self.n)]
-            index = self._index
-            for s, t in self.trans:
-                pred[index[t]].append(index[s])
-            self._pred = pred
+            self._pred = _predecessor_lists(self.succ)
         return self._pred
 
     def pre(self, mask):
@@ -152,21 +230,20 @@ class KripkeStructure:
         if not mask or mask == self.full_mask:
             return mask
         pred = self.predecessors()
-        out = 0
-        for j in mask_members(mask):
-            for i in pred[j]:
-                out |= 1 << i
-        return out
+        return indices_mask([i for j in mask_members(mask) for i in pred[j]], self.n)
 
     def reachable_mask(self, start_mask=None):
         """States reachable from start_mask (default: init); each is expanded once."""
         m = self.init_mask if start_mask is None else start_mask
-        frontier = mask_members(m)
-        while frontier:
-            new = self.succ_masks[frontier.pop()] & ~m
-            m |= new
-            frontier.extend(mask_members(new))
-        return m
+        seen = mask_flags(m, self.n)
+        todo = mask_members(m)
+        succ = self.succ
+        for i in todo:
+            for j in succ[i]:
+                if not seen[j]:
+                    seen[j] = 1
+                    todo.append(j)
+        return flags_mask(seen)
 
     # -- equality -----------------------------------------------------------
 
@@ -200,64 +277,66 @@ def structurally_equal(k1, k2):
 # .kr format
 
 
+@_gc_paused
 def parse_kripke(text):
+    """One pass over the lines, the most frequent directive (trans:) tested first."""
     name = None
     props = []
     init = []
-    states = []
-    labels = {}
-    trans = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("kripke"):
-            name = line[len("kripke"):].strip()
-            if not name:
-                raise KripkeError(f"line {lineno}: missing structure name")
-        elif line.startswith("props:"):
-            props = line[len("props:"):].split()
-        elif line.startswith("init:"):
-            init = line[len("init:"):].split()
-        elif line.startswith("state"):
-            head, _, rest = line[len("state"):].partition(":")
+    labels = {}  # state -> assignment, in declaration order
+    sources, targets = [], []  # one list each: no pair object per transition
+    add_source, add_target = sources.append, targets.append
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        line = line.strip()
+        if line[:6] == "trans:":
+            pair = line[6:].split()
+            if len(pair) != 2:
+                raise KripkeError(f"line {lineno}: expected 'trans: FROM TO'")
+            s, t = pair
+            add_source(s)
+            add_target(t)
+        elif line[:5] == "state":
+            head, _, rest = line[5:].partition(":")
             state = head.strip()
             if not state:
                 raise KripkeError(f"line {lineno}: missing state name")
             if state in labels:
                 raise KripkeError(f"line {lineno}: duplicate state {state!r}")
-            states.append(state)
-            assignment = {}
+            # bools, not T3/F3: a dict holding only atomic values is left
+            # untracked by the cyclic garbage collector
+            assignment = labels[state] = {}
             for item in rest.split():
                 if item.endswith("=M"):
                     assignment[item[:-2]] = M3
                 elif item.startswith("-"):
-                    assignment[item[1:]] = F3
+                    assignment[item[1:]] = False
                 else:
-                    assignment[item] = T3
-            labels[state] = assignment
-        elif line.startswith("trans:"):
-            pair = line[len("trans:"):].split()
-            if len(pair) != 2:
-                raise KripkeError(f"line {lineno}: expected 'trans: FROM TO'")
-            trans.append((pair[0], pair[1]))
+                    assignment[item] = True
+        elif not line:
+            continue
+        elif line.startswith("kripke"):
+            name = line[6:].strip()
+            if not name:
+                raise KripkeError(f"line {lineno}: missing structure name")
+        elif line.startswith("props:"):
+            props = line[6:].split()
+        elif line.startswith("init:"):
+            init = line[5:].split()
         else:
             raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
     if name is None:
         raise KripkeError("missing 'kripke NAME' header")
-    return KripkeStructure(name, props, states, init, trans, labels)
+    return KripkeStructure(name, props, labels, init, zip(sources, targets), labels)
 
 
 def render_kripke(k):
     lines = [f"kripke {k.name}", "props: " + " ".join(k.props), "init: " + " ".join(k.init)]
-    for s in k.states:
-        items = []
-        for p in k.props:
-            v = k.label3(s, p)
-            if v is T3:
-                items.append(p)
-            elif v is M3:
-                items.append(f"{p}=M")
+    n = k.n
+    flags = [(p, mask_flags(k.true_mask(p), n), mask_flags(k.maybe_mask(p), n)) for p in k.props]
+    for i, s in enumerate(k.states):
+        items = [p if true[i] else f"{p}=M" for p, true, maybe in flags if true[i] or maybe[i]]
         lines.append(f"state {s}:" + (" " + " ".join(items) if items else ""))
     for s, t in k.trans:
         lines.append(f"trans: {s} {t}")
@@ -268,23 +347,41 @@ def render_kripke(k):
 # Constructions
 
 
+def _spread(mask, width):
+    """Each bit i of mask widened to bits i*width .. i*width + width - 1."""
+    return int(bin(mask)[2:].translate({48: "0" * width, 49: "1" * width}), 2)
+
+
+def _tile(mask, width, count):
+    """mask, below 2^width, repeated count times at width-bit offsets."""
+    return int(format(mask, f"0{width}b") * count, 2)
+
+
 def compose_sync(k1, k2):
-    """Parallel synchronous composition; proposition sets must be disjoint."""
+    """Parallel synchronous composition; proposition sets must be disjoint.
+
+    State (s, t) has index i*|S2| + j for s = states[i] of k1 and t =
+    states[j] of k2, so the successors of (s, t), taken in k1-then-k2
+    order, are ascending already.
+    """
     overlap = set(k1.props) & set(k2.props)
     if overlap:
         raise KripkeError(f"composition requires disjoint propositions, shared: {sorted(overlap)}")
-    states = [f"({s},{t})" for s in k1.states for t in k2.states]
-    init = [f"({s},{t})" for s in k1.init for t in k2.init]
-    labels = {}
-    for s in k1.states:
-        ls = k1.labels_of(s)
-        for t in k2.states:
-            labels[f"({s},{t})"] = {**ls, **k2.labels_of(t)}
-    trans = []
-    for s, s2 in k1.trans:
-        for t, t2 in k2.trans:
-            trans.append((f"({s},{t})", f"({s2},{t2})"))
-    return KripkeStructure(f"{k1.name}||{k2.name}", k1.props + k2.props, states, init, trans, labels)
+    name = f"{k1.name}||{k2.name}"
+    n1, n2 = k1.n, k2.n
+    states = tuple(f"({s},{t})" for s in k1.states for t in k2.states)
+    index = {s: i for i, s in enumerate(states)}
+    if len(index) != len(states):  # names with commas can collide
+        raise KripkeError(f"{name}: duplicate state names")
+    init = tuple(f"({s},{t})" for s in k1.init for t in k2.init)
+    rows2 = k2.succ
+    succ = [[i * n2 + j for i in row1 for j in row2] for row1 in k1.succ for row2 in rows2]
+    masks = []
+    for own1, own2 in ((k1._tmask, k2._tmask), (k1._mmask, k2._mmask)):
+        mask = {p: _spread(m, n2) for p, m in own1.items()}
+        mask.update((p, _tile(m, n2, n1)) for p, m in own2.items())
+        masks.append(mask)
+    return KripkeStructure._of(name, k1.props + k2.props, states, index, init, succ, *masks)
 
 
 def chi(prop="x"):
@@ -330,7 +427,7 @@ class _XVariants(Sequence):
     """The 2^|S| ways of adding `prop` to k with a boolean labeling, as a lazy
     sequence: item `mask` labels prop true on the states in mask and is named
     k.name^(mask+1).  Indexing builds that one variant, which shares k's
-    predecessor lists."""
+    states, successor and predecessor lists."""
 
     def __init__(self, k, prop):
         if prop in k.props:
@@ -349,14 +446,10 @@ class _XVariants(Sequence):
         if not 0 <= mask < len(self):
             raise IndexError("x-variant index out of range")
         k, prop = self.k, self.prop
-        labels = {}
-        for i, s in enumerate(k.states):
-            ls = dict(k.labels_of(s))
-            ls[prop] = bool(mask >> i & 1)
-            labels[s] = ls
-        variant = KripkeStructure(f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k.init, k.trans, labels)
-        variant._pred = k.predecessors()  # same states and transitions as k
-        return variant
+        return KripkeStructure._of(
+            f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k._index, k.init, k.succ,
+            {**k._tmask, prop: mask}, {**k._mmask, prop: 0}, k.predecessors(),
+        )
 
 
 def x_variants(k, prop):
@@ -365,9 +458,11 @@ def x_variants(k, prop):
 
 
 def restrict_init(k, inits):
-    """Same structure with a smaller set of initial states."""
-    labels = {s: k.labels_of(s) for s in k.states}
-    return KripkeStructure(f"{k.name}@{','.join(inits)}", k.props, k.states, inits, k.trans, labels)
+    """Same structure with a smaller set of initial states; it shares k's
+    states, labels and successor lists (and predecessor lists once built)."""
+    name = f"{k.name}@{','.join(inits)}"
+    return KripkeStructure._of(name, k.props, k.states, k._index, _initial(name, inits, k._index),
+                               k.succ, k._tmask, k._mmask, k._pred)
 
 
 def reachable_part(k):
@@ -383,11 +478,8 @@ def is_deterministic(k):
     """Single initial state and one successor per reachable state."""
     if len(k.init) != 1:
         return False
-    reach = k.reachable_mask()
-    for i in range(k.n):
-        if reach >> i & 1 and bin(k.succ_masks[i]).count("1") != 1:
-            return False
-    return True
+    succ = k.succ
+    return all(len(succ[i]) == 1 for i in mask_members(k.reachable_mask()))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +533,7 @@ def isomorphic(k1, k2):
         i = k.index(s)
         return (
             tuple(sorted((p, k.label3(s, p).value) for p in k.props)),
-            bin(k.succ_masks[i]).count("1"),
+            len(k.succ[i]),
             s in k.init,
         )
 

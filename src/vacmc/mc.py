@@ -1,10 +1,12 @@
 """Model checking on classical structures.
 
-CTL-shaped nodes are labelled by backward frontier propagation over state
-bitmasks (Clarke-Emerson-Sistla): EX is pre(mask), E[l U r] grows from r by
-pre(newly added) & l, E[l R r] drops the states of r & ~l left with no
-successor inside, and the A-forms are complements of E-forms.  Subformulas
-are evaluated bottom-up from an explicit stack.
+CTL-shaped nodes are labelled with state bitmasks by backward search over
+the predecessor lists (Clarke-Emerson-Sistla), in time linear in the
+structure: EX is pre(mask), E[l U r] is a worklist from r through l, E[l R r]
+drops the states of r & ~l whose successors have all been dropped, counting
+them down per state, and the A-forms are complements of E-forms.  The
+worklists keep bytearray flags and turn them into one mask at the end.
+Subformulas are evaluated bottom-up from an explicit stack.
 
 Genuine path formulas are decided in the automata-theoretic style
 (Vardi-Wolper): a path formula's closure automaton (`_Closure`) does not
@@ -23,7 +25,7 @@ from itertools import islice
 
 from . import formula as F
 from .errors import EvalError
-from .kripke import mask_members
+from .kripke import flags_mask, mask_flags, mask_members
 
 _TEMPORAL = (F.Next, F.Until, F.Release, F.Future, F.Globally)
 _NOT, _AND, _OR, _IMPLIES, _X, _U, _R, _F, _G = range(9)
@@ -261,7 +263,7 @@ class AtomGraph:
         self.adj = adj = []
         for si, tab in enumerate(tables):
             rows = [[] for _ in tab.vals]
-            for ti in mask_members(k.succ_masks[si]):
+            for ti in k.succ[si]:
                 base = first[ti]
                 for row, succ in zip(rows, tables[ti].successors(tab)):
                     row += map(base.__add__, succ)
@@ -605,27 +607,42 @@ class _Evaluator:
     # -- CTL labelling -------------------------------------------------------
 
     def _eu(self, l, r):
-        """E[l U r]: grown from r by pre(newly added) & l & ~z."""
-        pre = self.k.pre
-        z = frontier = r
-        while frontier:
-            frontier = pre(frontier) & l & ~z
-            z |= frontier
-        return z
+        """E[l U r]: a backward search from r through the states of l & ~r,
+        each entered once, over the predecessor lists."""
+        k = self.k
+        open_ = l & ~r
+        if not (open_ and r):
+            return r
+        flags = mask_flags(open_, k.n)
+        pred = k.predecessors()
+        todo = mask_members(r)
+        for j in todo:
+            for i in pred[j]:
+                if flags[i]:
+                    flags[i] = 0
+                    todo.append(i)
+        return r | open_ ^ flags_mask(flags)
 
     def _er(self, l, r):
-        """E[l R r]: drop states of r & ~l with no successor left in z, re-examining
-        only predecessors of the states dropped last round (all of ~r at first)."""
-        succ, pre = self.k.succ_masks, self.k.pre
-        z, removed = r, self.full ^ r
-        while removed:
-            candidates = pre(removed) & z & ~l
-            removed = 0
-            for i in mask_members(candidates):
-                if not succ[i] & z:
-                    removed |= 1 << i
-            z ^= removed
-        return z
+        """E[l R r]: drop the states of r & ~l whose successors have all been
+        dropped, starting from ~r; each keeps a count of successors not yet
+        dropped, and each dropped state is expanded once."""
+        k = self.k
+        weak = r & ~l
+        if not weak or r == self.full:
+            return r
+        live = mask_flags(weak, k.n)
+        count = list(map(len, k.succ))
+        pred = k.predecessors()
+        todo = mask_members(self.full ^ r)
+        for j in todo:
+            for i in pred[j]:
+                if live[i]:
+                    count[i] -= 1
+                    if not count[i]:
+                        live[i] = 0
+                        todo.append(i)
+        return r ^ weak ^ flags_mask(live)
 
     def _quantified_path(self, phi, operands):
         if phi not in self._tableau:

@@ -18,7 +18,7 @@ from .qctl import eval_bisimulation
 from .vacuity import VacuityStatus, VacuityVerdict
 
 # re-exported: this module owns the 3-valued layer's public surface
-from .kleene import TruthValue3, and3, implies3, info_le, join3, kleene, meet3, not3, or3, truth_le  # noqa: F401
+from .kleene import TruthValue3, and3, implies3, info_le, kleene, not3, or3, truth_le  # noqa: F401
 
 
 def eval_compositional3(k, phi, env=None):

@@ -242,11 +242,12 @@ def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, variant_b
             evidence = {"satisfying_set": list(witness[0]), "falsifying_set": list(witness[1])}
             return VacuityVerdict(VacuityStatus.NON_VACUOUS, "structure-witness", evidence)
         labeling_agreement = True
-        reference = check_ctl_star(
-            k,
-            F.substitute(phi, psi, F.SetAtom(k.name, (), ref=k)),
-            env,
-        )
+        # Every state set gave one verdict.  For a state formula psi, K |= phi
+        # is the verdict of the set of psi's states, so it is that verdict.
+        if F.is_state_formula(psi):
+            reference = sat
+        else:
+            reference = check_ctl_star(k, F.substitute(phi, psi, F.SetAtom(k.name, (), ref=k)), env)
         candidates = [quotient_bisim(k)]
         y = F.fresh_prop(F.atoms(phi) | set(k.props) | {x})
         candidates.append(compose_sync(k, chi(y)))

@@ -3,10 +3,192 @@
 import random
 
 from vacmc import formula as F
-from vacmc.errors import EnumerationBoundError, EvalError
+from vacmc.errors import EnumerationBoundError, EvalError, KripkeError
 from vacmc.kleene import F3, M3, T3, and3, info_le
 from vacmc.kripke import KripkeStructure, mask_members
-from vacmc.mc import check_ctl_star, eval_mask
+from vacmc.mc import _Evaluator, check_ctl_star, eval_mask
+
+
+# ---------------------------------------------------------------------------
+# Name-level structure oracles: the constructor, parser and constructions
+# that index lists replaced
+
+
+class OracleKripkeStructure(KripkeStructure):
+    """A structure built at the name level: transitions deduplicated through a
+    set of name pairs and sorted by a key of index pairs, successor bitmasks
+    ORed bit by bit, labels ORed bit by bit; predecessors from the pairs."""
+
+    def __init__(self, name, props, states, init, trans, labels):
+        self.name = name
+        self.props = tuple(props)
+        self.states = tuple(states)
+        if len(set(self.states)) != len(self.states):
+            raise KripkeError(f"{name}: duplicate state names")
+        if len(set(self.props)) != len(self.props):
+            raise KripkeError(f"{name}: duplicate proposition names")
+        self._index = {s: i for i, s in enumerate(self.states)}
+        self.n = len(self.states)
+        self.full_mask = (1 << self.n) - 1
+        self._pred = None
+
+        init = tuple(dict.fromkeys(init))
+        if not init:
+            raise KripkeError(f"{name}: empty set of initial states")
+        for s in init:
+            if s not in self._index:
+                raise KripkeError(f"{name}: undeclared initial state {s!r}")
+        self.init = init
+        self.init_mask = 0
+        for s in init:
+            self.init_mask |= 1 << self._index[s]
+
+        self.succ_masks = [0] * self.n
+        seen = set()
+        ordered = []
+        for s, t in trans:
+            if s not in self._index or t not in self._index:
+                raise KripkeError(f"{name}: transition on undeclared state ({s!r}, {t!r})")
+            if (s, t) in seen:
+                continue
+            seen.add((s, t))
+            ordered.append((s, t))
+            self.succ_masks[self._index[s]] |= 1 << self._index[t]
+        self.trans = tuple(sorted(ordered, key=lambda e: (self._index[e[0]], self._index[e[1]])))
+        for i, s in enumerate(self.states):
+            if self.succ_masks[i] == 0:
+                raise KripkeError(f"{name}: state {s!r} has no outgoing transition")
+        self.succ = [mask_members(m) for m in self.succ_masks]
+
+        self._tmask = {p: 0 for p in self.props}
+        self._mmask = {p: 0 for p in self.props}
+        for s, assignment in labels.items():
+            if s not in self._index:
+                raise KripkeError(f"{name}: labels for undeclared state {s!r}")
+            for p, v in assignment.items():
+                if p not in self._tmask:
+                    raise KripkeError(f"{name}: undeclared proposition {p!r} on state {s!r}")
+                if isinstance(v, bool):
+                    v = T3 if v else F3
+                if v is T3:
+                    self._tmask[p] |= 1 << self._index[s]
+                elif v is M3:
+                    self._mmask[p] |= 1 << self._index[s]
+
+    def predecessors(self):
+        if self._pred is None:
+            pred = [[] for _ in range(self.n)]
+            for s, t in self.trans:
+                pred[self._index[t]].append(self._index[s])
+            self._pred = pred
+        return self._pred
+
+
+def oracle_parse_kripke(text):
+    """The .kr parser that tested every directive in file order, building
+    one name pair per transition and an OracleKripkeStructure."""
+    name = None
+    props = []
+    init = []
+    states = []
+    labels = {}
+    trans = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("kripke"):
+            name = line[len("kripke"):].strip()
+            if not name:
+                raise KripkeError(f"line {lineno}: missing structure name")
+        elif line.startswith("props:"):
+            props = line[len("props:"):].split()
+        elif line.startswith("init:"):
+            init = line[len("init:"):].split()
+        elif line.startswith("state"):
+            head, _, rest = line[len("state"):].partition(":")
+            state = head.strip()
+            if not state:
+                raise KripkeError(f"line {lineno}: missing state name")
+            if state in labels:
+                raise KripkeError(f"line {lineno}: duplicate state {state!r}")
+            states.append(state)
+            assignment = {}
+            for item in rest.split():
+                if item.endswith("=M"):
+                    assignment[item[:-2]] = M3
+                elif item.startswith("-"):
+                    assignment[item[1:]] = F3
+                else:
+                    assignment[item] = T3
+            labels[state] = assignment
+        elif line.startswith("trans:"):
+            pair = line[len("trans:"):].split()
+            if len(pair) != 2:
+                raise KripkeError(f"line {lineno}: expected 'trans: FROM TO'")
+            trans.append((pair[0], pair[1]))
+        else:
+            raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
+    if name is None:
+        raise KripkeError("missing 'kripke NAME' header")
+    return OracleKripkeStructure(name, props, states, init, trans, labels)
+
+
+def oracle_compose_sync(k1, k2):
+    """compose_sync by name pairs: every product of two transitions."""
+    overlap = set(k1.props) & set(k2.props)
+    if overlap:
+        raise KripkeError(f"composition requires disjoint propositions, shared: {sorted(overlap)}")
+    states = [f"({s},{t})" for s in k1.states for t in k2.states]
+    init = [f"({s},{t})" for s in k1.init for t in k2.init]
+    labels = {}
+    for s in k1.states:
+        ls = k1.labels_of(s)
+        for t in k2.states:
+            labels[f"({s},{t})"] = {**ls, **k2.labels_of(t)}
+    trans = []
+    for s, s2 in k1.trans:
+        for t, t2 in k2.trans:
+            trans.append((f"({s},{t})", f"({s2},{t2})"))
+    return OracleKripkeStructure(f"{k1.name}||{k2.name}", k1.props + k2.props, states, init, trans, labels)
+
+
+def oracle_restrict_init(k, inits):
+    """restrict_init by rebuilding the whole structure."""
+    labels = {s: k.labels_of(s) for s in k.states}
+    return OracleKripkeStructure(f"{k.name}@{','.join(inits)}", k.props, k.states, inits, k.trans, labels)
+
+
+class FrontierEvaluator(_Evaluator):
+    """The evaluator with the frontier fixpoints that the worklists replaced:
+    one pre() image of the last round's states per round, pre() read from
+    the successor bitmasks."""
+
+    def _pre(self, mask):
+        out = 0
+        for i, sm in enumerate(self.k.succ_masks):
+            if sm & mask:
+                out |= 1 << i
+        return out
+
+    def _eu(self, l, r):
+        z = frontier = r
+        while frontier:
+            frontier = self._pre(frontier) & l & ~z
+            z |= frontier
+        return z
+
+    def _er(self, l, r):
+        succ = self.k.succ_masks
+        z, removed = r, self.full ^ r
+        while removed:
+            candidates = self._pre(removed) & z & ~l
+            removed = 0
+            for i in mask_members(candidates):
+                if not succ[i] & z:
+                    removed |= 1 << i
+            z ^= removed
+        return z
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +625,7 @@ def oracle_x_variants(k, prop):
             ls = dict(k.labels_of(s))
             ls[prop] = bool(mask >> i & 1)
             labels[s] = ls
-        out.append(KripkeStructure(f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k.init, k.trans, labels))
+        out.append(OracleKripkeStructure(f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k.init, k.trans, labels))
     return out
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from vacmc import cli
 from vacmc.cli import main
 from vacmc.kripke import parse_kripke, render_kripke
 
@@ -161,3 +162,45 @@ class TestReports:
         code, out, _ = run(capsys, "table1")
         assert code == 0
         assert out == (GOLDEN / "table1.txt").read_text()
+
+
+class TestOneParser:
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_no_defaults_leak_between_calls(self, capsys):
+        def result(*argv):
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert code in (0, 2), err
+            return json.loads(out)
+
+        first = result("vacuity", "P.kr", "A((X q) -> X X q)", "--sub", "q", "--via", "structure", "--bound", "3")
+        assert first["result"]["route"] == "structure"
+        assert result("vacuity", "P.kr", "A((X q) -> X X q)", "--sub", "q")["result"]["route"] != "structure"
+        code, _, err = run(capsys, "qctl", "M", "forall x . AG (x -> AX x)", "--semantics", "structure", "--bound", "1")
+        assert code == 1 and "exceed the bound" in err
+        assert result("qctl", "M", "forall x . AG (x -> AX x)", "--semantics", "structure")["result"]["value"] is False
+        assert result("quotient", "O", "--props", "p")["inputs"]["props"] == ["p"]
+        assert result("quotient", "O")["inputs"]["props"] is None
+        assert result("bisim", "L", "M", "--props", "p")["inputs"]["props"] == ["p"]
+        assert result("check", "L", "AG p")["inputs"] == {"model": "L", "formula": "AG p"}
+
+
+class TestInternalErrors:
+    def test_an_unexpected_exception_is_one_line(self, capsys, monkeypatch):
+        def broken(target):
+            raise RuntimeError("boom\non two lines")
+
+        monkeypatch.setattr(cli, "_load_model", broken)
+        for argv in (("check", "L", "AG p"), ("quotient", "M"), ("vacuity", "L", "EF p", "--sub", "p")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", "error: internal RuntimeError: boom on two lines\n")
+
+    def test_a_parser_recursion_error_exits_one(self, capsys):
+        code, out, err = run(capsys, "check", "L", "E(" + "X " * 1000 + "p)")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_vacmc_errors_keep_their_message(self, capsys):
+        code, _, err = run(capsys, "check", "L", "AG (p ->")
+        assert code == 1 and err.startswith("error: ") and "internal" not in err

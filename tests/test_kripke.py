@@ -2,9 +2,10 @@ from collections.abc import Sequence
 
 import pytest
 
+from vacmc import formula as F
 from vacmc.bisim import bisimilar_over
 from vacmc.errors import KripkeError
-from vacmc.kleene import F3, T3
+from vacmc.kleene import F3, M3, T3
 from vacmc.kripke import (
     FIXTURE_NAMES,
     KripkeStructure,
@@ -20,12 +21,23 @@ from vacmc.kripke import (
     reachable_part,
     remove_prop,
     render_kripke,
+    restrict_init,
     structurally_equal,
     validate_unrolling_map,
     x_variants,
 )
 
-from helpers import oracle_x_variants, rand_kripke, shaped_kripke
+from vacmc.mc import check_ctl_star
+
+from helpers import (
+    OracleKripkeStructure,
+    oracle_compose_sync,
+    oracle_parse_kripke,
+    oracle_restrict_init,
+    oracle_x_variants,
+    rand_kripke,
+    shaped_kripke,
+)
 
 
 class TestFormat:
@@ -286,3 +298,210 @@ class TestIsomorphic:
     def test_rejects_shape_mismatch(self, fx):
         assert isomorphic(fx("L"), fx("M")) is None
         assert isomorphic(fx("V"), fx("Valpha")) is None
+
+
+# ---------------------------------------------------------------------------
+# Index lists against the name-level oracles
+
+
+def rand_parts(rng, max_states=40, props=("p", "q"), maybe=0.0, name="D"):
+    """Constructor arguments of a seeded structure of 1..max_states states:
+    duplicate transitions, transitions in shuffled order, a share `maybe` of
+    labels maybe (bools and T3/F3 mixed), some labels left out."""
+    n = rng.randint(1, max_states)
+    states = [f"s{i}" for i in range(n)]
+    rng.shuffle(states)
+    trans = []
+    for s in states:
+        trans += [(s, t) for t in rng.sample(states, rng.randint(1, min(n, 4)))]
+    trans += rng.choices(trans, k=rng.randint(0, n))
+    rng.shuffle(trans)
+    labels = {}
+    for s in rng.sample(states, rng.randint(0, n)):
+        labels[s] = {p: M3 if rng.random() < maybe else rng.choice((True, False, T3, F3))
+                     for p in props if rng.random() < 0.8}
+    init = rng.sample(states, rng.randint(1, min(n, 3)))
+    init += rng.choices(init, k=rng.randint(0, 2))
+    return name, props, states, init, trans, labels
+
+
+def kr_text(rng, parts):
+    """A .kr text of the parts, with comments, blank lines and, sometimes,
+    the trans: lines before the state lines."""
+    name, props, states, init, trans, labels = parts
+    state_lines = []
+    for s in states:
+        items = []
+        for p, v in labels.get(s, {}).items():
+            items.append(f"{p}=M" if v is M3 else p if v in (True, T3) else f"-{p}")
+        state_lines.append(f"state {s}:" + "".join(f" {i}" for i in items))
+    trans_lines = [f"trans: {s} {t}" + ("  # again" if rng.random() < 0.1 else "") for s, t in trans]
+    body = trans_lines + state_lines if rng.random() < 0.5 else state_lines + trans_lines
+    head = [f"kripke {name}", "# a comment", "props: " + " ".join(props), "", "init: " + " ".join(init)]
+    rng.shuffle(head)
+    return "\n".join(head + body) + "\n"
+
+
+def assert_same(got, want):
+    assert type(got) is KripkeStructure
+    assert (got.name, got.props, got.states, got.n, got.init) == (want.name, want.props, want.states, want.n, want.init)
+    assert got.init_mask == want.init_mask and got.full_mask == want.full_mask
+    assert got.succ == want.succ and got.trans == want.trans
+    assert got.predecessors() == want.predecessors()
+    for p in want.props:
+        assert got.true_mask(p) == want.true_mask(p) and got.maybe_mask(p) == want.maybe_mask(p)
+    assert got.is_classical == want.is_classical
+    assert render_kripke(got) == render_kripke(want)
+    assert got == want and hash(got) == hash(want)
+    assert got.succ_masks == want.succ_masks
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except KripkeError as e:
+        return str(e)
+    return None
+
+
+class TestIndexLists:
+    def test_constructor_and_parser_match_the_oracles(self, rng):
+        for trial in range(150):
+            parts = rand_parts(rng, maybe=0.3 if trial % 2 else 0.0)
+            want = OracleKripkeStructure(*parts)
+            assert_same(KripkeStructure(*parts), want)
+            text = kr_text(rng, parts)
+            got = parse_kripke(text)
+            assert_same(got, oracle_parse_kripke(text))
+            assert_same(got, want)
+
+    def test_constructions_match_the_oracles(self, rng):
+        for trial in range(60):
+            maybe = 0.3 if trial % 2 else 0.0
+            k1 = KripkeStructure(*rand_parts(rng, 12, maybe=maybe, name="A"))
+            k2 = KripkeStructure(*rand_parts(rng, 5, props=("r",), maybe=maybe, name="B"))
+            o1, o2 = OracleKripkeStructure(*_parts_of(k1)), OracleKripkeStructure(*_parts_of(k2))
+            assert_same(compose_sync(k1, k2), oracle_compose_sync(o1, o2))
+            assert_same(compose_sync(k2, chi()), oracle_compose_sync(o2, chi()))
+            inits = rng.sample(k1.states, rng.randint(1, k1.n))
+            assert_same(restrict_init(k1, inits), oracle_restrict_init(o1, inits))
+            variants, eager = x_variants(k2, "w"), oracle_x_variants(o2, "w")
+            for mask in range(len(variants)):
+                assert_same(variants[mask], eager[mask])
+            big = KripkeStructure(*rand_parts(rng, 40, maybe=maybe, name="C"))
+            mask = rng.getrandbits(big.n)
+            want = OracleKripkeStructure(
+                f"C^{mask + 1}", big.props + ("w",), big.states, big.init, big.trans,
+                {s: {**big.labels_of(s), "w": bool(mask >> i & 1)} for i, s in enumerate(big.states)})
+            assert_same(x_variants(big, "w")[mask], want)
+
+    def test_constructions_share_what_does_not_change(self, fx):
+        k = fx("M")
+        r = restrict_init(k, ("b1",))
+        assert r.succ is k.succ and r.states is k.states
+        assert r.predecessors() is not None and x_variants(r, "w")[0].predecessors() is r.predecessors()
+        with pytest.raises(KripkeError, match="undeclared initial state 'zz'"):
+            restrict_init(k, ("zz",))
+        with pytest.raises(KripkeError, match="empty set of initial states"):
+            restrict_init(k, ())
+
+    def test_colliding_product_names_are_rejected(self):
+        # (a,b)x(c) and (a)x(b,c) are both named (a,b,c)
+        k1 = KripkeStructure("K1", ("p",), ("a", "a,b"), ("a",), [("a", "a"), ("a,b", "a")], {})
+        k2 = KripkeStructure("K2", ("q",), ("c", "b,c"), ("c",), [("c", "c"), ("b,c", "c")], {})
+        assert raised(compose_sync, k1, k2) == raised(oracle_compose_sync, k1, k2) == "K1||K2: duplicate state names"
+
+
+def _parts_of(k):
+    return k.name, k.props, k.states, k.init, k.trans, {s: k.labels_of(s) for s in k.states}
+
+
+MALFORMED = [
+    ("props: p\ninit: s\nstate s: p\ntrans: s s\n", "missing 'kripke NAME' header"),
+    ("kripke\nprops: p\n", "line 1: missing structure name"),
+    ("kripke K\nstate : p\n", "line 2: missing state name"),
+    ("kripke K\nstate s:\nstate s: p\n", "line 3: duplicate state 's'"),
+    ("kripke K\ntrans: s\n", "line 2: expected 'trans: FROM TO'"),
+    ("kripke K\ntrans: s t u\n", "line 2: expected 'trans: FROM TO'"),
+    ("kripke K\nlabel s p\n", "line 2: unrecognized directive 'label'"),
+    ("kripke K\nprops: p p\ninit: s\nstate s:\ntrans: s s\n", "K: duplicate proposition names"),
+    ("kripke K\nprops: p\ninit:\nstate s:\ntrans: s s\n", "K: empty set of initial states"),
+    ("kripke K\nprops: p\ninit: s t\nstate s:\ntrans: s s\n", "K: undeclared initial state 't'"),
+    ("kripke K\nprops: p\ninit: s\nstate s:\ntrans: s s\ntrans: s t\n", "K: transition on undeclared state ('s', 't')"),
+    ("kripke K\nprops: p\ninit: s\nstate s:\nstate t:\ntrans: s t\n", "K: state 't' has no outgoing transition"),
+    ("kripke K\nprops: p\ninit: s\nstate s: q\ntrans: s s\n", "K: undeclared proposition 'q' on state 's'"),
+    # several defects: the first in the order of the checks is reported
+    ("kripke K\nprops: p p\ninit: z\nstate s: q\ntrans: s y\n", "K: duplicate proposition names"),
+    ("kripke K\nprops: p\ninit: z\nstate s: q\ntrans: s y\n", "K: undeclared initial state 'z'"),
+    ("kripke K\nprops: p\ninit: s\nstate s: q\nstate t:\ntrans: y s\ntrans: s z\n", "K: transition on undeclared state ('y', 's')"),
+    ("kripke K\nprops: p\ninit: s\nstate s: q\nstate t:\ntrans: s s\n", "K: state 't' has no outgoing transition"),
+    ("kripke K\ntrans: s\nbogus\n", "line 2: expected 'trans: FROM TO'"),
+    ("trans: s t u\nprops: p\n", "line 1: expected 'trans: FROM TO'"),
+]
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("text,message", MALFORMED)
+    def test_message_and_first_error_unchanged(self, text, message):
+        assert raised(parse_kripke, text) == raised(oracle_parse_kripke, text) == message
+
+    def test_random_defects_report_the_oracle_error(self, rng):
+        defects = [
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "trans: s0"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "trans: s0 nowhere"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "trans: nowhere s0"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "state s0: p"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "state stray:"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "state s1: nosuch"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "init: s0 ghost"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "init:"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "props: p p"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "junk here"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "state :"),
+            lambda ls: ls.insert(rng.randrange(len(ls) + 1), "kripke"),
+            lambda ls: ls.remove(next((x for x in ls if x.startswith("kripke")), ls[0])),
+            lambda ls: ls.remove(next((x for x in ls if x.startswith("trans:")), ls[0])),
+        ]
+        failures = 0
+        for _ in range(300):
+            parts = rand_parts(rng, 8, maybe=0.2)
+            lines = kr_text(rng, parts).splitlines()
+            for defect in rng.sample(defects, rng.randint(1, 3)):
+                defect(lines)
+            text = "\n".join(lines) + "\n"
+            want = raised(oracle_parse_kripke, text)
+            assert raised(parse_kripke, text) == want, text
+            failures += want is not None
+        assert failures > 250
+
+    def test_constructor_errors_in_the_oracle_order(self, rng):
+        good = ("K", ("p", "q"), ("a", "b"), ("a",), [("a", "b"), ("b", "a")], {"a": {"p": True}})
+        edits = [
+            (2, ("a", "b", "a")),
+            (1, ("p", "p")),
+            (3, ()),
+            (3, ("a", "zz")),
+            (4, [("a", "b"), ("b", "zz"), ("zz", "a")]),
+            (4, [("a", "b")]),
+            (5, {"a": {"p": True}, "ghost": {}}),
+            (5, {"b": {"r": M3}}),
+        ]
+        for _ in range(200):
+            parts = list(good)
+            for slot, value in rng.sample(edits, rng.randint(1, 4)):
+                parts[slot] = value
+            want = raised(OracleKripkeStructure, *parts)
+            assert want is not None and raised(KripkeStructure, *parts) == want, parts
+
+
+class TestLargeChain:
+    def test_a_long_chain_checks_without_successor_masks(self):
+        n = 100_000
+        lines = ["kripke C", "props: p", "init: s0"]
+        lines += [f"state s{i}:" for i in range(n - 1)] + [f"state s{n - 1}: p"]
+        lines += [f"trans: s{i} s{min(i + 1, n - 1)}" for i in range(n)]
+        k = parse_kripke("\n".join(lines) + "\n")
+        assert k.n == n and k.succ[n - 2] == [n - 1] and k.succ[n - 1] == [n - 1]
+        assert check_ctl_star(k, F.parse_formula("EF p"))
+        assert not check_ctl_star(k, F.parse_formula("EG !p"))
+        assert "succ_masks" not in vars(k) and "trans" not in vars(k)

@@ -10,7 +10,17 @@ from vacmc.kleene import M3
 from vacmc.kripke import KripkeStructure, duplicate_m, load_fixture
 from vacmc.mc import StateSet, _Evaluator, check_ctl_star, eval_states, eval_mask, explain_path
 
-from helpers import eval_on_lasso, oracle_e_path, rand_ctl, rand_kripke, rand_actl_star, rand_path, shaped_kripke
+from helpers import (
+    FrontierEvaluator,
+    eval_on_lasso,
+    oracle_e_path,
+    rand_actl_star,
+    rand_ctl,
+    rand_kripke,
+    rand_kripke3,
+    rand_path,
+    shaped_kripke,
+)
 
 P4 = p("AG ((AX p) | (AX !p))")
 
@@ -103,6 +113,27 @@ class TestFrontierFixpoints:
         assert eval_mask(k, F.PathE(F.Future(last))) == k.full_mask
         assert eval_mask(k, F.PathA(F.Until(F.Not(last), last))) == k.full_mask
         assert eval_mask(k, F.PathE(F.Globally(F.Not(last)))) == 0
+
+
+class TestWorklistFixpoints:
+    """The linear worklists against the per-round frontier fixpoints they replaced."""
+
+    def test_worklists_equal_frontier_rounds(self, rng):
+        forms = TestFrontierFixpoints.FORMS
+        operands = TestFrontierFixpoints.OPERANDS + (("true", "false"), ("p", "true"), ("false", "q"))
+        structures = [rand_kripke3(rng, 40, maybe=0.3 * (i % 2)) for i in range(30)]
+        structures += [shaped_kripke(rng, shape, 120, density=0.4, maybe=0.2)
+                       for shape in ("random", "chain", "ring", "ladder")]
+        for k in structures:
+            for definite in (False, True):
+                if not (definite or k.is_classical):
+                    continue
+                new, old = _Evaluator(k, definite=definite), FrontierEvaluator(k, definite=definite)
+                for (l, r), form in itertools.product(operands, forms):
+                    phi = F.nnf(p(form.format(l=f"({l})", r=f"({r})")))
+                    assert new.states(phi) == old.states(phi), (k.name, definite, form, l, r)
+                for phi in (F.nnf(rand_ctl(rng, ("p", "q"), 4)) for _ in range(10)):
+                    assert new.states(phi) == old.states(phi), (k.name, definite, F.render_formula(phi))
 
 
 class TestDeepFormulas:

@@ -154,18 +154,18 @@ class TestWorkPerSweep:
     @pytest.fixture
     def counts(self, monkeypatch):
         seen = {"substitute": 0, "structures": 0}
-        substitute, init = F.substitute, KripkeStructure.__init__
+        substitute, build = F.substitute, KripkeStructure._set
 
         def counting_substitute(*args):
             seen["substitute"] += 1
             return substitute(*args)
 
-        def counting_init(self, *args):
+        def counting_build(self, *args):  # every structure built, by __init__ or index-level
             seen["structures"] += 1
-            init(self, *args)
+            return build(self, *args)
 
         monkeypatch.setattr(F, "substitute", counting_substitute)
-        monkeypatch.setattr(KripkeStructure, "__init__", counting_init)
+        monkeypatch.setattr(KripkeStructure, "_set", counting_build)
         return seen
 
     @staticmethod
