@@ -89,10 +89,13 @@ def _cmd_vacuity(args):
     psi = F.parse_formula(args.sub)
     report = _Report(args, {"model": args.model, "formula": args.formula, "sub": args.sub})
     via = args.via
-    if via == "auto":
-        verdict = vacuity.decide_bisim_vacuity(phi, psi, k, bounded_validity=args.bounded_validity, bound=args.bound)
-        result = verdict.to_dict()
-        report.finish(result, args.format)
+    if via in ("auto", "thorough"):
+        if via == "auto":
+            verdict = vacuity.decide_bisim_vacuity(phi, psi, k, bounded_validity=args.bounded_validity,
+                                                   bound=args.bound)
+        else:
+            verdict = three_valued.vacuity_via_thorough(phi, psi, k, bound=args.bound)
+        report.finish(verdict.to_dict(), args.format)
         return 2 if verdict.status is VacuityStatus.UNKNOWN else 0
     if via == "mono":
         value = vacuity.is_mon_vacuous(phi, psi, k)
@@ -101,11 +104,6 @@ def _cmd_vacuity(args):
     elif via == "satx":
         value = vacuity.is_sat_vacuous(phi, psi, k)
         result = {"status": "vacuous" if value else "non-vacuous", "route": "satx"}
-    elif via == "thorough":
-        verdict = three_valued.vacuity_via_thorough(phi, psi, k, bound=args.bound)
-        result = verdict.to_dict()
-        report.finish(result, args.format)
-        return 2 if verdict.status is VacuityStatus.UNKNOWN else 0
     else:  # structure
         flag, witness = vacuity.structure_vacuous(phi, psi, k, bound=args.bound)
         result = {"status": "vacuous-by-structure" if flag else "non-vacuous", "route": "structure"}

@@ -423,38 +423,33 @@ def remove_prop(k, prop):
     return KripkeStructure(k.name, props, k.states, k.init, k.trans, labels)
 
 
-class _XVariants(Sequence):
-    """The 2^|S| ways of adding `prop` to k with a boolean labeling, as a lazy
-    sequence: item `mask` labels prop true on the states in mask and is named
-    k.name^(mask+1).  Indexing builds that one variant, which shares k's
-    states, successor and predecessor lists."""
+class LazySequence(Sequence):
+    """`length` items, item i built by item(i) only when indexed."""
 
-    def __init__(self, k, prop):
-        if prop in k.props:
-            raise KripkeError(f"{k.name}: proposition {prop!r} already present")
-        self.k = k
-        self.prop = prop
+    def __init__(self, length, item):
+        self._length, self._item = length, item
 
     def __len__(self):
-        return 1 << self.k.n
+        return self._length
 
-    def __getitem__(self, mask):
-        if isinstance(mask, slice):
-            return [self[i] for i in range(*mask.indices(len(self)))]
-        if mask < 0:
-            mask += len(self)
-        if not 0 <= mask < len(self):
-            raise IndexError("x-variant index out of range")
-        k, prop = self.k, self.prop
-        return KripkeStructure._of(
-            f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k._index, k.init, k.succ,
-            {**k._tmask, prop: mask}, {**k._mmask, prop: 0}, k.predecessors(),
-        )
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._length))]
+        if not -self._length <= i < self._length:
+            raise IndexError("index out of range")
+        return self._item(i % self._length)
 
 
 def x_variants(k, prop):
-    """All 2^|S| ways of adding `prop` with a boolean labeling (a lazy _XVariants)."""
-    return _XVariants(k, prop)
+    """All 2^|S| ways of adding `prop` with a boolean labeling, as a lazy
+    sequence: item `mask` labels prop true on the states in mask and is named
+    k.name^(mask+1); it shares k's states, successor and predecessor lists."""
+    if prop in k.props:
+        raise KripkeError(f"{k.name}: proposition {prop!r} already present")
+    return LazySequence(1 << k.n, lambda mask: KripkeStructure._of(
+        f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k._index, k.init, k.succ,
+        {**k._tmask, prop: mask}, {**k._mmask, prop: 0}, k.predecessors(),
+    ))
 
 
 def restrict_init(k, inits):

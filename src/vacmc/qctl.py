@@ -1,21 +1,19 @@
 """Quantified formulas under structure, tree, and bisimulation semantics.
 
 Structure semantics is exact brute force over state subsets.  Bisimulation
-semantics decides through the K||X reduction when the bound variable sits
-under purely universal (dually, existential) path quantifiers, and can
-still certify the False side for arbitrary formulas via the semantic
-implication chain or an explicit x-variant counterexample.  Tree semantics
-is decided by the cheapest sound route and reports which one fired.
+and tree semantics ask vacuity's forall-x decision (`_Query`) for verdict
+true (the variant-search partner is K^(2)); exists x . body is asked as
+forall x . !body and reported as Duality.  Bisimulation semantics runs the
+whole route table; tree semantics reports the cheapest sound route.
 """
 
 from dataclasses import dataclass
 
 from . import formula as F
 from .errors import EnumerationBoundError, EvalError, KripkeError
-from .kripke import chi, compose_sync, duplicate_m, is_deterministic, structurally_equal, validate_unrolling_map
-from .bisim import quotient_bisim
-from .mc import check_ctl_star, sweep
-from .vacuity import _variant_disagreement
+from .kripke import is_deterministic, structurally_equal, validate_unrolling_map
+from .mc import check_ctl_star
+from .vacuity import BISIM_ROUTES, _kx_route, _Query, _sweep_route
 
 BRUTE_FORCE_Y = "BruteForceY"
 K_PARALLEL_X = "KParallelX"
@@ -25,6 +23,8 @@ PATH_FORMULA_EQUIVALENCE = "PathFormulaEquivalence"
 CHAIN_IMPLICATION = "ChainImplication"
 REGULAR_WITNESS = "RegularWitness"
 UNKNOWN = "Unknown"
+
+_ROUTE_NAMES = {"kx": K_PARALLEL_X, "sweep": CHAIN_IMPLICATION, "variant": REGULAR_WITNESS}
 
 
 @dataclass(frozen=True)
@@ -38,53 +38,39 @@ class QEvalResult:
         return self.value is not None
 
 
-def _split(k, q):
+def _result(question, routes):
+    """The first of `routes` that settles verdict true for question, as a QEvalResult."""
+    value, route, evidence = question.decide(routes, True)
+    if value is None:
+        return QEvalResult(None, UNKNOWN)
+    if route == "sweep":
+        evidence = {"labeling": list(evidence)}
+    return QEvalResult(value, _ROUTE_NAMES[route], evidence)
+
+
+def _quantified(k, q, forall, bound, variant_bound, env):
+    """`forall` (question -> QEvalResult) on q; exists var . body is !(forall var . !body)."""
     kind, var, body = F.strip_quantifier(q)
-    if var in k.props:
-        raise EvalError(f"quantified variable {var!r} is already a proposition of {k.name}")
-    return kind, var, body
+    r = forall(_Query(k, body if kind == "forall" else F.Not(body), var, bound, variant_bound, env))
+    if kind == "forall" or not r.decided:
+        return r
+    return QEvalResult(not r.value, DUALITY, r.witness)
 
 
 def eval_structural(k, q, bound=20, env=None):
     """Brute force over Y <= S; returns (value, deciding labeling or None)."""
-    kind, var, body = _split(k, q)
+    kind, var, body = F.strip_quantifier(q)
+    question = _Query(k, body, var, env=env)
     if k.n > bound:
         raise EnumerationBoundError(f"2^{k.n} labelings exceed the bound 2^{bound}")
-    for mask, holds in sweep(k, body, F.Atom(var), env):  # var is not a proposition of k
-        if kind == "forall" and not holds:
-            return False, k.names_of(mask)
-        if kind == "exists" and holds:
-            return True, k.names_of(mask)
-    return (True, None) if kind == "forall" else (False, None)
-
-
-def _bisim_forall(k, var, body, bound, variant_bound, env):
-    if F.analyze(body, F.Atom(var)).universal_in:
-        value = check_ctl_star(compose_sync(k, chi(var)), body, env)
-        return QEvalResult(value, K_PARALLEL_X)
-    if k.n <= bound:
-        value, labeling = eval_structural(k, F.ForallProp(var, body), bound, env)
-        if not value:
-            return QEvalResult(False, CHAIN_IMPLICATION, {"labeling": list(labeling)})
-    variant = _variant_disagreement((quotient_bisim(k), duplicate_m(k, 2)), body, var, True, variant_bound, env)
-    if variant is not None:
-        witness = {
-            "structure": variant.name,
-            "labeling": {s: variant.label3(s, var).value == "true" for s in variant.states},
-        }
-        return QEvalResult(False, REGULAR_WITNESS, witness)
-    return QEvalResult(None, UNKNOWN)
+    deciding = kind == "exists"  # a true labeling decides exists, a false one forall
+    mask = question.first(deciding)
+    return (not deciding, None) if mask is None else (deciding, k.names_of(mask))
 
 
 def eval_bisimulation(k, q, bound=20, variant_bound=12, env=None):
     """Bisimulation semantics of a root-quantified formula."""
-    kind, var, body = _split(k, q)
-    if kind == "forall":
-        return _bisim_forall(k, var, body, bound, variant_bound, env)
-    inner = _bisim_forall(k, var, F.Not(body), bound, variant_bound, env)
-    if not inner.decided:
-        return QEvalResult(None, UNKNOWN)
-    return QEvalResult(not inner.value, DUALITY, inner.witness)
+    return _quantified(k, q, lambda question: _result(question, BISIM_ROUTES), bound, variant_bound, env)
 
 
 def pathify(phi):
@@ -94,34 +80,28 @@ def pathify(phi):
     return F._rebuild(phi, [pathify(c) for c in phi.children()])
 
 
-def _tree_forall(k, var, body, bound, variant_bound, env):
+def _tree_forall(question):
+    body = question.body
     if isinstance(body, F.PathA) and F.is_pure_path(body.child):
-        r = _bisim_forall(k, var, body, bound, variant_bound, env)
+        r = _result(question, BISIM_ROUTES)
         if r.decided:
             return QEvalResult(r.value, PATH_FORMULA_EQUIVALENCE, r.witness)
-    if is_deterministic(k):
-        kx = compose_sync(k, chi(var))
-        value = check_ctl_star(kx, F.PathA(pathify(body)), env)
+    if is_deterministic(question.k):
+        value = check_ctl_star(question.kx, F.PathA(pathify(body)), question.env)
         return QEvalResult(value, DETERMINISTIC_COLLAPSE)
-    if k.n <= bound:
-        value, labeling = eval_structural(k, F.ForallProp(var, body), bound, env)
-        if not value:
-            return QEvalResult(False, CHAIN_IMPLICATION, {"labeling": list(labeling)})
-    r = _bisim_forall(k, var, body, bound, variant_bound, env)
-    if r.value is True:
+    r = _result(question, (_sweep_route,))
+    if r.value is False:
+        return r
+    # Only K||X can still decide: the sweep is done, and a refutation under
+    # bisimulation semantics says nothing about trees.
+    if question.decide((_kx_route,), True)[0]:
         return QEvalResult(True, CHAIN_IMPLICATION)
     return QEvalResult(None, UNKNOWN)
 
 
 def eval_tree(k, q, bound=20, variant_bound=12, env=None):
     """Tree semantics by the first applicable sound route."""
-    kind, var, body = _split(k, q)
-    if kind == "forall":
-        return _tree_forall(k, var, body, bound, variant_bound, env)
-    inner = _tree_forall(k, var, F.Not(body), bound, variant_bound, env)
-    if not inner.decided:
-        return QEvalResult(None, UNKNOWN)
-    return QEvalResult(not inner.value, DUALITY, inner.witness)
+    return _quantified(k, q, _tree_forall, bound, variant_bound, env)
 
 
 def refute_tree_with_witness(k, q, u):

@@ -4,18 +4,18 @@ thorough semantics on K_x, and the vacuity reduction through it.
 Transitions stay 2-valued; only labels carry maybe, so compositional checking
 is two classical checks on NNF (Bruns-Godefroid).  Thorough semantics is
 computed exactly only for K_x-shaped inputs (one all-maybe proposition over
-a classical base), through the bisimulation-semantics machinery; arbitrary
-3-valued structures get sound (compositional, labeling) bounds instead.
+a classical base), whose completions are the structures x-bisimilar to K:
+it is vacuity._Query's bisimulation route table, with its two bounds when
+undecided.
 """
 
 from . import formula as F
 from .bisim import greatest_rows
 from .errors import EnumerationBoundError, EvalError, KripkeError
 from .kleene import F3, M3, T3
-from .kripke import KripkeStructure, restrict_init
-from .mc import _Evaluator, check_ctl_star
-from .qctl import eval_bisimulation
-from .vacuity import VacuityStatus, VacuityVerdict
+from .kripke import KripkeStructure, LazySequence
+from .mc import _Evaluator
+from .vacuity import BISIM_ROUTES, VacuityStatus, VacuityVerdict, _Query, _status
 
 # re-exported: this module owns the 3-valued layer's public surface
 from .kleene import TruthValue3, and3, implies3, info_le, kleene, not3, or3, truth_le  # noqa: F401
@@ -61,63 +61,60 @@ def lift_kx(k, x):
         raise KripkeError("lift_kx expects a classical structure")
     if x in k.props:
         raise KripkeError(f"{k.name}: proposition {x!r} already present")
-    labels = {}
-    for s in k.states:
-        ls = dict(k.labels_of(s))
-        ls[x] = M3
-        labels[s] = ls
+    labels = {s: {**k.labels_of(s), x: M3} for s in k.states}
     return KripkeStructure(f"{k.name}_{x}", k.props + (x,), k.states, k.init, k.trans, labels)
 
 
 def labeling_completions(k3, bound=20):
-    """All classical structures resolving every maybe on the same statespace."""
+    """All classical structures resolving every maybe on the same statespace,
+    as a lazy sequence: completion `mask` resolves maybe slot j to true iff
+    bit j of mask is set."""
     slots = [(s, p) for s in k3.states for p in k3.props if k3.label3(s, p) is M3]
     if len(slots) > bound:
         raise EnumerationBoundError(f"2^{len(slots)} completions exceed the bound 2^{bound}")
-    out = []
-    for mask in range(1 << len(slots)):
+
+    def completion(mask):
         labels = {s: dict(k3.labels_of(s)) for s in k3.states}
         for j, (s, p) in enumerate(slots):
             labels[s][p] = T3 if mask >> j & 1 else F3
-        out.append(
-            KripkeStructure(f"{k3.name}#{mask + 1}", k3.props, k3.states, k3.init, k3.trans, labels)
-        )
-    return out
+        return KripkeStructure(f"{k3.name}#{mask + 1}", k3.props, k3.states, k3.init, k3.trans, labels)
+
+    return LazySequence(1 << len(slots), completion)
+
+
+def _thorough(q):
+    """(thorough value of q.body on K_x, None), or (None, bounds) when undecided:
+    every completion satisfies iff the ladder decides verdict true, every one
+    refutes iff it decides false."""
+    if not q.k.is_classical:
+        raise KripkeError("thorough_kx expects a classical base structure")
+    pos = q.decide(BISIM_ROUTES, True)[0]
+    if pos:
+        return T3, None
+    neg = q.decide(BISIM_ROUTES, False)[0]
+    if neg:
+        return F3, None
+    if pos is False and neg is False:
+        return M3, None
+    labeling = None
+    try:
+        # labeling_completions applies the bound and builds nothing until
+        # indexed; completion i of K_x is K's labeling i of x, whose verdict
+        # the ladder's own sweep gives.
+        labeling_completions(lift_kx(q.k, q.x), q.bound)
+        verdicts = {v for v in (True, False) if q.first(v) is not None}
+        labeling = "maybe" if len(verdicts) == 2 else str(verdicts.pop()).lower()
+    except EnumerationBoundError:
+        pass
+    return None, {"compositional": q.compositional, "labeling": labeling}
 
 
 def thorough_kx(k, x, phi, bound=20, variant_bound=12):
-    """Thorough value of phi on K_x, or (None, bounds) when undecided.
-
-    Decided through bisimulation semantics: completions of K_x are exactly
-    the structures x-bisimilar to K.  The false side ("every completion
-    refutes phi") decomposes over single-initial restrictions of K, since a
-    completion refutes as soon as one of its initial states fails.
-    """
-    if not k.is_classical:
-        raise KripkeError("thorough_kx expects a classical base structure")
+    """Thorough value of phi on K_x (whose completions are the structures
+    x-bisimilar to K), or (None, bounds) when undecided."""
     if x not in F.atoms(phi):
         raise EvalError(f"{x!r} does not occur in the formula")
-    pos = eval_bisimulation(k, F.ForallProp(x, phi), bound, variant_bound)
-    if pos.value is True:
-        return T3, None
-    negs = [
-        eval_bisimulation(restrict_init(k, (s,)), F.ForallProp(x, F.Not(phi)), bound, variant_bound)
-        for s in k.init
-    ]
-    if any(r.value is True for r in negs):
-        return F3, None
-    if pos.value is False and all(r.value is False for r in negs):
-        return M3, None
-    bounds = {"compositional": None, "labeling": None}
-    kx = lift_kx(k, x)
-    if F.is_ctl(phi):
-        bounds["compositional"] = eval_compositional3(kx, phi).value
-    try:
-        verdicts = {check_ctl_star(c, phi) for c in labeling_completions(kx)}
-        bounds["labeling"] = "true" if verdicts == {True} else "false" if verdicts == {False} else "maybe"
-    except EnumerationBoundError:
-        pass
-    return None, bounds
+    return _thorough(_Query(k, phi, x, bound, variant_bound))
 
 
 def vacuity_via_thorough(phi, psi, k, bound=20, variant_bound=12):
@@ -127,13 +124,10 @@ def vacuity_via_thorough(phi, psi, k, bound=20, variant_bound=12):
     if x not in F.atoms(phix):
         # psi does not occur: the substitution is a no-op, thorough = classical.
         return VacuityVerdict(VacuityStatus.VACUOUS, "thorough", {"thorough": "definite"})
-    if F.is_ctl(phix):
-        v = eval_compositional3(lift_kx(k, x), phix)
-        if v is not M3:
-            return VacuityVerdict(VacuityStatus.VACUOUS, "compositional", {"compositional": v.value})
-    v, bounds = thorough_kx(k, x, phix, bound, variant_bound)
-    if v is T3 or v is F3:
-        return VacuityVerdict(VacuityStatus.VACUOUS, "thorough", {"thorough": v.value})
-    if v is M3:
-        return VacuityVerdict(VacuityStatus.NON_VACUOUS, "thorough", {"thorough": "maybe"})
-    return VacuityVerdict(VacuityStatus.UNKNOWN, "thorough", None, bounds)
+    q = _Query(k, phix, x, bound, variant_bound)
+    if q.compositional not in (None, "maybe"):
+        return VacuityVerdict(VacuityStatus.VACUOUS, "compositional", {"compositional": q.compositional})
+    v, bounds = _thorough(q)
+    if v is None:
+        return VacuityVerdict(VacuityStatus.UNKNOWN, "thorough", None, bounds)
+    return VacuityVerdict(_status(v is not M3), "thorough", {"thorough": v.value})

@@ -1,13 +1,15 @@
-"""Vacuity definitions and detection: constants, state sets, bisimulation.
-
-The dispatcher decide_bisim_vacuity tries the cheap theorem-backed routes
-first (monotone comparison, then the K||X reduction on the applicable
-fragment/side), falls back to refutation searches, and reports Unknown with
-sound bounds when nothing decides.  Every NonVacuous verdict carries a
+"""Vacuity definitions and detection, and the one decision behind every
+bisimulation-semantics question: does a body get verdict r on every
+structure x-bisimilar to K?  _Query holds it and its routes: two prove (the
+K||X check), two only refute (the sweep of K's labelings, the x-variant
+search).  The vacuity dispatcher here, qctl's bisimulation and tree
+semantics and three_valued's thorough semantics are route lists over it with
+their own route names and evidence.  Every NonVacuous verdict carries a
 replayable witness.
 """
 
 import enum
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from . import formula as F
 from .bisim import quotient_bisim
 from .errors import EnumerationBoundError, EvalError, NotApplicableError, PreconditionError
-from .kripke import KripkeStructure, chi, compose_sync, restrict_init, x_variants
+from .kripke import KripkeStructure, chi, compose_sync, duplicate_m, restrict_init, x_variants
 from .mc import check_ctl_star, eval_states, sweep
 
 
@@ -41,39 +43,140 @@ class VacuityVerdict:
         return out
 
 
+def _status(vacuous):
+    return VacuityStatus.VACUOUS if vacuous else VacuityStatus.NON_VACUOUS
+
+
 def _env_with(k, env):
     out = dict(env or {})
     out.setdefault(k.name, k)
     return out
 
 
+class _Query:
+    """Does `body` get verdict r on every structure x-bisimilar to k?  Keeps
+    what its routes find (the K||X product, the compositional bound and one
+    resumable sweep of k's labelings of x); the variant search tries k's
+    quotient, then partner(k), by default K^(2)."""
+
+    def __init__(self, k, body, x, bound=20, variant_bound=12, env=None, partner=None):
+        if x in k.props:
+            raise EvalError(f"quantified variable {x!r} is already a proposition of {k.name}")
+        self.k, self.body, self.x, self.env = k, body, x, env
+        self.bound, self.variant_bound = bound, variant_bound
+        self.partner = partner or functools.partial(duplicate_m, m=2)
+        self.agreed = None  # the verdict every labeling of x on k gives body, once known
+        self._first = {}  # verdict -> first labeling (a mask) giving it
+        self._masks = None
+
+    @functools.cached_property
+    def kx(self):
+        return compose_sync(self.k, chi(self.x))
+
+    @functools.cached_property
+    def compositional(self):
+        """The compositional value of body on K_x ("true", "maybe" or "false"),
+        or None outside CTL."""
+        from .three_valued import eval_compositional3, lift_kx
+
+        return eval_compositional3(lift_kx(self.k, self.x), self.body).value if F.is_ctl(self.body) else None
+
+    def first(self, verdict):
+        """The first labeling of x on k (a mask) giving body `verdict`, or None;
+        one sweep serves every call and goes no further than asked."""
+        if self._masks is None:
+            self._masks = sweep(self.k, self.body, F.Atom(self.x), self.env)
+        if verdict not in self._first:
+            for mask, holds in self._masks:
+                self._first.setdefault(holds, mask)
+                if holds == verdict:
+                    break
+            else:
+                self.agreed = not verdict
+        return self._first.get(verdict)
+
+    def decide(self, routes, r):
+        """(value, route, evidence) of the first of `routes` that settles r, else
+        (None, None, None).  A structure refutes body once one initial state fails
+        it: r false holds iff some K_s gets verdict true for !body everywhere."""
+        if r is not False:
+            return next(filter(None, (route(self, r) for route in routes)), (None, None, None))
+        values = []
+        for s in self.k.init:
+            ks = restrict_init(self.k, (s,))
+            values.append(_Query(ks, F.Not(self.body), self.x, self.bound, self.variant_bound,
+                                 self.env, self.partner).decide(routes, True)[0])
+            if values[-1]:
+                return True, None, None
+        return (False if all(v is False for v in values) else None), None, None
+
+
+def _scoped(body, x, r):
+    """The fragment gate of the K||X reduction: x occurs under A alone (r true)
+    or under E alone (r false).  ACTL* and ECTL* imply it, since a marker in
+    place of psi can only remove quantifiers."""
+    an = F.analyze(body, F.Atom(x))
+    return an.universal_in if r else an.existential_in
+
+
+def _kx_route(q, r):
+    """Decides r true when x is universal in body: K||X is itself an x-variant."""
+    if r is True and _scoped(q.body, q.x, True):
+        return check_ctl_star(q.kx, q.body, q.env), "kx", None
+    return None
+
+
+def _sweep_route(q, r):
+    """Refutes by the first labeling of x on k with another verdict than r."""
+    mask = q.first(not r) if q.k.n <= q.bound else None
+    return None if mask is None else (False, "sweep", q.k.names_of(mask))
+
+
+def _variant_route(q, r):
+    """Refutes by an x-variant of k's quotient or of partner(k), of at most
+    variant_bound states, with another verdict than r.  A quotient of k's
+    size is k renamed, so once k's own labelings all gave r it is skipped."""
+    quotient = quotient_bisim(q.k)
+    bases = [quotient, q.partner(q.k)]
+    if quotient.n == q.k.n and q.agreed == r:
+        del bases[0]
+    found = _variant_disagreement(bases, q.body, q.x, r, q.variant_bound, q.env)
+    if found is None:
+        return None
+    labeling = {s: found.label3(s, q.x).value == "true" for s in found.states}
+    return False, "variant", {"structure": found.name, "labeling": labeling}
+
+
+BISIM_ROUTES = (_kx_route, _sweep_route, _variant_route)
+
+
+def _vacuity_query(phi, psi, k, bound=20, variant_bound=12, env=None):
+    """phi[psi <- x] for a fresh x; its partner is K||X_y for a second fresh y."""
+    taken = F.atoms(phi) | set(k.props)
+    x = F.fresh_prop(taken)
+    y = F.fresh_prop(taken | {x})
+    return _Query(k, F.substitute(phi, psi, F.Atom(x)), x, bound, variant_bound, env,
+                  lambda ks: compose_sync(ks, chi(y)))
+
+
+def _constants(phi, psi, k, env):
+    return tuple(check_ctl_star(k, F.substitute(phi, psi, c), env) for c in (F.TRUE, F.FALSE))
+
+
 def constant_vacuous(phi, psi, k, env=None):
     """Replacing psi by true and by false yields the same verdict on k."""
-    env = _env_with(k, env)
-    vt = check_ctl_star(k, F.substitute(phi, psi, F.TRUE), env)
-    vf = check_ctl_star(k, F.substitute(phi, psi, F.FALSE), env)
+    vt, vf = _constants(phi, psi, k, _env_with(k, env))
     return vt == vf
 
 
 def structure_vacuous(phi, psi, k, bound=20, env=None):
-    """All 2^|S| state-set substitutions agree; else a disagreeing pair.
-
-    Returns (flag, witness) with witness = (satisfying names, falsifying
-    names) when the flag is False.
-    """
+    """(True, None) when all 2^|S| state-set substitutions agree, else (False,
+    (satisfying names, falsifying names)) for the first disagreeing pair."""
     if k.n > bound:
         raise EnumerationBoundError(f"2^{k.n} substitutions exceed the bound 2^{bound}")
-    hole = F.Atom(_fresh_var(phi, k))
-    sat_y = fal_y = None
-    for mask, holds in sweep(k, F.substitute(phi, psi, hole), hole, _env_with(k, env)):
-        if holds:
-            if sat_y is None:
-                sat_y = mask
-        elif fal_y is None:
-            fal_y = mask
-        if sat_y is not None and fal_y is not None:
-            return False, (k.names_of(sat_y), k.names_of(fal_y))
-    return True, None
+    q = _vacuity_query(phi, psi, k, bound, env=_env_with(k, env))
+    sat, fal = q.first(True), q.first(False)
+    return (True, None) if None in (sat, fal) else (False, (k.names_of(sat), k.names_of(fal)))
 
 
 def syntactic_monotone(phi, psi):
@@ -96,8 +199,15 @@ def is_mon_vacuous(phi, psi, k, env=None):
     return constant_vacuous(phi, psi, k, env)
 
 
-def _fresh_var(phi, k):
-    return F.fresh_prop(F.atoms(phi) | set(k.props))
+def _reduction(phi, psi, k, env, sat, requirement, gate):
+    """The K||X route on the side K's verdict `sat` names, behind its gate."""
+    env = _env_with(k, env)
+    if check_ctl_star(k, phi, env) != sat:
+        raise PreconditionError(requirement)
+    q = _vacuity_query(phi, psi, k, env=env)
+    if not _scoped(q.body, q.x, sat):
+        raise NotApplicableError(gate)
+    return q.decide((_kx_route,), sat)[0]
 
 
 def is_sat_vacuous(phi, psi, k, env=None):
@@ -105,29 +215,8 @@ def is_sat_vacuous(phi, psi, k, env=None):
 
     Requires K |= phi and phi in ACTL* or psi universal in phi.
     """
-    env = _env_with(k, env)
-    if not check_ctl_star(k, phi, env):
-        raise PreconditionError("is_sat_vacuous requires a formula satisfied by K")
-    an = F.analyze(phi, psi)
-    if not (an.is_actl_star or an.universal_in):
-        raise NotApplicableError("phi is not ACTL* and psi is not a universal subformula")
-    x = _fresh_var(phi, k)
-    kx = compose_sync(k, chi(x))
-    return check_ctl_star(kx, F.substitute(phi, psi, F.Atom(x)), env)
-
-
-def _every_variant_refutes(k, phix, x, env):
-    """Whether every structure x-bisimilar to k refutes phix.
-
-    With K |= phi meaning "all initial states", refutation decomposes per
-    initial state: some initial state must fail phix in every variant, which
-    the K||X reduction decides on each single-initial restriction.
-    """
-    for s in k.init:
-        ki = restrict_init(k, (s,))
-        if check_ctl_star(compose_sync(ki, chi(x)), F.Not(phix), env):
-            return True
-    return False
+    return _reduction(phi, psi, k, env, True, "is_sat_vacuous requires a formula satisfied by K",
+                      "phi is not ACTL* and psi is not a universal subformula")
 
 
 def is_fal_vacuous(phi, psi, k, env=None):
@@ -135,14 +224,8 @@ def is_fal_vacuous(phi, psi, k, env=None):
 
     Requires K |/= phi and phi in ECTL* or psi existential in phi.
     """
-    env = _env_with(k, env)
-    if check_ctl_star(k, phi, env):
-        raise PreconditionError("is_fal_vacuous requires a formula falsified by K")
-    an = F.analyze(phi, psi)
-    if not (an.is_ectl_star or an.existential_in):
-        raise NotApplicableError("phi is not ECTL* and psi is not an existential subformula")
-    x = _fresh_var(phi, k)
-    return _every_variant_refutes(k, F.substitute(phi, psi, F.Atom(x)), x, env)
+    return _reduction(phi, psi, k, env, False, "is_fal_vacuous requires a formula falsified by K",
+                      "phi is not ECTL* and psi is not an existential subformula")
 
 
 def enumerate_structures(props, max_states, limit=200_000):
@@ -176,119 +259,76 @@ def enumerate_structures(props, max_states, limit=200_000):
 
 def _variant_disagreement(base_structs, phix, x, reference, bound, env=None):
     """The first x-variant of the given structures (of at most `bound` states)
-    on which phix's verdict != reference, or None.
-
-    Each structure is swept on one evaluator, x's labeling assigned per mask
-    in x_variants order; only the witness variant is built.  A variant is a
-    structure of another name, so when phix has a set atom named after ks or
-    one of its variants, every variant is built and checked instead.
-    """
-    hole = F.Atom(x)
+    on which phix's verdict != reference, or None.  Each structure's labelings
+    of x are swept in x_variants order and only the witness is built; but a
+    variant is a structure of another name, so when phix has a set atom named
+    after ks or one of its variants, every variant is built and checked."""
+    named = {f.structure for f in F.subformulas(phix) if isinstance(f, F.SetAtom)}
     for ks in base_structs:
         if ks.n > bound:
             continue
         variants = x_variants(ks, x)
-        if any(
-            isinstance(f, F.SetAtom) and (f.structure == ks.name or f.structure.startswith(ks.name + "^"))
-            for f in F.subformulas(phix)
-        ):
-            for variant in variants:
-                if check_ctl_star(variant, phix, env) != reference:
-                    return variant
-            continue
-        for mask, holds in sweep(ks, phix, hole, env):
-            if holds != reference:
-                return variants[mask]
+        if any(n == ks.name or n.startswith(ks.name + "^") for n in named):
+            found = next((v for v in variants if check_ctl_star(v, phix, env) != reference), None)
+        else:
+            mask = _Query(ks, phix, x, env=env).first(not reference)
+            found = None if mask is None else variants[mask]
+        if found is not None:
+            return found
     return None
 
 
 def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, variant_bound=12, env=None):
-    """Three-valued bisimulation-vacuity verdict with route and evidence."""
+    """Three-valued bisimulation-vacuity verdict with route and evidence: does
+    phi[psi <- x] keep K's verdict on every structure x-bisimilar to K?"""
     env = _env_with(k, env)
     if F.count_occurrences(phi, psi) == 0:
         return VacuityVerdict(VacuityStatus.VACUOUS, "absent")
-
-    # Route 2: monotone comparison on K itself.
     if syntactic_monotone(phi, psi):
-        vt = check_ctl_star(k, F.substitute(phi, psi, F.TRUE), env)
-        vf = check_ctl_star(k, F.substitute(phi, psi, F.FALSE), env)
-        evidence = {"substituted_true": vt, "substituted_false": vf}
-        status = VacuityStatus.VACUOUS if vt == vf else VacuityStatus.NON_VACUOUS
-        return VacuityVerdict(status, "monotone", evidence)
+        vt, vf = _constants(phi, psi, k, env)
+        return VacuityVerdict(_status(vt == vf), "monotone", {"substituted_true": vt, "substituted_false": vf})
 
     sat = check_ctl_star(k, phi, env)
-    an = F.analyze(phi, psi)
-    x = _fresh_var(phi, k)
-    phix = F.substitute(phi, psi, F.Atom(x))
+    q = _vacuity_query(phi, psi, k, bound, variant_bound, env)
+    # satx/falx: the K||X route on the side K's verdict names.
+    value = q.decide((_kx_route,), sat)[0]
+    if value is not None:
+        evidence = None
+        if not value and sat:
+            evidence = {"structure": q.kx.name, "formula": F.render_formula(q.body), "verdict": False}
+        elif not value:
+            evidence = {"formula": F.render_formula(q.body), "satisfiable_variant": True}
+        return VacuityVerdict(_status(value), "satx" if sat else "falx", evidence)
 
-    # Routes 3/4: the K||X reduction on the applicable side.
-    if sat and (an.is_actl_star or an.universal_in):
-        kx = compose_sync(k, chi(x))
-        if check_ctl_star(kx, phix, env):
-            return VacuityVerdict(VacuityStatus.VACUOUS, "satx")
-        evidence = {"structure": kx.name, "formula": F.render_formula(phix), "verdict": False}
-        return VacuityVerdict(VacuityStatus.NON_VACUOUS, "satx", evidence)
-    if not sat and (an.is_ectl_star or an.existential_in):
-        if _every_variant_refutes(k, phix, x, env):
-            return VacuityVerdict(VacuityStatus.VACUOUS, "falx")
-        evidence = {"formula": F.render_formula(phix), "satisfiable_variant": True}
-        return VacuityVerdict(VacuityStatus.NON_VACUOUS, "falx", evidence)
-
-    # Route 5: refutation searches (sound by the necessity of structure vacuity).
-    labeling_agreement = None
     if k.n <= bound:
         flag, witness = structure_vacuous(phi, psi, k, bound, env)
         if not flag:
             evidence = {"satisfying_set": list(witness[0]), "falsifying_set": list(witness[1])}
             return VacuityVerdict(VacuityStatus.NON_VACUOUS, "structure-witness", evidence)
-        labeling_agreement = True
-        # Every state set gave one verdict.  For a state formula psi, K |= phi
-        # is the verdict of the set of psi's states, so it is that verdict.
-        if F.is_state_formula(psi):
-            reference = sat
-        else:
-            reference = check_ctl_star(k, F.substitute(phi, psi, F.SetAtom(k.name, (), ref=k)), env)
-        candidates = [quotient_bisim(k)]
-        y = F.fresh_prop(F.atoms(phi) | set(k.props) | {x})
-        candidates.append(compose_sync(k, chi(y)))
-        found = _variant_disagreement(candidates, phix, x, reference, variant_bound)
+        # Every state set gave one verdict (swept by structure_vacuous, the layer
+        # bench/ times); for a state formula psi it is K |= phi, psi's own set's.
+        empty = F.SetAtom(k.name, (), ref=k)
+        q.agreed = sat if F.is_state_formula(psi) else check_ctl_star(k, F.substitute(phi, psi, empty), env)
+        found = _variant_route(q, q.agreed)
         if found is not None:
-            evidence = {
-                "structure": found.name,
-                "labeling": {s: (found.label3(s, x).value == "true") for s in found.states},
-                "formula": F.render_formula(phix),
-                "verdict": not reference,
-            }
+            evidence = dict(found[2], formula=F.render_formula(q.body), verdict=not q.agreed)
             return VacuityVerdict(VacuityStatus.NON_VACUOUS, "variant-witness", evidence)
 
     # Optional bounded-validity probe (tautology/unsatisfiable cases).
     if bounded_validity:
-        probe_props = sorted(F.atoms(phix))
         verdicts = set()
-        for probe in enumerate_structures(probe_props, bounded_validity):
-            verdicts.add(check_ctl_star(probe, phix))
+        for probe in enumerate_structures(sorted(F.atoms(q.body)), bounded_validity):
+            verdicts.add(check_ctl_star(probe, q.body))
             if len(verdicts) > 1:
                 break
         if len(verdicts) == 1:
             side = "valid" if verdicts == {True} else "unsatisfiable"
-            return VacuityVerdict(
-                VacuityStatus.VACUOUS,
-                "bounded-validity",
-                {"side": side},
-                {"bounded_validity": bounded_validity},
-            )
+            bounds = {"bounded_validity": bounded_validity}
+            return VacuityVerdict(VacuityStatus.VACUOUS, "bounded-validity", {"side": side}, bounds)
 
-    compositional = None
-    if F.is_ctl(phix):
-        from .three_valued import eval_compositional3, lift_kx
-
-        compositional = eval_compositional3(lift_kx(k, x), phix).value
-    return VacuityVerdict(
-        VacuityStatus.UNKNOWN,
-        "unknown",
-        None,
-        {"compositional": compositional, "labeling_agreement": labeling_agreement},
-    )
+    # labeling_agreement: the structure sweep ran, and every labeling agreed
+    bounds = {"compositional": q.compositional, "labeling_agreement": True if k.n <= bound else None}
+    return VacuityVerdict(VacuityStatus.UNKNOWN, "unknown", None, bounds)
 
 
 def prop_simplify(phi, k, selector=None, env=None):
@@ -299,22 +339,14 @@ def prop_simplify(phi, k, selector=None, env=None):
     which must be a state formula.
     """
     env = _env_with(k, env)
-    targets = None
-    if selector is not None:
-        targets = set(selector)
-        for f in targets:
-            if not F.is_state_formula(f):
-                raise EvalError(f"selector picks a path formula: {F.render_formula(f)}")
-
-    def matches(f):
-        if targets is not None:
-            return f in targets
-        return isinstance(f, F.PathE)
+    targets = None if selector is None else set(selector)
+    for f in targets or ():
+        if not F.is_state_formula(f):
+            raise EvalError(f"selector picks a path formula: {F.render_formula(f)}")
 
     def go(f):
-        if matches(f):
-            names = eval_states(k, f, env).names
-            return F.SetAtom(k.name, names, ref=k)
+        if isinstance(f, F.PathE) if targets is None else f in targets:
+            return F.SetAtom(k.name, eval_states(k, f, env).names, ref=k)
         return F._rebuild(f, [go(c) for c in f.children()])
 
     return go(phi)

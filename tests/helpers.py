@@ -666,6 +666,12 @@ def oracle_eval_structural(k, q, bound=20, env=None):
     return (True, None) if kind == "forall" else (False, None)
 
 
+def oracle_sweep(k, phi, atom, env=None):
+    """mc.sweep by a SetAtom substitution per mask."""
+    for mask in range(1 << k.n):
+        yield mask, check_ctl_star(k, F.substitute(phi, atom, F.SetAtom(k.name, k.names_of(mask), ref=k)), env)
+
+
 def oracle_variant_disagreement(base_structs, phix, x, reference, bound, env=None):
     """vacuity._variant_disagreement by a fresh check of every built x-variant."""
     for ks in base_structs:

@@ -204,3 +204,81 @@ class TestInternalErrors:
     def test_vacmc_errors_keep_their_message(self, capsys):
         code, _, err = run(capsys, "check", "L", "AG (p ->")
         assert code == 1 and err.startswith("error: ") and "internal" not in err
+
+
+# One fixture query per route: argv, exit code and the whole JSON result.
+ROUTES = [
+    (("vacuity", "L", "AG p", "--sub", "q"), 0, {"status": "vacuous", "route": "absent"}),
+    (("vacuity", "L", "AG (p | AX p)", "--sub", "p"), 0,
+     {"status": "non-vacuous", "route": "monotone",
+      "witness": {"substituted_true": True, "substituted_false": False}}),
+    (("vacuity", "L", "AG (p -> p)", "--sub", "p"), 0, {"status": "vacuous", "route": "satx"}),
+    (("vacuity", "L", "AG (p -> AX p)", "--sub", "p"), 0,
+     {"status": "non-vacuous", "route": "satx",
+      "witness": {"structure": "L||chi", "formula": "AG (x -> (AX x))", "verdict": False}}),
+    (("vacuity", "L", "EF (p & !p)", "--sub", "p"), 0, {"status": "vacuous", "route": "falx"}),
+    (("vacuity", "L", "EF (p & EX !p)", "--sub", "p"), 0,
+     {"status": "non-vacuous", "route": "falx",
+      "witness": {"formula": "EF (x & (EX !x))", "satisfiable_variant": True}}),
+    (("vacuity", "M", "AG ((AX p) | (AX !p)) | EF (p & !p)", "--sub", "p"), 0,
+     {"status": "non-vacuous", "route": "structure-witness",
+      "witness": {"satisfying_set": [], "falsifying_set": ["b0"]}}),
+    (("vacuity", "L", "AG ((AX p) | (AX !p)) | EF (p & !p)", "--sub", "p"), 0,
+     {"status": "non-vacuous", "route": "variant-witness",
+      "witness": {"structure": "L||chi_x0^2", "labeling": {"(a0,x00)": True, "(a0,x01)": False},
+                  "formula": "(AG ((AX x) | (AX !x))) | (EF (x & !x))", "verdict": False}}),
+    (("vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", "--bounded-validity", "1"), 0,
+     {"status": "vacuous", "route": "bounded-validity", "witness": {"side": "valid"},
+      "bounds": {"bounded_validity": 1}}),
+    (("vacuity", "L", "AG (AX p | EX !p)", "--sub", "p"), 2,
+     {"status": "unknown", "route": "unknown",
+      "bounds": {"compositional": "maybe", "labeling_agreement": True}}),
+    (("vacuity", "L", "AG (AX p | EX !p)", "--sub", "p", "--bound", "0"), 2,
+     {"status": "unknown", "route": "unknown",
+      "bounds": {"compositional": "maybe", "labeling_agreement": None}}),
+    (("vacuity", "L", "true | (EX p & EX !p)", "--sub", "p", "--via", "thorough"), 0,
+     {"status": "vacuous", "route": "compositional", "witness": {"compositional": "true"}}),
+    (("vacuity", "L", "A((X p) | (X !p))", "--sub", "p", "--via", "thorough"), 0,
+     {"status": "vacuous", "route": "thorough", "witness": {"thorough": "true"}}),
+    (("vacuity", "L", "EF (p & !p)", "--sub", "p", "--via", "thorough"), 0,
+     {"status": "vacuous", "route": "thorough", "witness": {"thorough": "false"}}),
+    (("vacuity", "L", "AG ((AX p) | (AX !p)) | EF (p & !p)", "--sub", "p", "--via", "thorough"), 0,
+     {"status": "non-vacuous", "route": "thorough", "witness": {"thorough": "maybe"}}),
+    (("vacuity", "L", "AG (AX p | EX !p)", "--sub", "p", "--via", "thorough"), 2,
+     {"status": "unknown", "route": "thorough", "bounds": {"compositional": "maybe", "labeling": "true"}}),
+    # past --bound the labelings are not swept, so the labeling bound is unknown
+    (("vacuity", "L", "AG (AX p | EX !p)", "--sub", "p", "--via", "thorough", "--bound", "0"), 2,
+     {"status": "unknown", "route": "thorough", "bounds": {"compositional": "maybe", "labeling": None}}),
+    (("qctl", "L", "forall x . AG (x -> AX x)", "--semantics", "bisim"), 0,
+     {"value": False, "route": "KParallelX"}),
+    (("qctl", "M", "forall x . AG ((AX x) | (AX !x)) | EF (x & !x)", "--semantics", "bisim"), 0,
+     {"value": False, "route": "ChainImplication", "witness": {"labeling": ["b0"]}}),
+    (("qctl", "L", "forall x . AG ((AX x) | (AX !x)) | EF (x & !x)", "--semantics", "bisim"), 0,
+     {"value": False, "route": "RegularWitness",
+      "witness": {"structure": "L^(2)^2", "labeling": {"(a0,0)": True, "(a0,1)": False}}}),
+    (("qctl", "L", "exists x . EF (x & EX !x)", "--semantics", "bisim"), 0,
+     {"value": True, "route": "Duality"}),
+    (("qctl", "M", "exists x . AG x", "--semantics", "bisim"), 0,
+     {"value": True, "route": "Duality", "witness": {"labeling": ["b0", "b1"]}}),
+    (("qctl", "L", "forall x . AG ((AX x) | (EX !x))", "--semantics", "bisim"), 2,
+     {"value": None, "route": "Unknown"}),
+    (("qctl", "L", "forall x . AG ((AX x) | (AX !x)) | EF (x & !x)", "--semantics", "tree"), 0,
+     {"value": True, "route": "DeterministicCollapse"}),
+    (("qctl", "L", "forall x . A ((X x) | (X !x))", "--semantics", "tree"), 0,
+     {"value": True, "route": "PathFormulaEquivalence"}),
+    (("qctl", "M", "forall x . AG ((AX x) | (AX !x)) | EF (x & !x)", "--semantics", "tree"), 0,
+     {"value": False, "route": "ChainImplication", "witness": {"labeling": ["b0"]}}),
+    (("qctl", "M", "forall x . AG ((AX x) | (EX !x))", "--semantics", "tree"), 2,
+     {"value": None, "route": "Unknown"}),
+    (("qctl", "M", "exists x . EF (x & EX !x)", "--semantics", "tree"), 0,
+     {"value": True, "route": "Duality", "witness": {"labeling": ["b0"]}}),
+]
+
+
+class TestRouteContract:
+    """Each route's whole --format json result, evidence and bounds included."""
+
+    @pytest.mark.parametrize("argv,code,result", ROUTES, ids=[" ".join(a) for a, _, _ in ROUTES])
+    def test_route(self, capsys, argv, code, result):
+        got, out, _ = run(capsys, *argv, "--format", "json")
+        assert (got, json.loads(out)["result"]) == (code, result)

@@ -19,7 +19,7 @@ from vacmc.kripke import KripkeStructure
 from vacmc.mc import check_ctl_star
 from vacmc.vacuity import enumerate_structures
 
-from helpers import rand_ctl, rand_path
+from helpers import proper_subformulas, rand_actl_star, rand_ctl, rand_path
 
 P4 = "AG ((AX p) | (AX !p))"
 
@@ -239,6 +239,25 @@ class TestAnalyze:
 
     def test_analysis_type(self):
         assert isinstance(analyze(p("AG p")), Analysis)
+
+    def test_fragment_implies_scope(self, rng):
+        # a marker in place of psi can only remove quantifiers: ACTL* puts every
+        # occurrence under A alone, ECTL* under E alone
+        seen = {"actl": 0, "ectl": 0}
+        for _ in range(400):
+            phi = rng.choice((
+                lambda: rand_ctl(rng, ("p", "q"), 4),
+                lambda: rng.choice((F.PathA, F.PathE))(rand_path(rng, ("p", "q"), 3)),
+                lambda: rand_actl_star(rng, ("p", "q"), 3),
+                lambda: nnf(F.Not(rand_actl_star(rng, ("p", "q"), 3))),
+            ))()
+            psi = rng.choice(proper_subformulas(phi))
+            a = analyze(phi, psi)
+            seen["actl"] += a.is_actl_star
+            seen["ectl"] += a.is_ectl_star
+            assert a.universal_in or not a.is_actl_star, render_formula(phi)
+            assert a.existential_in or not a.is_ectl_star, render_formula(phi)
+        assert min(seen.values()) >= 100
 
 
 class TestDeepPasses:

@@ -4,15 +4,17 @@ substitute-and-check-per-mask oracles, and guards on the work per sweep."""
 import pytest
 
 from vacmc import formula as F
-from vacmc import qctl, vacuity
+from vacmc import qctl, three_valued, vacuity
 from vacmc.formula import parse_formula as p
 from vacmc.kripke import KripkeStructure, duplicate_m
 from vacmc.qctl import eval_bisimulation, eval_structural, eval_tree
+from vacmc.three_valued import vacuity_via_thorough
 from vacmc.vacuity import _variant_disagreement, decide_bisim_vacuity, structure_vacuous
 
 from helpers import (
     oracle_eval_structural,
     oracle_structure_vacuous,
+    oracle_sweep,
     oracle_variant_disagreement,
     proper_subformulas,
     rand_ctl,
@@ -60,14 +62,14 @@ def structures(rng, count, max_states=8):
 
 @pytest.fixture
 def as_oracle(monkeypatch):
-    """Run a call with every sweep replaced by its per-mask oracle."""
+    """Run a call with every sweep replaced by its per-mask oracle: the
+    decisions of vacuity, qctl and three_valued all sweep through vacuity."""
 
     def run(fn, *args, **kwargs):
         with monkeypatch.context() as m:
             m.setattr(vacuity, "structure_vacuous", oracle_structure_vacuous)
+            m.setattr(vacuity, "sweep", oracle_sweep)
             m.setattr(vacuity, "_variant_disagreement", oracle_variant_disagreement)
-            m.setattr(qctl, "eval_structural", oracle_eval_structural)
-            m.setattr(qctl, "_variant_disagreement", oracle_variant_disagreement)
             return fn(*args, **kwargs)
 
     return run
@@ -192,3 +194,66 @@ class TestWorkPerSweep:
             assert counts == {"substitute": 0, "structures": 0}, n
             found = _variant_disagreement([k], p("EF x"), "x", True, 12)
             assert found.name == f"ring{n}^1" and counts["structures"] == 1
+
+
+class TestWorkPerQuery:
+    """One query sweeps each structure's labelings at most once, skips what an
+    earlier sweep settled, builds no structure per completion and evaluates
+    the compositional bound once."""
+
+    UNKNOWN_BODY = "AG ((AX x) | (EX !x))"
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        """Names of the structures whose labelings are swept, in order."""
+        names = []
+        sweep = vacuity.sweep
+
+        def counting(k, *args):
+            names.append(k.name)
+            return sweep(k, *args)
+
+        monkeypatch.setattr(vacuity, "sweep", counting)
+        return names
+
+    def test_tree_sweeps_k_once(self, fx, swept):
+        r = eval_tree(fx("M"), F.ForallProp("x", p(self.UNKNOWN_BODY)))
+        assert (r.value, r.route) == (None, qctl.UNKNOWN)
+        assert swept == ["M"]
+
+    def test_a_quotient_of_k_size_is_not_swept_after_k(self, fx, swept):
+        l = fx("L")
+        assert decide_bisim_vacuity(p("AG (AX p | EX !p)"), F.Atom("p"), l).route == "unknown"
+        assert swept == ["L", "L||chi_x0"]
+        del swept[:]
+        q = F.ForallProp("x", p(self.UNKNOWN_BODY))
+        assert eval_bisimulation(l, q).route == qctl.UNKNOWN
+        assert swept == ["L", "L^(2)"]
+        del swept[:]
+        # past --bound, K is not swept, so its quotient still is
+        assert eval_bisimulation(l, q, bound=0).route == qctl.UNKNOWN
+        assert swept == ["L/~", "L^(2)"]
+
+    def test_thorough_builds_no_completion_and_one_bound(self, monkeypatch):
+        seen = {"structures": 0, "compositional": 0}
+        build, compositional = KripkeStructure._set, three_valued.eval_compositional3
+
+        def counting_build(self, *args):
+            seen["structures"] += 1
+            return build(self, *args)
+
+        def counting_compositional(*args):
+            seen["compositional"] += 1
+            return compositional(*args)
+
+        monkeypatch.setattr(KripkeStructure, "_set", counting_build)
+        monkeypatch.setattr(three_valued, "eval_compositional3", counting_compositional)
+        built = []
+        for n in (3, 8):
+            k = TestWorkPerSweep.ring(n)
+            seen.update(structures=0, compositional=0)
+            v = vacuity_via_thorough(p("AG (AX p | EX !p)"), F.Atom("p"), k)
+            assert v.bounds == {"compositional": "maybe", "labeling": "true"}
+            assert seen["compositional"] == 1, n
+            built.append(seen["structures"])
+        assert built[0] == built[1] < 8
