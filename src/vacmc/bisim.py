@@ -19,7 +19,7 @@ from collections.abc import Set
 
 from .errors import KripkeError
 from .kleene import F3, M3, T3
-from .kripke import KripkeStructure, mask_members
+from .kripke import KripkeStructure, _gc_paused, mask_members
 
 
 class Relation(Set):
@@ -91,9 +91,11 @@ def _check_common(k1, k2, over):
 # Bisimulation: a partition
 
 
+@_gc_paused
 def _partition(k1, k2, over):
     """Block ids of the states of k1 and of k2 under the coarsest bisimulation
-    over `over` on their disjoint union (k1 alone when k1 is k2)."""
+    over `over` on their disjoint union (k1 alone when k1 is k2).  Its lists
+    and frozensets hold no cycles, so it runs with the cyclic GC paused."""
     over = _check_common(k1, k2, over)
     succ, pred, label = [], [], []
     for k in (k1,) if k1 is k2 else (k1, k2):

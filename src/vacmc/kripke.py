@@ -399,19 +399,22 @@ def chi(prop="x"):
 
 
 def duplicate_m(k, m):
-    """Duplicate every state m times; transitions ignore the copy index."""
+    """Duplicate every state m times; transitions ignore the copy index.
+
+    Copy i of states[s] has index s*m + i, so each successor row, the
+    copies of k's row in order, is ascending already; the m copies of a
+    state share one row.
+    """
     if m < 1:
         raise KripkeError("duplication count must be at least 1")
-    states = [f"({s},{i})" for s in k.states for i in range(m)]
-    init = [f"({s},{i})" for s in k.init for i in range(m)]
-    labels = {f"({s},{i})": k.labels_of(s) for s in k.states for i in range(m)}
-    trans = [
-        (f"({s},{i})", f"({t},{j})")
-        for s, t in k.trans
-        for i in range(m)
-        for j in range(m)
-    ]
-    return KripkeStructure(f"{k.name}^({m})", k.props, states, init, trans, labels)
+    states = tuple(f"({s},{i})" for s in k.states for i in range(m))
+    index = {s: i for i, s in enumerate(states)}
+    init = tuple(f"({s},{i})" for s in k.init for i in range(m))
+    rows = [[t * m + j for t in row for j in range(m)] for row in k.succ]
+    succ = [row for row in rows for _ in range(m)]
+    tmask = {p: _spread(mask, m) for p, mask in k._tmask.items()}
+    mmask = {p: _spread(mask, m) for p, mask in k._mmask.items()}
+    return KripkeStructure._of(f"{k.name}^({m})", k.props, states, index, init, succ, tmask, mmask)
 
 
 def remove_prop(k, prop):

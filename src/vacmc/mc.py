@@ -15,13 +15,17 @@ state's leaf signature, the set of maximal state subformulas that hold
 there, so they are built once per signature and formula.  `AtomGraph` is
 the automaton's product with one structure, accepted through a
 self-fulfilling SCC.  Set atoms of a foreign structure are resolved through
-a bisimulation computed on demand.  A sweep over the labelings of one fresh
-atom runs on one evaluator: it relabels only the subformulas that contain
-the atom, and a path quantifier keeps its closure automaton throughout.
+a bisimulation computed on demand.
+
+A sweep over the labelings of one fresh atom labels a chunk of them at once,
+one bit per labeling (`_LaneSweep`): a subformula that contains the atom
+gets one int per state, whose bit j says whether it holds there under the
+chunk's j-th labeling, and the connectives and CTL fixpoints run on these
+lanes.  What does not contain the atom is labelled once, and a path
+quantifier keeps its closure automaton throughout.
 """
 
 from dataclasses import dataclass
-from itertools import islice
 
 from . import formula as F
 from .errors import EvalError
@@ -433,36 +437,31 @@ def _ctl_operands(c):
     return (c,) if F.is_state_formula(c) else None
 
 
-class _Dependents:
-    """The labelled nodes that depend on one assigned atom, in post-order,
-    each with its operands.
+class _Duality:
+    """CTL path quantifiers over the labels of a subclass (state masks, or
+    lanes), from its _neg, _const, _ex, _eu and _er."""
 
-    The memo's insertion order is a post-order (a node is stored after its
-    operands), so one pass over it finds them; the pass resumes where it
-    stopped when more has been labelled since.  Operands are kept as the
-    memo's own key objects, so relabelling looks them up by identity.
-    """
-
-    def __init__(self, atom):
-        self.scanned = 0
-        self.keys = {}
-        self.dependent = {atom}
-        self.nodes = []
-
-    def scan(self, ev):
-        memo, keys = ev.memo, self.keys
-        if self.scanned == len(memo):
-            return
-        for f in islice(memo, self.scanned, None):
-            keys[f] = f
-            operands = ev._operands(f)
-            if any(o in self.dependent for o in operands):
-                self.dependent.add(f)
-                self.nodes.append((f, tuple(keys[o] for o in operands)))
-        self.scanned = len(memo)
+    def _fixpoint(self, phi, operands):
+        """A-forms by duality: AX r = ~EX ~r, A[l U r] = ~E[~l R ~r], A[l R r] = ~E[~l U ~r]."""
+        c = phi.child
+        if not isinstance(c, _TEMPORAL):
+            return operands[0]
+        neg = self._neg
+        existential = isinstance(phi, F.PathE)
+        if isinstance(c, F.Next):
+            r = operands[0]
+            return self._ex(r) if existential else neg(self._ex(neg(r)))
+        if isinstance(c, (F.Until, F.Release)):
+            l, r = operands
+        else:
+            l, r = self._const(isinstance(c, F.Future)), operands[0]
+        until = isinstance(c, (F.Future, F.Until))
+        if existential:
+            return (self._eu if until else self._er)(l, r)
+        return neg((self._er if until else self._eu)(neg(l), neg(r)))
 
 
-class _Evaluator:
+class _Evaluator(_Duality):
     """Memoized bottom-up labelling of state formulas with state bitmasks.
 
     definite=True admits a 3-valued k for NNF formulas: literal p reads "p
@@ -481,28 +480,8 @@ class _Evaluator:
         self.memo = {}
         self._foreign = {}
         self._tableau = set()  # path formulas that _operands sent to the tableau
-        self._closures = {}  # path quantifier -> its _Closure, kept across assign
+        self._closures = {}  # path quantifier -> its _Closure, kept for every labeling of a sweep
         self._graphs = {}
-        self._assigned = {}  # atom -> its _Dependents
-
-    def assign(self, atom, mask):
-        """Label `atom`, which is not a proposition of k, with `mask`; relabel
-        only the labelled nodes whose subformula contains it.
-
-        A sweep over the labelings of one atom thus labels the rest of the
-        formula, tableau graphs and foreign set atoms included, once.
-        """
-        if atom.name in self.k.props:
-            raise EvalError(f"cannot assign {atom.name!r}: a proposition of {self.k.name!r}")
-        memo = self.memo
-        deps = self._assigned.get(atom)
-        if deps is None:
-            deps = self._assigned[atom] = _Dependents(atom)
-        deps.scan(self)
-        memo[atom] = mask
-        for f, operands in deps.nodes:
-            self._graphs.pop(f, None)
-            memo[f] = self._states(f, [memo[o] for o in operands])
 
     def states(self, phi):
         memo = self.memo
@@ -564,7 +543,7 @@ class _Evaluator:
             return self._setatom(phi)
         if isinstance(phi, F.Not):
             mask = operands[0]
-            if isinstance(phi.child, F.Atom) and phi.child not in self._assigned:
+            if isinstance(phi.child, F.Atom):
                 mask |= k.maybe_mask(phi.child.name)
             return full ^ mask
         if isinstance(phi, F.And):
@@ -605,6 +584,15 @@ class _Evaluator:
         return mask
 
     # -- CTL labelling -------------------------------------------------------
+
+    def _neg(self, mask):
+        return self.full ^ mask
+
+    def _const(self, value):
+        return self.full if value else 0
+
+    def _ex(self, mask):
+        return self.k.pre(mask)
 
     def _eu(self, l, r):
         """E[l U r]: a backward search from r through the states of l & ~r,
@@ -652,7 +640,7 @@ class _Evaluator:
 
     def _closure(self, phi):
         """The closure automaton of E c for phi = E c, or of E !c for phi = A c.
-        It does not depend on k's labels, so assign keeps it."""
+        It does not depend on k's labels, so a sweep keeps it."""
         got = self._closures.get(phi)
         if got is None:
             c = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
@@ -669,24 +657,175 @@ class _Evaluator:
             got = self._graphs[phi] = AtomGraph(self.k, closure.pathform, leaves, closure)
         return got
 
-    def _fixpoint(self, phi, operands):
-        """A-forms by duality: AX r = ~EX ~r, A[l U r] = ~E[~l R ~r], A[l R r] = ~E[~l U ~r]."""
-        c, full = phi.child, self.full
-        if not isinstance(c, _TEMPORAL):
-            return operands[0]
-        existential = isinstance(phi, F.PathE)
-        if isinstance(c, F.Next):
-            r = operands[0]
-            pre = self.k.pre
-            return pre(r) if existential else full ^ pre(full ^ r)
-        if isinstance(c, (F.Until, F.Release)):
-            l, r = operands
-        else:
-            l, r = (full if isinstance(c, F.Future) else 0), operands[0]
-        until = isinstance(c, (F.Future, F.Until))
-        if existential:
-            return (self._eu if until else self._er)(l, r)
-        return full ^ (self._er if until else self._eu)(full ^ l, full ^ r)
+
+_CHUNK_CAP = 1 << 14  # labelings in the widest lane pass
+
+
+def _chunks(n):
+    """(base, width) of the chunks that cover labelings 0 .. 2^n-1 in order:
+    min(64, 2^n) first, then each as wide as all before it, up to _CHUNK_CAP.
+    base is a multiple of width, and an early exit stays cheap."""
+    total = 1 << n
+    base, width = 0, min(64, total)
+    while base < total:
+        yield base, width
+        base += width
+        width = min(base, _CHUNK_CAP)
+
+
+def _transpose(rows, width):
+    """The bit matrix rows by columns: for c = 0 .. width-1, the int whose bit
+    r is bit c of rows[r], each made only when the iterator reaches it."""
+    text = [format(row, f"0{width}b")[::-1] for row in reversed(rows)]
+    return (int("".join(column), 2) for column in zip(*text))
+
+
+class _LaneSweep(_Duality):
+    """The labels of a formula under a chunk of the labelings of a fresh
+    atom at once, one bit per labeling.
+
+    Labeling m puts the atom on the states of the bits of m.  In the chunk
+    of labelings base .. base+width-1 each node that contains the atom gets
+    one lane per state: a width-bit int whose bit j says whether the node
+    holds there under labeling base+j.  Those nodes are kept in post-order
+    with their operands; the evaluator `ev` labels the others once, when
+    ev.states would reach them, and their masks are broadcast to lanes.
+    Connectives work lane by lane, and CTL operators by worklists over the
+    lanes.  A genuine path quantifier takes its labelings one at a time
+    through the closure automaton that ev keeps.
+    """
+
+    def __init__(self, ev, phi, atom):
+        k = ev.k
+        if atom.name in k.props:
+            raise EvalError(f"cannot assign {atom.name!r}: a proposition of {k.name!r}")
+        self.ev, self.k, self.phi, self.atom = ev, k, phi, atom
+        self.nodes = []
+        dependent, memo = {atom}, ev.memo
+        stack = [phi]
+        while stack:
+            f = stack.pop()
+            if f is _READY:
+                f, operands = stack.pop(), stack.pop()
+                if any(o in dependent for o in operands):
+                    dependent.add(f)
+                    self.nodes.append((f, operands))
+                else:
+                    ev.states(f)
+            elif f not in dependent and f not in memo:
+                operands = ev._operands(f)
+                if operands:
+                    stack += (operands, f, _READY)
+                    stack += reversed(operands)
+                else:
+                    ev.states(f)
+
+    def lanes(self, base, width):
+        """The root's lanes in the chunk of labelings base .. base+width-1."""
+        n, memo = self.k.n, self.ev.memo
+        self.width = width
+        self.ones = ones = (1 << width) - 1
+        # bit j of the atom's lane at s is bit s of base+j: runs of 2^s zeros
+        # and ones while 2^s < width, else bit s of base throughout
+        hole = []
+        for s in range(n):
+            run = 1 << s
+            hole.append(ones // ((1 << run) + 1) << run if run < width else ones * (base >> s & 1))
+        lanes = {self.atom: hole}
+
+        def lane(f):
+            got = lanes.get(f)
+            if got is None:
+                mask = memo[f]
+                got = lanes[f] = [ones * (mask >> s & 1) for s in range(n)]
+            return got
+
+        for f, operands in self.nodes:
+            lanes[f] = self._node(f, [lane(o) for o in operands])
+        return lane(self.phi)
+
+    def _node(self, f, args):
+        ones = self.ones
+        if isinstance(f, F.Not):
+            return self._neg(args[0])
+        if isinstance(f, F.And):
+            return list(map(int.__and__, *args))
+        if isinstance(f, F.Or):
+            return list(map(int.__or__, *args))
+        if isinstance(f, F.Implies):
+            return [(ones ^ a) | b for a, b in zip(*args)]
+        if f in self.ev._tableau:
+            return self._path(f, args)
+        return self._fixpoint(f, args)
+
+    def _path(self, phi, args):
+        """A genuine path quantifier, labeling by labeling: the product of its
+        closure automaton with k under the leaves' masks of each."""
+        k, ev = self.k, self.ev
+        closure = ev._closure(phi)
+        masks = []
+        for leaves in zip(*(_transpose(a, self.width) for a in args)):
+            mask = AtomGraph(k, closure.pathform, leaves, closure).e_mask()
+            masks.append(mask if isinstance(phi, F.PathE) else ev.full ^ mask)
+        return list(_transpose(masks, k.n))
+
+    def _neg(self, z):
+        ones = self.ones
+        return [ones ^ a for a in z]
+
+    def _const(self, value):
+        return [self.ones * value] * self.k.n
+
+    def _ex(self, z):
+        out = []
+        for row in self.k.succ:
+            acc = 0
+            for t in row:
+                acc |= z[t]
+            out.append(acc)
+        return out
+
+    def _eu(self, l, r):
+        """E[l U r], the least z with z >= r | (l & EX z): from z = r, each
+        changed t ORs l[s] & z[t] into its predecessors s."""
+        z = list(r)
+        pred = self.k.predecessors()
+        queued = list(map(bool, z))
+        todo = [t for t, v in enumerate(z) if v]
+        for t in todo:
+            queued[t] = False
+            zt = z[t]
+            for s in pred[t]:
+                new = z[s] | l[s] & zt
+                if new != z[s]:
+                    z[s] = new
+                    if not queued[s]:
+                        queued[s] = True
+                        todo.append(s)
+        return z
+
+    def _er(self, l, r):
+        """E[l R r], the greatest z with z <= r & (l | EX z): from z = r, each
+        state recomputes z[s] &= l[s] | OR(z[t] for its successors t), and a
+        change queues its predecessors."""
+        k = self.k
+        z = list(r)
+        succ, pred = k.succ, k.predecessors()
+        todo = list(range(k.n))
+        queued = [True] * k.n
+        for s in todo:
+            queued[s] = False
+            acc = l[s]
+            for t in succ[s]:
+                acc |= z[t]
+            new = z[s] & acc
+            if new != z[s]:
+                z[s] = new
+                for u in pred[s]:
+                    if not queued[u]:
+                        queued[u] = True
+                        todo.append(u)
+        return z
 
 
 def eval_states(k, phi, env=None, force_tableau=False):
@@ -702,19 +841,22 @@ def eval_mask(k, phi, env=None, force_tableau=False):
 
 def check_ctl_star(k, phi, env=None, force_tableau=False, evaluator=None):
     """K |= phi: every initial state satisfies phi.  `evaluator`, an
-    _Evaluator of k, lends its labels (and atom assignments) instead."""
+    _Evaluator of k, lends its labels instead."""
     mask = (evaluator or _Evaluator(k, env, force_tableau)).states(phi)
     return k.init_mask & mask == k.init_mask
 
 
 def sweep(k, phi, atom, env=None):
     """(mask, K |= phi with `atom` labelled true exactly on mask) for mask =
-    0 .. 2^|S|-1 in turn, all on one evaluator: what does not contain atom
-    is labelled once."""
+    0 .. 2^|S|-1 in turn.  Each chunk of labelings is labelled in one lane
+    pass; each verdict is then a check on an evaluator that holds phi's mask
+    under that labeling, and what does not contain atom is labelled once."""
     ev = _Evaluator(k, env)
-    for mask in range(1 << k.n):
-        ev.assign(atom, mask)
-        yield mask, check_ctl_star(k, phi, evaluator=ev)
+    lanes = _LaneSweep(ev, phi, atom)
+    for base, width in _chunks(k.n):
+        for mask, root in enumerate(_transpose(lanes.lanes(base, width), width), base):
+            ev.memo[phi] = root
+            yield mask, check_ctl_star(k, phi, evaluator=ev)
 
 
 def explain_path(k, phi, env=None, evaluator=None):

@@ -153,6 +153,22 @@ def oracle_compose_sync(k1, k2):
     return OracleKripkeStructure(f"{k1.name}||{k2.name}", k1.props + k2.props, states, init, trans, labels)
 
 
+def oracle_duplicate_m(k, m):
+    """duplicate_m by name pairs: every transition once per pair of copies."""
+    if m < 1:
+        raise KripkeError("duplication count must be at least 1")
+    states = [f"({s},{i})" for s in k.states for i in range(m)]
+    init = [f"({s},{i})" for s in k.init for i in range(m)]
+    labels = {f"({s},{i})": k.labels_of(s) for s in k.states for i in range(m)}
+    trans = [
+        (f"({s},{i})", f"({t},{j})")
+        for s, t in k.trans
+        for i in range(m)
+        for j in range(m)
+    ]
+    return KripkeStructure(f"{k.name}^({m})", k.props, states, init, trans, labels)
+
+
 def oracle_restrict_init(k, inits):
     """restrict_init by rebuilding the whole structure."""
     labels = {s: k.labels_of(s) for s in k.states}

@@ -32,6 +32,7 @@ from vacmc.mc import check_ctl_star
 from helpers import (
     OracleKripkeStructure,
     oracle_compose_sync,
+    oracle_duplicate_m,
     oracle_parse_kripke,
     oracle_restrict_init,
     oracle_x_variants,
@@ -383,6 +384,9 @@ class TestIndexLists:
             o1, o2 = OracleKripkeStructure(*_parts_of(k1)), OracleKripkeStructure(*_parts_of(k2))
             assert_same(compose_sync(k1, k2), oracle_compose_sync(o1, o2))
             assert_same(compose_sync(k2, chi()), oracle_compose_sync(o2, chi()))
+            for m in (1, 2, 3):
+                assert_same(duplicate_m(k2, m), oracle_duplicate_m(o2, m))
+            assert_same(duplicate_m(k1, 2), oracle_duplicate_m(o1, 2))
             inits = rng.sample(k1.states, rng.randint(1, k1.n))
             assert_same(restrict_init(k1, inits), oracle_restrict_init(o1, inits))
             variants, eager = x_variants(k2, "w"), oracle_x_variants(o2, "w")

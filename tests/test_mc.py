@@ -3,12 +3,23 @@ import itertools
 import pytest
 
 from vacmc import formula as F
+from vacmc import mc
 from vacmc.bisim import quotient_bisim
 from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
 from vacmc.kleene import M3
 from vacmc.kripke import KripkeStructure, duplicate_m, load_fixture
-from vacmc.mc import StateSet, _Evaluator, check_ctl_star, eval_states, eval_mask, explain_path
+from vacmc.mc import (
+    StateSet,
+    _chunks,
+    _Evaluator,
+    _LaneSweep,
+    _transpose,
+    check_ctl_star,
+    eval_mask,
+    eval_states,
+    explain_path,
+)
 
 from helpers import (
     FrontierEvaluator,
@@ -247,46 +258,60 @@ class TestSetAtoms:
 
 
 class TestAssign:
-    """An evaluator with an assigned atom relabels only what depends on it."""
+    """The lane sweep labels every labeling of an atom in chunks: under each,
+    a node's mask is a fresh evaluator's mask of the node with the atom
+    replaced by a set atom, and what does not contain the atom is labelled once."""
 
     X = F.Atom("x")
 
+    @staticmethod
+    def lane_masks(ev, phi, atom):
+        """phi's mask on ev's structure under labelings 0 .. 2^n-1 of atom."""
+        lanes = _LaneSweep(ev, phi, atom)
+        return [m for base, width in _chunks(ev.k.n) for m in _transpose(lanes.lanes(base, width), width)]
+
     def test_relabelling_matches_a_fresh_evaluator(self, rng):
         x = self.X
-        for _ in range(30):
-            k = rand_kripke(rng, 6)
+        for _ in range(20):
+            k = rand_kripke(rng, 8)
             phi = rand_ctl(rng, ["p", "q", "x"], 4)
             path = F.PathE(F.And(F.Globally(F.Future(x)), rand_path(rng, ["p", "x"], 2)))
-            ev = _Evaluator(k)
-            masks = list(range(1 << k.n))
-            rng.shuffle(masks)
-            for i, mask in enumerate(masks):
-                ev.assign(x, mask)
-                here = F.SetAtom(k.name, k.names_of(mask), ref=k)
-                for f in [phi, path][: 1 + i % 2]:  # the path formula is first labelled mid-sweep
-                    assert ev.states(f) == eval_mask(k, F.substitute(f, x, here)), F.render_formula(f)
-                assert check_ctl_star(k, phi, evaluator=ev) == check_ctl_star(k, F.substitute(phi, x, here))
+            ev = _Evaluator(k)  # shared: the later sweeps find earlier labels in its memo
+            for f in (phi, path, F.Or(path, phi)):
+                got = self.lane_masks(ev, f, x)
+                assert len(got) == 1 << k.n
+                for mask, m in enumerate(got):
+                    here = F.SetAtom(k.name, k.names_of(mask), ref=k)
+                    assert m == eval_mask(k, F.substitute(f, x, here)), F.render_formula(f)
 
-    def test_hole_free_tableau_graphs_are_kept(self, fx):
+    def test_hole_free_tableau_graphs_are_kept(self, fx, monkeypatch):
         k = fx("M")
         fixed, moving = p("E (G F p & F !p)"), p("E (G F x & F !p)")
+        built = []
+
+        class Counting(mc.AtomGraph):
+            def __init__(self, k, pathform, *args):
+                built.append(pathform)
+                super().__init__(k, pathform, *args)
+
+        monkeypatch.setattr(mc, "AtomGraph", Counting)
         ev = _Evaluator(k)
-        ev.assign(self.X, 0)
-        ev.states(F.And(fixed, moving))
-        kept, dropped = ev.graph(fixed), ev.graph(moving)
-        ev.assign(self.X, 1)
-        assert ev.graph(fixed) is kept and ev.graph(moving) is not dropped
+        self.lane_masks(ev, F.And(fixed, moving), self.X)
+        kept = ev.graph(fixed)
+        assert built == [fixed.child] + [moving.child] * (1 << k.n)
+        assert ev.graph(fixed) is kept and moving not in ev._graphs
 
     def test_negated_hole_on_a_three_valued_structure(self):
         k = KripkeStructure("T", ("p",), ("s", "t"), ("s",), [("s", "t"), ("t", "s")],
                             {"s": {"p": True}, "t": {"p": M3}})
         ev = _Evaluator(k, definite=True)
         phi = F.nnf(p("AX (!x | p) & EX !x"))
-        for mask in range(4):
-            ev.assign(self.X, mask)
+        for mask, got in enumerate(self.lane_masks(ev, phi, self.X)):
             here = F.SetAtom(k.name, k.names_of(mask), ref=k)
-            assert ev.states(phi) == _Evaluator(k, definite=True).states(F.substitute(phi, self.X, here))
+            assert got == _Evaluator(k, definite=True).states(F.substitute(phi, self.X, here))
 
     def test_a_proposition_cannot_be_assigned(self, fx):
         with pytest.raises(EvalError, match="a proposition of"):
-            _Evaluator(fx("L")).assign(F.Atom("p"), 0)
+            _LaneSweep(_Evaluator(fx("L")), p("EX p"), F.Atom("p"))
+        with pytest.raises(EvalError, match="a proposition of"):
+            next(mc.sweep(fx("L"), p("EX p"), F.Atom("p")))

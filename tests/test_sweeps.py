@@ -4,12 +4,13 @@ substitute-and-check-per-mask oracles, and guards on the work per sweep."""
 import pytest
 
 from vacmc import formula as F
-from vacmc import qctl, three_valued, vacuity
+from vacmc import mc, qctl, three_valued, vacuity
 from vacmc.formula import parse_formula as p
+from vacmc.kleene import M3
 from vacmc.kripke import KripkeStructure, duplicate_m
 from vacmc.qctl import eval_bisimulation, eval_structural, eval_tree
 from vacmc.three_valued import vacuity_via_thorough
-from vacmc.vacuity import _variant_disagreement, decide_bisim_vacuity, structure_vacuous
+from vacmc.vacuity import _Query, _variant_disagreement, decide_bisim_vacuity, structure_vacuous
 
 from helpers import (
     oracle_eval_structural,
@@ -116,6 +117,80 @@ class TestStructureSweep:
         )
 
 
+# The hole x under every CTL operator in both polarities, nested and negated,
+# beside a set atom of K ({s0}@R) and under genuine path quantifiers.
+HOLES = [
+    "x",
+    "!x",
+    "EX x",
+    "AX !x",
+    "E[p U x]",
+    "A[x U q]",
+    "E[x R p]",
+    "A[p R !x]",
+    "EF (x & q)",
+    "AF !x",
+    "EG (x | p)",
+    "AG (x -> AX x)",
+    "!EG !(x & EX x)",
+    "E[(x | p) U (q & !x)] -> EF {s0}@R",
+    "A[!x U EX x] | AX (x -> q)",
+    "AG (EX x | AX !x) & EF ({s0}@R & !x)",
+]
+PATH_HOLES = ["E (G F x & F !p)", "A (x U (q R X x)) | EG x", "!E (X x & F (q & !x))"]
+
+
+def sized_kripke(rng, n, name="R"):
+    """A random structure of exactly n states, with several initial states when n > 1."""
+    states = [f"s{i}" for i in range(n)]
+    labels = {s: {"p": rng.random() < 0.5, "q": rng.random() < 0.5} for s in states}
+    trans = [(s, t) for s in states for t in rng.sample(states, rng.randint(1, min(n, 3)))]
+    init = rng.sample(states, rng.randint(1, max(1, n // 2)))
+    return KripkeStructure(name, ("p", "q"), states, init, trans, labels)
+
+
+class TestLaneSweep:
+    """mc.sweep against the substitute-and-check-per-mask oracle, mask by
+    mask; from 7 states on a sweep runs over more than one chunk."""
+
+    X = F.Atom("x")
+
+    def test_holes_match_the_oracle(self, rng):
+        for n in range(1, 11):
+            k = sized_kripke(rng, n)
+            texts = HOLES + (PATH_HOLES if n <= 8 else [])
+            for phi in [p(t) for t in texts] + [foreign_body(k)]:
+                want = list(oracle_sweep(k, phi, self.X))
+                assert list(mc.sweep(k, phi, self.X)) == want, (n, F.render_formula(phi))
+
+    def test_random_ctl_matches_the_oracle(self, rng):
+        for i in range(40):
+            k = sized_kripke(rng, 1 + i % 8)
+            phi = rand_ctl(rng, ["p", "q", "x"], 4)
+            assert list(mc.sweep(k, phi, self.X)) == list(oracle_sweep(k, phi, self.X)), F.render_formula(phi)
+
+    def test_a_resumed_sweep_finds_the_same_first_masks(self, rng):
+        for n in (3, 7, 9):
+            k = sized_kripke(rng, n)
+            for text in HOLES[2:] + PATH_HOLES[:1]:
+                body = p(text)
+                want = {}
+                for mask, holds in oracle_sweep(k, body, self.X):
+                    want.setdefault(holds, mask)
+                for order in ((True, False), (False, True)):
+                    q = _Query(k, body, "x")
+                    assert [q.first(v) for v in order] == [want.get(v) for v in order], (n, text)
+
+    def test_errors_match_the_oracle(self, fx):
+        three = KripkeStructure("T", ("p",), ("s", "t"), ("s",), [("s", "t"), ("t", "s")],
+                                {"s": {"p": True}, "t": {"p": M3}})
+        cases = [(three, p("EX x")), (fx("M"), p("AG (x -> AX z)")), (fx("M"), p("EF z & EX x")),
+                 (fx("M"), p("E (G F x & F z)"))]
+        for k, phi in cases:
+            got = _outcome(lambda: next(mc.sweep(k, phi, self.X)))
+            assert got == _outcome(lambda: next(oracle_sweep(k, phi, self.X))) and isinstance(got[0], str)
+
+
 class TestDecisionsMatchTheOracle:
     def test_decide_bisim_vacuity(self, rng, as_oracle):
         for k in structures(rng, 10, max_states=6):
@@ -194,6 +269,29 @@ class TestWorkPerSweep:
             assert counts == {"substitute": 0, "structures": 0}, n
             found = _variant_disagreement([k], p("EF x"), "x", True, 12)
             assert found.name == f"ring{n}^1" and counts["structures"] == 1
+
+    def test_lane_passes(self, monkeypatch):
+        """A 12-state CTL sweep takes 7 lane passes, each after the second as wide as
+        all before it, and labels only the hole-free nodes with masks, once."""
+        passes, labelled = [], []
+        lanes, label = mc._LaneSweep.lanes, mc._Evaluator._states
+
+        def counting_lanes(self, base, width):
+            passes.append((base, width))
+            return lanes(self, base, width)
+
+        def counting_states(self, f, operands):
+            labelled.append(f)
+            return label(self, f, operands)
+
+        monkeypatch.setattr(mc._LaneSweep, "lanes", counting_lanes)
+        monkeypatch.setattr(mc._Evaluator, "_states", counting_states)
+        k = self.ring(12)
+        phi = p("AG (EX x | AX !x) & E[p U (x & q)] & !EG (x -> EX (q | p))")
+        verdicts = list(mc.sweep(k, phi, F.Atom("x")))
+        assert [mask for mask, _ in verdicts] == list(range(4096))
+        assert passes == [(0, 64), (64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024), (2048, 2048)]
+        assert labelled == [p("p"), p("q"), p("q | p"), p("EX (q | p)")]
 
 
 class TestWorkPerQuery:
