@@ -19,14 +19,15 @@ from collections.abc import Set
 
 from .errors import KripkeError
 from .kleene import F3, M3, T3
-from .kripke import KripkeStructure, _gc_paused, mask_members
+from .kripke import KripkeStructure, _gc_paused, _initial, flags_mask, mask_flags, mask_members
 
 
 class Relation(Set):
     """Pairs (s, t) of states of two structures, named `left` and `right`.
 
-    rows[j] is the bitmask of left states related to right state j; `pairs`,
-    the frozenset of (s, t) name pairs, is built on first use.
+    rows[j] is the bitmask of left states related to right state j.  A
+    membership test reads one bit of a row; `pairs`, the frozenset of (s, t)
+    name pairs, is built on first use.
     """
 
     def __init__(self, k1, k2, rows):
@@ -45,7 +46,7 @@ class Relation(Set):
         return self._pairs
 
     def __contains__(self, pair):
-        return pair in self.pairs
+        return isinstance(pair, tuple) and len(pair) == 2 and self.related(*pair)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -57,7 +58,20 @@ class Relation(Set):
         return f"<Relation {self.left} -> {self.right}: {len(self)} pairs>"
 
     def related(self, s, t):
-        return (s, t) in self.pairs
+        i, j = self._k1._index.get(s), self._k2._index.get(t)
+        return i is not None and j is not None and self.rows[j] >> i & 1 == 1
+
+    def sorted_pairs(self):
+        """The [s, t] name lists of `pairs`, sorted by (s, t): each left
+        state's right names are gathered in name order, then the left states
+        are emitted in name order."""
+        left, right = self._k1.states, self._k2.states
+        columns = [[] for _ in left]
+        for j in sorted(range(len(right)), key=right.__getitem__):
+            t = right[j]
+            for i in mask_members(self.rows[j]):
+                columns[i].append(t)
+        return [[left[i], t] for i in sorted(range(len(left)), key=left.__getitem__) for t in columns[i]]
 
     def inverse(self):
         rows = [0] * self._k1.n
@@ -163,23 +177,29 @@ def quotient_bisim(k, over=None):
     """Quotient by the greatest auto-bisimulation; existential transition lift.
 
     Blocks are ordered by their first state and named {s,t,...} after their
-    states in k's order.
+    states in k's order; a block takes its first state's labels over `over`.
     """
     over = tuple(k.props) if over is None else tuple(over)
     ids, _ = _partition(k, k, over)
+    name = f"{k.name}/~"
+    if len(set(over)) != len(over):
+        raise KripkeError(f"{name}: duplicate proposition names")
     position = {}
-    blocks = []
-    for s, b in zip(k.states, ids):
-        if b not in position:
-            position[b] = len(blocks)
-            blocks.append([])
-        blocks[position[b]].append(s)
-    names = ["{" + ",".join(members) + "}" for members in blocks]
-    of = [names[position[b]] for b in ids]
-    init = dict.fromkeys(of[k.index(s)] for s in k.init)
-    labels = {name: {p: k.label3(members[0], p) for p in over} for name, members in zip(names, blocks)}
-    trans = {(of[i], of[j]) for j, into in enumerate(k.predecessors()) for i in into}
-    return KripkeStructure(f"{k.name}/~", over, names, init, trans, labels)
+    of = [position.setdefault(b, len(position)) for b in ids]
+    members = [[] for _ in position]
+    targets = [set() for _ in position]
+    for i, (b, row) in enumerate(zip(of, k.succ)):
+        members[b].append(i)
+        targets[b].update(map(of.__getitem__, row))
+    states = tuple("{" + ",".join(map(k.states.__getitem__, m)) + "}" for m in members)
+    index = {s: b for b, s in enumerate(states)}
+    if len(index) != len(states):  # names with commas can collide
+        raise KripkeError(f"{name}: duplicate state names")
+    init = _initial(name, [states[of[k.index(s)]] for s in k.init], index)
+    firsts = [m[0] for m in members]
+    masks = [{p: flags_mask(bytes(map(mask_flags(mask(p), k.n).__getitem__, firsts))) for p in over}
+             for mask in (k.true_mask, k.maybe_mask)]
+    return KripkeStructure._of(name, over, states, index, init, [sorted(t) for t in targets], *masks)
 
 
 # ---------------------------------------------------------------------------

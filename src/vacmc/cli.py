@@ -10,6 +10,8 @@ import json
 import os
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import formula as F
 from . import qctl, three_valued, vacuity
@@ -43,6 +45,37 @@ def _parse_order(text):
     return PropOrdering.from_props(items)
 
 
+def _dumps(obj, indent="\n"):
+    """json.dumps(obj, indent=2), byte for byte, for str-keyed trees.
+
+    With an indent, json falls back to its pure-Python encoder; here strings
+    go through its C quoting, and a list of equal-length rows of strings (a
+    relation) fills one %-template per row, all in one % with each distinct
+    cell quoted once.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{_quote(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if not isinstance(obj, (list, tuple)):
+        return _quote(obj) if isinstance(obj, str) else json.dumps(obj)
+    if not obj:
+        return "[]"
+    sep = "," + inner
+    kinds = set(map(type, obj))
+    if kinds == {str}:
+        body = sep.join(map(_quote, obj))
+    elif (kinds <= {list, tuple} and obj[0] and len(set(map(len, obj))) == 1
+          and set(map(type, chain.from_iterable(obj))) == {str}):
+        row = "[" + ",".join([inner + "  %s"] * len(obj[0])) + inner + "]"
+        distinct = set(chain.from_iterable(obj))
+        quoted = dict(zip(distinct, map(_quote, distinct)))
+        body = sep.join([row] * len(obj)) % tuple(map(quoted.__getitem__, chain.from_iterable(obj)))
+    else:
+        body = sep.join([_dumps(item, inner) for item in obj])
+    return "[" + inner + body + indent + "]"
+
+
 class _Report:
     def __init__(self, args, inputs):
         self.started = time.monotonic()
@@ -57,7 +90,7 @@ class _Report:
         self.data["result"] = result
         self.data["meta"]["elapsed_ms"] = round((time.monotonic() - self.started) * 1000, 3)
         if fmt == "json":
-            print(json.dumps(self.data, indent=2))
+            print(_dumps(self.data))
         else:
             for key, value in result.items():
                 if isinstance(value, (dict, list)):
@@ -121,7 +154,7 @@ def _cmd_relation(args):
     rel = (bisimilar_over if args.command == "bisim" else simulates_over)(k1, k2, over)
     result = {"value": rel is not None}
     if rel is not None:
-        result["relation"] = sorted([s, t] for s, t in rel.pairs)
+        result["relation"] = rel.sorted_pairs()
     report.finish(result, args.format)
     return 0
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from vacmc import formula as F
 from vacmc.bisim import (
@@ -126,6 +128,14 @@ class TestQuotient:
         q = quotient_bisim(fx("O"), ("p", "q"))
         assert q.n == 2 and isomorphic(q, fx("O")) is not None
 
+    def test_construction_errors_are_kept(self, fx):
+        with pytest.raises(KripkeError, match=r"^M/~: duplicate proposition names$"):
+            quotient_bisim(fx("M"), ("p", "p"))
+        k = KripkeStructure("C", ("p",), ["a", "b", "a,b"], ["a"], [(s, s) for s in ("a", "b", "a,b")],
+                            {"a": {"p": True}, "b": {"p": True}})
+        with pytest.raises(KripkeError, match=r"^C/~: duplicate state names$"):  # {a,b} twice
+            quotient_bisim(k)
+
     def test_quotient_preserves_verdicts(self, rng, fx):
         pool = [rand_ctl(rng, ("p", "q"), 3) for _ in range(25)]
         for name in ("O", "P", "U", "V", "Valpha"):
@@ -242,6 +252,39 @@ class TestRelationView:
         assert rel.related("a0", "b1") and not rel.related("a0", "nosuch")
         assert rel.inverse().pairs == {(t, s) for s, t in rel.pairs}
         assert (rel.left, rel.right) == ("L", "M")
+
+    def test_membership_reads_rows(self, fx):
+        rel = bisimilar_over(fx("L"), fx("M"), ("p",))
+        assert ("a0", "b1") in rel and ("b1", "a0") not in rel and ("a0", "nosuch") not in rel
+        assert ["a0", "b1"] not in rel and ("a0", "b1", "b1") not in rel and "a0" not in rel
+        assert rel._pairs is None  # no name pair was built to answer
+
+    @seed(20250810)
+    @settings(max_examples=150, database=None, deadline=None)
+    @given(st.data())
+    def test_sorted_pairs_and_membership_against_pairs(self, data):
+        """Names s0..s13 listed in a shuffled order: string order (s10 < s2)
+        differs from index order on both sides."""
+        k1 = data.draw(_named_structures("A"))
+        k2 = data.draw(st.sampled_from([None, 2, 3]).flatmap(
+            lambda m: _named_structures("B") if m is None else st.just(duplicate_m(k1, m))))
+        for rel in (greatest_bisimulation(k1, k2, ("p", "q")), greatest_simulation(k1, k2, ("p",)),
+                    greatest_simulation(k2, k1, ("p", "q"))):
+            assert rel.sorted_pairs() == sorted([s, t] for s, t in rel.pairs)
+            pairs = rel.pairs
+            left = [*rel._k1.states, "nosuch"]
+            right = [*rel._k2.states, "nosuch"]
+            assert all(rel.related(s, t) is ((s, t) in pairs) is ((s, t) in rel) for s in left for t in right)
+
+
+@st.composite
+def _named_structures(draw, name):
+    n = draw(st.integers(1, 14))
+    states = [f"s{i}" for i in draw(st.permutations(range(n)))]
+    trans = [(s, t) for s in states for t in draw(st.lists(st.sampled_from(states), min_size=1, max_size=3))]
+    labels = {s: {"p": draw(st.booleans()), "q": draw(st.booleans())} for s in states}
+    init = draw(st.lists(st.sampled_from(states), min_size=1, max_size=2))
+    return KripkeStructure(name, ("p", "q"), states, init, trans, labels)
 
 
 class TestScaling:

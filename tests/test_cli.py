@@ -1,7 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from vacmc import cli
 from vacmc.cli import main
@@ -162,6 +165,60 @@ class TestReports:
         code, out, _ = run(capsys, "table1")
         assert code == 0
         assert out == (GOLDEN / "table1.txt").read_text()
+
+
+# Reports whose serialised bytes are pinned: file stem and argv (run with --format json).
+GOLDEN_JSON = [
+    ("bisim_L_M", ("bisim", "L", "M", "--props", "p")),
+    ("simulates_Valpha_V", ("simulates", "Valpha", "V", "--props", "p,q")),
+    ("quotient_M", ("quotient", "M")),
+    ("check_P_lasso", ("check", "P", "E(X X G q)")),
+    ("vacuity_L_variant_witness", ("vacuity", "L", "AG ((AX p) | (AX !p)) | EF (p & !p)", "--sub", "p")),
+    ("qctl_M_chain_implication",
+     ("qctl", "M", "forall x . AG ((AX x) | (AX !x)) | EF (x & !x)", "--semantics", "bisim")),
+]
+
+
+class TestJsonLayout:
+    @pytest.mark.parametrize("stem,argv", GOLDEN_JSON, ids=[stem for stem, _ in GOLDEN_JSON])
+    def test_report_bytes_match_golden(self, capsys, monkeypatch, stem, argv):
+        monkeypatch.delenv("VACMC_SEED", raising=False)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert re.sub(r'("elapsed_ms": )[^,\n]*', r"\g<1>0", out) == (GOLDEN / f"{stem}.json").read_text()
+
+    def test_relation_is_sorted_by_left_then_right_name(self, capsys):
+        code, out, _ = run(capsys, "bisim", "M", "L", "--props", "p", "--format", "json")
+        assert code == 0 and json.loads(out)["result"]["relation"] == [["b0", "a0"], ["b1", "a0"]]
+
+
+_TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é€😀\ud800')) | st.text(max_size=6)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+
+
+def _rows(cells):
+    """Lists of rows: all of one length (the relation layout), or ragged."""
+    equal = st.integers(0, 3).flatmap(lambda w: st.lists(st.lists(cells, min_size=w, max_size=w), max_size=6))
+    return equal | equal.map(lambda rows: [tuple(r) for r in rows]) | st.lists(st.lists(cells, max_size=3))
+
+
+_JSON = st.recursive(
+    _SCALARS | _rows(_TEXT) | _rows(_SCALARS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestDumps:
+    @seed(20250810)
+    @settings(max_examples=400, database=None, deadline=None)
+    @given(_JSON)
+    def test_equals_json_dumps_indent_2(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_edge_layouts(self):
+        for obj in ([], {}, [[]], [[], []], [["a"], ["b", "c"]], [["a", 1]], ("x", "y"), {"k": [[["a"]]]}):
+            assert cli._dumps(obj) == json.dumps(obj, indent=2)
 
 
 class TestOneParser:
