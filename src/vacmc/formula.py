@@ -6,6 +6,12 @@ right-associative `->`; CTL pairs `AX EX AF EF AG EG`, `A[f U g]`,
 `E[f U g]`, `A[f R g]`, `E[f R g]`; CTL* `A(f)`, `E(f)` and path operators
 `X F G` (prefix), `U`, `R` (infix); set atoms `{s0,s1}@NAME`; at most one
 quantifier prefix `forall x .` / `exists x .` at the root.
+
+Every bottom-up pass over a formula (substitution, NNF, path erasure, the
+f/g encodings, the labelling of state subformulas) is one `fold`: a
+memoized post-order from an explicit stack.  The parser is the only
+recursive pass left; the scans that look down the tree (`subformulas`,
+polarity, fragment tests, `==`, the printer) use explicit stacks too.
 """
 
 import enum
@@ -176,6 +182,47 @@ def conj(items):
             continue
         out = f if out is None else And(out, f)
     return TRUE if out is None else out
+
+
+# ---------------------------------------------------------------------------
+# The bottom-up pass
+
+
+_READY = object()  # on the stack above an item whose operands' values are collected
+_MISSING = object()
+
+
+def fold(root, operands, combine, memo=None):
+    """The value of root, computed bottom-up over the items below it.
+
+    operands(item) gives the items whose values make item's, and
+    combine(item, values) computes it from their values in order (an item
+    without operands gets ()).  Every value computed goes into memo, and an
+    item found there is not expanded again: each distinct item (by equality,
+    so structurally for formulas) is combined once, and a memo passed in can
+    be shared between folds or start with values of its own.  The post-order
+    runs from an explicit stack, so depth is unbounded.
+    """
+    if memo is None:
+        memo = {}
+    stack, values = [root], []
+    while stack:
+        item = stack.pop()
+        if item is _READY:
+            item, n = stack.pop(), stack.pop()
+            value = memo[item] = combine(item, values[-n:])
+            del values[-n:]
+        else:
+            value = memo.get(item, _MISSING)
+            if value is _MISSING:
+                parts = operands(item)
+                if parts:
+                    stack += (len(parts), item, _READY)
+                    stack += reversed(parts)
+                    continue
+                value = memo[item] = combine(item, ())
+        values.append(value)
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,26 +505,10 @@ def _rebuild(f, new_children):
 def substitute(phi, psi, chi):
     """Replace every maximal occurrence of psi (structural equality) by chi.
 
-    Rebuilds bottom-up from an explicit stack, so depth is unbounded; a
-    subterm object shared in phi is rebuilt once.
+    A fold whose memo starts with psi -> chi, so an occurrence is never
+    expanded; a subterm that occurs more than once is rebuilt once.
     """
-    done = {}  # id(node) -> its rebuilt form
-    stack = [phi]
-    while stack:
-        f = stack[-1]
-        if id(f) in done:
-            stack.pop()
-        elif f == psi:
-            done[id(f)] = chi
-            stack.pop()
-        else:
-            pending = [c for c in f.children() if id(c) not in done]
-            if pending:
-                stack += pending
-            else:
-                stack.pop()
-                done[id(f)] = _rebuild(f, [done[id(c)] for c in f.children()])
-    return done[id(phi)]
+    return fold(phi, Formula.children, _rebuild, {psi: chi})
 
 
 def count_occurrences(phi, psi):
@@ -538,38 +569,27 @@ _NNF_DUAL = {And: Or, Or: And, PathA: PathE, PathE: PathA, Next: Next,
 def nnf(phi):
     """Push negations to the atoms; A/E, U/R, F/G dualities; expands ->.
 
-    The input must be quantifier-free.  Works from an explicit stack, so
-    formula depth is not bounded by the recursion limit.
+    The input must be quantifier-free.  A fold over (node, polarity) items:
+    the NNF of the node itself when polarity is True, of its negation when
+    False.
     """
     if isinstance(phi, QUANTIFIED):
         raise ValueError("nnf expects a quantifier-free formula")
-    done = {}  # (id(node), polarity) -> NNF of the node, or of its negation
-    stack = [(phi, True)]
-    while stack:
-        f, pos = stack[-1]
-        if (id(f), pos) in done:
-            stack.pop()
-            continue
-        operands = _nnf_operands(f, pos)
-        pending = [(c, p) for c, p in operands if (id(c), p) not in done]
-        if pending:
-            stack += reversed(pending)
-            continue
-        stack.pop()
-        done[id(f), pos] = _nnf_node(f, pos, [done[id(c), p] for c, p in operands])
-    return done[id(phi), True]
+    return fold((phi, True), _nnf_operands, _nnf_node)
 
 
-def _nnf_operands(f, pos):
-    """(operand, polarity) pairs whose NNFs make up the NNF of f (or of !f)."""
+def _nnf_operands(item):
+    """(operand, polarity) items whose NNFs make up the NNF of item."""
+    f, pos = item
     if isinstance(f, Not):
-        return [(f.child, not pos)]
+        return ((f.child, not pos),)
     if isinstance(f, Implies):
-        return [(f.left, not pos), (f.right, pos)]
-    return [(c, pos) for c in f.children()]
+        return ((f.left, not pos), (f.right, pos))
+    return tuple((c, pos) for c in f.children())
 
 
-def _nnf_node(f, pos, operands):
+def _nnf_node(item, operands):
+    f, pos = item
     if isinstance(f, Not):
         return operands[0]
     if isinstance(f, Implies):

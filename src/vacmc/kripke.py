@@ -248,12 +248,13 @@ class KripkeStructure:
     # -- equality -----------------------------------------------------------
 
     def _content(self):
+        """States, initial set, successor lists and each proposition's masks:
+        equal exactly when the name-level transitions and labels are."""
         return (
-            tuple(sorted(self.props)),
             self.states,
             frozenset(self.init),
-            frozenset(self.trans),
-            tuple(tuple(sorted(self.labels_of(s).items(), key=lambda kv: kv[0])) for s in self.states),
+            self.succ,
+            {p: (self._tmask[p], self._mmask[p]) for p in self.props},
         )
 
     def __eq__(self, other):
@@ -422,8 +423,8 @@ def remove_prop(k, prop):
     if prop not in k.props:
         raise KripkeError(f"{k.name}: cannot remove absent proposition {prop!r}")
     props = tuple(p for p in k.props if p != prop)
-    labels = {s: {p: v for p, v in k.labels_of(s).items() if p != prop} for s in k.states}
-    return KripkeStructure(k.name, props, k.states, k.init, k.trans, labels)
+    return KripkeStructure._of(k.name, props, k.states, k._index, k.init, k.succ,
+                               {p: k._tmask[p] for p in props}, {p: k._mmask[p] for p in props}, k._pred)
 
 
 class LazySequence(Sequence):
@@ -520,56 +521,62 @@ def validate_unrolling_map(u, x):
 # Isomorphism (used to compare constructions against fixtures)
 
 
+def _signatures(k, props):
+    """Each state's (true flags over props, maybe flags over props,
+    out-degree, initial flag), from one pass over each mask."""
+    n = k.n
+    columns = [mask_flags(k._tmask[p], n) for p in props] + [mask_flags(k._mmask[p], n) for p in props]
+    return list(zip(*columns, map(len, k.succ), mask_flags(k.init_mask, n)))
+
+
 def isomorphic(k1, k2):
-    """A label/transition/init preserving bijection, or None."""
+    """A label/transition/init preserving bijection, or None: depth-first
+    backtracking over k1's states, fewest candidates first, without
+    recursion; a candidate is one of k2's states with the same signature
+    whose edges to the states mapped so far match."""
     if set(k1.props) != set(k2.props) or k1.n != k2.n or len(k1.init) != len(k2.init):
         return None
-    if len(k1.trans) != len(k2.trans):
+    if sum(map(len, k1.succ)) != sum(map(len, k2.succ)):
         return None
+    props = sorted(k1.props)
+    by_sig = {}
+    for j, sig in enumerate(_signatures(k2, props)):
+        by_sig.setdefault(sig, []).append(j)
+    candidates = [by_sig.get(sig, ()) for sig in _signatures(k1, props)]
+    order = sorted(range(k1.n), key=lambda i: len(candidates[i]))
+    succ1, pred1, succ2, pred2 = k1.succ, k1.predecessors(), k2.succ, k2.predecessors()
+    image = [-1] * k1.n  # k1 state -> its k2 state, or -1
+    used = bytearray(k2.n)
 
-    def sig(k, s):
-        i = k.index(s)
-        return (
-            tuple(sorted((p, k.label3(s, p).value) for p in k.props)),
-            len(k.succ[i]),
-            s in k.init,
-        )
-
-    candidates = {s: [t for t in k2.states if sig(k2, t) == sig(k1, s)] for s in k1.states}
-    order = sorted(k1.states, key=lambda s: len(candidates[s]))
-    mapping = {}
-    used = set()
-    trans1 = set(k1.trans)
-    trans2 = set(k2.trans)
-
-    def ok(s, t):
-        for s2, t2 in mapping.items():
-            if ((s, s2) in trans1) != ((t, t2) in trans2):
-                return False
-            if ((s2, s) in trans1) != ((t2, t) in trans2):
-                return False
-        if ((s, s) in trans1) != ((t, t) in trans2):
+    def fits(i, j):
+        if (i in succ1[i]) != (j in succ2[j]):
             return False
+        for rows1, rows2 in ((succ1, succ2), (pred1, pred2)):
+            if {image[a] for a in rows1[i] if image[a] >= 0} != {b for b in rows2[j] if used[b]}:
+                return False
         return True
 
-    def search(idx):
-        if idx == len(order):
-            return True
-        s = order[idx]
-        for t in candidates[s]:
-            if t in used or not ok(s, t):
-                continue
-            mapping[s] = t
-            used.add(t)
-            if search(idx + 1):
-                return True
-            del mapping[s]
-            used.discard(t)
-        return False
-
-    if search(0):
-        return dict(mapping)
-    return None
+    tried = [0] * k1.n  # candidates of order[depth] already tried
+    depth = 0
+    while 0 <= depth < k1.n:
+        i = order[depth]
+        if image[i] >= 0:  # back from a dead end below: undo this state's choice
+            used[image[i]] = 0
+            image[i] = -1
+        cands, c = candidates[i], tried[depth]
+        while c < len(cands) and (used[cands[c]] or not fits(i, cands[c])):
+            c += 1
+        if c == len(cands):
+            tried[depth] = 0
+            depth -= 1
+        else:
+            tried[depth] = c + 1
+            image[i] = cands[c]
+            used[cands[c]] = 1
+            depth += 1
+    if depth < 0:
+        return None
+    return {k1.states[i]: k2.states[image[i]] for i in order}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ structure: EX is pre(mask), E[l U r] is a worklist from r through l, E[l R r]
 drops the states of r & ~l whose successors have all been dropped, counting
 them down per state, and the A-forms are complements of E-forms.  The
 worklists keep bytearray flags and turn them into one mask at the end.
-Subformulas are evaluated bottom-up from an explicit stack.
+Subformulas are labelled by `formula.fold`, the one bottom-up pass over
+formulas, so depth is unbounded; the parser is the only recursive pass left.
 
 Genuine path formulas are decided in the automata-theoretic style
 (Vardi-Wolper): a path formula's closure automaton (`_Closure`) does not
@@ -32,6 +33,7 @@ from .errors import EvalError
 from .kripke import flags_mask, mask_flags, mask_members
 
 _TEMPORAL = (F.Next, F.Until, F.Release, F.Future, F.Globally)
+_CONNECTIVES = (F.Not, F.And, F.Or, F.Implies)
 _NOT, _AND, _OR, _IMPLIES, _X, _U, _R, _F, _G = range(9)
 _CODE = {F.Not: _NOT, F.And: _AND, F.Or: _OR, F.Implies: _IMPLIES,
          F.Next: _X, F.Until: _U, F.Release: _R, F.Future: _F, F.Globally: _G}
@@ -50,23 +52,10 @@ class StateSet:
 
 def _state_nodes(root):
     """is_state_formula of every node of root down to its path quantifiers,
-    in one bottom-up pass (asking it node by node from the top is quadratic)."""
+    in one fold (asking it node by node from the top is quadratic)."""
     state = {}
-    stack = [root]
-    while stack:
-        f = stack[-1]
-        if f in state:
-            stack.pop()
-        elif isinstance(f, F.STATE_LEAVES):
-            state[f] = True
-            stack.pop()
-        else:
-            todo = [c for c in f.children() if c not in state]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            state[f] = isinstance(f, (F.Not, F.And, F.Or, F.Implies)) and all(map(state.get, f.children()))
+    F.fold(root, lambda f: () if isinstance(f, F.STATE_LEAVES) else f.children(),
+           lambda f, parts: not parts or isinstance(f, _CONNECTIVES) and all(parts), state)
     return state
 
 
@@ -112,28 +101,20 @@ class _Closure:
         self.temporal = []     # temporal subformulas, in post-order
         self._leaf_pos = []    # position of each leaf
         self._ops = []         # (code, position, operand positions...) of the other positions
-        pos = {}
-        stack = [(pathform, False)]
-        while stack:
-            f, expanded = stack.pop()
-            if f in pos:
-                continue
-            if state[f]:
-                self._leaf_pos.append(len(pos))
-                pos[f] = len(pos)
-                self.leaves.append(f)
-            elif not expanded:
-                if type(f) not in _CODE:
-                    raise EvalError(f"not a path formula: {F.render_formula(f)}")
-                stack.append((f, True))
-                stack += ((c, False) for c in reversed(f.children()))
-            else:
-                self._ops.append((_CODE[type(f)], len(pos), *(pos[c] for c in f.children())))
-                pos[f] = len(pos)
+
+        def position(f, operands):
+            p = len(self._leaf_pos) + len(self._ops)
+            if operands:
+                self._ops.append((_CODE[type(f)], p, *operands))
                 if isinstance(f, _TEMPORAL):
                     self.temporal.append(f)
-        self.npos = len(pos)
-        self.root = 1 << pos[pathform]
+            else:
+                self._leaf_pos.append(p)
+                self.leaves.append(f)
+            return p
+
+        self.root = 1 << F.fold(pathform, lambda f: () if state[f] else f.children(), position)
+        self.npos = len(self._leaf_pos) + len(self._ops)
         # (code, position bit, left bit, right bit) of each temporal position in
         # order; a unary operator's child is both its left and its right.
         self._steps = [(code, 1 << p, 1 << a[0], 1 << a[-1]) for code, p, *a in self._ops if code >= _X]
@@ -425,9 +406,6 @@ class AtomGraph:
         return path
 
 
-_READY = object()
-
-
 def _ctl_operands(c):
     """The state operands of a CTL-shaped path formula c, or None."""
     if isinstance(c, (F.Next, F.Future, F.Globally)):
@@ -484,31 +462,10 @@ class _Evaluator(_Duality):
         self._graphs = {}
 
     def states(self, phi):
-        memo = self.memo
-        got = memo.get(phi)
-        if got is not None:
-            return got
-        # Explicit post-order over the state-subformula DAG.  A node goes back
-        # on the stack under _READY with its operand count, and is labelled
-        # once its operands' masks have collected on top of `masks`.
-        stack, masks = [phi], []
-        while stack:
-            f = stack.pop()
-            if f is _READY:
-                f, n = stack.pop(), stack.pop()
-                mask = memo[f] = self._states(f, masks[-n:])
-                del masks[-n:]
-            else:
-                mask = memo.get(f)
-                if mask is None:
-                    operands = self._operands(f)
-                    if operands:
-                        stack += (len(operands), f, _READY)
-                        stack += reversed(operands)
-                        continue
-                    mask = memo[f] = self._states(f, ())
-            masks.append(mask)
-        return masks[0]
+        """phi's state mask: a fold over its state subformulas, in self.memo
+        (read first: a sweep asks once per labeling for a root it stored)."""
+        got = self.memo.get(phi)
+        return got if got is not None else F.fold(phi, self._operands, self._states, self.memo)
 
     def _operands(self, phi):
         """The operands of a connective, or the state subformulas under a path
@@ -701,24 +658,19 @@ class _LaneSweep(_Duality):
             raise EvalError(f"cannot assign {atom.name!r}: a proposition of {k.name!r}")
         self.ev, self.k, self.phi, self.atom = ev, k, phi, atom
         self.nodes = []
-        dependent, memo = {atom}, ev.memo
-        stack = [phi]
-        while stack:
-            f = stack.pop()
-            if f is _READY:
-                f, operands = stack.pop(), stack.pop()
-                if any(o in dependent for o in operands):
-                    dependent.add(f)
-                    self.nodes.append((f, operands))
-                else:
-                    ev.states(f)
-            elif f not in dependent and f not in memo:
-                operands = ev._operands(f)
-                if operands:
-                    stack += (operands, f, _READY)
-                    stack += reversed(operands)
-                else:
-                    ev.states(f)
+        operands = {}
+
+        def expand(f):  # once per node: the fold combines it before it can come up again
+            return operands.setdefault(f, () if f in ev.memo else ev._operands(f))
+
+        def depends(f, parts):
+            if any(parts):
+                self.nodes.append((f, operands[f]))
+                return True
+            ev.states(f)
+            return False
+
+        F.fold(phi, expand, depends, {atom: True})
 
     def lanes(self, base, width):
         """The root's lanes in the chunk of labelings base .. base+width-1."""

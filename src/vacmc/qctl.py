@@ -75,9 +75,8 @@ def eval_bisimulation(k, q, bound=20, variant_bound=12, env=None):
 
 def pathify(phi):
     """Erase every path quantifier; sound on unary computation trees."""
-    if isinstance(phi, (F.PathA, F.PathE)):
-        return pathify(phi.child)
-    return F._rebuild(phi, [pathify(c) for c in phi.children()])
+    return F.fold(phi, F.Formula.children,
+                  lambda f, parts: parts[0] if isinstance(f, (F.PathA, F.PathE)) else F._rebuild(f, parts))
 
 
 def _tree_forall(question):

@@ -89,20 +89,16 @@ def _imp(a, b):
     return F.Implies(a, b)
 
 
-def _flatten_and(f, out):
-    if isinstance(f, F.And):
-        _flatten_and(f.left, out)
-        _flatten_and(f.right, out)
-    else:
-        out.append(f)
-
-
 def _conj(items):
     """Conjunction with constant folding and absorption of a conjunct that a
     sibling EG conjunct entails (EG c implies c at the same state)."""
-    ordered = []
-    for f in items:
-        _flatten_and(f, ordered)
+    ordered, todo = [], list(reversed(items))
+    while todo:
+        f = todo.pop()
+        if isinstance(f, F.And):
+            todo += (f.right, f.left)
+        else:
+            ordered.append(f)
     eg_bodies = {
         g.child.child
         for g in ordered
@@ -123,90 +119,65 @@ def _x_pow(body, n):
     return body
 
 
+def _translate(psi, o, z, power, quantifier):
+    """The f or g translation of psi, a fold from the leaves up: literal p
+    (or !p) becomes the probe "some successor has z, and every one that has
+    it reaches z (or !z) after o(p) `power` steps"; a path quantifier f
+    becomes quantifier(f, translated child, !z); every other node keeps its
+    type over its translated operands."""
+    zat = F.Atom(z)
+
+    def combine(f, parts):
+        literal = f.child if isinstance(f, F.Not) else f
+        if isinstance(literal, F.Atom):
+            tail = zat if literal is f else F.Not(zat)
+            return F.And(F.PathE(F.Next(zat)), F.PathA(F.Next(_imp(zat, power(tail, o(literal.name))))))
+        if isinstance(f, (F.PathA, F.PathE)):
+            return quantifier(f, parts[0], F.Not(zat))
+        if isinstance(f, (F.SetAtom,) + F.QUANTIFIED):
+            raise EvalError(f"no f/g translation of {F.render_formula(f)}")
+        return F._rebuild(f, parts)
+
+    return F.fold(psi, lambda f: () if isinstance(f, F.Not) and isinstance(f.child, F.Atom) else f.children(),
+                  combine)
+
+
+def _ctl_quantifier(f, c, nz):
+    """f's rule for a CTL quantifier f whose temporal child translates to c:
+    every step it takes stays off the markers (!z)."""
+    if isinstance(c, F.Future):
+        c = F.Until(F.TRUE, c.child)
+    elif isinstance(c, F.Globally):
+        c = F.Release(F.FALSE, c.child)
+    if isinstance(c, F.Next):
+        if isinstance(f, F.PathE):
+            return F.PathE(F.Next(_conj([nz, c.child])))
+        return F.And(F.PathE(F.Next(nz)), F.PathA(F.Next(_imp(nz, c.child))))
+    if isinstance(f, F.PathE):
+        return F.PathE(type(c)(_conj([nz, c.left]), _conj([nz, c.right])))
+    return F.And(F.PathE(F.Globally(nz)), F.PathA(type(c)(_imp(nz, c.left), _imp(nz, c.right))))
+
+
+def _path_quantifier(f, c, nz):
+    """g's rule for a path quantifier f whose path child translates to c: the
+    paths that never enter a marker (G !z)."""
+    if isinstance(f, F.PathE):
+        return F.PathE(F.And(F.Globally(nz), c))
+    return F.And(F.PathE(F.Globally(nz)), F.PathA(F.Implies(F.Globally(nz), c)))
+
+
 def f_translate_ctl(psi, o, z="z"):
     """CTL formula over o's domain to an equisatisfiable CTL formula over z."""
     if not F.is_ctl(psi):
         raise EvalError("f translation is defined for CTL formulas")
-    zat = F.Atom(z)
-    nz = F.Not(zat)
-    eg_nz = F.PathE(F.Globally(nz))
-
-    def probe(p, positive):
-        tail = zat if positive else F.Not(zat)
-        return F.And(F.PathE(F.Next(zat)), F.PathA(F.Next(_imp(zat, _ax_pow(tail, o(p))))))
-
-    def go(f):
-        if isinstance(f, F.Atom):
-            return probe(f.name, True)
-        if isinstance(f, F.Not) and isinstance(f.child, F.Atom):
-            return probe(f.child.name, False)
-        if isinstance(f, (F.TrueConst, F.FalseConst)):
-            return f
-        if isinstance(f, F.Not):
-            return F.Not(go(f.child))
-        if isinstance(f, (F.And, F.Or, F.Implies)):
-            return type(f)(go(f.left), go(f.right))
-        if isinstance(f, (F.PathA, F.PathE)):
-            c = f.child
-            if isinstance(c, F.Future):
-                c = F.Until(F.TRUE, c.child)
-            elif isinstance(c, F.Globally):
-                c = F.Release(F.FALSE, c.child)
-            if isinstance(c, F.Next):
-                if isinstance(f, F.PathE):
-                    return F.PathE(F.Next(_conj([nz, go(c.child)])))
-                return F.And(F.PathE(F.Next(nz)), F.PathA(F.Next(_imp(nz, go(c.child)))))
-            node = type(c)
-            if isinstance(f, F.PathE):
-                return F.PathE(node(_conj([nz, go(c.left)]), _conj([nz, go(c.right)])))
-            return F.And(eg_nz, F.PathA(node(_imp(nz, go(c.left)), _imp(nz, go(c.right)))))
-        raise EvalError("f translation hit a non-CTL node")
-
-    return go(psi)
+    return _translate(psi, o, z, _ax_pow, _ctl_quantifier)
 
 
 def g_translate_ctl_star(psi, o, z="z"):
     """CTL* state formula over o's domain to one over z alone."""
     if not F.is_state_formula(psi) or isinstance(psi, F.QUANTIFIED):
         raise EvalError("g translation is defined for quantifier-free CTL* state formulas")
-    zat = F.Atom(z)
-    nz = F.Not(zat)
-
-    def probe(p, positive):
-        tail = zat if positive else F.Not(zat)
-        return F.And(F.PathE(F.Next(zat)), F.PathA(F.Next(_imp(zat, _x_pow(tail, o(p))))))
-
-    def state(f):
-        if isinstance(f, F.Atom):
-            return probe(f.name, True)
-        if isinstance(f, F.Not) and isinstance(f.child, F.Atom):
-            return probe(f.child.name, False)
-        if isinstance(f, (F.TrueConst, F.FalseConst)):
-            return f
-        if isinstance(f, F.Not):
-            return F.Not(state(f.child))
-        if isinstance(f, (F.And, F.Or, F.Implies)):
-            return type(f)(state(f.left), state(f.right))
-        if isinstance(f, F.PathE):
-            return F.PathE(F.And(F.Globally(nz), path(f.child)))
-        if isinstance(f, F.PathA):
-            return F.And(F.PathE(F.Globally(nz)), F.PathA(F.Implies(F.Globally(nz), path(f.child))))
-        raise EvalError("g translation hit an unsupported node")
-
-    def path(f):
-        if F.is_state_formula(f):
-            return state(f)
-        if isinstance(f, F.Not):
-            return F.Not(path(f.child))
-        if isinstance(f, (F.And, F.Or, F.Implies)):
-            return type(f)(path(f.left), path(f.right))
-        if isinstance(f, (F.Next, F.Future, F.Globally)):
-            return type(f)(path(f.child))
-        if isinstance(f, (F.Until, F.Release)):
-            return type(f)(path(f.left), path(f.right))
-        raise EvalError("g translation hit an unsupported path node")
-
-    return state(psi)
+    return _translate(psi, o, z, _x_pow, _path_quantifier)
 
 
 def decode_single_prop(m, props, o, z="z"):

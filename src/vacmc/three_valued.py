@@ -61,8 +61,8 @@ def lift_kx(k, x):
         raise KripkeError("lift_kx expects a classical structure")
     if x in k.props:
         raise KripkeError(f"{k.name}: proposition {x!r} already present")
-    labels = {s: {**k.labels_of(s), x: M3} for s in k.states}
-    return KripkeStructure(f"{k.name}_{x}", k.props + (x,), k.states, k.init, k.trans, labels)
+    return KripkeStructure._of(f"{k.name}_{x}", k.props + (x,), k.states, k._index, k.init, k.succ,
+                               {**k._tmask, x: 0}, {**k._mmask, x: k.full_mask}, k._pred)
 
 
 def labeling_completions(k3, bound=20):

@@ -344,9 +344,9 @@ def prop_simplify(phi, k, selector=None, env=None):
         if not F.is_state_formula(f):
             raise EvalError(f"selector picks a path formula: {F.render_formula(f)}")
 
-    def go(f):
-        if isinstance(f, F.PathE) if targets is None else f in targets:
-            return F.SetAtom(k.name, eval_states(k, f, env).names, ref=k)
-        return F._rebuild(f, [go(c) for c in f.children()])
+    def selected(f):
+        return isinstance(f, F.PathE) if targets is None else f in targets
 
-    return go(phi)
+    return F.fold(phi, lambda f: () if selected(f) else f.children(),
+                  lambda f, parts: F.SetAtom(k.name, eval_states(k, f, env).names, ref=k) if selected(f)
+                  else F._rebuild(f, parts))

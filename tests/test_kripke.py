@@ -28,6 +28,7 @@ from vacmc.kripke import (
 )
 
 from vacmc.mc import check_ctl_star
+from vacmc.three_valued import lift_kx
 
 from helpers import (
     OracleKripkeStructure,
@@ -300,6 +301,20 @@ class TestIsomorphic:
         assert isomorphic(fx("L"), fx("M")) is None
         assert isomorphic(fx("V"), fx("Valpha")) is None
 
+    def test_a_long_chain_of_binary_labels(self):
+        """1100 states, state i labelled with i in binary over 11 propositions,
+        against a renamed copy: deeper than the recursion limit."""
+        n, props = 1100, tuple(f"b{j}" for j in range(11))
+
+        def chain(prefix, last):
+            states = [f"{prefix}{i}" for i in range(n)]
+            trans = [(states[i], states[i + 1]) for i in range(n - 1)] + [(states[-1], states[last])]
+            labels = {s: {b: bool(i >> j & 1) for j, b in enumerate(props)} for i, s in enumerate(states)}
+            return KripkeStructure(prefix, props, states, states[:1], trans, labels)
+
+        assert isomorphic(chain("s", n - 1), chain("t", n - 1)) == {f"s{i}": f"t{i}" for i in range(n)}
+        assert isomorphic(chain("s", n - 1), chain("t", 0)) is None
+
 
 # ---------------------------------------------------------------------------
 # Index lists against the name-level oracles
@@ -408,6 +423,27 @@ class TestIndexLists:
             restrict_init(k, ("zz",))
         with pytest.raises(KripkeError, match="empty set of initial states"):
             restrict_init(k, ())
+
+    def test_label_copies_and_equality_match_the_name_level(self, rng):
+        """remove_prop and lift_kx copy label masks; == and structurally_equal
+        compare masks and successor lists, and see one changed label or
+        transition exactly as the name-level transitions and labels do."""
+        for trial in range(60):
+            k = KripkeStructure(*rand_parts(rng, 12, maybe=0.3 if trial % 2 else 0.0))
+            name, props, states, init, trans, labels = _parts_of(k)
+            assert_same(remove_prop(k, "q"), OracleKripkeStructure(
+                name, ("p",), states, init, trans, {s: {"p": v["p"]} for s, v in labels.items()}))
+            if k.is_classical:
+                assert_same(lift_kx(k, "x"), OracleKripkeStructure(
+                    f"{name}_x", props + ("x",), states, init, trans, {s: {**v, "x": M3} for s, v in labels.items()}))
+            s, p = rng.choice(states), rng.choice(props)
+            flipped = dict(labels, **{s: dict(labels[s], **{p: F3 if labels[s][p] is T3 else T3})})
+            assert k != KripkeStructure(name, props, states, init, trans, flipped)
+            extra = [(s, t) for t in states if (s, t) not in k.trans][:1]
+            assert (k == KripkeStructure(name, props, states, init, [*trans, *extra], labels)) == (not extra)
+            renamed = KripkeStructure("E", props, states, init, reversed(trans), labels)
+            assert structurally_equal(k, renamed) and k != renamed
+            assert not structurally_equal(k, KripkeStructure(name, props[::-1] + ("r",), states, init, trans, labels))
 
     def test_colliding_product_names_are_rejected(self):
         # (a,b)x(c) and (a)x(b,c) are both named (a,b,c)
