@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import formula as F
 from . import qctl, three_valued, vacuity
 from .bisim import bisimilar_over, quotient_bisim, simulates_over
-from .errors import VacmcError
+from .errors import OrderingError, VacmcError
 from .kripke import load_fixture, parse_kripke, render_kripke
 from .mc import check_and_explain
 from .reductions import PropOrdering, decode_single_prop, ez_encode, f_translate_ctl, g_translate_ctl_star
@@ -40,7 +40,10 @@ def _parse_order(text):
         mapping = {}
         for item in items:
             p, _, i = item.partition("=")
-            mapping[p] = int(i)
+            try:
+                mapping[p] = int(i)
+            except ValueError as e:
+                raise OrderingError(str(e)) from None
         return PropOrdering(mapping)
     return PropOrdering.from_props(items)
 

@@ -35,3 +35,7 @@ class EnumerationBoundError(VacmcError):
 
 class EncodingError(VacmcError):
     """Single-proposition decoding failed: inconsistent or missing probes."""
+
+
+class OrderingError(VacmcError, ValueError):
+    """A proposition ordering is not a bijection onto 1..n or misses a proposition."""

@@ -9,9 +9,10 @@ quantifier prefix `forall x .` / `exists x .` at the root.
 
 Every bottom-up pass over a formula (substitution, NNF, path erasure, the
 f/g encodings, the labelling of state subformulas) is one `fold`: a
-memoized post-order from an explicit stack.  The parser is the only
-recursive pass left; the scans that look down the tree (`subformulas`,
-polarity, fragment tests, `==`, the printer) use explicit stacks too.
+memoized post-order from an explicit stack.  The parser is one loop over an
+operand stack and an operator stack; the scans that look down the tree
+(`subformulas`, the occurrence walk, fragment tests, `==`, the printer) use
+explicit stacks too, so no pass recurses.
 """
 
 import enum
@@ -262,129 +263,109 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+# Infix operators: token -> (precedence, right-associative, node).  A prefix
+# operator takes the operand after it alone, so it binds tighter than any of
+# them.  An open group is a barrier (0) that no reduction passes; inside
+# A[..] / E[..] the U or R that separates the operands waits above it (1).
+_INFIX_OPS = {"->": (2, True, Implies), "|": (3, False, Or), "&": (4, False, And),
+              "U": (5, True, Until), "R": (5, True, Release)}
+_TIGHT = 6
+_PREFIX_OPS = {"!": (Not,), "X": (Next,), "F": (Future,), "G": (Globally,)}
+_PREFIX_OPS.update({q + t: (quant,) + _PREFIX_OPS[t] for q, quant in (("A", PathA), ("E", PathE)) for t in "XFG"})
+# What closes an open group other than the root (END), as errors name it; "U"
+# is the first half of A[..] / E[..], which the first U or R at its level ends.
+_CLOSERS = {")": "')'", "]": "']'", "U": "'U' or 'R'"}
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _reduce(ops, values, prec):
+    """Apply the pending operators of precedence prec or more, top first."""
+    while ops[-1][0] >= prec:
+        p, node = ops.pop()
+        right = values.pop()
+        values.append(node(right) if p == _TIGHT else node(values.pop(), right))
 
-    def expect(self, kind, what=None):
-        tok = self.next()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {what or kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
 
-    def parse(self):
-        f = self.quantified()
-        tok = self.peek()
-        if tok[0] != "END":
-            raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return f
+def _expect_failed(what, tok):
+    return FormulaSyntaxError(f"expected {what!r}, found {tok[1] or 'end of input'!r}", tok[2])
 
-    def quantified(self):
-        kind, value, _ = self.peek()
-        if kind == "WORD" and value in ("forall", "exists"):
-            self.next()
-            var_tok = self.expect("WORD", "quantified variable")
-            if not _ATOM_RE.match(var_tok[1]):
-                raise FormulaSyntaxError(f"bad quantified variable {var_tok[1]!r}", var_tok[2])
-            self.expect(".", "'.'")
-            body = self.implies(False)
-            node = ForallProp if value == "forall" else ExistsProp
-            return node(var_tok[1], body)
-        return self.implies(False)
 
-    def implies(self, no_until):
-        left = self.disj(no_until)
-        if self.peek()[0] == "->":
-            self.next()
-            return Implies(left, self.implies(no_until))
-        return left
-
-    def disj(self, no_until):
-        f = self.conj(no_until)
-        while self.peek()[0] == "|":
-            self.next()
-            f = Or(f, self.conj(no_until))
-        return f
-
-    def conj(self, no_until):
-        f = self.until(no_until)
-        while self.peek()[0] == "&":
-            self.next()
-            f = And(f, self.until(no_until))
-        return f
-
-    def until(self, no_until):
-        f = self.unary()
-        kind, value, _ = self.peek()
-        if not no_until and kind == "WORD" and value in ("U", "R"):
-            self.next()
-            right = self.until(False)
-            return Until(f, right) if value == "U" else Release(f, right)
-        return f
-
-    def unary(self):
-        kind, value, pos = self.next()
-        if kind == "!":
-            return Not(self.unary())
-        if kind == "(":
-            f = self.implies(False)
-            self.expect(")", "')'")
-            return f
-        if kind == "SETATOM":
-            body, name = value.rsplit("@", 1)
-            states = [s.strip() for s in body[1:-1].split(",") if s.strip()]
-            return SetAtom(name, states)
-        if kind == "WORD":
-            if value in ("X", "F", "G"):
-                node = {"X": Next, "F": Future, "G": Globally}[value]
-                return node(self.unary())
-            if value in ("AX", "EX", "AF", "EF", "AG", "EG"):
-                quant = PathA if value[0] == "A" else PathE
-                node = {"X": Next, "F": Future, "G": Globally}[value[1]]
-                return quant(node(self.unary()))
-            if value in ("A", "E"):
-                quant = PathA if value == "A" else PathE
-                kind2, _, pos2 = self.peek()
-                if kind2 == "(":
-                    self.next()
-                    f = self.implies(False)
-                    self.expect(")", "')'")
-                    return quant(f)
-                if kind2 == "[":
-                    self.next()
-                    left = self.implies(True)
-                    op = self.expect("WORD", "'U' or 'R'")
-                    if op[1] not in ("U", "R"):
-                        raise FormulaSyntaxError(f"expected 'U' or 'R', found {op[1]!r}", op[2])
-                    right = self.implies(False)
-                    self.expect("]", "']'")
-                    return quant((Until if op[1] == "U" else Release)(left, right))
-                raise FormulaSyntaxError(f"expected '(' or '[' after {value!r}", pos2)
-            if value == "true":
-                return TRUE
-            if value == "false":
-                return FALSE
-            if value in ("forall", "exists"):
-                raise FormulaSyntaxError("quantifier allowed only at the root", pos)
-            if _ATOM_RE.match(value):
-                return Atom(value)
-            raise FormulaSyntaxError(f"unknown operator {value!r}", pos)
+def _leaf(kind, value, pos):
+    """The formula a token in operand position stands for alone."""
+    if kind == "SETATOM":
+        body, name = value.rsplit("@", 1)
+        return SetAtom(name, [s.strip() for s in body[1:-1].split(",") if s.strip()])
+    if kind != "WORD":
         raise FormulaSyntaxError(f"unexpected {value or 'end of input'!r}", pos)
+    if value in ("true", "false"):
+        return TRUE if value == "true" else FALSE
+    if value in ("forall", "exists"):
+        raise FormulaSyntaxError("quantifier allowed only at the root", pos)
+    if not _ATOM_RE.match(value):
+        raise FormulaSyntaxError(f"unknown operator {value!r}", pos)
+    return Atom(value)
 
 
 def parse_formula(text):
-    """Parse formula text into an AST; raises FormulaSyntaxError with position."""
-    return _Parser(text).parse()
+    """Parse formula text into an AST; raises FormulaSyntaxError with position.
+
+    One loop over the tokens with an operand stack and an operator stack,
+    driven by the operator tables above, so nesting depth is unbounded.
+    """
+    tokens = _tokenize(text)
+    i, quantifier = 0, None
+    if tokens[0][1] in ("forall", "exists"):
+        kind, var, pos = tokens[1]
+        if kind != "WORD":
+            raise _expect_failed("quantified variable", tokens[1])
+        if not _ATOM_RE.match(var):
+            raise FormulaSyntaxError(f"bad quantified variable {var!r}", pos)
+        if tokens[2][0] != ".":
+            raise _expect_failed("'.'", tokens[2])
+        i, quantifier = 3, ForallProp if tokens[0][1] == "forall" else ExistsProp
+    values, ops, closers = [], [(0, None)], ["END"]
+    operand = True  # the next token starts an operand
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if operand:
+            if value in _PREFIX_OPS:
+                ops += [(_TIGHT, node) for node in _PREFIX_OPS[value]]
+            elif value in ("(", "A", "E"):
+                opener = value
+                if value != "(":
+                    opener, _, at = tokens[i]
+                    i += 1
+                    if opener not in ("(", "["):
+                        raise FormulaSyntaxError(f"expected '(' or '[' after {value!r}", at)
+                    ops.append((_TIGHT, PathA if value == "A" else PathE))
+                ops.append((0, None))
+                closers.append(")" if opener == "(" else "U")
+            else:
+                values.append(_leaf(kind, value, pos))
+                operand = False
+            continue
+        closer = closers[-1]
+        if closer == "U" and value in ("U", "R"):
+            _reduce(ops, values, 1)
+            ops.append((1, _INFIX_OPS[value][2]))
+            closers[-1] = "]"
+        elif value in _INFIX_OPS:
+            prec, right_assoc, node = _INFIX_OPS[value]
+            _reduce(ops, values, prec + right_assoc)  # an equal right-associative one stays pending
+            ops.append((prec, node))
+        elif kind == closer:
+            _reduce(ops, values, 1)
+            del ops[-1], closers[-1]
+            if kind == "END":
+                return values[0] if quantifier is None else quantifier(tokens[1][1], values[0])
+            continue
+        elif closer == "END":
+            raise FormulaSyntaxError(f"trailing input {value!r}", pos)
+        elif closer == "U" and kind == "WORD":
+            raise FormulaSyntaxError(f"expected 'U' or 'R', found {value!r}", pos)
+        else:
+            raise _expect_failed(_CLOSERS[closer], tokens[i - 1])
+        operand = True
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +492,35 @@ def substitute(phi, psi, chi):
     return fold(phi, Formula.children, _rebuild, {psi: chi})
 
 
+def _occurrences(phi, psi):
+    """(parity, under E, under A) for each maximal occurrence of psi in phi.
+
+    Parity counts the negations above the occurrence, the left side of -> as
+    one.  A path quantifier above it counts as what nnf makes of it, its dual
+    at odd parity, so the flags place the occurrence inside an E or an A of
+    the negation normal form.
+    """
+    found = []
+    todo = [(phi, 0, False, False)]
+    while todo:
+        f, parity, in_e, in_a = todo.pop()
+        if f == psi:
+            found.append((parity, in_e, in_a))
+        elif isinstance(f, Not):
+            todo.append((f.child, parity ^ 1, in_e, in_a))
+        elif isinstance(f, Implies):
+            todo += ((f.left, parity ^ 1, in_e, in_a), (f.right, parity, in_e, in_a))
+        else:
+            if isinstance(f, (PathA, PathE)):
+                universal = isinstance(f, PathA) == (parity == 0)
+                in_e, in_a = in_e or not universal, in_a or universal
+            todo += ((c, parity, in_e, in_a) for c in f.children())
+    return found
+
+
 def count_occurrences(phi, psi):
     """Number of maximal occurrences of psi in phi."""
-    n = 0
-    todo = [phi]
-    while todo:
-        f = todo.pop()
-        if f == psi:
-            n += 1
-        else:
-            todo += f.children()
-    return n
+    return len(_occurrences(phi, psi))
 
 
 class Polarity(enum.Enum):
@@ -531,31 +530,13 @@ class Polarity(enum.Enum):
     ABSENT = "absent"
 
 
-def occurrence_polarity(phi, psi):
-    """Sign of psi's occurrences by parity of enclosing negations.
+_BY_PARITIES = {(): Polarity.ABSENT, (0,): Polarity.POSITIVE, (1,): Polarity.NEGATIVE, (0, 1): Polarity.MIXED}
 
-    Implies counts one negation on its left-hand side.  Maximal occurrences
-    only, matching substitute().
-    """
-    seen = set()
-    todo = [(phi, 0)]
-    while todo:
-        f, parity = todo.pop()
-        if f == psi:
-            seen.add(parity)
-        elif isinstance(f, Not):
-            todo.append((f.child, parity ^ 1))
-        elif isinstance(f, Implies):
-            todo += ((f.left, parity ^ 1), (f.right, parity))
-        else:
-            todo += ((c, parity) for c in f.children())
-    if not seen:
-        return Polarity.ABSENT
-    if seen == {0}:
-        return Polarity.POSITIVE
-    if seen == {1}:
-        return Polarity.NEGATIVE
-    return Polarity.MIXED
+
+def occurrence_polarity(phi, psi):
+    """Sign of psi's maximal occurrences by the parity of the negations above
+    them; the left side of -> counts as one."""
+    return _BY_PARITIES[tuple(sorted({parity for parity, _, _ in _occurrences(phi, psi)}))]
 
 
 # ---------------------------------------------------------------------------
@@ -670,23 +651,6 @@ def _contains_quantifier(f, kinds):
     return any(isinstance(g, kinds) for g in subformulas(f))
 
 
-_MARKER = Atom("__sub__")
-
-
-def _marker_outside(f, marker, scope):
-    """No occurrence of marker (or its negation) inside a `scope` quantifier."""
-    todo = [(f, False)]
-    while todo:
-        f, inside = todo.pop()
-        if f == marker or (isinstance(f, Not) and f.child == marker):
-            if inside:
-                return False
-        else:
-            inside = inside or isinstance(f, scope)
-            todo += ((c, inside) for c in f.children())
-    return True
-
-
 @dataclass(frozen=True)
 class Analysis:
     is_ctl: bool
@@ -706,20 +670,15 @@ def analyze(phi, psi=None):
     actl = not _contains_quantifier(n, PathE)
     ectl = not _contains_quantifier(n, PathA)
     ltl = isinstance(phi, PathA) and is_pure_path(phi.child)
-    if psi is None:
-        universal = existential = False
-    else:
-        marked = nnf(substitute(phi, psi, _MARKER))
-        universal = _marker_outside(marked, _MARKER, PathE)
-        existential = _marker_outside(marked, _MARKER, PathA)
+    found = () if psi is None else _occurrences(phi, psi)
     return Analysis(
         is_ctl=is_ctl(phi),
         is_ltl=ltl,
         is_actl_star=actl,
         is_ectl_star=ectl,
         size=formula_size(phi),
-        universal_in=universal,
-        existential_in=existential,
+        universal_in=psi is not None and not any(in_e for _, in_e, _ in found),
+        existential_in=psi is not None and not any(in_a for _, _, in_a in found),
     )
 
 

@@ -7,7 +7,7 @@ drops the states of r & ~l whose successors have all been dropped, counting
 them down per state, and the A-forms are complements of E-forms.  The
 worklists keep bytearray flags and turn them into one mask at the end.
 Subformulas are labelled by `formula.fold`, the one bottom-up pass over
-formulas, so depth is unbounded; the parser is the only recursive pass left.
+formulas, so depth is unbounded.
 
 Genuine path formulas are decided in the automata-theoretic style
 (Vardi-Wolper): a path formula's closure automaton (`_Closure`) does not

@@ -7,7 +7,7 @@ o(p) next-steps after the marker.  Verified by the round-trip tests.
 """
 
 from . import formula as F
-from .errors import EncodingError, EvalError, KripkeError
+from .errors import EncodingError, EvalError, KripkeError, OrderingError
 from .kripke import KripkeStructure
 from .mc import eval_mask
 
@@ -18,7 +18,7 @@ class PropOrdering:
     def __init__(self, mapping):
         values = sorted(mapping.values())
         if values != list(range(1, len(mapping) + 1)):
-            raise ValueError(f"ordering must be a bijection onto 1..{len(mapping)}: {mapping}")
+            raise OrderingError(f"ordering must be a bijection onto 1..{len(mapping)}: {mapping}")
         self.mapping = dict(mapping)
 
     @classmethod
@@ -29,7 +29,7 @@ class PropOrdering:
         try:
             return self.mapping[prop]
         except KeyError:
-            raise KeyError(f"proposition {prop!r} not in ordering") from None
+            raise OrderingError(f"proposition {prop!r} not in ordering") from None
 
     def prop_at(self, index):
         for p, i in self.mapping.items():
@@ -52,7 +52,7 @@ def ez_encode(k, o, z="z"):
     if z in k.props:
         raise KripkeError(f"encoding proposition {z!r} collides with a proposition of {k.name}")
     if set(o.props) != set(k.props):
-        raise ValueError("ordering domain must equal the structure's propositions")
+        raise OrderingError("ordering domain must equal the structure's propositions")
     n = len(o)
     states = [f"({s},{i})" for s in k.states for i in range(n + 2)]
     init = [f"({s},0)" for s in k.init]

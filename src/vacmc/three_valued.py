@@ -15,7 +15,7 @@ from .errors import EnumerationBoundError, EvalError, KripkeError
 from .kleene import F3, M3, T3
 from .kripke import KripkeStructure, LazySequence
 from .mc import _Evaluator
-from .vacuity import BISIM_ROUTES, VacuityStatus, VacuityVerdict, _Query, _status
+from .vacuity import BISIM_ROUTES, VacuityStatus, VacuityVerdict, _env_with, _Query, _status
 
 # re-exported: this module owns the 3-valued layer's public surface
 from .kleene import TruthValue3, and3, implies3, info_le, kleene, not3, or3, truth_le  # noqa: F401
@@ -114,7 +114,7 @@ def thorough_kx(k, x, phi, bound=20, variant_bound=12):
     x-bisimilar to K), or (None, bounds) when undecided."""
     if x not in F.atoms(phi):
         raise EvalError(f"{x!r} does not occur in the formula")
-    return _thorough(_Query(k, phi, x, bound, variant_bound))
+    return _thorough(_Query(k, phi, x, bound, variant_bound, _env_with(k, None)))
 
 
 def vacuity_via_thorough(phi, psi, k, bound=20, variant_bound=12):
@@ -124,7 +124,7 @@ def vacuity_via_thorough(phi, psi, k, bound=20, variant_bound=12):
     if x not in F.atoms(phix):
         # psi does not occur: the substitution is a no-op, thorough = classical.
         return VacuityVerdict(VacuityStatus.VACUOUS, "thorough", {"thorough": "definite"})
-    q = _Query(k, phix, x, bound, variant_bound)
+    q = _Query(k, phix, x, bound, variant_bound, _env_with(k, None))
     if q.compositional not in (None, "maybe"):
         return VacuityVerdict(VacuityStatus.VACUOUS, "compositional", {"compositional": q.compositional})
     v, bounds = _thorough(q)

@@ -76,10 +76,12 @@ class _Query:
     @functools.cached_property
     def compositional(self):
         """The compositional value of body on K_x ("true", "maybe" or "false"),
-        or None outside CTL."""
+        or None outside CTL or with a set atom."""
         from .three_valued import eval_compositional3, lift_kx
 
-        return eval_compositional3(lift_kx(self.k, self.x), self.body).value if F.is_ctl(self.body) else None
+        if not F.is_ctl(self.body) or any(isinstance(f, F.SetAtom) for f in F.subformulas(self.body)):
+            return None  # K_x is renamed: every set atom is foreign there
+        return eval_compositional3(lift_kx(self.k, self.x), self.body).value
 
     def first(self, verdict):
         """The first labeling of x on k (a mask) giving body `verdict`, or None;
@@ -180,12 +182,8 @@ def structure_vacuous(phi, psi, k, bound=20, env=None):
 
 
 def syntactic_monotone(phi, psi):
-    """Single occurrence, or pure polarity: guarantees monotonicity."""
-    n = F.count_occurrences(phi, psi)
-    if n == 1:
-        return True
-    pol = F.occurrence_polarity(phi, psi)
-    return pol in (F.Polarity.POSITIVE, F.Polarity.NEGATIVE)
+    """Pure polarity (a single occurrence has one): guarantees monotonicity."""
+    return F.occurrence_polarity(phi, psi) in (F.Polarity.POSITIVE, F.Polarity.NEGATIVE)
 
 
 def is_mon_vacuous(phi, psi, k, env=None):
@@ -282,9 +280,10 @@ def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, variant_b
     """Three-valued bisimulation-vacuity verdict with route and evidence: does
     phi[psi <- x] keep K's verdict on every structure x-bisimilar to K?"""
     env = _env_with(k, env)
-    if F.count_occurrences(phi, psi) == 0:
+    polarity = F.occurrence_polarity(phi, psi)
+    if polarity is F.Polarity.ABSENT:
         return VacuityVerdict(VacuityStatus.VACUOUS, "absent")
-    if syntactic_monotone(phi, psi):
+    if polarity is not F.Polarity.MIXED:  # syntactically monotone
         vt, vf = _constants(phi, psi, k, env)
         return VacuityVerdict(_status(vt == vf), "monotone", {"substituted_true": vt, "substituted_false": vf})
 

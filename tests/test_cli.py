@@ -58,6 +58,10 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "L", f"A({disj})", "--format", "json")
         assert code == 0 and json.loads(out)["result"]["witness"]["kind"] == "counterexample"
 
+    def test_ten_thousand_nested_operators(self, capsys):
+        code, out, _ = run(capsys, "check", "L", "AX " * 10_000 + "p")
+        assert code == 0 and "value: True" in out
+
     def test_parse_error_exits_one(self, capsys):
         code, _, err = run(capsys, "check", "L", "AG (p ->")
         assert code == 1 and "error:" in err
@@ -148,6 +152,20 @@ class TestTranslate:
         assert code == 0
         decoded = parse_kripke(json.loads(out)["result"]["kripke"])
         assert decoded.n == 2
+
+
+    BAD_ORDERINGS = [
+        ("f", "AG q", "--order", "p"),
+        ("f", "AG p", "--order", "p=x"),
+        ("g", "A(G p)", "--order", "p=2"),
+        ("ez", "V", "--order", "p"),
+        ("decode", "ezU", "--order", "p", "--props", "q"),
+    ]
+
+    @pytest.mark.parametrize("argv", BAD_ORDERINGS, ids=[" ".join(a) for a in BAD_ORDERINGS])
+    def test_a_bad_ordering_is_a_user_error(self, capsys, argv):
+        code, out, err = run(capsys, "translate", *argv)
+        assert code == 1 and out == "" and err.startswith("error: ") and "internal" not in err
 
 
 class TestReports:
@@ -253,10 +271,11 @@ class TestInternalErrors:
             code, out, err = run(capsys, *argv)
             assert (code, out, err) == (1, "", "error: internal RuntimeError: boom on two lines\n")
 
-    def test_a_parser_recursion_error_exits_one(self, capsys):
+    def test_a_deep_path_formula_is_refused_with_its_message(self, capsys):
         code, out, err = run(capsys, "check", "L", "E(" + "X " * 1000 + "p)")
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: path formula closure too large") and err.count("\n") == 1
+        assert "internal" not in err
 
     def test_vacmc_errors_keep_their_message(self, capsys):
         code, _, err = run(capsys, "check", "L", "AG (p ->")
@@ -306,6 +325,11 @@ ROUTES = [
     # past --bound the labelings are not swept, so the labeling bound is unknown
     (("vacuity", "L", "AG (AX p | EX !p)", "--sub", "p", "--via", "thorough", "--bound", "0"), 2,
      {"status": "unknown", "route": "thorough", "bounds": {"compositional": "maybe", "labeling": None}}),
+    # a set atom is foreign on the renamed K_x: no compositional bound, still a verdict
+    (("vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p"), 2,
+     {"status": "unknown", "route": "unknown", "bounds": {"compositional": None, "labeling_agreement": True}}),
+    (("vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p", "--via", "thorough"), 2,
+     {"status": "unknown", "route": "thorough", "bounds": {"compositional": None, "labeling": "true"}}),
     (("qctl", "L", "forall x . AG (x -> AX x)", "--semantics", "bisim"), 0,
      {"value": False, "route": "KParallelX"}),
     (("qctl", "M", "forall x . AG ((AX x) | (AX !x)) | EF (x & !x)", "--semantics", "bisim"), 0,

@@ -26,6 +26,24 @@ _FORMULAS = st.recursive(
 )
 
 
+_MARK = F.Atom("marker")
+
+
+def _paths_to(phi, psi):
+    """(parity of the negations above, node types above) for each maximal
+    occurrence of psi in phi; the left side of -> counts as a negation."""
+    out, todo = [], [(phi, 0, ())]
+    while todo:
+        f, parity, above = todo.pop()
+        if f == psi:
+            out.append((parity, above))
+            continue
+        for i, c in enumerate(f.children()):
+            flip = isinstance(f, F.Not) or (isinstance(f, F.Implies) and i == 0)
+            todo.append((c, parity ^ flip, above + (type(f),)))
+    return out
+
+
 def _kinds(phi, kinds):
     return [f for f in F.subformulas(phi) if isinstance(f, kinds)]
 
@@ -75,6 +93,29 @@ class TestFoldLaws:
     def test_pathify_leaves_no_path_quantifier(self, phi):
         assert not _kinds(pathify(phi), (F.PathA, F.PathE))
         assert pathify(phi) == pathify(pathify(phi))
+
+    @seed(20250810)
+    @settings(**SETTINGS)
+    @given(_FORMULAS)
+    def test_parse_inverts_render(self, phi):
+        assert F.parse_formula(F.render_formula(phi)) == phi
+
+    @seed(20250810)
+    @settings(**SETTINGS)
+    @given(_FORMULAS, st.data())
+    def test_occurrence_views_keep_their_definitions(self, phi, data):
+        psi = data.draw(st.sampled_from(sorted(F.subformulas(phi), key=F.render_formula) + [F.Atom("r")]))
+        marked = F.substitute(phi, psi, _MARK)
+        assert F.count_occurrences(phi, psi) == len(_paths_to(marked, _MARK))
+        parities = {parity for parity, _ in _paths_to(phi, psi)}
+        expected = {frozenset(): F.Polarity.ABSENT, frozenset({0}): F.Polarity.POSITIVE,
+                    frozenset({1}): F.Polarity.NEGATIVE, frozenset({0, 1}): F.Polarity.MIXED}
+        assert F.occurrence_polarity(phi, psi) is expected[frozenset(parities)]
+        an = F.analyze(phi, psi)
+        # scope: the marker lies outside every E (or A) of nnf(phi[psi <- marker])
+        scopes = [kinds for _, kinds in _paths_to(F.nnf(marked), _MARK)]
+        assert an.universal_in == all(F.PathE not in kinds for kinds in scopes)
+        assert an.existential_in == all(F.PathA not in kinds for kinds in scopes)
 
     def test_memo_shares_repeated_subterms(self):
         calls = []

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from vacmc import formula as F
@@ -75,6 +77,35 @@ class TestParse:
             p("AQ p")
         with pytest.raises(FormulaSyntaxError):
             p("p ? q")
+
+
+class TestDeepText:
+    """Formula texts 10,000 deep (3000 for A[..]) parse at the default recursion limit."""
+
+    N = 10_000
+    TEXTS = {
+        "AX": "AX " * N + "p",
+        "parentheses": "(" * N + "p" + ")" * N,
+        "implication chain": " -> ".join(["p"] * N),
+        "negations": "!" * N + "p",
+        "A[.. U ..]": "A[" * 3000 + "p" + " U q]" * 3000,
+    }
+
+    @pytest.mark.parametrize("name", TEXTS)
+    def test_parses_renders_and_round_trips(self, name):
+        assert sys.getrecursionlimit() <= 1000
+        f = p(self.TEXTS[name])
+        assert parse_formula(render_formula(f)) == f
+
+    def test_shapes(self):
+        f = p(self.TEXTS["A[.. U ..]"])
+        for _ in range(3000):
+            assert isinstance(f, F.PathA) and f.child.right == F.Atom("q")
+            f = f.child.left
+        assert f == F.Atom("p")
+        assert p(self.TEXTS["parentheses"]) == F.Atom("p")
+        assert render_formula(p(self.TEXTS["negations"])) == self.TEXTS["negations"]
+        assert render_formula(p(self.TEXTS["implication chain"])) == self.TEXTS["implication chain"]
 
 
 class TestRender:

@@ -136,6 +136,20 @@ class TestDecideBisimVacuity:
         v = decide_bisim_vacuity(p("EF (p & q & EG !q)"), F.Atom("q"), fx("V"))
         assert v.status is VacuityStatus.VACUOUS and v.route == "falx"
 
+    def test_a_set_atom_leaves_the_compositional_bound_out(self, fx):
+        from vacmc.three_valued import thorough_kx, vacuity_via_thorough
+
+        m = fx("M")
+        phi = p("AG ((AX p) | (EX !p)) | {b1}@M")
+        assert thorough_kx(m, "x", F.substitute(phi, PA, F.Atom("x"))) == (
+            None, {"compositional": None, "labeling": "true"})
+        v = decide_bisim_vacuity(phi, PA, m)
+        assert (v.status, v.route) == (VacuityStatus.UNKNOWN, "unknown")
+        assert v.bounds == {"compositional": None, "labeling_agreement": True}
+        v = vacuity_via_thorough(phi, PA, m)
+        assert (v.status, v.route) == (VacuityStatus.UNKNOWN, "thorough")
+        assert v.bounds == {"compositional": None, "labeling": "true"}
+
     def test_necessity_chain(self, rng, fx):
         # any theorem-backed Vacuous implies structure and constant vacuity
         checked = 0
