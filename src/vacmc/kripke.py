@@ -465,12 +465,16 @@ def restrict_init(k, inits):
 
 
 def reachable_part(k):
-    """Substructure on the states reachable from the initial ones."""
-    keep = set(k.names_of(k.reachable_mask()))
-    states = [s for s in k.states if s in keep]
-    trans = [(s, t) for s, t in k.trans if s in keep and t in keep]
-    labels = {s: k.labels_of(s) for s in states}
-    return KripkeStructure(k.name, k.props, states, k.init, trans, labels)
+    """Substructure on the states reachable from the initial ones, in k's
+    order: the kept rows renumbered, each label mask compressed to them."""
+    reach = k.reachable_mask()
+    keep, kept = mask_members(reach), mask_flags(reach, k.n)
+    renumber = dict(zip(keep, range(len(keep))))
+    states = tuple(k.states[i] for i in keep)
+    tmask, mmask = ({p: flags_mask(bytes(compress(mask_flags(m, k.n), kept))) for p, m in masks.items()}
+                    for masks in (k._tmask, k._mmask))
+    return KripkeStructure._of(k.name, k.props, states, {s: i for i, s in enumerate(states)}, k.init,
+                               [[renumber[j] for j in k.succ[i]] for i in keep], tmask, mmask)
 
 
 def is_deterministic(k):

@@ -22,15 +22,17 @@ A sweep over the labelings of one fresh atom labels a chunk of them at once,
 one bit per labeling (`_LaneSweep`): a subformula that contains the atom
 gets one int per state, whose bit j says whether it holds there under the
 chunk's j-th labeling, and the connectives and CTL fixpoints run on these
-lanes.  What does not contain the atom is labelled once, and a path
-quantifier keeps its closure automaton throughout.
+lanes.  What does not contain the atom is labelled once.  A path
+quantifier over the atom keeps its closure automaton throughout and builds
+one product per chunk, whose nodes are enabled on the lanes of their leaf
+signature; a fair-EG fixpoint over lanes (Emerson-Lei) decides the chunk.
 """
 
 from dataclasses import dataclass
 
 from . import formula as F
 from .errors import EvalError
-from .kripke import flags_mask, mask_flags, mask_members
+from .kripke import _predecessor_lists, flags_mask, mask_flags, mask_members
 
 _TEMPORAL = (F.Next, F.Until, F.Release, F.Future, F.Globally)
 _CONNECTIVES = (F.Not, F.And, F.Or, F.Implies)
@@ -209,6 +211,14 @@ class _Closure:
         return True
 
 
+def _bounded(closure):
+    """closure, refused before any of its tables is built when it has more
+    than AtomGraph.MAX_TEMPORAL temporal operators (2^T atoms per table)."""
+    if len(closure.temporal) > AtomGraph.MAX_TEMPORAL:
+        raise EvalError(f"path formula closure too large ({len(closure.temporal)} temporal operators)")
+    return closure
+
+
 class AtomGraph:
     """Product of a path formula's closure automaton with one structure.
 
@@ -224,12 +234,9 @@ class AtomGraph:
     MAX_TEMPORAL = 14
 
     def __init__(self, k, pathform, leaves, closure=None):
-        closure = closure or _Closure(pathform)
         self.k = k
-        self.closure = closure
+        self.closure = closure = _bounded(closure or _Closure(pathform))
         self.temporal = closure.temporal
-        if len(self.temporal) > self.MAX_TEMPORAL:
-            raise EvalError(f"path formula closure too large ({len(self.temporal)} temporal operators)")
         self._build(leaves)
 
     def _build(self, leaves):
@@ -648,8 +655,9 @@ class _LaneSweep(_Duality):
     with their operands; the evaluator `ev` labels the others once, when
     ev.states would reach them, and their masks are broadcast to lanes.
     Connectives work lane by lane, and CTL operators by worklists over the
-    lanes.  A genuine path quantifier takes its labelings one at a time
-    through the closure automaton that ev keeps.
+    lanes.  A genuine path quantifier decides the chunk from one product of
+    the closure automaton that ev keeps with k, by the same worklists over
+    the product's successor and predecessor lists.
     """
 
     def __init__(self, ev, phi, atom):
@@ -711,15 +719,52 @@ class _LaneSweep(_Duality):
         return self._fixpoint(f, args)
 
     def _path(self, phi, args):
-        """A genuine path quantifier, labeling by labeling: the product of its
-        closure automaton with k under the leaves' masks of each."""
-        k, ev = self.k, self.ev
-        closure = ev._closure(phi)
-        masks = []
-        for leaves in zip(*(_transpose(a, self.width) for a in args)):
-            mask = AtomGraph(k, closure.pathform, leaves, closure).e_mask()
-            masks.append(mask if isinstance(phi, F.PathE) else ev.full ^ mask)
-        return list(_transpose(masks, k.n))
+        """A genuine path quantifier over the whole chunk: one product of its
+        closure automaton with k.  At each state the lanes split by leaf
+        signature, and the atoms of each signature's table become nodes
+        enabled on its lanes; edges follow the tables' successor lists, which
+        do not depend on the labeling.  E c holds on lane j where a root
+        atom's node is in the fair EG of the enabled nodes (Emerson-Lei), the
+        greatest z <= en & EX E[z U (z & F_i)] for each obligation's F_i "not
+        owed or discharged": the laws keep an undischarged U/F and an unset
+        R/G uniform across an SCC, so this is AtomGraph's test."""
+        k, ones = self.k, self.ones
+        closure = _bounded(self.ev._closure(phi))
+        groups, at, vals, en = [], [], [], []  # groups[s]: (table, first node, lanes) per signature
+        for s in range(k.n):
+            split = [(0, ones)]
+            for i, leaf in enumerate(args):
+                on = leaf[s]
+                split = [g for sig, lane in split for g in ((sig | 1 << i, lane & on), (sig, lane & ~on)) if g[1]]
+            groups.append([])
+            for sig, lane in split:
+                tab = closure.table(sig)
+                groups[s].append((tab, len(vals), lane))
+                at += [s] * len(tab.vals)
+                vals += tab.vals
+                en += [lane] * len(tab.vals)
+        succ = [[] for _ in vals]
+        for s, row in enumerate(groups):
+            for t in k.succ[s]:
+                for tab, first, lane in row:
+                    for tab_t, first_t, lane_t in groups[t]:
+                        if lane & lane_t:
+                            for u, bs in enumerate(tab_t.successors(tab), first):
+                                succ[u] += map(first_t.__add__, bs)
+        pred = _predecessor_lists(succ)
+        fair = [[bool(v & p) != eventual or bool(v & target) == eventual for v in vals]
+                for p, target, eventual in closure._owed] or [[True] * len(vals)]
+        z, new = None, en
+        while new != z:
+            z = new
+            for f in fair:
+                reach = self._eu(z, [a if ok else 0 for a, ok in zip(z, f)], pred)
+                new = list(map(int.__and__, new, self._ex(reach, succ)))
+        e = [0] * k.n
+        for s, v, lane in zip(at, vals, z):
+            if v & closure.root:
+                e[s] |= lane
+        return e if isinstance(phi, F.PathE) else self._neg(e)
 
     def _neg(self, z):
         ones = self.ones
@@ -728,20 +773,21 @@ class _LaneSweep(_Duality):
     def _const(self, value):
         return [self.ones * value] * self.k.n
 
-    def _ex(self, z):
+    def _ex(self, z, succ=None):
+        """EX over k, or over the graph of the successor lists succ."""
         out = []
-        for row in self.k.succ:
+        for row in succ or self.k.succ:
             acc = 0
             for t in row:
                 acc |= z[t]
             out.append(acc)
         return out
 
-    def _eu(self, l, r):
+    def _eu(self, l, r, pred=None):
         """E[l U r], the least z with z >= r | (l & EX z): from z = r, each
-        changed t ORs l[s] & z[t] into its predecessors s."""
+        changed t ORs l[s] & z[t] into its predecessors s (k's, or pred)."""
         z = list(r)
-        pred = self.k.predecessors()
+        pred = pred or self.k.predecessors()
         queued = list(map(bool, z))
         todo = [t for t, v in enumerate(z) if v]
         for t in todo:

@@ -13,7 +13,7 @@ from . import formula as F
 from .bisim import greatest_rows
 from .errors import EnumerationBoundError, EvalError, KripkeError
 from .kleene import F3, M3, T3
-from .kripke import KripkeStructure, LazySequence
+from .kripke import KripkeStructure, LazySequence, mask_members
 from .mc import _Evaluator
 from .vacuity import BISIM_ROUTES, VacuityStatus, VacuityVerdict, _env_with, _Query, _status
 
@@ -67,17 +67,21 @@ def lift_kx(k, x):
 
 def labeling_completions(k3, bound=20):
     """All classical structures resolving every maybe on the same statespace,
-    as a lazy sequence: completion `mask` resolves maybe slot j to true iff
-    bit j of mask is set."""
-    slots = [(s, p) for s in k3.states for p in k3.props if k3.label3(s, p) is M3]
+    as a lazy sequence: completion `mask` resolves maybe slot j (slots by
+    state, then proposition) to true iff bit j of mask is set.  Each shares
+    k3's states and successor lists and ORs its true slots into the true masks."""
+    props = k3.props
+    slots = sorted((i, a) for a, p in enumerate(props) for i in mask_members(k3.maybe_mask(p)))
     if len(slots) > bound:
         raise EnumerationBoundError(f"2^{len(slots)} completions exceed the bound 2^{bound}")
 
     def completion(mask):
-        labels = {s: dict(k3.labels_of(s)) for s in k3.states}
-        for j, (s, p) in enumerate(slots):
-            labels[s][p] = T3 if mask >> j & 1 else F3
-        return KripkeStructure(f"{k3.name}#{mask + 1}", k3.props, k3.states, k3.init, k3.trans, labels)
+        true = dict(k3._tmask)
+        for j, (i, a) in enumerate(slots):
+            if mask >> j & 1:
+                true[props[a]] |= 1 << i
+        return KripkeStructure._of(f"{k3.name}#{mask + 1}", props, k3.states, k3._index, k3.init,
+                                   k3.succ, true, dict.fromkeys(props, 0), k3._pred)
 
     return LazySequence(1 << len(slots), completion)
 

@@ -8,6 +8,8 @@ from vacmc.kleene import F3, M3, T3, and3, info_le
 from vacmc.kripke import KripkeStructure, mask_members
 from vacmc.mc import _Evaluator, check_ctl_star, eval_mask
 
+# A path formula over x with more temporal operators (16) than AtomGraph.MAX_TEMPORAL.
+LARGE_CLOSURE = "E(F x & F X x & F X X x & F X X X x & G F x & F G x & (x U X x) & F (x U p) & X X X p)"
 
 # ---------------------------------------------------------------------------
 # Name-level structure oracles: the constructor, parser and constructions

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from vacmc import cli
+from vacmc import cli, mc
 from vacmc.cli import main
 from vacmc.kripke import parse_kripke, render_kripke
+
+from helpers import LARGE_CLOSURE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,6 +130,14 @@ class TestQctl:
     def test_structure_witness(self, capsys):
         code, out, _ = run(capsys, "qctl", "M", "forall x . AG (x -> AX x)", "--semantics", "structure")
         assert code == 0 and "BruteForceY" in out and "b0" in out
+
+    def test_a_large_closure_under_the_quantifier_is_refused(self, capsys, monkeypatch):
+        def no_table(closure, sig):
+            raise AssertionError("a table of a refused closure was built")
+
+        monkeypatch.setattr(mc._Closure, "_build_table", no_table)
+        code, out, err = run(capsys, "qctl", "M", f"forall x . {LARGE_CLOSURE}", "--semantics", "structure")
+        assert (code, out, err) == (1, "", "error: path formula closure too large (16 temporal operators)\n")
 
     def test_unknown_exits_two(self, capsys):
         code, out, _ = run(capsys, "qctl", "M", "forall x . (EX x) | (EX !x)", "--semantics", "tree")

@@ -28,7 +28,7 @@ from vacmc.kripke import (
 )
 
 from vacmc.mc import check_ctl_star
-from vacmc.three_valued import lift_kx
+from vacmc.three_valued import labeling_completions, lift_kx
 
 from helpers import (
     OracleKripkeStructure,
@@ -425,9 +425,10 @@ class TestIndexLists:
             restrict_init(k, ())
 
     def test_label_copies_and_equality_match_the_name_level(self, rng):
-        """remove_prop and lift_kx copy label masks; == and structurally_equal
-        compare masks and successor lists, and see one changed label or
-        transition exactly as the name-level transitions and labels do."""
+        """remove_prop, lift_kx, reachable_part and labeling_completions copy
+        label masks; == and structurally_equal compare masks and successor
+        lists, and see one changed label or transition exactly as the
+        name-level transitions and labels do."""
         for trial in range(60):
             k = KripkeStructure(*rand_parts(rng, 12, maybe=0.3 if trial % 2 else 0.0))
             name, props, states, init, trans, labels = _parts_of(k)
@@ -436,6 +437,28 @@ class TestIndexLists:
             if k.is_classical:
                 assert_same(lift_kx(k, "x"), OracleKripkeStructure(
                     f"{name}_x", props + ("x",), states, init, trans, {s: {**v, "x": M3} for s, v in labels.items()}))
+            # a copy that init does not reach, wired into k, its states between k's
+            wired = [*trans, *((f"u{s}", f"u{t}") for s, t in trans), *((f"u{s}", s) for s in states[::2])]
+            both = KripkeStructure(name, props, [u for s in states for u in (f"u{s}", s)], init, wired,
+                                   {**labels, **{f"u{s}": v for s, v in labels.items()}})
+            seen = set(init)
+            todo = list(seen)
+            while todo:
+                for t in both.successors(todo.pop()):
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+            kept = [s for s in both.states if s in seen]
+            assert_same(reachable_part(both), OracleKripkeStructure(
+                name, props, kept, init, [(s, t) for s, t in wired if s in seen], {s: labels[s] for s in kept}))
+            slots = [(s, p) for s in states for p in props if labels[s][p] is M3]
+            completions = labeling_completions(k, bound=len(slots))
+            for mask in {0, len(completions) - 1, rng.randrange(len(completions))}:
+                resolved = {s: dict(v) for s, v in labels.items()}
+                for j, (s, p) in enumerate(slots):
+                    resolved[s][p] = T3 if mask >> j & 1 else F3
+                assert_same(completions[mask], OracleKripkeStructure(
+                    f"{name}#{mask + 1}", props, states, init, trans, resolved))
             s, p = rng.choice(states), rng.choice(props)
             flipped = dict(labels, **{s: dict(labels[s], **{p: F3 if labels[s][p] is T3 else T3})})
             assert k != KripkeStructure(name, props, states, init, trans, flipped)

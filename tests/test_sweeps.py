@@ -5,14 +5,16 @@ import pytest
 
 from vacmc import formula as F
 from vacmc import mc, qctl, three_valued, vacuity
+from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
 from vacmc.kleene import M3
-from vacmc.kripke import KripkeStructure, duplicate_m
+from vacmc.kripke import KripkeStructure, duplicate_m, x_variants
 from vacmc.qctl import eval_bisimulation, eval_structural, eval_tree
 from vacmc.three_valued import vacuity_via_thorough
 from vacmc.vacuity import _Query, _variant_disagreement, decide_bisim_vacuity, structure_vacuous
 
 from helpers import (
+    LARGE_CLOSURE,
     oracle_eval_structural,
     oracle_structure_vacuous,
     oracle_sweep,
@@ -191,6 +193,60 @@ class TestLaneSweep:
             assert got == _outcome(lambda: next(oracle_sweep(k, phi, self.X))) and isinstance(got[0], str)
 
 
+# Leaves under a path quantifier: x and p, and state formulas over x (CTL
+# and a nested path quantifier), so that several leaves vary at once.
+PATH_LEAVES = ["x", "p", "q", "EX x", "AG (x | p)", "E[q U x]", "A[x R p]", "E (F G x)"]
+
+
+def rand_path_body(rng, temporal):
+    """A path formula over PATH_LEAVES with exactly `temporal` temporal operators."""
+    if temporal == 0:
+        leaf = p(rng.choice(PATH_LEAVES))
+        return F.Not(leaf) if rng.random() < 0.3 else leaf
+    c = rng.randrange(8)
+    if c < 3:
+        return (F.Next, F.Future, F.Globally)[c](rand_path_body(rng, temporal - 1))
+    if c == 3:
+        return F.Not(rand_path_body(rng, temporal))
+    rest = temporal - (c < 6)  # U and R spend one operator, & and | none
+    left = rng.randint(0, rest)
+    node = (F.Until, F.Release, F.And, F.Or)[c - 4]
+    return node(rand_path_body(rng, left), rand_path_body(rng, rest - left))
+
+
+class TestPathLanes:
+    """A hole under a genuine path quantifier: each chunk's one product of
+    the closure automaton with k, against one AtomGraph per labeling."""
+
+    X = F.Atom("x")
+
+    def test_lanes_match_one_atom_graph_per_labeling(self, rng):
+        several = routed = 0
+        for i in range(48):
+            k = rand_kripke(rng, 10)
+            phi = rng.choice([F.PathE, F.PathA])(rand_path_body(rng, 1 + i % 6))
+            ev = mc._Evaluator(k, force_tableau=i % 4 == 0)
+            lanes = mc._LaneSweep(ev, phi, self.X)
+            got = [m for base, width in mc._chunks(k.n) for m in mc._transpose(lanes.lanes(base, width), width)]
+            closure = ev._closure(phi)
+            several += sum(self.X in F.subformulas(f) for f in closure.leaves) > 1
+            routed += phi in ev._tableau
+            for mask, kx in enumerate(x_variants(k, "x")):
+                leaves = [mc.eval_mask(kx, f) for f in closure.leaves]
+                e = mc.AtomGraph(kx, closure.pathform, leaves, closure).e_mask()
+                want = e if isinstance(phi, F.PathE) else kx.full_mask ^ e
+                assert got[mask] == want, (k.n, mask, F.render_formula(phi))
+        assert several >= 16 and routed >= 40
+
+    def test_a_large_closure_is_refused_before_any_table(self, fx, monkeypatch):
+        def no_table(closure, sig):
+            raise AssertionError("a table of a refused closure was built")
+
+        monkeypatch.setattr(mc._Closure, "_build_table", no_table)
+        with pytest.raises(EvalError, match=r"closure too large \(16 temporal operators\)"):
+            next(mc.sweep(fx("M"), p(LARGE_CLOSURE), self.X))
+
+
 class TestDecisionsMatchTheOracle:
     def test_decide_bisim_vacuity(self, rng, as_oracle):
         for k in structures(rng, 10, max_states=6):
@@ -227,6 +283,9 @@ class TestDecisionsMatchTheOracle:
 
 class TestWorkPerSweep:
     """A sweep substitutes and builds structures a constant number of times."""
+
+    # the lane passes of a 12-state sweep: each after the second as wide as all before it
+    PASSES_12 = [(0, 64), (64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024), (2048, 2048)]
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -290,8 +349,28 @@ class TestWorkPerSweep:
         phi = p("AG (EX x | AX !x) & E[p U (x & q)] & !EG (x -> EX (q | p))")
         verdicts = list(mc.sweep(k, phi, F.Atom("x")))
         assert [mask for mask, _ in verdicts] == list(range(4096))
-        assert passes == [(0, 64), (64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024), (2048, 2048)]
+        assert passes == self.PASSES_12
         assert labelled == [p("p"), p("q"), p("q | p"), p("EX (q | p)")]
+
+    def test_a_path_hole_builds_no_atom_graph(self, monkeypatch):
+        """Under a genuine path quantifier the same 12-state sweep decides each
+        lane pass from one product, and builds no AtomGraph per labeling."""
+        passes, graphs = [], []
+        lanes, init = mc._LaneSweep.lanes, mc.AtomGraph.__init__
+
+        def counting_lanes(self, base, width):
+            passes.append((base, width))
+            return lanes(self, base, width)
+
+        def counting_init(self, *args):
+            graphs.append(args[1])
+            init(self, *args)
+
+        monkeypatch.setattr(mc._LaneSweep, "lanes", counting_lanes)
+        monkeypatch.setattr(mc.AtomGraph, "__init__", counting_init)
+        verdicts = list(mc.sweep(self.ring(12), p("A ((X x) | (X !x))"), F.Atom("x")))
+        assert verdicts == [(mask, True) for mask in range(4096)]
+        assert passes == self.PASSES_12 and graphs == []
 
 
 class TestWorkPerQuery:
