@@ -17,7 +17,7 @@ explicit stacks too, so no pass recurses.
 
 import enum
 import re
-from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FormulaSyntaxError
 
@@ -651,35 +651,31 @@ def _contains_quantifier(f, kinds):
     return any(isinstance(g, kinds) for g in subformulas(f))
 
 
-@dataclass(frozen=True)
 class Analysis:
-    is_ctl: bool
-    is_ltl: bool
-    is_actl_star: bool
-    is_ectl_star: bool
-    size: int
-    universal_in: bool
-    existential_in: bool
+    """Fragment flags, size, and quantifier-scope placement of psi in phi,
+    each computed on first read."""
+
+    def __init__(self, phi, psi):
+        self._phi, self._psi = phi, psi
+
+    _nnf = cached_property(lambda self: nnf(self._phi))
+    _found = cached_property(lambda self: () if self._psi is None else _occurrences(self._phi, self._psi))
+    is_ctl = cached_property(lambda self: is_ctl(self._phi))
+    is_ltl = cached_property(lambda self: isinstance(self._phi, PathA) and is_pure_path(self._phi.child))
+    is_actl_star = cached_property(lambda self: not _contains_quantifier(self._nnf, PathE))
+    is_ectl_star = cached_property(lambda self: not _contains_quantifier(self._nnf, PathA))
+    size = cached_property(lambda self: formula_size(self._phi))
+    universal_in = cached_property(
+        lambda self: self._psi is not None and not any(in_e for _, in_e, _ in self._found))
+    existential_in = cached_property(
+        lambda self: self._psi is not None and not any(in_a for _, _, in_a in self._found))
 
 
 def analyze(phi, psi=None):
-    """Fragment flags, size, and quantifier-scope placement of psi in phi."""
+    """The Analysis of psi in phi; each field is computed when first read."""
     if isinstance(phi, QUANTIFIED):
         raise ValueError("analyze expects a quantifier-free formula")
-    n = nnf(phi)
-    actl = not _contains_quantifier(n, PathE)
-    ectl = not _contains_quantifier(n, PathA)
-    ltl = isinstance(phi, PathA) and is_pure_path(phi.child)
-    found = () if psi is None else _occurrences(phi, psi)
-    return Analysis(
-        is_ctl=is_ctl(phi),
-        is_ltl=ltl,
-        is_actl_star=actl,
-        is_ectl_star=ectl,
-        size=formula_size(phi),
-        universal_in=psi is not None and not any(in_e for _, in_e, _ in found),
-        existential_in=psi is not None and not any(in_a for _, _, in_a in found),
-    )
+    return Analysis(phi, psi)
 
 
 def fresh_prop(taken, base="x"):

@@ -444,16 +444,19 @@ class LazySequence(Sequence):
         return self._item(i % self._length)
 
 
+def labelled(k, prop, mask, name=None):
+    """k with `prop` added, true exactly on the states in mask, named `name`
+    (by default k's own); it shares k's states, successor and predecessor lists."""
+    return KripkeStructure._of(name or k.name, k.props + (prop,), k.states, k._index, k.init, k.succ,
+                               {**k._tmask, prop: mask}, {**k._mmask, prop: 0}, k.predecessors())
+
+
 def x_variants(k, prop):
     """All 2^|S| ways of adding `prop` with a boolean labeling, as a lazy
-    sequence: item `mask` labels prop true on the states in mask and is named
-    k.name^(mask+1); it shares k's states, successor and predecessor lists."""
+    sequence: item `mask` is labelled(k, prop, mask), named k.name^(mask+1)."""
     if prop in k.props:
         raise KripkeError(f"{k.name}: proposition {prop!r} already present")
-    return LazySequence(1 << k.n, lambda mask: KripkeStructure._of(
-        f"{k.name}^{mask + 1}", k.props + (prop,), k.states, k._index, k.init, k.succ,
-        {**k._tmask, prop: mask}, {**k._mmask, prop: 0}, k.predecessors(),
-    ))
+    return LazySequence(1 << k.n, lambda mask: labelled(k, prop, mask, f"{k.name}^{mask + 1}"))
 
 
 def restrict_init(k, inits):
@@ -546,8 +549,11 @@ def isomorphic(k1, k2):
     by_sig = {}
     for j, sig in enumerate(_signatures(k2, props)):
         by_sig.setdefault(sig, []).append(j)
-    candidates = [by_sig.get(sig, ()) for sig in _signatures(k1, props)]
-    order = sorted(range(k1.n), key=lambda i: len(candidates[i]))
+    sigs = _signatures(k1, props)
+    order = sorted(range(k1.n), key=lambda i: len(by_sig.get(sigs[i], ())))
+    # every candidate before its signature's cursor is used, so a fresh search
+    # depth starts there instead of rescanning them; a backtrack resets it
+    cursor = dict.fromkeys(by_sig, 0)
     succ1, pred1, succ2, pred2 = k1.succ, k1.predecessors(), k2.succ, k2.predecessors()
     image = [-1] * k1.n  # k1 state -> its k2 state, or -1
     used = bytearray(k2.n)
@@ -560,14 +566,15 @@ def isomorphic(k1, k2):
                 return False
         return True
 
-    tried = [0] * k1.n  # candidates of order[depth] already tried
+    tried = [0] * k1.n  # candidates of order[depth] already tried; 0 on a fresh depth
     depth = 0
     while 0 <= depth < k1.n:
         i = order[depth]
+        sig, cands = sigs[i], by_sig.get(sigs[i], ())
         if image[i] >= 0:  # back from a dead end below: undo this state's choice
-            used[image[i]] = 0
+            used[image[i]] = cursor[sig] = 0
             image[i] = -1
-        cands, c = candidates[i], tried[depth]
+        c = tried[depth] or cursor.get(sig, 0)
         while c < len(cands) and (used[cands[c]] or not fits(i, cands[c])):
             c += 1
         if c == len(cands):
@@ -577,6 +584,8 @@ def isomorphic(k1, k2):
             tried[depth] = c + 1
             image[i] = cands[c]
             used[cands[c]] = 1
+            while cursor[sig] < len(cands) and used[cands[cursor[sig]]]:
+                cursor[sig] += 1
             depth += 1
     if depth < 0:
         return None

@@ -26,6 +26,8 @@ lanes.  What does not contain the atom is labelled once.  A path
 quantifier over the atom keeps its closure automaton throughout and builds
 one product per chunk, whose nodes are enabled on the lanes of their leaf
 signature; a fair-EG fixpoint over lanes (Emerson-Lei) decides the chunk.
+A chunk's verdicts are one int, the AND of the root's lanes over the
+initial states.
 """
 
 from dataclasses import dataclass
@@ -469,10 +471,8 @@ class _Evaluator(_Duality):
         self._graphs = {}
 
     def states(self, phi):
-        """phi's state mask: a fold over its state subformulas, in self.memo
-        (read first: a sweep asks once per labeling for a root it stored)."""
-        got = self.memo.get(phi)
-        return got if got is not None else F.fold(phi, self._operands, self._states, self.memo)
+        """phi's state mask: a fold over its state subformulas, in self.memo."""
+        return F.fold(phi, self._operands, self._states, self.memo)
 
     def _operands(self, phi):
         """The operands of a connective, or the state subformulas under a path
@@ -637,13 +637,6 @@ def _chunks(n):
         width = min(base, _CHUNK_CAP)
 
 
-def _transpose(rows, width):
-    """The bit matrix rows by columns: for c = 0 .. width-1, the int whose bit
-    r is bit c of rows[r], each made only when the iterator reaches it."""
-    text = [format(row, f"0{width}b")[::-1] for row in reversed(rows)]
-    return (int("".join(column), 2) for column in zip(*text))
-
-
 class _LaneSweep(_Duality):
     """The labels of a formula under a chunk of the labelings of a fresh
     atom at once, one bit per labeling.
@@ -657,7 +650,8 @@ class _LaneSweep(_Duality):
     Connectives work lane by lane, and CTL operators by worklists over the
     lanes.  A genuine path quantifier decides the chunk from one product of
     the closure automaton that ev keeps with k, by the same worklists over
-    the product's successor and predecessor lists.
+    the product's successor and predecessor lists.  `sweep` ANDs the
+    root's lanes at the initial states into the chunk's verdicts.
     """
 
     def __init__(self, ev, phi, atom):
@@ -837,24 +831,24 @@ def eval_mask(k, phi, env=None, force_tableau=False):
     return _Evaluator(k, env, force_tableau).states(phi)
 
 
-def check_ctl_star(k, phi, env=None, force_tableau=False, evaluator=None):
-    """K |= phi: every initial state satisfies phi.  `evaluator`, an
-    _Evaluator of k, lends its labels instead."""
-    mask = (evaluator or _Evaluator(k, env, force_tableau)).states(phi)
-    return k.init_mask & mask == k.init_mask
+def check_ctl_star(k, phi, env=None, force_tableau=False):
+    """K |= phi: every initial state satisfies phi."""
+    return k.init_mask & _Evaluator(k, env, force_tableau).states(phi) == k.init_mask
 
 
 def sweep(k, phi, atom, env=None):
-    """(mask, K |= phi with `atom` labelled true exactly on mask) for mask =
-    0 .. 2^|S|-1 in turn.  Each chunk of labelings is labelled in one lane
-    pass; each verdict is then a check on an evaluator that holds phi's mask
-    under that labeling, and what does not contain atom is labelled once."""
-    ev = _Evaluator(k, env)
-    lanes = _LaneSweep(ev, phi, atom)
+    """(base, width, bits) for each chunk of the labelings 0 .. 2^|S|-1 of
+    `atom` in turn: bit j of bits is set iff K |= phi with atom labelled true
+    exactly on the states of base+j, the AND of phi's lanes over k's initial
+    states.  Each chunk is one lane pass; what does not contain atom is
+    labelled once."""
+    lanes = _LaneSweep(_Evaluator(k, env), phi, atom)
+    init = mask_members(k.init_mask)
     for base, width in _chunks(k.n):
-        for mask, root in enumerate(_transpose(lanes.lanes(base, width), width), base):
-            ev.memo[phi] = root
-            yield mask, check_ctl_star(k, phi, evaluator=ev)
+        root, bits = lanes.lanes(base, width), lanes.ones
+        for s in init:
+            bits &= root[s]
+        yield base, width, bits
 
 
 def explain_path(k, phi, env=None, evaluator=None):

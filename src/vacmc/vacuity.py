@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import formula as F
 from .bisim import quotient_bisim
 from .errors import EnumerationBoundError, EvalError, NotApplicableError, PreconditionError
-from .kripke import KripkeStructure, chi, compose_sync, duplicate_m, restrict_init, x_variants
+from .kripke import KripkeStructure, chi, compose_sync, duplicate_m, labelled, restrict_init, x_variants
 from .mc import check_ctl_star, eval_states, sweep
 
 
@@ -67,7 +67,9 @@ class _Query:
         self.partner = partner or functools.partial(duplicate_m, m=2)
         self.agreed = None  # the verdict every labeling of x on k gives body, once known
         self._first = {}  # verdict -> first labeling (a mask) giving it
-        self._masks = None
+        self._replayed = set()  # verdicts whose first labeling was checked
+        self._chunks = None
+        self._negates = None  # the query whose sweep this one reads, negated
 
     @functools.cached_property
     def kx(self):
@@ -84,30 +86,47 @@ class _Query:
         return eval_compositional3(lift_kx(self.k, self.x), self.body).value
 
     def first(self, verdict):
-        """The first labeling of x on k (a mask) giving body `verdict`, or None;
-        one sweep serves every call and goes no further than asked."""
-        if self._masks is None:
-            self._masks = sweep(self.k, self.body, F.Atom(self.x), self.env)
-        if verdict not in self._first:
-            for mask, holds in self._masks:
-                self._first.setdefault(holds, mask)
-                if holds == verdict:
+        """The first labeling of x on k (a mask) giving body `verdict`, or None.
+        One sweep serves every call and goes no further than asked: in each
+        chunk, the lowest set bit of bits (true) or of its complement (false).
+        A labeling reported is replayed by one check of k with x so labelled,
+        under k's own name, which must give the same verdict."""
+        if self._negates is not None:
+            mask, agreed = self._negates.first(not verdict), self._negates.agreed
+            self.agreed = None if agreed is None else not agreed
+            return mask
+        if self._chunks is None:
+            self._chunks = sweep(self.k, self.body, F.Atom(self.x), self.env)
+        found = self._first
+        if verdict not in found:
+            for base, width, bits in self._chunks:
+                for holds, hits in ((True, bits), (False, bits ^ (1 << width) - 1)):
+                    if hits:
+                        found.setdefault(holds, base + (hits & -hits).bit_length() - 1)
+                if verdict in found:
                     break
             else:
                 self.agreed = not verdict
-        return self._first.get(verdict)
+        mask = found.get(verdict)
+        if mask is not None and verdict not in self._replayed:
+            self._replayed.add(verdict)
+            if check_ctl_star(labelled(self.k, self.x, mask), self.body, self.env) != verdict:
+                raise AssertionError(f"sweep of {self.k.name}: the lanes and a check disagree on labeling {mask}")
+        return mask
 
     def decide(self, routes, r):
         """(value, route, evidence) of the first of `routes` that settles r, else
         (None, None, None).  A structure refutes body once one initial state fails
-        it: r false holds iff some K_s gets verdict true for !body everywhere."""
+        it: r false holds iff some K_s gets verdict true for !body everywhere.
+        With one initial state K_s is k, and it reads this query's sweep."""
         if r is not False:
             return next(filter(None, (route(self, r) for route in routes)), (None, None, None))
-        values = []
+        values, several = [], len(self.k.init) > 1
         for s in self.k.init:
-            ks = restrict_init(self.k, (s,))
-            values.append(_Query(ks, F.Not(self.body), self.x, self.bound, self.variant_bound,
-                                 self.env, self.partner).decide(routes, True)[0])
+            qs = _Query(restrict_init(self.k, (s,)) if several else self.k, F.Not(self.body), self.x,
+                        self.bound, self.variant_bound, self.env, self.partner)
+            qs._negates = None if several else self
+            values.append(qs.decide(routes, True)[0])
             if values[-1]:
                 return True, None, None
         return (False if all(v is False for v in values) else None), None, None

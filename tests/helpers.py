@@ -685,9 +685,20 @@ def oracle_eval_structural(k, q, bound=20, env=None):
 
 
 def oracle_sweep(k, phi, atom, env=None):
-    """mc.sweep by a SetAtom substitution per mask."""
+    """mc.sweep by a SetAtom substitution per mask, in chunks of width 1."""
     for mask in range(1 << k.n):
-        yield mask, check_ctl_star(k, F.substitute(phi, atom, F.SetAtom(k.name, k.names_of(mask), ref=k)), env)
+        yield mask, 1, check_ctl_star(k, F.substitute(phi, atom, F.SetAtom(k.name, k.names_of(mask), ref=k)), env)
+
+
+def per_mask(chunks):
+    """(mask, verdict) for each labeling of a sweep's (base, width, bits) chunks."""
+    return [(base + j, bool(bits >> j & 1)) for base, width, bits in chunks for j in range(width)]
+
+
+def transpose(rows, width):
+    """The bit matrix rows by columns: for c = 0 .. width-1, the int whose
+    bit r is bit c of rows[r]."""
+    return [sum((row >> c & 1) << r for r, row in enumerate(rows)) for c in range(width)]
 
 
 def oracle_variant_disagreement(base_structs, phix, x, reference, bound, env=None):

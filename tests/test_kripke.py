@@ -1,3 +1,4 @@
+import time
 from collections.abc import Sequence
 
 import pytest
@@ -314,6 +315,28 @@ class TestIsomorphic:
 
         assert isomorphic(chain("s", n - 1), chain("t", n - 1)) == {f"s{i}": f"t{i}" for i in range(n)}
         assert isomorphic(chain("s", n - 1), chain("t", 0)) is None
+
+    def test_a_long_chain_with_one_label(self):
+        """6000 states that all share one signature but the first and the
+        last: a search depth starts at its signature's first unused
+        candidate, so the search stays linear (quadratic when each depth
+        rescanned the used ones: 4x the states took 16x the time)."""
+
+        def chain(prefix, n):
+            states = [f"{prefix}{i}" for i in range(n)]
+            trans = [(states[i], states[i + 1]) for i in range(n - 1)] + [(states[-1], states[-1])]
+            return KripkeStructure(prefix, ("p",), states, states[:1], trans, {states[-1]: {"p": True}})
+
+        def best_time(n):
+            pair, best = (chain("s", n), chain("t", n)), float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                got = isomorphic(*pair)
+                best = min(best, time.perf_counter() - start)
+            assert got == {f"s{i}": f"t{i}" for i in range(n)}
+            return best
+
+        assert best_time(6000) < 10 * best_time(1500)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from vacmc.mc import (
     _chunks,
     _Evaluator,
     _LaneSweep,
-    _transpose,
     check_ctl_star,
     eval_mask,
     eval_states,
@@ -31,6 +30,7 @@ from helpers import (
     rand_kripke3,
     rand_path,
     shaped_kripke,
+    transpose,
 )
 
 P4 = p("AG ((AX p) | (AX !p))")
@@ -268,7 +268,7 @@ class TestAssign:
     def lane_masks(ev, phi, atom):
         """phi's mask on ev's structure under labelings 0 .. 2^n-1 of atom."""
         lanes = _LaneSweep(ev, phi, atom)
-        return [m for base, width in _chunks(ev.k.n) for m in _transpose(lanes.lanes(base, width), width)]
+        return [m for base, width in _chunks(ev.k.n) for m in transpose(lanes.lanes(base, width), width)]
 
     def test_relabelling_matches_a_fresh_evaluator(self, rng):
         x = self.X

@@ -19,9 +19,11 @@ from helpers import (
     oracle_structure_vacuous,
     oracle_sweep,
     oracle_variant_disagreement,
+    per_mask,
     proper_subformulas,
     rand_ctl,
     rand_kripke,
+    transpose,
 )
 
 # (phi, psi): psi atomic and not, under one and under both polarities, inside
@@ -162,14 +164,14 @@ class TestLaneSweep:
             k = sized_kripke(rng, n)
             texts = HOLES + (PATH_HOLES if n <= 8 else [])
             for phi in [p(t) for t in texts] + [foreign_body(k)]:
-                want = list(oracle_sweep(k, phi, self.X))
-                assert list(mc.sweep(k, phi, self.X)) == want, (n, F.render_formula(phi))
+                want = per_mask(oracle_sweep(k, phi, self.X))
+                assert per_mask(mc.sweep(k, phi, self.X)) == want, (n, F.render_formula(phi))
 
     def test_random_ctl_matches_the_oracle(self, rng):
         for i in range(40):
             k = sized_kripke(rng, 1 + i % 8)
             phi = rand_ctl(rng, ["p", "q", "x"], 4)
-            assert list(mc.sweep(k, phi, self.X)) == list(oracle_sweep(k, phi, self.X)), F.render_formula(phi)
+            assert per_mask(mc.sweep(k, phi, self.X)) == per_mask(oracle_sweep(k, phi, self.X)), F.render_formula(phi)
 
     def test_a_resumed_sweep_finds_the_same_first_masks(self, rng):
         for n in (3, 7, 9):
@@ -177,7 +179,7 @@ class TestLaneSweep:
             for text in HOLES[2:] + PATH_HOLES[:1]:
                 body = p(text)
                 want = {}
-                for mask, holds in oracle_sweep(k, body, self.X):
+                for mask, holds in per_mask(oracle_sweep(k, body, self.X)):
                     want.setdefault(holds, mask)
                 for order in ((True, False), (False, True)):
                     q = _Query(k, body, "x")
@@ -191,6 +193,57 @@ class TestLaneSweep:
         for k, phi in cases:
             got = _outcome(lambda: next(mc.sweep(k, phi, self.X)))
             assert got == _outcome(lambda: next(oracle_sweep(k, phi, self.X))) and isinstance(got[0], str)
+
+
+class TestChunkBits:
+    """Each chunk's bits against the per-mask oracle, the first labelings a
+    query reads off them, and the replay of each labeling it reports."""
+
+    X = F.Atom("x")
+
+    def test_bits_and_first_labelings_match_the_oracle(self, rng):
+        for i in range(36):
+            k = sized_kripke(rng, 1 + i % 9)
+            phi = p(rng.choice(HOLES)) if i % 3 else rand_ctl(rng, ["p", "q", "x"], 4)
+            want = [holds for _, holds in per_mask(oracle_sweep(k, phi, self.X))]
+            for base, width, bits in mc.sweep(k, phi, self.X):
+                assert [bool(bits >> j & 1) for j in range(width)] == want[base:base + width]
+            lowest = {v: want.index(v) if v in want else None for v in (True, False)}
+            agreed = want[0] if len(set(want)) == 1 else None
+            for order in ((True, False), (False, True)):
+                q = _Query(k, phi, "x")
+                assert [q.first(v) for v in order] == [lowest[v] for v in order], F.render_formula(phi)
+                assert q.agreed == agreed
+
+    def test_a_flipped_lane_bit_fails_the_replay(self, monkeypatch):
+        k, phi = TestWorkPerSweep.ring(5), p("EF (x & q)")  # one initial state, s0
+        lanes = mc._LaneSweep.lanes
+
+        def flipped(self, base, width):
+            root = list(lanes(self, base, width))
+            root[0] ^= base == 0  # labeling 0 at s0
+            return root
+
+        truth = _Query(k, phi, "x").first(True)
+        monkeypatch.setattr(mc._LaneSweep, "lanes", flipped)
+        assert truth != 0
+        with pytest.raises(AssertionError, match="disagree on labeling 0"):
+            _Query(k, phi, "x").first(True)
+
+    def test_a_full_sweep_checks_only_what_it_reports(self, monkeypatch):
+        """A 2^12 sweep makes no check per labeling, only one replay per
+        verdict it reports."""
+        checked = []
+        for module in (mc, vacuity):
+            monkeypatch.setattr(module, "check_ctl_star", lambda k, *args, check=module.check_ctl_star, **kw: (
+                checked.append(k.name), check(k, *args, **kw))[1])
+        k = TestWorkPerSweep.ring(12)
+        q = _Query(k, p("AG (EX x | EX !x | q)"), "x")  # true under every labeling
+        assert (q.first(False), q.first(True), q.agreed) == (None, 0, True)
+        assert checked == ["ring12"]
+        q = _Query(k, p("AG (x -> AX !x) & EF (x & p & !q)"), "x")
+        assert q.first(True) is not None and q.first(False) == 0 and q.agreed is None
+        assert checked == ["ring12"] * 3
 
 
 # Leaves under a path quantifier: x and p, and state formulas over x (CTL
@@ -227,7 +280,7 @@ class TestPathLanes:
             phi = rng.choice([F.PathE, F.PathA])(rand_path_body(rng, 1 + i % 6))
             ev = mc._Evaluator(k, force_tableau=i % 4 == 0)
             lanes = mc._LaneSweep(ev, phi, self.X)
-            got = [m for base, width in mc._chunks(k.n) for m in mc._transpose(lanes.lanes(base, width), width)]
+            got = [m for base, width in mc._chunks(k.n) for m in transpose(lanes.lanes(base, width), width)]
             closure = ev._closure(phi)
             several += sum(self.X in F.subformulas(f) for f in closure.leaves) > 1
             routed += phi in ev._tableau
@@ -282,7 +335,8 @@ class TestDecisionsMatchTheOracle:
 
 
 class TestWorkPerSweep:
-    """A sweep substitutes and builds structures a constant number of times."""
+    """A sweep substitutes and builds structures a constant number of times:
+    one structure per replay of a reported labeling, none per labeling."""
 
     # the lane passes of a 12-state sweep: each after the second as wide as all before it
     PASSES_12 = [(0, 64), (64, 64), (128, 128), (256, 256), (512, 512), (1024, 1024), (2048, 2048)]
@@ -317,7 +371,7 @@ class TestWorkPerSweep:
             k = self.ring(n)
             counts.update(substitute=0, structures=0)
             assert structure_vacuous(phi, p("q & p"), k) == (True, None)
-            assert counts == {"substitute": 1, "structures": 0}, n
+            assert counts == {"substitute": 1, "structures": 1}, n  # the replay of labeling 0
 
     def test_variant_sweep(self, counts):
         phix = p("AG (EX x | EX !x | q)")
@@ -327,7 +381,7 @@ class TestWorkPerSweep:
             assert _variant_disagreement([k], phix, "x", True, 12) is None
             assert counts == {"substitute": 0, "structures": 0}, n
             found = _variant_disagreement([k], p("EF x"), "x", True, 12)
-            assert found.name == f"ring{n}^1" and counts["structures"] == 1
+            assert found.name == f"ring{n}^1" and counts["structures"] == 2  # the replay and the witness
 
     def test_lane_passes(self, monkeypatch):
         """A 12-state CTL sweep takes 7 lane passes, each after the second as wide as
@@ -347,7 +401,7 @@ class TestWorkPerSweep:
         monkeypatch.setattr(mc._Evaluator, "_states", counting_states)
         k = self.ring(12)
         phi = p("AG (EX x | AX !x) & E[p U (x & q)] & !EG (x -> EX (q | p))")
-        verdicts = list(mc.sweep(k, phi, F.Atom("x")))
+        verdicts = per_mask(mc.sweep(k, phi, F.Atom("x")))
         assert [mask for mask, _ in verdicts] == list(range(4096))
         assert passes == self.PASSES_12
         assert labelled == [p("p"), p("q"), p("q | p"), p("EX (q | p)")]
@@ -368,7 +422,7 @@ class TestWorkPerSweep:
 
         monkeypatch.setattr(mc._LaneSweep, "lanes", counting_lanes)
         monkeypatch.setattr(mc.AtomGraph, "__init__", counting_init)
-        verdicts = list(mc.sweep(self.ring(12), p("A ((X x) | (X !x))"), F.Atom("x")))
+        verdicts = per_mask(mc.sweep(self.ring(12), p("A ((X x) | (X !x))"), F.Atom("x")))
         assert verdicts == [(mask, True) for mask in range(4096)]
         assert passes == self.PASSES_12 and graphs == []
 
@@ -410,6 +464,12 @@ class TestWorkPerQuery:
         # past --bound, K is not swept, so its quotient still is
         assert eval_bisimulation(l, q, bound=0).route == qctl.UNKNOWN
         assert swept == ["L/~", "L^(2)"]
+
+    def test_thorough_sweeps_k_once(self, swept):
+        """With one initial state K_s is K: the F side reads K's sweep negated."""
+        v = vacuity_via_thorough(p("AG (AX p | EX !p)"), F.Atom("p"), TestWorkPerSweep.ring(8))
+        assert v.bounds == {"compositional": "maybe", "labeling": "true"}
+        assert swept == ["ring8"]
 
     def test_thorough_builds_no_completion_and_one_bound(self, monkeypatch):
         seen = {"structures": 0, "compositional": 0}

@@ -9,7 +9,7 @@ from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
 from vacmc.mc import _Evaluator, check_ctl_star, eval_mask
 
-from helpers import eval_on_lasso, oracle_atom_graph, rand_kripke, shaped_kripke
+from helpers import eval_on_lasso, oracle_atom_graph, per_mask, rand_kripke, shaped_kripke
 
 # Hand-picked bodies: every temporal operator, negation, implication,
 # constants, nested path quantifiers, and two laws on one node (X F p with !F p).
@@ -137,7 +137,7 @@ class TestCounters:
             k = rand_kripke(rng, 5)
             phi = p(text)
             built.clear()
-            verdicts = list(mc.sweep(k, phi, x))
+            verdicts = per_mask(mc.sweep(k, phi, x))
             assert len(verdicts) == 1 << k.n and len(built) == 1
             for mask, value in verdicts:
                 here = F.SetAtom(k.name, k.names_of(mask), ref=k)
