@@ -538,23 +538,43 @@ def _signatures(k, props):
 
 def isomorphic(k1, k2):
     """A label/transition/init preserving bijection, or None: depth-first
-    backtracking over k1's states, fewest candidates first, without
-    recursion; a candidate is one of k2's states with the same signature
-    whose edges to the states mapped so far match."""
+    backtracking over k1's states without recursion.  Each connected part is
+    taken breadth-first from its state with the fewest candidates, so every
+    later state has a neighbour mapped before it, and its candidates are that
+    neighbour's image's neighbours; a candidate is one of k2's states with the
+    same signature whose edges to the states mapped so far match."""
     if set(k1.props) != set(k2.props) or k1.n != k2.n or len(k1.init) != len(k2.init):
         return None
     if sum(map(len, k1.succ)) != sum(map(len, k2.succ)):
         return None
     props = sorted(k1.props)
+    sigs1, sigs2 = _signatures(k1, props), _signatures(k2, props)
     by_sig = {}
-    for j, sig in enumerate(_signatures(k2, props)):
+    for j, sig in enumerate(sigs2):
         by_sig.setdefault(sig, []).append(j)
-    sigs = _signatures(k1, props)
-    order = sorted(range(k1.n), key=lambda i: len(by_sig.get(sigs[i], ())))
-    # every candidate before its signature's cursor is used, so a fresh search
-    # depth starts there instead of rescanning them; a backtrack resets it
-    cursor = dict.fromkeys(by_sig, 0)
     succ1, pred1, succ2, pred2 = k1.succ, k1.predecessors(), k2.succ, k2.predecessors()
+    # via[i]: (a, rows) for the neighbour a that put i in the order, where
+    # rows[image[a]] lists i's candidates; None for the first of a part
+    order, via = [], [None] * k1.n
+    placed = bytearray(k1.n)
+    for root in sorted(range(k1.n), key=lambda i: len(by_sig.get(sigs1[i], ()))):
+        if placed[root]:
+            continue
+        placed[root] = 1
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            a = order[head]
+            head += 1
+            for rows1, rows2 in ((succ1, succ2), (pred1, pred2)):
+                for i in rows1[a]:
+                    if not placed[i]:
+                        placed[i] = 1
+                        via[i] = a, rows2
+                        order.append(i)
+    # every candidate before its signature's cursor is used, so the first of
+    # a part starts there instead of rescanning them; a backtrack resets it
+    cursor = dict.fromkeys(by_sig, 0)
     image = [-1] * k1.n  # k1 state -> its k2 state, or -1
     used = bytearray(k2.n)
 
@@ -570,12 +590,17 @@ def isomorphic(k1, k2):
     depth = 0
     while 0 <= depth < k1.n:
         i = order[depth]
-        sig, cands = sigs[i], by_sig.get(sigs[i], ())
+        sig = sigs1[i]
         if image[i] >= 0:  # back from a dead end below: undo this state's choice
             used[image[i]] = cursor[sig] = 0
             image[i] = -1
-        c = tried[depth] or cursor.get(sig, 0)
-        while c < len(cands) and (used[cands[c]] or not fits(i, cands[c])):
+        if via[i] is None:
+            cands = by_sig.get(sig, ())
+            c = tried[depth] or cursor.get(sig, 0)
+        else:
+            a, rows2 = via[i]
+            cands, c = rows2[image[a]], tried[depth]
+        while c < len(cands) and (used[cands[c]] or sigs2[cands[c]] != sig or not fits(i, cands[c])):
             c += 1
         if c == len(cands):
             tried[depth] = 0
@@ -584,7 +609,8 @@ def isomorphic(k1, k2):
             tried[depth] = c + 1
             image[i] = cands[c]
             used[cands[c]] = 1
-            while cursor[sig] < len(cands) and used[cands[cursor[sig]]]:
+            same = by_sig[sig]
+            while cursor[sig] < len(same) and used[same[cursor[sig]]]:
                 cursor[sig] += 1
             depth += 1
     if depth < 0:

@@ -14,9 +14,12 @@ Genuine path formulas are decided in the automata-theoretic style
 depend on any structure.  Its atoms and one-step laws depend only on a
 state's leaf signature, the set of maximal state subformulas that hold
 there, so they are built once per signature and formula.  `AtomGraph` is
-the automaton's product with one structure, accepted through a
-self-fulfilling SCC.  Set atoms of a foreign structure are resolved through
-a bisimulation computed on demand.
+the automaton's product with one structure, built forward from the root
+atoms of a set of start states and accepted through a self-fulfilling SCC.
+A nested quantifier gets the product from every state; a check asks a root
+quantifier only at the initial states, from their root atoms, and its
+witness reads the same graph.  Set atoms of a foreign structure are resolved
+through a bisimulation computed on demand.
 
 A sweep over the labelings of one fresh atom labels a chunk of them at once,
 one bit per labeling (`_LaneSweep`): a subformula that contains the atom
@@ -222,23 +225,30 @@ def _bounded(closure):
 
 
 class AtomGraph:
-    """Product of a path formula's closure automaton with one structure.
+    """Product of a path formula's closure automaton with one structure, built
+    forward from the root atoms of a set of start states.
 
     `leaves` are the state masks on k of the closure's leaves, in order; the
     closure is built from `pathform` unless given.  State si gets the atoms of
     its leaf signature in sigma order (`atoms[a]` is atom a's state, `vals[a]`
-    its valuation), and edges follow the transitions where the successor atom
-    obeys the law, successors in state-then-atom order.  E pathform holds at
-    si iff an atom of si with the root set reaches a nontrivial SCC that
-    discharges every obligation pending in it.
+    its valuation), so node ids are those of the whole product.  A depth-first
+    search from the atoms with the root set at the states of `starts` (a mask,
+    every state by default) follows the transitions where the successor atom
+    obeys the law, successors in state-then-atom order, and runs Tarjan on the
+    nodes it reaches, as the on-the-fly emptiness check of Courcoubetis, Vardi,
+    Wolper and Yannakakis does; a node it does not reach has no successors and
+    no SCC.  E pathform holds at a start state si iff an atom of si with the
+    root set reaches a nontrivial SCC that discharges every obligation pending
+    in it.
     """
 
     MAX_TEMPORAL = 14
 
-    def __init__(self, k, pathform, leaves, closure=None):
+    def __init__(self, k, pathform, leaves, closure=None, starts=None):
         self.k = k
         self.closure = closure = _bounded(closure or _Closure(pathform))
         self.temporal = closure.temporal
+        self.starts = k.full_mask if starts is None else starts
         self._build(leaves)
 
     def _build(self, leaves):
@@ -247,28 +257,37 @@ class AtomGraph:
         for i, mask in enumerate(leaves):
             for si in mask_members(mask):
                 sig[si] |= 1 << i
-        tables = [self.closure.table(s) for s in sig]
+        self._tables = tables = [self.closure.table(s) for s in sig]
         self.first = first = [0]   # atoms of state si: first[si] .. first[si+1]-1
         self.atoms, self.vals = atoms, vals = [], []
         for si, tab in enumerate(tables):
             atoms += [si] * len(tab.vals)
             vals += tab.vals
             first.append(len(vals))
-        self.adj = adj = []
-        for si, tab in enumerate(tables):
-            rows = [[] for _ in tab.vals]
-            for ti in k.succ[si]:
-                base = first[ti]
-                for row, succ in zip(rows, tables[ti].successors(tab)):
-                    row += map(base.__add__, succ)
-            adj += rows
-        self._sccs()
+        self.adj = [()] * len(vals)
+        self._out = [None] * k.n  # per state: (first atom, successor lists) of each successor state
+        root = self.closure.root
+        self._sccs([a for si in mask_members(self.starts)
+                    for a in range(first[si], first[si + 1]) if vals[a] & root])
         self._mark_good()
 
-    def _sccs(self):
-        """Tarjan's algorithm from an explicit stack of (atom, successor iterator)."""
-        adj = self.adj
-        n = len(adj)
+    def _successors(self, a):
+        """Atom a's successors, in state-then-atom order, kept in adj[a]."""
+        si = self.atoms[a]
+        out = self._out[si]
+        if out is None:
+            tables, first = self._tables, self.first
+            out = self._out[si] = [(first[ti], tables[ti].successors(tables[si])) for ti in self.k.succ[si]]
+        i = a - self.first[si]
+        row = self.adj[a] = []
+        for base, succ in out:
+            row += map(base.__add__, succ[i])
+        return row
+
+    def _sccs(self, roots):
+        """Tarjan's algorithm from an explicit stack of (atom, successor
+        iterator), over the atoms reached from roots."""
+        n = len(self.vals)
         index = [-1] * n
         low = [0] * n
         on_stack = [False] * n
@@ -276,14 +295,14 @@ class AtomGraph:
         self.sccs = sccs = []
         stack = []
         counter = 0
-        for root in range(n):
+        for root in roots:
             if index[root] >= 0:
                 continue
             index[root] = low[root] = counter
             counter += 1
             stack.append(root)
             on_stack[root] = True
-            work = [(root, iter(adj[root]))]
+            work = [(root, iter(self._successors(root)))]
             while work:
                 v, successors = work[-1]
                 for w in successors:
@@ -292,7 +311,7 @@ class AtomGraph:
                         counter += 1
                         stack.append(w)
                         on_stack[w] = True
-                        work.append((w, iter(adj[w])))
+                        work.append((w, iter(self._successors(w))))
                         break
                     if on_stack[w] and index[w] < low[v]:
                         low[v] = index[w]
@@ -338,21 +357,24 @@ class AtomGraph:
         self.good = good
 
     def _accepting_starts(self, si):
+        if not self.starts >> si & 1:
+            return
         root, vals, scc_of, reach = self.closure.root, self.vals, self.scc_of, self.can_reach_good
         for a in range(self.first[si], self.first[si + 1]):
             if vals[a] & root and reach[scc_of[a]]:
                 yield a
 
     def e_mask(self):
-        """Bitmask of states with a path satisfying the formula."""
+        """Bitmask of the start states with a path satisfying the formula."""
         mask = 0
-        for si in range(self.k.n):
+        for si in mask_members(self.starts):
             if next(self._accepting_starts(si), None) is not None:
                 mask |= 1 << si
         return mask
 
     def lasso(self, state_name):
-        """A witness (stem, loop) of state names from `state_name`, or None."""
+        """A witness (stem, loop) of state names from `state_name`, or None
+        (also when it is not a start state)."""
         si = self.k.index(state_name)
         start = next(self._accepting_starts(si), None)
         if start is None:
@@ -380,7 +402,8 @@ class AtomGraph:
         stem_nodes.reverse()
         # The loop visits one atom discharging each obligation pending in the
         # SCC, then closes at entry; visiting every atom would be quadratic.
-        comp = self.sccs[self.scc_of[entry]]
+        # Members go in id order, which does not depend on the start set.
+        comp = sorted(self.sccs[self.scc_of[entry]])
         vals, obligations = self.vals, self.closure.obligations
         pending = dict.fromkeys(ob for a in comp for ob in obligations(vals[a]))
         walk = [entry]
@@ -473,6 +496,18 @@ class _Evaluator(_Duality):
     def states(self, phi):
         """phi's state mask: a fold over its state subformulas, in self.memo."""
         return F.fold(phi, self._operands, self._states, self.memo)
+
+    def holds(self, phi):
+        """K |= phi: phi at every initial state.  A root quantifier on the
+        tableau route is asked only there, on its product from the initial
+        states' root atoms, and its mask stays out of memo."""
+        init = self.k.init_mask
+        if isinstance(phi, (F.PathA, F.PathE)) and phi not in self.memo:
+            self._operands(phi)  # sends phi to the tableau, or not
+            if phi in self._tableau:
+                mask = self.graph(phi, init).e_mask()
+                return mask == init if isinstance(phi, F.PathE) else not mask
+        return init & self.states(phi) == init
 
     def _operands(self, phi):
         """The operands of a connective, or the state subformulas under a path
@@ -611,14 +646,17 @@ class _Evaluator(_Duality):
             got = self._closures[phi] = _Closure(c)
         return got
 
-    def graph(self, phi):
-        """The AtomGraph of phi's closure automaton with k; built once per
-        evaluator and labeling, so a check and its witness share it."""
-        got = self._graphs.get(phi)
+    def graph(self, phi, starts=None):
+        """The AtomGraph of phi's closure automaton with k from the root atoms
+        of the states of `starts`, every state (the graph that states(phi)
+        reads) by default; built once per evaluator, labeling and start set,
+        so a check and its witness share it."""
+        key = phi, self.full if starts is None else starts
+        got = self._graphs.get(key)
         if got is None:
             closure = self._closure(phi)
             leaves = [self.states(f) for f in closure.leaves]
-            got = self._graphs[phi] = AtomGraph(self.k, closure.pathform, leaves, closure)
+            got = self._graphs[key] = AtomGraph(self.k, closure.pathform, leaves, closure, key[1])
         return got
 
 
@@ -833,7 +871,7 @@ def eval_mask(k, phi, env=None, force_tableau=False):
 
 def check_ctl_star(k, phi, env=None, force_tableau=False):
     """K |= phi: every initial state satisfies phi."""
-    return k.init_mask & _Evaluator(k, env, force_tableau).states(phi) == k.init_mask
+    return _Evaluator(k, env, force_tableau).holds(phi)
 
 
 def sweep(k, phi, atom, env=None):
@@ -855,20 +893,19 @@ def explain_path(k, phi, env=None, evaluator=None):
     """Witness lasso for a top-level path quantifier, if one is relevant.
 
     For E psi true somewhere initial: a satisfying lasso.  For A psi false:
-    a falsifying lasso (a witness of E !psi).  Otherwise None.  `evaluator`,
-    an _Evaluator of k, lends its labels and tableau graphs.
+    a falsifying lasso (a witness of E !psi).  Otherwise None.  The product
+    is built from the initial states' root atoms only.  `evaluator`, an
+    _Evaluator of k, lends its labels and tableau graphs.
     """
     if not isinstance(phi, (F.PathA, F.PathE)):
         return None
-    ag = (evaluator or _Evaluator(k, env)).graph(phi)
-    mask = ag.e_mask()
+    ag = (evaluator or _Evaluator(k, env)).graph(phi, k.init_mask)
     for s in k.init:
-        if mask >> k.index(s) & 1:
-            got = ag.lasso(s)
-            if got is not None:
-                stem, loop = got
-                kind = "witness" if isinstance(phi, F.PathE) else "counterexample"
-                return {"kind": kind, "state": s, "stem": stem, "loop": loop}
+        got = ag.lasso(s)
+        if got is not None:
+            stem, loop = got
+            kind = "witness" if isinstance(phi, F.PathE) else "counterexample"
+            return {"kind": kind, "state": s, "stem": stem, "loop": loop}
     return None
 
 
@@ -877,7 +914,7 @@ def check_and_explain(k, phi, env=None):
     lasso when it backs the verdict (a satisfying lasso for E psi holding, a
     falsifying one for A psi failing), else None."""
     ev = _Evaluator(k, env)
-    value = k.init_mask & ev.states(phi) == k.init_mask
+    value = ev.holds(phi)
     witness = explain_path(k, phi, env, ev)
     if witness is not None and witness["kind"] != ("witness" if value else "counterexample"):
         witness = None

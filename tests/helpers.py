@@ -962,7 +962,7 @@ class OracleAtomGraph:
             stem_nodes.append(v)
             v = parent[v]
         stem_nodes.reverse()
-        comp = self.sccs[self.scc_of[entry]]
+        comp = sorted(self.sccs[self.scc_of[entry]])
         pending = dict.fromkeys(ob for a in comp for ob in self._obligations(self.vals[a]))
         walk = [entry]
         for target, needed in pending:

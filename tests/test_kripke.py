@@ -1,3 +1,4 @@
+import itertools
 import time
 from collections.abc import Sequence
 
@@ -316,6 +317,43 @@ class TestIsomorphic:
         assert isomorphic(chain("s", n - 1), chain("t", n - 1)) == {f"s{i}": f"t{i}" for i in range(n)}
         assert isomorphic(chain("s", n - 1), chain("t", 0)) is None
 
+    def test_against_every_permutation(self, rng):
+        """On seeded structures of up to 6 states, against renamed copies with
+        shuffled declarations, some with one transition redirected and some
+        with the labels of two states swapped: a bijection is found iff one
+        of the n! permutations preserves labels, transitions and initial
+        states, and the one found does."""
+
+        def preserves(k1, k2, image):
+            return (all(k1.labels_of(s) == k2.labels_of(image[s]) for s in k1.states)
+                    and sorted(image[s] for s in k1.init) == sorted(k2.init)
+                    and sorted((image[s], image[t]) for s in k1.states for t in k1.successors(s))
+                    == sorted((s, t) for s in k2.states for t in k2.successors(s)))
+
+        found = 0
+        for _ in range(150):
+            k1 = rand_kripke(rng, 6)
+            rename = {s: f"t{s[1:]}" for s in k1.states}
+            trans = [(rename[s], rename[t]) for s in k1.states for t in k1.successors(s)]
+            labels = {rename[s]: k1.labels_of(s) for s in k1.states}
+            change = rng.randrange(3)
+            if change == 1:
+                j = rng.randrange(len(trans))
+                trans[j] = (trans[j][0], rename[rng.choice(k1.states)])
+            elif change == 2:
+                a, b = rng.choice(list(labels)), rng.choice(list(labels))
+                labels[a], labels[b] = labels[b], labels[a]
+            declared = rng.sample(list(labels), k1.n)
+            k2 = KripkeStructure("T", k1.props, declared, [rename[s] for s in k1.init], trans, labels)
+            exists = any(preserves(k1, k2, dict(zip(k1.states, perm)))
+                         for perm in itertools.permutations(k2.states))
+            got = isomorphic(k1, k2)
+            assert (got is not None) == exists
+            if got is not None:
+                found += 1
+                assert sorted(got.values()) == sorted(k2.states) and preserves(k1, k2, got)
+        assert 50 < found < 140
+
     def test_a_long_chain_with_one_label(self):
         """6000 states that all share one signature but the first and the
         last: a search depth starts at its signature's first unused
@@ -337,6 +375,29 @@ class TestIsomorphic:
             return best
 
         assert best_time(6000) < 10 * best_time(1500)
+
+    def test_a_long_chain_declared_in_reverse(self):
+        """3000 states of one signature against a copy that declares them in
+        reverse: each state's candidates are the successors of its
+        predecessor's image, so the search stays linear (a scan of the
+        signature's unused candidates made 2x the states take 4x the time)."""
+
+        def chain(prefix, n, reverse):
+            states = [f"{prefix}{i}" for i in range(n)]
+            trans = [(states[i], states[i + 1]) for i in range(n - 1)] + [(states[-1], states[-1])]
+            declared = states[::-1] if reverse else states
+            return KripkeStructure(prefix, ("p",), declared, states[:1], trans, {states[-1]: {"p": True}})
+
+        def best_time(n):
+            pair, best = (chain("s", n, False), chain("t", n, True)), float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                got = isomorphic(*pair)
+                best = min(best, time.perf_counter() - start)
+            assert got == {f"s{i}": f"t{i}" for i in range(n)}
+            return best
+
+        assert best_time(3000) < 10 * best_time(750)
 
 
 # ---------------------------------------------------------------------------

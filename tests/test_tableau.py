@@ -7,7 +7,8 @@ from vacmc import formula as F
 from vacmc import mc
 from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
-from vacmc.mc import _Evaluator, check_ctl_star, eval_mask
+from vacmc.kripke import KripkeStructure, mask_members, restrict_init
+from vacmc.mc import _Evaluator, check_and_explain, check_ctl_star, eval_mask
 
 from helpers import eval_on_lasso, oracle_atom_graph, per_mask, rand_kripke, shaped_kripke
 
@@ -54,27 +55,45 @@ def rand_structure(rng, max_states):
     return shaped_kripke(rng, "random", n, density=0.4)
 
 
+def reached_from(old, starts):
+    """The oracle's nodes reachable from the root atoms of the states of starts."""
+    todo = [a for si in mask_members(starts) for a in old.per_state[si] if old.vals[a][old.root]]
+    seen = set(todo)
+    for v in todo:
+        for w in old.adj[v]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
 def assert_same_graph(k, phi):
-    """The product equals the oracle's atom for atom, edge for edge and SCC
-    for SCC, with the same verdicts and witness lassos, and each lasso replays."""
-    new, old = _Evaluator(k).graph(phi), oracle_atom_graph(k, phi)
-    assert len(new.temporal) == len(old.temporal)
-    assert new.e_mask() == old.e_mask()
-    assert new.atoms == [si for si, _ in old.atoms]
-    assert new.adj == old.adj
-    assert new.sccs == old.sccs
+    """From every state and from the initial states, the product equals the
+    oracle's atom for atom and, on the nodes reached from the start states'
+    root atoms, edge for edge and SCC for SCC, with no edge out of a node not
+    reached; verdicts and witness lassos are the same, and each lasso replays."""
+    old = oracle_atom_graph(k, phi)
     body = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
-    for s in k.states:
-        got = new.lasso(s)
-        assert got == old.lasso(s)
-        assert (got is not None) == bool(new.e_mask() >> k.index(s) & 1)
-        if got is not None:
-            stem, loop = got
-            path = tuple(stem + loop)
-            assert path[0] == s
-            assert all(b in k.successors(a) for a, b in zip(path, path[1:]))
-            assert path[len(stem)] in k.successors(path[-1])
-            assert eval_on_lasso(k, path, len(stem), body), F.render_formula(body)
+    for starts in (None, k.init_mask):
+        new = _Evaluator(k).graph(phi, starts)
+        starts = k.full_mask if starts is None else starts
+        reached = reached_from(old, starts)
+        assert len(new.temporal) == len(old.temporal)
+        assert new.e_mask() == old.e_mask() & starts
+        assert new.atoms == [si for si, _ in old.atoms]
+        assert all(list(new.adj[a]) == (old.adj[a] if a in reached else []) for a in range(len(old.adj)))
+        assert sorted(map(sorted, new.sccs)) == sorted(sorted(c) for c in old.sccs if c[0] in reached)
+        for s in k.states:
+            got = new.lasso(s)
+            assert got == (old.lasso(s) if starts >> k.index(s) & 1 else None)
+            assert (got is not None) == bool(new.e_mask() >> k.index(s) & 1)
+            if got is not None:
+                stem, loop = got
+                path = tuple(stem + loop)
+                assert path[0] == s
+                assert all(b in k.successors(a) for a, b in zip(path, path[1:]))
+                assert path[len(stem)] in k.successors(path[-1])
+                assert eval_on_lasso(k, path, len(stem), body), F.render_formula(body)
     return new
 
 
@@ -87,8 +106,11 @@ class TestAgainstPerStateProduct:
                     assert_same_graph(k, p(f"{quant}({text})"))
 
     def test_random_formulas_on_random_graphs(self, rng):
+        # at least 60 cases, and on until every T in 1..8 and T = 1 on more
+        # than 6 states have come up, whatever the seed
         sizes, cases = set(), 0
-        while cases < 60:
+        while cases < 60 or {t for t, _ in sizes} != set(range(1, 9)) or (1, True) not in sizes:
+            assert cases < 300, sorted(sizes)
             body = rand_body(rng, ("p", "q"), 4)
             temporal = len(mc._Closure(body).temporal)
             if temporal == 0 or temporal > 8:
@@ -99,7 +121,6 @@ class TestAgainstPerStateProduct:
                 assert_same_graph(k, quant(body))
             sizes.add((temporal, k.n > 6))
             cases += 1
-        assert {t for t, _ in sizes} == set(range(1, 9)) and (1, True) in sizes
 
     def test_conflicting_laws_leave_an_atom_without_successors(self, rng):
         phi = p("E(X F p & !F p)")
@@ -112,7 +133,7 @@ class TestAgainstPerStateProduct:
             (_, f_bit, _, _), (_, xf_bit, _, _) = g.closure._steps
             for a, v in enumerate(g.vals):
                 if v & xf_bit and not v & f_bit:
-                    assert g.adj[a] == []
+                    assert not g.adj[a]
                     torn += 1
         assert torn > 10
 
@@ -120,7 +141,7 @@ class TestAgainstPerStateProduct:
 class TestCounters:
     def test_exact_counts_on_l(self, fx):
         g = _Evaluator(fx("L")).graph(p("E(F G p & (p U X p))"))
-        assert (len(g.temporal), len(g.atoms), sum(map(len, g.adj)), len(g.sccs)) == (4, 9, 9, 9)
+        assert (len(g.temporal), len(g.atoms), sum(map(len, g.adj)), len(g.sccs)) == (4, 9, 6, 6)
         assert g.e_mask() == 1 and sum(g.good) == 1
 
     def test_a_sweep_builds_one_closure(self, rng, monkeypatch):
@@ -142,6 +163,77 @@ class TestCounters:
             for mask, value in verdicts:
                 here = F.SetAtom(k.name, k.names_of(mask), ref=k)
                 assert value == check_ctl_star(k, F.substitute(phi, x, here))
+
+
+class TestRootedChecks:
+    """A check asks a root quantifier on the tableau route only at the
+    initial states, on the product from their root atoms."""
+
+    def test_the_initial_state_check_equals_the_full_mask(self, rng):
+        inits, nested, cases = set(), 0, 0
+        while cases < 80:
+            body = rand_body(rng, ("p", "q"), 4)
+            if not 0 < len(mc._Closure(body).temporal) <= 6:
+                continue
+            k = rand_structure(rng, 12)
+            k = restrict_init(k, rng.sample(k.states, rng.randint(1, min(3, k.n))))
+            for quant in (F.PathE, F.PathA):
+                phi = quant(body)
+                for force in (False, True):
+                    want = k.init_mask & eval_mask(k, phi, force_tableau=force) == k.init_mask
+                    assert check_ctl_star(k, phi, force_tableau=force) == want, F.render_formula(phi)
+                value, witness = check_and_explain(k, phi)
+                assert value == want
+                if witness is not None:
+                    assert witness["kind"] == ("witness" if quant is F.PathE else "counterexample")
+                    path = tuple(witness["stem"] + witness["loop"])
+                    assert path[0] == witness["state"] and witness["state"] in k.init
+                    replayed = eval_on_lasso(k, path, len(witness["stem"]), body)
+                    assert replayed == (quant is F.PathE)
+            inits.add(len(k.init))
+            nested += any(isinstance(f, (F.PathE, F.PathA)) for f in F.subformulas(body))
+            cases += 1
+        assert inits == {1, 2, 3} and nested >= 10
+
+    def test_a_reused_evaluator_labels_every_state(self, rng, monkeypatch):
+        made = []
+
+        class Kept(mc._Evaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(mc, "_Evaluator", Kept)
+        partial = 0
+        for _ in range(20):
+            k = shaped_kripke(rng, "random", rng.randint(2, 30), density=0.4)
+            for text in ("E(G F p & F !q)", "A(p U (q U !p))", "E(X X p & F G q)"):
+                phi = p(text)
+                made.clear()
+                check_and_explain(k, phi)
+                (ev,) = made
+                partial += any(starts != k.full_mask for _, starts in ev._graphs)
+                assert ev.states(phi) == eval_mask(k, phi), text
+        assert partial == 60
+
+    def test_no_root_atom_builds_no_edge(self, rng, monkeypatch):
+        n = 40
+        states = [f"s{i}" for i in range(n)]
+        trans = [(s, rng.choice(states)) for s in states for _ in range(3)]
+        labels = {s: {a: i > 0 and rng.random() < 0.5 for a in "pqr"} for i, s in enumerate(states)}
+        k = KripkeStructure("K", ("p", "q", "r"), states, ["s0"], trans, labels)
+        phi = p("E(p U (q U r))")
+        built = []
+
+        class Counting(mc.AtomGraph):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(mc, "AtomGraph", Counting)
+        assert check_and_explain(k, phi) == (False, None)
+        assert [sum(map(len, g.adj)) for g in built] == [0]
+        assert sum(map(len, _Evaluator(k).graph(phi).adj)) > 0
 
 
 class TestDeepPathFormulas:
