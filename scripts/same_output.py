@@ -8,8 +8,11 @@ calls without a subcommand are left out.  Each tree runs every query in a
 fresh Python process of its own, with its directory first on sys.path.  An
 output is the exit code, standard output with `meta.elapsed_ms` blanked, and
 standard error.  Prints a Markdown report with the number of queries whose
-outputs differ, per workload and in total, and names up to ten of them.  It
-reports and does not judge: the exit status is 0 whatever the count.
+outputs differ, per workload and in total, and names up to ten of them.
+Each difference is named: `exit`, `stderr`, or the dotted paths of standard
+output's JSON where the two differ (`result.witness.stem`; `stdout` when it
+is not JSON on both sides).  It reports and does not judge: the exit status
+is 0 whatever the count.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("large-ctl", "ctlstar-tableau", "vacuity-sweep", "bisim-reduce")
 ELAPSED = re.compile(r'"elapsed_ms": [0-9.e-]+')
+ABSENT = object()  # a key on one side only
 
 
 def run_queries(argvs):
@@ -41,6 +45,31 @@ def run_queries(argvs):
                 code, err = "raised", io.StringIO(f"{type(exc).__name__}: {exc}")
         outputs.append([code, ELAPSED.sub('"elapsed_ms": null', out.getvalue()), err.getvalue()])
     return outputs
+
+
+def differences(a, b):
+    """The names of what differs between two outputs [exit code, stdout, stderr]."""
+    found = ["exit"] if a[0] != b[0] else []
+    if a[1] != b[1]:
+        try:
+            found += json_paths(json.loads(a[1]), json.loads(b[1])) or ["stdout"]
+        except ValueError:
+            found.append("stdout")
+    if a[2] != b[2]:
+        found.append("stderr")
+    return found
+
+
+def json_paths(x, y, path=""):
+    """The dotted paths at which two JSON values differ, down through objects."""
+    if x == y:
+        return []
+    if not (isinstance(x, dict) and isinstance(y, dict)):
+        return [path or "stdout"]
+    found = []
+    for key in list(x) + [key for key in y if key not in x]:
+        found += json_paths(x.get(key, ABSENT), y.get(key, ABSENT), f"{path}.{key}" if path else key)
+    return found
 
 
 def outputs_of(src, queries_path):
@@ -71,12 +100,13 @@ def main(argv=None):
             with open(queries_path, "w") as fh:
                 json.dump([q.argv for q in queries], fh)
             base, head = (outputs_of(src, queries_path) for src in (args.base_src, args.head_src))
-            differ = [i for i, (a, b) in enumerate(zip(base, head)) if a != b]
-            names += [f"{name} #{i} `{' '.join(queries[i].argv)}`" for i in differ]
-            lines.append(f"| {name} | {len(queries)} | {len(differ)} |")
+            differ = {i: differences(a, b) for i, (a, b) in enumerate(zip(base, head)) if a != b}
+            names += [f"{name} #{i} `{' '.join(queries[i].argv)}`: {', '.join(what)}" for i, what in differ.items()]
+            fields = sorted({field for what in differ.values() for field in what})
+            lines.append(f"| {name} | {len(queries)} | {len(differ)} | {', '.join(fields)} |")
             total, count = total + len(queries), count + len(differ)
     print(f"### Same output (seed {args.seed}): {count} of {total} bench CLI queries differ\n")
-    print("| workload | queries | differing |\n|---|---|---|")
+    print("| workload | queries | differing | what differs |\n|---|---|---|---|")
     print("\n".join(lines))
     for line in names[:10]:
         print(f"- {line.replace(workdir, '.')}")

@@ -108,14 +108,16 @@ def _check_common(k1, k2, over):
 @_gc_paused
 def _partition(k1, k2, over):
     """Block ids of the states of k1 and of k2 under the coarsest bisimulation
-    over `over` on their disjoint union (k1 alone when k1 is k2).  Its lists
+    over `over` on their disjoint union (k1 alone when k1 is k2).  k1's rows
+    are used as they are and only k2's are offset; none is changed.  Its lists
     and frozensets hold no cycles, so it runs with the cyclic GC paused."""
     over = _check_common(k1, k2, over)
-    succ, pred, label = [], [], []
+    succ, pred, label = list(k1.succ), list(k1.predecessors()), []
+    if k1 is not k2:
+        base = k1.n
+        succ += ([base + j for j in row] for row in k2.succ)
+        pred += ([base + i for i in into] for into in k2.predecessors())
     for k in (k1,) if k1 is k2 else (k1, k2):
-        base = len(succ)
-        succ += ([base + j for j in row] for row in k.succ)
-        pred += ([base + i for i in into] for into in k.predecessors())
         code = [0] * k.n
         for b, p in enumerate(over):
             for i in mask_members(k.true_mask(p)):

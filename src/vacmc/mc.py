@@ -14,12 +14,14 @@ Genuine path formulas are decided in the automata-theoretic style
 depend on any structure.  Its atoms and one-step laws depend only on a
 state's leaf signature, the set of maximal state subformulas that hold
 there, so they are built once per signature and formula.  `AtomGraph` is
-the automaton's product with one structure, built forward from the root
-atoms of a set of start states and accepted through a self-fulfilling SCC.
-A nested quantifier gets the product from every state; a check asks a root
-quantifier only at the initial states, from their root atoms, and its
-witness reads the same graph.  Set atoms of a foreign structure are resolved
-through a bisimulation computed on demand.
+the automaton's product with one structure, built on the fly by Couvreur's
+SCC search for a cycle that covers every acceptance set (a generalized Buchi
+emptiness check), with a state's table and nodes made when the search gets
+to it.  A nested quantifier gets the product from every state, searched to
+completion; a check asks a root quantifier only at the initial states, and
+its search stops at the first accepting cycle; the witness reads the same
+graph.  Set atoms of a foreign structure are resolved through a
+bisimulation computed on demand.
 
 A sweep over the labelings of one fresh atom labels a chunk of them at once,
 one bit per labeling (`_LaneSweep`): a subformula that contains the atom
@@ -33,6 +35,7 @@ A chunk's verdicts are one int, the AND of the root's lanes over the
 initial states.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from . import formula as F
@@ -67,24 +70,29 @@ def _state_nodes(root):
 
 
 class _Table:
-    """The atoms of one leaf signature: their valuations in sigma order and
-    their compiled (care, want) laws."""
+    """The atoms of one leaf signature: their valuations in sigma order, their
+    acceptance marks and their compiled (care, want) laws."""
 
-    __slots__ = ("vals", "laws", "_succ")
+    __slots__ = ("vals", "marks", "laws", "_succ", "_by_care")
 
-    def __init__(self, vals, laws):
-        self.vals, self.laws, self._succ = vals, laws, {}
+    def __init__(self, vals, marks, laws):
+        self.vals, self.marks, self.laws, self._succ, self._by_care = vals, marks, laws, {}, {}
 
     def successors(self, source):
         """For each atom a of the table `source`, the indices of the atoms b of
-        this one with vals[b] & care_a == want_a; kept per source."""
+        this one with vals[b] & care_a == want_a; kept per source.  The atoms
+        are bucketed by vals & care once per distinct care, and the lists are
+        shared: atoms with one law get one list, and none is to be changed."""
         got = self._succ.get(source)
         if got is None:
-            by_law = {}  # atoms with one law share one list
+            got = self._succ[source] = []
             for care, want in source.laws:
-                if (care, want) not in by_law:
-                    by_law[care, want] = [b for b, v in enumerate(self.vals) if v & care == want]
-            got = self._succ[source] = [by_law[law] for law in source.laws]
+                buckets = self._by_care.get(care)
+                if buckets is None:
+                    buckets = self._by_care[care] = {}
+                    for b, v in enumerate(self.vals):
+                        buckets.setdefault(v & care, []).append(b)
+                got.append(buckets.get(want, ()))
         return got
 
 
@@ -98,7 +106,9 @@ class _Closure:
     fixed by the signature and a guess sigma of the `temporal` positions (bit
     t of sigma for temporal[t]).  Each atom's one-step law is compiled to a
     (care, want) pair: atom b may follow atom a iff vals_b & care_a == want_a.
-    Atoms, laws and successor lists are built per signature on first use.
+    Each atom also carries its acceptance marks (`_marks`), one generalized
+    Buchi set per U, F, R or G position.  Atoms, laws, marks and successor
+    lists are built per signature on first use.
     """
 
     def __init__(self, pathform):
@@ -175,7 +185,7 @@ class _Closure:
             for sigma in mask_members(mp & ok):
                 vals[sigma] |= bit
         vals = list(vals.values())
-        return _Table(vals, [self._law(v) for v in vals])
+        return _Table(vals, [self._marks(v) for v in vals], [self._law(v) for v in vals])
 
     def _law(self, v):
         """(care, want) of the successors of an atom valued v; (0, 1), which
@@ -204,16 +214,16 @@ class _Closure:
         """(target bit, value owed) of an atom valued v, in temporal order."""
         return [(target, eventual) for p, target, eventual in self._owed if bool(v & p) == eventual]
 
-    def fulfilled(self, some, every):
-        """Whether a component whose valuations OR to `some` and AND to `every`
-        discharges every obligation pending in it."""
-        for p, target, eventual in self._owed:
-            if eventual:
-                if some & p and not some & target:
-                    return False
-            elif not every & p and every & target:
-                return False
-        return True
+    def _marks(self, v):
+        """The acceptance sets of an atom valued v: bit i for the i-th owed
+        entry not owed or discharged there, not p or target for U/F and p or
+        not target for R/G.  A cycle is accepting when its atoms' marks OR to
+        every bit."""
+        marks = 0
+        for i, (p, target, eventual) in enumerate(self._owed):
+            if bool(v & p) != eventual or bool(v & target) == eventual:
+                marks |= 1 << i
+        return marks
 
 
 def _bounded(closure):
@@ -226,20 +236,27 @@ def _bounded(closure):
 
 class AtomGraph:
     """Product of a path formula's closure automaton with one structure, built
-    forward from the root atoms of a set of start states.
+    forward from root atoms and searched on the fly for accepting cycles.
 
     `leaves` are the state masks on k of the closure's leaves, in order; the
-    closure is built from `pathform` unless given.  State si gets the atoms of
-    its leaf signature in sigma order (`atoms[a]` is atom a's state, `vals[a]`
-    its valuation), so node ids are those of the whole product.  A depth-first
-    search from the atoms with the root set at the states of `starts` (a mask,
-    every state by default) follows the transitions where the successor atom
-    obeys the law, successors in state-then-atom order, and runs Tarjan on the
-    nodes it reaches, as the on-the-fly emptiness check of Courcoubetis, Vardi,
-    Wolper and Yannakakis does; a node it does not reach has no successors and
-    no SCC.  E pathform holds at a start state si iff an atom of si with the
-    root set reaches a nontrivial SCC that discharges every obligation pending
-    in it.
+    closure is built from `pathform` unless given.  A state's table is built,
+    and its atoms get node ids (`atoms[a]` is node a's state, `vals[a]` its
+    valuation), when the search first gets to the state.  The search lists a
+    node's successors in `adj[a]` one successor state at a time, in
+    state-then-atom order, as it goes through them; all of them once the
+    node's SCC is complete, none if it never entered the node.  It is
+    Couvreur's (1999) generalized Buchi emptiness check: a depth-first search
+    over partial SCCs whose acceptance marks are OR-ed as cycles merge them.
+    A cycle whose marks cover every acceptance set is accepting, and E
+    pathform holds at a state iff one of its atoms with the root set reaches
+    one.
+
+    `starts` None searches from every state's root atoms to completion: every
+    SCC reached is completed (`sccs`, `good`), the graph that a state mask
+    reads.  Otherwise `starts` is a tuple of state masks, searched in turn,
+    each only up to its first accepting cycle; a node whose SCC completed is
+    then known to reach none.  `e_mask` and `lasso` answer for the states a
+    search credited.
     """
 
     MAX_TEMPORAL = 14
@@ -248,124 +265,185 @@ class AtomGraph:
         self.k = k
         self.closure = closure = _bounded(closure or _Closure(pathform))
         self.temporal = closure.temporal
-        self.starts = k.full_mask if starts is None else starts
-        self._build(leaves)
-
-    def _build(self, leaves):
-        k = self.k
-        sig = [0] * k.n
+        self._sig = sig = [0] * k.n
         for i, mask in enumerate(leaves):
             for si in mask_members(mask):
                 sig[si] |= 1 << i
-        self._tables = tables = [self.closure.table(s) for s in sig]
-        self.first = first = [0]   # atoms of state si: first[si] .. first[si+1]-1
-        self.atoms, self.vals = atoms, vals = [], []
-        for si, tab in enumerate(tables):
-            atoms += [si] * len(tab.vals)
-            vals += tab.vals
-            first.append(len(vals))
-        self.adj = [()] * len(vals)
-        self._out = [None] * k.n  # per state: (first atom, successor lists) of each successor state
-        root = self.closure.root
-        self._sccs([a for si in mask_members(self.starts)
-                    for a in range(first[si], first[si + 1]) if vals[a] & root])
-        self._mark_good()
+        self._first = [None] * k.n   # per state: its first node id, once it has nodes
+        self._tables = [None] * k.n
+        self._out = [None] * k.n     # per state: the successor lists into each successor state's table
+        self.atoms, self.vals, self.marks, self.adj = [], [], [], []
+        self._num, self.scc_of, self.reach = [], [], []  # visit number, SCC, reaches an accepting cycle
+        self.sccs, self.good = [], []
+        self._fragment = {}          # node -> the accepting (partial) SCC it was found in
+        self._visits = itertools.count()
+        if starts is None:
+            self.starts = k.full_mask
+            for _ in self._search(self._roots(k.full_mask)):
+                pass
+        else:
+            self.starts = 0
+            for mask in starts:
+                self.starts |= mask
+                next(self._search(self._roots(mask)), None)
 
-    def _successors(self, a):
-        """Atom a's successors, in state-then-atom order, kept in adj[a]."""
+    def _state(self, si):
+        """State si's first node id; its table and nodes are made on first use."""
+        first = self._first[si]
+        if first is None:
+            tab = self._tables[si] = self.closure.table(self._sig[si])
+            first = self._first[si] = len(self.vals)
+            count = len(tab.vals)
+            self.atoms += [si] * count
+            self.vals += tab.vals
+            self.marks += tab.marks
+            self.adj += [()] * count
+            self._num += [-1] * count
+            self.scc_of += [-1] * count
+            self.reach += [False] * count
+        return first
+
+    def _roots(self, mask):
+        """The atoms with the root set of the states of mask, state by state."""
+        root, vals = self.closure.root, self.vals
+        for si in mask_members(mask):
+            first = self._state(si)
+            for a in range(first, first + len(self._tables[si].vals)):
+                if vals[a] & root:
+                    yield a
+
+    def _successors(self, a, j):
+        """The nodes of atom a's j-th successor state that may follow it, in
+        atom order, appended to adj[a]; None past the last successor state.
+        The search asks for them one state at a time, so a state is reached
+        only when the search gets to it."""
         si = self.atoms[a]
+        succ = self.k.succ[si]
+        if j == len(succ):
+            return None
+        ti = succ[j]
+        first = self._state(ti)
         out = self._out[si]
         if out is None:
-            tables, first = self._tables, self.first
-            out = self._out[si] = [(first[ti], tables[ti].successors(tables[si])) for ti in self.k.succ[si]]
-        i = a - self.first[si]
-        row = self.adj[a] = []
-        for base, succ in out:
-            row += map(base.__add__, succ[i])
-        return row
+            out = self._out[si] = [None] * len(succ)
+        lists = out[j]
+        if lists is None:
+            lists = out[j] = self._tables[ti].successors(self._tables[si])
+        got = list(map(first.__add__, lists[a - self._first[si]]))
+        self.adj[a] = self.adj[a] + got if j else got
+        return got
 
-    def _sccs(self, roots):
-        """Tarjan's algorithm from an explicit stack of (atom, successor
-        iterator), over the atoms reached from roots."""
-        n = len(self.vals)
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        self.scc_of = scc_of = [-1] * n
-        self.sccs = sccs = []
-        stack = []
-        counter = 0
-        for root in roots:
-            if index[root] >= 0:
-                continue
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            work = [(root, iter(self._successors(root)))]
-            while work:
-                v, successors = work[-1]
-                for w in successors:
-                    if index[w] < 0:
-                        index[w] = low[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        on_stack[w] = True
-                        work.append((w, iter(self._successors(w))))
-                        break
-                    if on_stack[w] and index[w] < low[v]:
-                        low[v] = index[w]
-                else:
-                    work.pop()
-                    if low[v] == index[v]:
-                        comp = []
-                        while True:
-                            w = stack.pop()
-                            on_stack[w] = False
-                            scc_of[w] = len(sccs)
-                            comp.append(w)
-                            if w == v:
-                                break
-                        sccs.append(comp)
-                    if work:
-                        u = work[-1][0]
-                        if low[v] < low[u]:
-                            low[u] = low[v]
+    def _search(self, roots):
+        """Couvreur's SCC search from the nodes `roots`, as a generator.
 
-    def _mark_good(self):
-        vals, adj, fulfilled = self.vals, self.adj, self.closure.fulfilled
-        good = []
-        for comp in self.sccs:
-            if len(comp) == 1 and comp[0] not in adj[comp[0]]:
-                good.append(False)
-                continue
-            some, every = 0, -1
-            for a in comp:
-                some |= vals[a]
-                every &= vals[a]
-            good.append(fulfilled(some, every))
-        # Tarjan emits each SCC after all of its successors.
-        self.can_reach_good = [False] * len(self.sccs)
-        for ci, comp in enumerate(self.sccs):
-            if good[ci]:
-                self.can_reach_good[ci] = True
-                continue
-            for v in comp:
-                if any(self.can_reach_good[self.scc_of[w]] for w in self.adj[v]):
-                    self.can_reach_good[ci] = True
+        `stack` holds the visited nodes whose SCC is not complete.  Each entry
+        of the root stack (`at`, `acc`, `hit`) is a partial SCC on it: its
+        first position, the OR of its members' marks, and whether it reaches
+        an accepting cycle.  The search yields when an entry first does: a
+        back edge merges it into a cycle whose marks cover every set, or an
+        edge leads to a node already known to reach one.  Every node on the
+        stack then reaches one and is marked in `reach`; a caller that stops
+        there leaves them so, and a later search counts them as reached
+        (their visit numbers are below its own).  Run to completion, it
+        completes every SCC it reaches."""
+        num, scc_of, reach, marks, adj = self._num, self.scc_of, self.reach, self.marks, self.adj
+        sccs, good, fragment, successors = self.sccs, self.good, self._fragment, self._successors
+        full = (1 << len(self.closure._owed)) - 1
+        visits = self._visits
+        low = next(visits)
+        stack, at, acc, hit = [], [], [], []  # the node stack; the root stack's entries
+
+        def reached():
+            for v in reversed(stack):  # the nodes marked so far are a prefix of the stack
+                if reach[v]:
                     break
-        self.good = good
+                reach[v] = True
+
+        for r in roots:
+            if num[r] >= 0:
+                if reach[r]:
+                    yield r
+                continue
+            num[r] = next(visits)
+            at.append(len(stack))
+            acc.append(marks[r])
+            hit.append(False)
+            stack.append(r)
+            work = [(r, iter(successors(r, 0)), 1)]
+            while work:
+                v, it, j = work[-1]
+                for w in it:
+                    nw = num[w]
+                    if nw < 0:
+                        num[w] = next(visits)
+                        at.append(len(stack))
+                        acc.append(marks[w])
+                        hit.append(False)
+                        stack.append(w)
+                        work.append((w, iter(successors(w, 0)), 1))
+                        break
+                    if nw < low or scc_of[w] >= 0:  # not on this search's stack
+                        if reach[w] and not hit[-1]:
+                            hit[-1] = True
+                            reached()
+                            yield w
+                        continue
+                    # a cycle through w: merge the entries entered after it
+                    i, m, h = at.pop(), acc.pop(), hit.pop()
+                    while num[stack[i]] > nw:
+                        i = at.pop()
+                        m |= acc.pop()
+                        h |= hit.pop()
+                    at.append(i)
+                    acc.append(m)
+                    hit.append(h or m == full)
+                    if m == full and not h:
+                        part = stack[i:]
+                        for x in part:
+                            fragment[x] = part
+                        reached()
+                        yield w
+                else:
+                    more = successors(v, j)
+                    if more is not None:
+                        work[-1] = v, iter(more), j + 1
+                        continue
+                    work.pop()
+                    i = at[-1]
+                    if stack[i] != v:
+                        continue
+                    # v roots a complete SCC
+                    at.pop()
+                    m, h = acc.pop(), hit.pop()
+                    comp = stack[i:]
+                    del stack[i:]
+                    comp.reverse()
+                    ci = len(sccs)
+                    for x in comp:
+                        scc_of[x] = ci
+                    ok = m == full and (len(comp) > 1 or v in adj[v])
+                    if h:
+                        for x in comp:
+                            reach[x] = True
+                            if ok:
+                                fragment[x] = comp
+                        if work:
+                            hit[-1] = True
+                    sccs.append(comp)
+                    good.append(ok)
 
     def _accepting_starts(self, si):
-        if not self.starts >> si & 1:
+        first = self._first[si]
+        if not self.starts >> si & 1 or first is None:
             return
-        root, vals, scc_of, reach = self.closure.root, self.vals, self.scc_of, self.can_reach_good
-        for a in range(self.first[si], self.first[si + 1]):
-            if vals[a] & root and reach[scc_of[a]]:
+        root, vals, reach = self.closure.root, self.vals, self.reach
+        for a in range(first, first + len(self._tables[si].vals)):
+            if vals[a] & root and reach[a]:
                 yield a
 
     def e_mask(self):
-        """Bitmask of the start states with a path satisfying the formula."""
+        """Bitmask of the start states credited with a path satisfying the
+        formula: all of them when the search ran to completion."""
         mask = 0
         for si in mask_members(self.starts):
             if next(self._accepting_starts(si), None) is not None:
@@ -374,19 +452,20 @@ class AtomGraph:
 
     def lasso(self, state_name):
         """A witness (stem, loop) of state names from `state_name`, or None
-        (also when it is not a start state)."""
+        (also when the state was not credited): a breadth-first stem over the
+        nodes listed so far to an accepting (partial) SCC, and a loop in it."""
         si = self.k.index(state_name)
         start = next(self._accepting_starts(si), None)
         if start is None:
             return None
-        # BFS to any node of a good SCC.
+        fragment = self._fragment
         parent = {start: None}
         frontier = [start]
         entry = None
         while frontier and entry is None:
             nxt = []
             for v in frontier:
-                if self.good[self.scc_of[v]]:
+                if v in fragment:
                     entry = v
                     break
                 for w in self.adj[v]:
@@ -402,8 +481,10 @@ class AtomGraph:
         stem_nodes.reverse()
         # The loop visits one atom discharging each obligation pending in the
         # SCC, then closes at entry; visiting every atom would be quadratic.
-        # Members go in id order, which does not depend on the start set.
-        comp = sorted(self.sccs[self.scc_of[entry]])
+        # Members go in state-then-sigma order, which does not depend on the
+        # order the search met them in.
+        atoms = self.atoms
+        comp = sorted(fragment[entry], key=lambda a: (atoms[a], a))
         vals, obligations = self.vals, self.closure.obligations
         pending = dict.fromkeys(ob for a in comp for ob in obligations(vals[a]))
         walk = [entry]
@@ -414,8 +495,8 @@ class AtomGraph:
         walk.extend(self._scc_path(comp, walk[-1], entry))
         loop_nodes = walk[:-1]
         states = self.k.states
-        stem = [states[self.atoms[v]] for v in stem_nodes[:-1]]
-        loop = [states[self.atoms[v]] for v in loop_nodes]
+        stem = [states[atoms[v]] for v in stem_nodes[:-1]]
+        loop = [states[atoms[v]] for v in loop_nodes]
         return stem, loop
 
     def _scc_path(self, comp, src, dst):
@@ -499,13 +580,13 @@ class _Evaluator(_Duality):
 
     def holds(self, phi):
         """K |= phi: phi at every initial state.  A root quantifier on the
-        tableau route is asked only there, on its product from the initial
-        states' root atoms, and its mask stays out of memo."""
+        tableau route is asked only there, on its rooted graph, and its mask
+        stays out of memo."""
         init = self.k.init_mask
         if isinstance(phi, (F.PathA, F.PathE)) and phi not in self.memo:
             self._operands(phi)  # sends phi to the tableau, or not
             if phi in self._tableau:
-                mask = self.graph(phi, init).e_mask()
+                mask = self.rooted(phi).e_mask()
                 return mask == init if isinstance(phi, F.PathE) else not mask
         return init & self.states(phi) == init
 
@@ -647,17 +728,27 @@ class _Evaluator(_Duality):
         return got
 
     def graph(self, phi, starts=None):
-        """The AtomGraph of phi's closure automaton with k from the root atoms
-        of the states of `starts`, every state (the graph that states(phi)
-        reads) by default; built once per evaluator, labeling and start set,
-        so a check and its witness share it."""
-        key = phi, self.full if starts is None else starts
+        """The AtomGraph of phi's closure automaton with k, searched from
+        `starts` (AtomGraph's: None for every state to completion, the graph
+        that states(phi) reads); built once per evaluator, labeling and
+        starts, so a check and its witness share it."""
+        key = phi, starts
         got = self._graphs.get(key)
         if got is None:
             closure = self._closure(phi)
             leaves = [self.states(f) for f in closure.leaves]
-            got = self._graphs[key] = AtomGraph(self.k, closure.pathform, leaves, closure, key[1])
+            got = self._graphs[key] = AtomGraph(self.k, closure.pathform, leaves, closure, starts)
         return got
+
+    def rooted(self, phi):
+        """The graph that decides root quantifier phi at the initial states.
+        E c must hold at each of them, so each is searched in turn up to its
+        first accepting cycle; A c fails at the first accepting cycle of E !c
+        from any of them, so they are searched together."""
+        init = self.k.init_mask
+        if isinstance(phi, F.PathE):
+            return self.graph(phi, tuple(1 << si for si in mask_members(init)))
+        return self.graph(phi, (init,))
 
 
 _CHUNK_CAP = 1 << 14  # labelings in the widest lane pass
@@ -757,12 +848,12 @@ class _LaneSweep(_Duality):
         enabled on its lanes; edges follow the tables' successor lists, which
         do not depend on the labeling.  E c holds on lane j where a root
         atom's node is in the fair EG of the enabled nodes (Emerson-Lei), the
-        greatest z <= en & EX E[z U (z & F_i)] for each obligation's F_i "not
-        owed or discharged": the laws keep an undischarged U/F and an unset
-        R/G uniform across an SCC, so this is AtomGraph's test."""
+        greatest z <= en & EX E[z U (z & F_i)] for each acceptance set F_i,
+        the atoms whose marks have bit i: the sets that AtomGraph's cycles
+        must cover."""
         k, ones = self.k, self.ones
         closure = _bounded(self.ev._closure(phi))
-        groups, at, vals, en = [], [], [], []  # groups[s]: (table, first node, lanes) per signature
+        groups, at, vals, marks, en = [], [], [], [], []  # groups[s]: (table, first node, lanes) per signature
         for s in range(k.n):
             split = [(0, ones)]
             for i, leaf in enumerate(args):
@@ -774,6 +865,7 @@ class _LaneSweep(_Duality):
                 groups[s].append((tab, len(vals), lane))
                 at += [s] * len(tab.vals)
                 vals += tab.vals
+                marks += tab.marks
                 en += [lane] * len(tab.vals)
         succ = [[] for _ in vals]
         for s, row in enumerate(groups):
@@ -784,8 +876,7 @@ class _LaneSweep(_Duality):
                             for u, bs in enumerate(tab_t.successors(tab), first):
                                 succ[u] += map(first_t.__add__, bs)
         pred = _predecessor_lists(succ)
-        fair = [[bool(v & p) != eventual or bool(v & target) == eventual for v in vals]
-                for p, target, eventual in closure._owed] or [[True] * len(vals)]
+        fair = [[m >> i & 1 for m in marks] for i in range(len(closure._owed))] or [[True] * len(vals)]
         z, new = None, en
         while new != z:
             z = new
@@ -893,13 +984,14 @@ def explain_path(k, phi, env=None, evaluator=None):
     """Witness lasso for a top-level path quantifier, if one is relevant.
 
     For E psi true somewhere initial: a satisfying lasso.  For A psi false:
-    a falsifying lasso (a witness of E !psi).  Otherwise None.  The product
-    is built from the initial states' root atoms only.  `evaluator`, an
+    a falsifying lasso (a witness of E !psi).  Otherwise None.  The lasso is
+    read on the graph that decides phi at the initial states
+    (`_Evaluator.rooted`), over the nodes its search went to.  `evaluator`, an
     _Evaluator of k, lends its labels and tableau graphs.
     """
     if not isinstance(phi, (F.PathA, F.PathE)):
         return None
-    ag = (evaluator or _Evaluator(k, env)).graph(phi, k.init_mask)
+    ag = (evaluator or _Evaluator(k, env)).rooted(phi)
     for s in k.init:
         got = ag.lasso(s)
         if got is not None:
@@ -911,11 +1003,11 @@ def explain_path(k, phi, env=None, evaluator=None):
 
 def check_and_explain(k, phi, env=None):
     """(K |= phi, witness) from one evaluator: the witness is explain_path's
-    lasso when it backs the verdict (a satisfying lasso for E psi holding, a
-    falsifying one for A psi failing), else None."""
+    lasso when one backs the verdict (a satisfying lasso for E psi holding, a
+    falsifying one for A psi failing), else None, and then no product is
+    searched for it."""
     ev = _Evaluator(k, env)
     value = ev.holds(phi)
-    witness = explain_path(k, phi, env, ev)
-    if witness is not None and witness["kind"] != ("witness" if value else "counterexample"):
-        witness = None
-    return value, witness
+    if value != isinstance(phi, F.PathE):
+        return value, None
+    return value, explain_path(k, phi, env, ev)

@@ -67,33 +67,88 @@ def reached_from(old, starts):
     return seen
 
 
+def oracle_ids(new, old):
+    """The oracle's node for each node of new: a state's nodes are given out
+    together, in the sigma order of the oracle's atoms of that state."""
+    seen = [0] * new.k.n
+    ids = []
+    for si in new.atoms:
+        ids.append(old.per_state[si][seen[si]])
+        seen[si] += 1
+    assert all(seen[si] in (0, len(old.per_state[si])) for si in range(new.k.n))
+    return ids
+
+
+def assert_lasso_replays(k, s, got, body):
+    stem, loop = got
+    path = tuple(stem + loop)
+    assert path[0] == s
+    assert all(b in k.successors(a) for a, b in zip(path, path[1:]))
+    assert path[len(stem)] in k.successors(path[-1])
+    assert eval_on_lasso(k, path, len(stem), body), F.render_formula(body)
+
+
 def assert_same_graph(k, phi):
-    """From every state and from the initial states, the product equals the
-    oracle's atom for atom and, on the nodes reached from the start states'
-    root atoms, edge for edge and SCC for SCC, with no edge out of a node not
-    reached; verdicts and witness lassos are the same, and each lasso replays."""
+    """The every-state product equals the oracle's atom for atom and, on the
+    nodes reached from root atoms, edge for edge and SCC for SCC, with no
+    edge out of a node not reached; verdicts and witness lassos are the same,
+    and each lasso replays.  The rooted graph of the check passes
+    assert_rooted_graph."""
     old = oracle_atom_graph(k, phi)
     body = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
-    for starts in (None, k.init_mask):
-        new = _Evaluator(k).graph(phi, starts)
-        starts = k.full_mask if starts is None else starts
-        reached = reached_from(old, starts)
-        assert len(new.temporal) == len(old.temporal)
-        assert new.e_mask() == old.e_mask() & starts
-        assert new.atoms == [si for si, _ in old.atoms]
-        assert all(list(new.adj[a]) == (old.adj[a] if a in reached else []) for a in range(len(old.adj)))
-        assert sorted(map(sorted, new.sccs)) == sorted(sorted(c) for c in old.sccs if c[0] in reached)
-        for s in k.states:
-            got = new.lasso(s)
-            assert got == (old.lasso(s) if starts >> k.index(s) & 1 else None)
-            assert (got is not None) == bool(new.e_mask() >> k.index(s) & 1)
-            if got is not None:
-                stem, loop = got
-                path = tuple(stem + loop)
-                assert path[0] == s
-                assert all(b in k.successors(a) for a, b in zip(path, path[1:]))
-                assert path[len(stem)] in k.successors(path[-1])
-                assert eval_on_lasso(k, path, len(stem), body), F.render_formula(body)
+    new = _Evaluator(k).graph(phi)
+    ids = oracle_ids(new, old)
+    reached = reached_from(old, k.full_mask)
+    assert len(new.temporal) == len(old.temporal)
+    assert sorted(ids) == list(range(len(old.atoms)))
+    assert new.e_mask() == old.e_mask()
+    for a, row in enumerate(new.adj):
+        assert [ids[b] for b in row] == (old.adj[ids[a]] if ids[a] in reached else [])
+    assert sorted(sorted(ids[a] for a in c) for c in new.sccs) == sorted(sorted(c) for c in old.sccs if c[0] in reached)
+    for s in k.states:
+        got = new.lasso(s)
+        assert got == old.lasso(s)
+        assert (got is not None) == bool(new.e_mask() >> k.index(s) & 1)
+        if got is not None:
+            assert_lasso_replays(k, s, got, body)
+    assert_rooted_graph(k, phi, old)
+    return new
+
+
+def assert_rooted_graph(k, phi, old=None):
+    """The graph that decides phi at the initial states against the oracle:
+    every node the search entered has the oracle's successors (a prefix of
+    them when its SCC was left open), and no other node has any; a completed SCC is one of the oracle's and reaches no
+    accepting SCC; a node marked as reaching one does; E is credited at
+    exactly the initial states where it holds, and A's E !c at some of the
+    states where it holds, when there are any.  Each credited state's lasso replays."""
+    old = old or oracle_atom_graph(k, phi)
+    body = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
+    new = _Evaluator(k).rooted(phi)
+    ids = oracle_ids(new, old)
+    for a, row in enumerate(new.adj):
+        want = old.adj[ids[a]] if new._num[a] >= 0 else []
+        got = [ids[b] for b in row]
+        assert got == (want if new.scc_of[a] >= 0 else want[:len(got)])
+    oracle_sccs = {frozenset(c) for c in old.sccs}
+    for comp in new.sccs:
+        assert frozenset(ids[a] for a in comp) in oracle_sccs
+        assert not old.can_reach_good[old.scc_of[ids[comp[0]]]]
+    assert not any(new.good)
+    for a, reaches in enumerate(new.reach):
+        if reaches:
+            assert old.can_reach_good[old.scc_of[ids[a]]]
+    want, init = old.e_mask() & k.init_mask, k.init_mask
+    got = new.e_mask()
+    if isinstance(phi, F.PathE):
+        assert got == want
+    else:
+        assert got & ~want == 0 and bool(got) == bool(want)
+    for s in k.states:
+        lasso = new.lasso(s)
+        assert (lasso is not None) == bool(got >> k.index(s) & 1)
+        if lasso is not None:
+            assert_lasso_replays(k, s, lasso, body)
     return new
 
 
@@ -170,7 +225,9 @@ class TestRootedChecks:
     initial states, on the product from their root atoms."""
 
     def test_the_initial_state_check_equals_the_full_mask(self, rng):
-        inits, nested, cases = set(), 0, 0
+        """And the check's search, which stops at its first accepting cycle,
+        passes assert_rooted_graph against the per-state product oracle."""
+        inits, nested, stopped, cases = set(), 0, 0, 0
         while cases < 80:
             body = rand_body(rng, ("p", "q"), 4)
             if not 0 < len(mc._Closure(body).temporal) <= 6:
@@ -182,6 +239,9 @@ class TestRootedChecks:
                 for force in (False, True):
                     want = k.init_mask & eval_mask(k, phi, force_tableau=force) == k.init_mask
                     assert check_ctl_star(k, phi, force_tableau=force) == want, F.render_formula(phi)
+                g = assert_rooted_graph(k, phi)
+                # a search that stopped leaves nodes entered whose SCC is open
+                stopped += any(n >= 0 and c < 0 for n, c in zip(g._num, g.scc_of))
                 value, witness = check_and_explain(k, phi)
                 assert value == want
                 if witness is not None:
@@ -193,9 +253,10 @@ class TestRootedChecks:
             inits.add(len(k.init))
             nested += any(isinstance(f, (F.PathE, F.PathA)) for f in F.subformulas(body))
             cases += 1
-        assert inits == {1, 2, 3} and nested >= 10
+        assert inits == {1, 2, 3} and nested >= 10 and stopped >= 60
 
-    def test_a_reused_evaluator_labels_every_state(self, rng, monkeypatch):
+    def reused_evaluators(self, rng, monkeypatch, every_state_initial, texts):
+        """(k, phi, evaluator of check_and_explain(k, phi)) on 20 random graphs."""
         made = []
 
         class Kept(mc._Evaluator):
@@ -204,17 +265,37 @@ class TestRootedChecks:
                 made.append(self)
 
         monkeypatch.setattr(mc, "_Evaluator", Kept)
-        partial = 0
         for _ in range(20):
             k = shaped_kripke(rng, "random", rng.randint(2, 30), density=0.4)
-            for text in ("E(G F p & F !q)", "A(p U (q U !p))", "E(X X p & F G q)"):
+            if every_state_initial:
+                k = restrict_init(k, k.states)
+            for text in texts:
                 phi = p(text)
                 made.clear()
                 check_and_explain(k, phi)
                 (ev,) = made
-                partial += any(starts != k.full_mask for _, starts in ev._graphs)
-                assert ev.states(phi) == eval_mask(k, phi), text
+                yield k, phi, ev
+
+    def test_a_reused_evaluator_labels_every_state(self, rng, monkeypatch):
+        partial = 0
+        texts = ("E(G F p & F !q)", "A(p U (q U !p))", "E(X X p & F G q)")
+        for k, phi, ev in self.reused_evaluators(rng, monkeypatch, False, texts):
+            partial += any(starts is not None for _, starts in ev._graphs)
+            assert ev.states(phi) == eval_mask(k, phi), F.render_formula(phi)
         assert partial == 60
+
+    def test_a_reused_evaluator_labels_every_state_when_all_are_initial(self, rng, monkeypatch):
+        """With init == full_mask (as in K || chi) the check's graph, which
+        stopped early, is still not the one that states(phi) reads."""
+        short = 0
+        texts = ("E(G F p & F !q)", "A(p U (q U !p))", "A(G F p -> G F q)", "E(X X p & F G q)")
+        for k, phi, ev in self.reused_evaluators(rng, monkeypatch, True, texts):
+            assert k.init_mask == k.full_mask
+            (rooted,) = ev._graphs.values()
+            assert ev.states(phi) == eval_mask(k, phi), F.render_formula(phi)
+            assert ev.graph(phi) is not rooted
+            short += rooted.e_mask() != ev.graph(phi).e_mask()
+        assert short >= 15
 
     def test_no_root_atom_builds_no_edge(self, rng, monkeypatch):
         n = 40
@@ -234,6 +315,58 @@ class TestRootedChecks:
         assert check_and_explain(k, phi) == (False, None)
         assert [sum(map(len, g.adj)) for g in built] == [0]
         assert sum(map(len, _Evaluator(k).graph(phi).adj)) > 0
+
+
+    def test_a_verdict_no_lasso_backs_builds_no_product(self, fx, monkeypatch):
+        """A CTL root decided by the fixpoints gets a product only for its
+        witness: when E holds or A fails."""
+        built = []
+
+        class Counting(mc.AtomGraph):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(mc, "AtomGraph", Counting)
+        k = fx("M")
+        for text, value, graphs in (("A(G (p | !p))", True, 0), ("E(F (p & !p))", False, 0),
+                                    ("E(G (p | !p))", True, 1), ("A(F (p & !p))", False, 1)):
+            built.clear()
+            got, witness = check_and_explain(k, p(text))
+            assert (got, witness is not None, len(built)) == (value, graphs == 1, graphs), text
+
+    def test_a_check_enters_a_tenth_of_the_product(self, rng, monkeypatch):
+        """E((X X X p) & (F q)) holds on a strongly connected 150-state graph:
+        the check's search enters at most a tenth of the every-state graph's
+        nodes, and builds the tables of fewer than half of its states."""
+        n = 150
+        states = [f"s{i}" for i in range(n)]
+        phi = p("E((X X X p) & (F q))")
+        built = []
+
+        class Counting(mc.AtomGraph):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(mc, "AtomGraph", Counting)
+        checked = 0
+        while checked < 5:
+            trans = [(s, states[(i + 1) % n]) for i, s in enumerate(states)]
+            trans += [(s, rng.choice(states)) for s in states for _ in range(2)]
+            labels = {s: {a: rng.random() < 0.35 for a in "pq"} for s in states}
+            k = KripkeStructure("K", ("p", "q"), states, ["s0"], trans, labels)
+            built.clear()
+            value, witness = check_and_explain(k, phi)
+            if not value:
+                continue
+            (g,) = built
+            every = _Evaluator(k).graph(phi)
+            path = tuple(witness["stem"] + witness["loop"])
+            assert eval_on_lasso(k, path, len(witness["stem"]), phi.child)
+            assert 10 * sum(n >= 0 for n in g._num) <= len(every.atoms)
+            assert 2 * len(set(g.atoms)) < len(set(every.atoms)) == n
+            checked += 1
 
 
 class TestDeepPathFormulas:
