@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import formula as F
 from . import qctl, three_valued, vacuity
 from .bisim import bisimilar_over, quotient_bisim, simulates_over
-from .errors import OrderingError, VacmcError
+from .errors import KripkeError, OrderingError, VacmcError
 from .kripke import load_fixture, parse_kripke, render_kripke
 from .mc import check_and_explain
 from .reductions import PropOrdering, decode_single_prop, ez_encode, f_translate_ctl, g_translate_ctl_star
@@ -25,8 +25,12 @@ from .vacuity import VacuityStatus
 
 def _load_model(target):
     if os.path.exists(target):
-        with open(target) as fh:
-            return parse_kripke(fh.read())
+        try:
+            with open(target) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise KripkeError(f"cannot read model {target!r}: {getattr(e, 'strerror', None) or e}") from None
+        return parse_kripke(text)
     return load_fixture(target)
 
 

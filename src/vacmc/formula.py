@@ -41,15 +41,17 @@ class Formula:
     def __eq__(self, other):
         """Structural equality, compared from an explicit stack."""
         todo = [(self, other)]
+        pop, push = todo.pop, todo.append
         while todo:
-            a, b = todo.pop()
+            a, b = pop()
             if a is b:
                 continue
             if type(a) is not type(b) or a._hash != b._hash:
                 return False
-            for x, y in zip(a._parts(), b._parts()):
+            for name in a._fields:
+                x, y = getattr(a, name), getattr(b, name)
                 if isinstance(x, Formula):
-                    todo.append((x, y))
+                    push((x, y))
                 elif x != y:
                     return False
         return True

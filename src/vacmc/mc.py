@@ -13,15 +13,17 @@ Genuine path formulas are decided in the automata-theoretic style
 (Vardi-Wolper): a path formula's closure automaton (`_Closure`) does not
 depend on any structure.  Its atoms and one-step laws depend only on a
 state's leaf signature, the set of maximal state subformulas that hold
-there, so they are built once per signature and formula.  `AtomGraph` is
-the automaton's product with one structure, built on the fly by Couvreur's
-SCC search for a cycle that covers every acceptance set (a generalized Buchi
-emptiness check), with a state's table and nodes made when the search gets
-to it.  A nested quantifier gets the product from every state, searched to
-completion; a check asks a root quantifier only at the initial states, and
-its search stops at the first accepting cycle; the witness reads the same
-graph.  Set atoms of a foreign structure are resolved through a
-bisimulation computed on demand.
+there, so they are built once per signature and formula.  The automaton is
+compiled once per process: `_closure_cache`, bounded in atoms, hands it and
+its tables to every check, sweep and witness of an equal formula, on any
+structure.  `AtomGraph` is the automaton's product with one structure, built
+on the fly by Couvreur's SCC search for a cycle that covers every acceptance
+set (a generalized Buchi emptiness check), with a state's table and nodes
+made when the search gets to it.  A nested quantifier gets the product from
+every state, searched to completion; a check asks a root quantifier only at
+the initial states, and its search stops at the first accepting cycle; the
+witness reads the same graph.  Set atoms of a foreign structure are resolved
+through a bisimulation computed on demand.
 
 A sweep over the labelings of one fresh atom labels a chunk of them at once,
 one bit per labeling (`_LaneSweep`): a subformula that contains the atom
@@ -131,6 +133,8 @@ class _Closure:
             return p
 
         self.root = 1 << F.fold(pathform, lambda f: () if state[f] else f.children(), position)
+        # An equal formula's leaves may hold set atoms of other structures (ref).
+        self.set_atoms = any(isinstance(g, F.SetAtom) for f in self.leaves for g in F.subformulas(f))
         self.npos = len(self._leaf_pos) + len(self._ops)
         # (code, position bit, left bit, right bit) of each temporal position in
         # order; a unary operator's child is both its left and its right.
@@ -139,12 +143,15 @@ class _Closure:
         # (U, F) position is set, and false while an invariant (R, G) one is unset.
         self._owed = [(bit, r, code in (_U, _F)) for code, bit, l, r in self._steps if code != _X]
         self._tables = {}
+        self.size = 1  # its tables' atoms, and one for itself
 
     def table(self, sig):
         """The _Table of leaf signature sig, built on first use."""
         got = self._tables.get(sig)
         if got is None:
             got = self._tables[sig] = self._build_table(sig)
+            self.size += len(got.vals)
+            _closure_cache.grew(self, len(got.vals))
         return got
 
     def _build_table(self, sig):
@@ -226,6 +233,49 @@ class _Closure:
         return marks
 
 
+class _ClosureCache:
+    """The closure automata of the process by formula, least recently used
+    first: a formula equal to a cached one gets its closure, with the tables
+    and successor lists that earlier checks built.  While the cached
+    closures' sizes (atoms, plus one per closure) add up to more than
+    `limit`, the least recently used are dropped.  Equality ignores a
+    SetAtom's ref, so a cached closure's leaves may be another query's nodes
+    (see _Evaluator._closure)."""
+
+    def __init__(self, limit):
+        self.limit, self.size, self._by_formula = limit, 0, {}
+
+    def get(self, c):
+        got = self._by_formula.pop(c, None)
+        if got is None:
+            got = _Closure(c)
+            self.size += got.size
+        self._by_formula[got.pathform] = got  # the key that grew() looks up
+        self._evict()
+        return got
+
+    def grew(self, closure, atoms):
+        """closure built a table of `atoms` atoms."""
+        if self._by_formula.get(closure.pathform) is closure:
+            self.size += atoms
+            self._evict()
+
+    def _evict(self):
+        by_formula = self._by_formula
+        while self.size > self.limit:
+            self.size -= by_formula.pop(next(iter(by_formula))).size
+
+    def clear(self):
+        self._by_formula.clear()
+        self.size = 0
+
+
+# The closure cache's bound: an atom takes about 0.2 KB, and up to a few KB
+# with the successor lists into other tables.
+_CLOSURE_ATOMS = 1 << 12
+_closure_cache = _ClosureCache(_CLOSURE_ATOMS)
+
+
 def _bounded(closure):
     """closure, refused before any of its tables is built when it has more
     than AtomGraph.MAX_TEMPORAL temporal operators (2^T atoms per table)."""
@@ -263,7 +313,7 @@ class AtomGraph:
 
     def __init__(self, k, pathform, leaves, closure=None, starts=None):
         self.k = k
-        self.closure = closure = _bounded(closure or _Closure(pathform))
+        self.closure = closure = _bounded(closure or _closure_cache.get(pathform))
         self.temporal = closure.temporal
         self._sig = sig = [0] * k.n
         for i, mask in enumerate(leaves):
@@ -571,7 +621,7 @@ class _Evaluator(_Duality):
         self.memo = {}
         self._foreign = {}
         self._tableau = set()  # path formulas that _operands sent to the tableau
-        self._closures = {}  # path quantifier -> its _Closure, kept for every labeling of a sweep
+        self._closures = {}  # path quantifier -> (_Closure, leaves), kept for every labeling of a sweep
         self._graphs = {}
 
     def states(self, phi):
@@ -604,7 +654,7 @@ class _Evaluator(_Duality):
         if operands is not None and not self.force_tableau:
             return operands
         self._tableau.add(phi)
-        return self._closure(phi).leaves
+        return self._closure(phi)[1]
 
     def _states(self, phi, operands):
         """Mask of phi from the masks of its _operands, in order."""
@@ -719,12 +769,21 @@ class _Evaluator(_Duality):
         return mask if isinstance(phi, F.PathE) else self.full ^ mask
 
     def _closure(self, phi):
-        """The closure automaton of E c for phi = E c, or of E !c for phi = A c.
-        It does not depend on k's labels, so a sweep keeps it."""
+        """(closure, leaves): the cached closure automaton of E c for phi =
+        E c, or of E !c for phi = A c, and its leaves as this c's own nodes
+        when they hold set atoms; a cached closure may be an earlier query's,
+        whose equal set atoms name that query's structures.  It does not
+        depend on k's labels, so a sweep keeps it."""
         got = self._closures.get(phi)
         if got is None:
             c = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
-            got = self._closures[phi] = _Closure(c)
+            closure = _closure_cache.get(c)
+            leaves = closure.leaves
+            if closure.set_atoms:
+                own = {}  # each node of c: its first occurrence, as in the closure
+                F.fold(c, F.Formula.children, lambda f, parts: f, own)
+                leaves = [own[f] for f in leaves]
+            got = self._closures[phi] = closure, leaves
         return got
 
     def graph(self, phi, starts=None):
@@ -735,9 +794,9 @@ class _Evaluator(_Duality):
         key = phi, starts
         got = self._graphs.get(key)
         if got is None:
-            closure = self._closure(phi)
-            leaves = [self.states(f) for f in closure.leaves]
-            got = self._graphs[key] = AtomGraph(self.k, closure.pathform, leaves, closure, starts)
+            closure, leaves = self._closure(phi)
+            masks = [self.states(f) for f in leaves]
+            got = self._graphs[key] = AtomGraph(self.k, closure.pathform, masks, closure, starts)
         return got
 
     def rooted(self, phi):
@@ -852,7 +911,7 @@ class _LaneSweep(_Duality):
         the atoms whose marks have bit i: the sets that AtomGraph's cycles
         must cover."""
         k, ones = self.k, self.ones
-        closure = _bounded(self.ev._closure(phi))
+        closure = _bounded(self.ev._closure(phi)[0])
         groups, at, vals, marks, en = [], [], [], [], []  # groups[s]: (table, first node, lanes) per signature
         for s in range(k.n):
             split = [(0, ones)]

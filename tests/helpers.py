@@ -213,6 +213,15 @@ class FrontierEvaluator(_Evaluator):
 # Random structures
 
 
+def ring(n):
+    """s0 -> s1 -> ... -> s(n-1) -> s0 with a self-loop at s0, the initial
+    state; p every third state from s0, q every second."""
+    states = [f"s{i}" for i in range(n)]
+    trans = [(s, states[(i + 1) % n]) for i, s in enumerate(states)] + [(states[0], states[0])]
+    labels = {s: {"p": i % 3 == 0, "q": i % 2 == 0} for i, s in enumerate(states)}
+    return KripkeStructure(f"ring{n}", ("p", "q"), states, [states[0]], trans, labels)
+
+
 def rand_kripke(rng, max_states=4, props=("p", "q"), name="R", multi_init=True):
     n = rng.randint(1, max_states)
     states = [f"s{i}" for i in range(n)]

@@ -36,6 +36,18 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(model), "AG p")
         assert code == 0 and "value: M" in out
 
+    def test_a_directory_is_not_a_model(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", str(tmp_path), "EF p")
+        assert (code, out) == (1, "") and "internal" not in err
+        assert err == f"error: cannot read model {str(tmp_path)!r}: Is a directory\n"
+
+    def test_an_undecodable_model_is_a_user_error(self, capsys, tmp_path):
+        model = tmp_path / "K.kr"
+        model.write_bytes(b"kripke K\nprops: p\ninit: \xff\nstate \xff: p\ntrans: \xff \xff\n")
+        code, out, err = run(capsys, "check", str(model), "EF p")
+        assert (code, out) == (1, "") and "internal" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_deep_formula_on_a_long_ring(self, capsys, tmp_path):
         lines = ["kripke R", "props: p", "init: s0"]
         lines += [f"state s{i}:" + (" p" if i == 320 else "") for i in range(600)]
@@ -136,8 +148,10 @@ class TestQctl:
             raise AssertionError("a table of a refused closure was built")
 
         monkeypatch.setattr(mc._Closure, "_build_table", no_table)
-        code, out, err = run(capsys, "qctl", "M", f"forall x . {LARGE_CLOSURE}", "--semantics", "structure")
-        assert (code, out, err) == (1, "", "error: path formula closure too large (16 temporal operators)\n")
+        # twice in a row: the second query gets the closure that the first one cached
+        for _ in range(2):
+            code, out, err = run(capsys, "qctl", "M", f"forall x . {LARGE_CLOSURE}", "--semantics", "structure")
+            assert (code, out, err) == (1, "", "error: path formula closure too large (16 temporal operators)\n")
 
     def test_unknown_exits_two(self, capsys):
         code, out, _ = run(capsys, "qctl", "M", "forall x . (EX x) | (EX !x)", "--semantics", "tree")

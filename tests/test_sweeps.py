@@ -23,6 +23,7 @@ from helpers import (
     proper_subformulas,
     rand_ctl,
     rand_kripke,
+    ring,
     transpose,
 )
 
@@ -281,11 +282,11 @@ class TestPathLanes:
             ev = mc._Evaluator(k, force_tableau=i % 4 == 0)
             lanes = mc._LaneSweep(ev, phi, self.X)
             got = [m for base, width in mc._chunks(k.n) for m in transpose(lanes.lanes(base, width), width)]
-            closure = ev._closure(phi)
-            several += sum(self.X in F.subformulas(f) for f in closure.leaves) > 1
+            closure, own = ev._closure(phi)
+            several += sum(self.X in F.subformulas(f) for f in own) > 1
             routed += phi in ev._tableau
             for mask, kx in enumerate(x_variants(k, "x")):
-                leaves = [mc.eval_mask(kx, f) for f in closure.leaves]
+                leaves = [mc.eval_mask(kx, f) for f in own]
                 e = mc.AtomGraph(kx, closure.pathform, leaves, closure).e_mask()
                 want = e if isinstance(phi, F.PathE) else kx.full_mask ^ e
                 assert got[mask] == want, (k.n, mask, F.render_formula(phi))
@@ -358,12 +359,7 @@ class TestWorkPerSweep:
         monkeypatch.setattr(KripkeStructure, "_set", counting_build)
         return seen
 
-    @staticmethod
-    def ring(n):
-        states = [f"s{i}" for i in range(n)]
-        trans = [(s, states[(i + 1) % n]) for i, s in enumerate(states)] + [(states[0], states[0])]
-        labels = {s: {"p": i % 3 == 0, "q": i % 2 == 0} for i, s in enumerate(states)}
-        return KripkeStructure(f"ring{n}", ("p", "q"), states, [states[0]], trans, labels)
+    ring = staticmethod(ring)
 
     def test_structure_sweep(self, counts):
         phi = p("AG (EX (q & p) | EX !(q & p) | q)")  # the same verdict for every labeling

@@ -9,8 +9,10 @@ from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
 from vacmc.kripke import KripkeStructure, mask_members, restrict_init
 from vacmc.mc import _Evaluator, check_and_explain, check_ctl_star, eval_mask
+from vacmc.three_valued import vacuity_via_thorough
+from vacmc.vacuity import VacuityStatus, decide_bisim_vacuity
 
-from helpers import eval_on_lasso, oracle_atom_graph, per_mask, rand_kripke, shaped_kripke
+from helpers import eval_on_lasso, oracle_atom_graph, per_mask, rand_kripke, ring, shaped_kripke
 
 # Hand-picked bodies: every temporal operator, negation, implication,
 # constants, nested path quantifiers, and two laws on one node (X F p with !F p).
@@ -46,6 +48,20 @@ def rand_body(rng, props, depth):
         return (F.Next, F.Future, F.Globally)[c - 4](rand_body(rng, props, depth - 1))
     node = F.Until if c < 9 else F.Release
     return node(rand_body(rng, props, depth - 1), rand_body(rng, props, depth - 1))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The formulas of the closure automata built during the test, in order."""
+    made = []
+
+    class Counting(mc._Closure):
+        def __init__(self, pathform):
+            made.append(pathform)
+            super().__init__(pathform)
+
+    monkeypatch.setattr(mc, "_Closure", Counting)
+    return made
 
 
 def rand_structure(rng, max_states):
@@ -199,15 +215,7 @@ class TestCounters:
         assert (len(g.temporal), len(g.atoms), sum(map(len, g.adj)), len(g.sccs)) == (4, 9, 6, 6)
         assert g.e_mask() == 1 and sum(g.good) == 1
 
-    def test_a_sweep_builds_one_closure(self, rng, monkeypatch):
-        built = []
-
-        class Counting(mc._Closure):
-            def __init__(self, pathform):
-                built.append(pathform)
-                super().__init__(pathform)
-
-        monkeypatch.setattr(mc, "_Closure", Counting)
+    def test_a_sweep_builds_one_closure(self, rng, built):
         x = F.Atom("x")
         for text in ("E (G F x & F !p)", "A (x U (q R X x)) | EG x"):
             k = rand_kripke(rng, 5)
@@ -218,6 +226,66 @@ class TestCounters:
             for mask, value in verdicts:
                 here = F.SetAtom(k.name, k.names_of(mask), ref=k)
                 assert value == check_ctl_star(k, F.substitute(phi, x, here))
+
+
+class TestClosureCache:
+    """A path formula's closure automaton is built once per process and
+    shared by the checks of every structure (the cache starts empty in each
+    test, see conftest.py)."""
+
+    def test_one_formula_on_three_structures_builds_one_closure(self, rng, built):
+        for _ in range(3):
+            k = rand_structure(rng, 12)
+            # parsed anew each time, as each CLI query is; a check, its witness and a labelling
+            check_and_explain(k, p("A(G F p | F (q & X !p))"))
+            eval_mask(k, p("A(G F p | F (q & X !p))"))
+        assert built == [F.Not(p("G F p | F (q & X !p)"))]
+
+    def test_a_vacuity_query_builds_each_closure_once(self, built):
+        """Without the cache the structure-witness route built 8 closures of 4
+        formulas here, and the thorough route 6 of 2."""
+        k, phi, psi = ring(8), p("A((X p) | (X !p)) & E(F q & G F p)"), p("p")
+        routes = ((decide_bisim_vacuity, "structure-witness", 4), (vacuity_via_thorough, "thorough", 2))
+        for decide, route, distinct in routes:
+            mc._closure_cache.clear()
+            built.clear()
+            verdict = decide(phi, psi, k)
+            assert (verdict.status, verdict.route) == (VacuityStatus.NON_VACUOUS, route)
+            assert len(built) == len(set(built)) == distinct
+
+    def test_past_its_bound_the_cache_drops_the_least_recently_used(self, rng, monkeypatch):
+        cache = mc._closure_cache
+        monkeypatch.setattr(cache, "limit", 60)
+        k = ring(8)
+        first = [p("E(G F p & F q)"), p("A(F G p)")]
+        want = [check_and_explain(k, phi) for phi in first]
+        assert all(witness is not None for _, witness in want)
+        for text in BODIES:
+            for quant in "EA":
+                check_and_explain(rand_structure(rng, 12), p(f"{quant}({text})"))
+                assert cache.size == sum(c.size for c in cache._by_formula.values()) <= 60
+        assert not any(f in cache._by_formula for f in (first[0].child, F.Not(first[1].child)))
+        assert [check_and_explain(k, phi) for phi in first] == want
+
+    def test_set_atoms_resolve_in_their_own_structure(self):
+        """Equal set atoms {a}@H of two structures named H share a cached
+        closure; each query reads its own: H = h1 is bisimilar to K, h2 is not."""
+        def kripke(name, trans):
+            labels = {"a": {"p": True}, "b": {"p": False}}
+            return KripkeStructure(name, ("p",), ["a", "b"], ["a"], trans, labels)
+
+        h1, h2 = kripke("H", [("a", "b"), ("b", "b")]), kripke("H", [("a", "a"), ("b", "b")])
+        k = kripke("K", [("a", "b"), ("b", "b")])
+        for order in ((h1, h2), (h2, h1), (h1, h2, h1, h2)):
+            mc._closure_cache.clear()
+            for home in order:
+                phi = F.PathE(F.And(F.Future(F.SetAtom("H", ["a"], ref=home)), F.Future(F.Not(F.Atom("p")))))
+                for check in (check_ctl_star, lambda k, phi: check_and_explain(k, phi)[0]):
+                    if home is h1:
+                        assert check(k, phi) is True
+                    else:
+                        with pytest.raises(EvalError, match="set atom of 'H' on 'K': no bisimulation"):
+                            check(k, phi)
 
 
 class TestRootedChecks:
