@@ -289,7 +289,7 @@ class AtomGraph:
     forward from root atoms and searched on the fly for accepting cycles.
 
     `leaves` are the state masks on k of the closure's leaves, in order; the
-    closure is built from `pathform` unless given.  A state's table is built,
+    closure is `pathform`'s cached one unless given.  A state's table is built,
     and its atoms get node ids (`atoms[a]` is node a's state, `vals[a]` its
     valuation), when the search first gets to the state.  The search lists a
     node's successors in `adj[a]` one successor state at a time, in
