@@ -34,6 +34,18 @@ def _load_model(target):
     return load_fixture(target)
 
 
+def _count(text):
+    """An option value that must be a non-negative int; argparse reports a
+    refusal as a usage error, exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return value
+
+
 def _parse_props(text):
     return tuple(p for chunk in text.split(",") for p in chunk.split() if p)
 
@@ -255,7 +267,7 @@ def _parser():
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--bound", type=int, default=20, help="refuse 2^|S| enumerations past this size")
+        p.add_argument("--bound", type=_count, default=20, help="refuse 2^|S| enumerations past this size")
 
     p = sub.add_parser("check", help="model-check a formula (2- or 3-valued)")
     p.add_argument("model")
@@ -268,7 +280,7 @@ def _parser():
     p.add_argument("formula")
     p.add_argument("--sub", required=True)
     p.add_argument("--via", choices=("auto", "mono", "satx", "thorough", "structure"), default="auto")
-    p.add_argument("--bounded-validity", type=int, default=None, metavar="N")
+    p.add_argument("--bounded-validity", type=_count, default=None, metavar="N")
     common(p)
     p.set_defaults(fn=_cmd_vacuity)
 

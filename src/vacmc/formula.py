@@ -35,11 +35,12 @@ class Formula:
             setattr(self, name, value)
         self._hash = hash((type(self).__name__,) + args)
 
-    def _parts(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         """Structural equality, compared from an explicit stack."""
+        if self is other:
+            return True
+        if type(self) is not type(other) or self._hash != other._hash:
+            return False
         todo = [(self, other)]
         pop, push = todo.pop, todo.append
         while todo:
@@ -66,7 +67,27 @@ class Formula:
         return f"<{type(self).__name__} {render_formula(self)!r}>"
 
     def children(self):
-        return tuple(p for p in self._parts() if isinstance(p, Formula))
+        """The fields that are formulas, in order.  A class with formula fields
+        returns them directly; called unbound, as Formula.children(f), this
+        defers to f's class, and a leaf has none."""
+        own = type(self).children
+        return () if own is Formula.children else own(self)
+
+
+class _Unary(Formula):
+    __slots__ = ("child",)
+    _fields = ("child",)
+
+    def children(self):
+        return (self.child,)
+
+
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def children(self):
+        return (self.left, self.right)
 
 
 class Atom(Formula):
@@ -101,71 +122,66 @@ TRUE = TrueConst()
 FALSE = FalseConst()
 
 
-class Not(Formula):
-    __slots__ = ("child",)
-    _fields = ("child",)
+class Not(_Unary):
+    __slots__ = ()
 
 
-class And(Formula):
-    __slots__ = ("left", "right")
-    _fields = ("left", "right")
+class And(_Binary):
+    __slots__ = ()
 
 
-class Or(Formula):
-    __slots__ = ("left", "right")
-    _fields = ("left", "right")
+class Or(_Binary):
+    __slots__ = ()
 
 
-class Implies(Formula):
-    __slots__ = ("left", "right")
-    _fields = ("left", "right")
+class Implies(_Binary):
+    __slots__ = ()
 
 
-class PathA(Formula):
-    __slots__ = ("child",)
-    _fields = ("child",)
+class PathA(_Unary):
+    __slots__ = ()
 
 
-class PathE(Formula):
-    __slots__ = ("child",)
-    _fields = ("child",)
+class PathE(_Unary):
+    __slots__ = ()
 
 
-class Next(Formula):
-    __slots__ = ("child",)
-    _fields = ("child",)
+class Next(_Unary):
+    __slots__ = ()
 
 
-class Until(Formula):
-    __slots__ = ("left", "right")
-    _fields = ("left", "right")
+class Until(_Binary):
+    __slots__ = ()
 
 
-class Release(Formula):
+class Release(_Binary):
     """Weak-until dual of Until: l R r == not (not l U not r)."""
 
-    __slots__ = ("left", "right")
-    _fields = ("left", "right")
+    __slots__ = ()
 
 
-class Future(Formula):
-    __slots__ = ("child",)
-    _fields = ("child",)
+class Future(_Unary):
+    __slots__ = ()
 
 
-class Globally(Formula):
-    __slots__ = ("child",)
-    _fields = ("child",)
+class Globally(_Unary):
+    __slots__ = ()
 
 
-class ForallProp(Formula):
+class _Quantifier(Formula):
     __slots__ = ("var", "child")
     _fields = ("var", "child")
 
+    def children(self):
+        return (self.child,)
 
-class ExistsProp(Formula):
-    __slots__ = ("var", "child")
-    _fields = ("var", "child")
+
+class ForallProp(_Quantifier):
+    __slots__ = ()
+
+
+class ExistsProp(_Quantifier):
+    __slots__ = ()
 
 
 _BINARY = (And, Or, Implies, Until, Release)
@@ -473,7 +489,7 @@ def render_formula(f):
 
 
 def _rebuild(f, new_children):
-    parts = list(f._parts())
+    parts = [getattr(f, name) for name in f._fields]
     it = iter(new_children)
     changed = False
     for i, p in enumerate(parts):

@@ -5,7 +5,9 @@ K||X check), two only refute (the sweep of K's labelings, the x-variant
 search).  The vacuity dispatcher here, qctl's bisimulation and tree
 semantics and three_valued's thorough semantics are route lists over it with
 their own route names and evidence.  Every NonVacuous verdict carries a
-replayable witness.
+replayable witness.  The dispatcher's optional bounded-validity probe labels
+its small structures in batches, each batch one disjoint union and one
+labelling, and reads every member's verdict off its initial state.
 """
 
 import enum
@@ -18,7 +20,7 @@ from . import formula as F
 from .bisim import quotient_bisim
 from .errors import EnumerationBoundError, EvalError, NotApplicableError, PreconditionError
 from .kripke import KripkeStructure, chi, compose_sync, duplicate_m, labelled, restrict_init, x_variants
-from .mc import check_ctl_star, eval_states, sweep
+from .mc import check_ctl_star, eval_mask, eval_states, sweep
 
 
 class VacuityStatus(enum.Enum):
@@ -257,21 +259,80 @@ def enumerate_structures(props, max_states, limit=200_000):
         total += (1 << len(props)) ** n * ((1 << n) - 1) ** n
     if total > limit:
         raise EnumerationBoundError(f"bounded-validity probe would enumerate {total} structures")
+    no_maybe = dict.fromkeys(props, 0)
     for n in range(1, max_states + 1):
+        # Each size's names and each transition shape's successor lists are
+        # built once and shared by every labeling (structures are immutable).
         states = tuple(f"s{i}" for i in range(n))
+        index = {s: i for i, s in enumerate(states)}
+        rows = [[j for j in range(n) if m >> j & 1] for m in range(1 << n)]
+        shapes = [[rows[m] for m in succs] for succs in itertools.product(range(1, 1 << n), repeat=n)]
         for labeling in itertools.product(range(1 << len(props)), repeat=n):
-            labels = {
-                states[i]: {p: bool(labeling[i] >> j & 1) for j, p in enumerate(props)}
-                for i in range(n)
-            }
-            for succs in itertools.product(range(1, 1 << n), repeat=n):
-                trans = [
-                    (states[i], states[j])
-                    for i in range(n)
-                    for j in range(n)
-                    if succs[i] >> j & 1
-                ]
-                yield KripkeStructure("probe", props, states, (states[0],), trans, labels)
+            tmask = {p: sum(1 << i for i in range(n) if labeling[i] >> j & 1) for j, p in enumerate(props)}
+            for succ in shapes:
+                yield KripkeStructure._of("probe", props, states, index, (states[0],), succ, tmask, no_maybe)
+
+
+# The bounded-validity probe labels unions of at most _UNION_STATES states, the
+# first of at most _FIRST_UNION and each next one up to twice its predecessor,
+# so that an early disagreement is found after little work.
+_FIRST_UNION, _UNION_STATES = 1 << 7, 1 << 10
+
+
+@functools.lru_cache(maxsize=16)  # unions come in few sizes: near each doubling of the limit, and tails
+def _union_names(n):
+    states = tuple(f"u{i}" for i in range(n))
+    return states, {s: i for i, s in enumerate(states)}
+
+
+def _union(members):
+    """The disjoint union of structures over the same propositions, member i's
+    state j at offset_i + j, with every member's initial state initial; and
+    the offsets.  Built at the index level: shifted successor rows, shifted
+    label masks."""
+    offsets, n = [], 0
+    for m in members:
+        offsets.append(n)
+        n += m.n
+    succ = [[j + o for j in row] for m, o in zip(members, offsets) for row in m.succ]
+    props = members[0].props
+    tmask = {p: sum(m._tmask[p] << o for m, o in zip(members, offsets)) for p in props}
+    states, index = _union_names(n)
+    init = tuple(states[o] for o in offsets)
+    union = KripkeStructure._of("probe", props, states, index, init, succ, tmask, dict.fromkeys(props, 0))
+    return union, offsets
+
+
+def _batches(probes, first, cap):
+    """Consecutive probes in lists of at least one probe and at most `first`
+    states, then at most twice as many as the list before, up to cap."""
+    batch, size, limit = [], 0, min(first, cap)
+    for probe in probes:
+        if batch and size + probe.n > limit:
+            yield batch
+            batch, size, limit = [], 0, min(2 * limit, cap)
+        batch.append(probe)
+        size += probe.n
+    if batch:
+        yield batch
+
+
+def _probe_verdicts(body, max_states):
+    """The verdicts body gets on the structures enumerate_structures yields
+    over its atoms, up to max_states states, as far as the first batch that
+    shows both.  Consecutive probes are labelled together as one disjoint
+    union (see _UNION_STATES): CTL and CTL* hold per state, so
+    each member's verdict is the bit of its initial state.  A set atom names
+    the states of one structure, so a body with one is labelled probe by probe."""
+    cap = 0 if any(isinstance(f, F.SetAtom) for f in F.subformulas(body)) else _UNION_STATES
+    verdicts = set()
+    for batch in _batches(enumerate_structures(sorted(F.atoms(body)), max_states), _FIRST_UNION, cap):
+        union, offsets = _union(batch) if len(batch) > 1 else (batch[0], (0,))
+        mask = eval_mask(union, body)
+        verdicts.update(bool(mask >> o & 1) for o in offsets)
+        if len(verdicts) > 1:
+            break
+    return verdicts
 
 
 def _variant_disagreement(base_structs, phix, x, reference, bound, env=None):
@@ -334,11 +395,7 @@ def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, variant_b
 
     # Optional bounded-validity probe (tautology/unsatisfiable cases).
     if bounded_validity:
-        verdicts = set()
-        for probe in enumerate_structures(sorted(F.atoms(q.body)), bounded_validity):
-            verdicts.add(check_ctl_star(probe, q.body))
-            if len(verdicts) > 1:
-                break
+        verdicts = _probe_verdicts(q.body, bounded_validity)
         if len(verdicts) == 1:
             side = "valid" if verdicts == {True} else "unsatisfiable"
             bounds = {"bounded_validity": bounded_validity}

@@ -100,6 +100,23 @@ class TestVacuity:
         )
         assert code == 0 and "bounded-validity" in out
 
+    @pytest.mark.parametrize("option, value", [("--bounded-validity", "-2"), ("--bound", "-1")])
+    def test_a_negative_count_is_a_usage_error(self, capsys, option, value):
+        """Refused by argparse, as --format xml is, not read as no probe or no bound."""
+        for argv, message in (((option, value), f"argument {option}: must not be negative: '{value}'"),
+                              (("--format", "xml"), "argument --format: invalid choice: 'xml'")):
+            with pytest.raises(SystemExit) as exc:
+                main(["vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", *argv])
+            out = capsys.readouterr()
+            assert exc.value.code == 2 and out.out == "" and f"vacuity: error: {message}" in out.err
+
+    def test_counts_of_zero_and_up_are_taken(self, capsys):
+        code, out, _ = run(capsys, "vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", "--bounded-validity", "0",
+                           "--format", "json")
+        assert code == 2 and json.loads(out)["result"]["route"] == "unknown"
+        code, out, _ = run(capsys, "vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", "--bound", "0", "--format", "json")
+        assert code == 2 and json.loads(out)["result"]["bounds"]["labeling_agreement"] is None
+
     def test_via_structure(self, capsys):
         code, out, _ = run(
             capsys, "vacuity", "P.kr", "A((X q) -> X X q)", "--sub", "q", "--via", "structure"

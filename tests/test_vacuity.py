@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 
 from vacmc import formula as F
-from vacmc.errors import EvalError, NotApplicableError, PreconditionError
+from vacmc import vacuity as V
+from vacmc.errors import EnumerationBoundError, EvalError, NotApplicableError, PreconditionError
 from vacmc.formula import Polarity, parse_formula as p
 from vacmc.kripke import KripkeStructure, chi, compose_sync, duplicate_m
 from vacmc.bisim import quotient_bisim
-from vacmc.mc import check_ctl_star, eval_states
+from vacmc.mc import check_ctl_star, eval_mask, eval_states
 from vacmc.vacuity import (
     VacuityStatus,
     constant_vacuous,
@@ -19,7 +22,7 @@ from vacmc.vacuity import (
     syntactic_monotone,
 )
 
-from helpers import proper_subformulas, rand_ctl, rand_kripke
+from helpers import proper_subformulas, rand_ctl, rand_kripke, rand_path
 
 P4 = p("AG ((AX p) | (AX !p))")
 P6 = p("(EX p) | (AX !p)")
@@ -271,3 +274,116 @@ class TestEnumerateStructures:
     def test_counts_single_prop(self):
         assert sum(1 for _ in enumerate_structures(("x",), 1)) == 2
         assert sum(1 for _ in enumerate_structures(("x",), 2)) == 2 + 36
+
+
+def _probes_by_init(props, max_states):
+    """enumerate_structures as each probe was once built: one named structure
+    through KripkeStructure.__init__ per labeling and transition shape."""
+    for n in range(1, max_states + 1):
+        states = tuple(f"s{i}" for i in range(n))
+        for labeling in itertools.product(range(1 << len(props)), repeat=n):
+            labels = {states[i]: {p: bool(labeling[i] >> j & 1) for j, p in enumerate(props)} for i in range(n)}
+            for succs in itertools.product(range(1, 1 << n), repeat=n):
+                trans = [(states[i], states[j]) for i in range(n) for j in range(n) if succs[i] >> j & 1]
+                yield KripkeStructure("probe", props, states, (states[0],), trans, labels)
+
+
+def _per_probe_verdicts(body, max_states):
+    """The bounded-validity probe checked one structure at a time, as far as
+    the first disagreement."""
+    verdicts = set()
+    for probe in enumerate_structures(sorted(F.atoms(body)), max_states):
+        verdicts.add(check_ctl_star(probe, body))
+        if len(verdicts) > 1:
+            break
+    return verdicts
+
+
+def _rand_body(rng, props):
+    """A CTL or genuine CTL* body over exactly props."""
+    while True:
+        if rng.random() < 0.5:
+            body = rand_ctl(rng, props, 3)
+        else:
+            body = rng.choice([F.PathA, F.PathE])(rand_path(rng, props, 3))
+        if F.atoms(body) == set(props):
+            return body
+
+
+class TestBoundedValidityProbe:
+    @pytest.mark.parametrize("props", [("x",), ("p", "x")])
+    def test_same_structures_as_built_one_by_one(self, props):
+        built = list(enumerate_structures(props, 2))
+        assert len(built) == sum(1 for _ in _probes_by_init(props, 2))
+        for got, want in zip(built, _probes_by_init(props, 2)):
+            assert got == want and got.trans == want.trans and got.init == want.init
+
+    @pytest.mark.parametrize("props", [("x",), ("p", "x")])
+    def test_union_bits_are_the_members_verdicts(self, rng, props):
+        """Every probe of up to two states and a seeded sample of 150 of three,
+        labelled in unions of up to 16 states: each member's initial bit is
+        its own check's verdict."""
+        probes = list(enumerate_structures(props, 3))
+        small = [m for m in probes if m.n < 3]
+        sample = small + rng.sample(probes[len(small):], 150)
+        for _ in range(8):
+            body = _rand_body(rng, props)
+            for batch in V._batches(sample, 4, 16):
+                union, offsets = V._union(batch)
+                assert union.n == sum(m.n for m in batch) <= 16
+                mask = eval_mask(union, body)
+                got = [bool(mask >> o & 1) for o in offsets]
+                assert got == [check_ctl_star(m, body) for m in batch], F.render_formula(body)
+
+    @pytest.mark.parametrize("props", [("x",), ("p", "x")])
+    def test_verdict_sets_match_per_probe_checks(self, rng, props):
+        for trial in range(8):
+            body = _rand_body(rng, props)
+            for n in (1, 2, 3):
+                assert V._probe_verdicts(body, n) == _per_probe_verdicts(body, n), (F.render_formula(body), n)
+            if trial < 2:  # a tautology and a contradiction label every probe, in every union
+                for whole, verdict in ((F.Or(body, F.Not(body)), True), (F.And(body, F.Not(body)), False)):
+                    assert V._probe_verdicts(whole, 4 - len(props)) == {verdict}
+
+    def test_a_set_atom_in_the_body_is_refused_as_before(self, fx):
+        m = fx("M")
+        phi = p("AG ((AX p) | (EX !p)) | {b1}@M")
+        with pytest.raises(EvalError, match=r"^set atom over unknown structure 'M'$"):
+            decide_bisim_vacuity(phi, PA, m, bounded_validity=2)
+
+    def test_an_over_cap_closure_is_refused_as_before(self):
+        body = p("E(" + "X " * 15 + "x)")
+        with pytest.raises(EvalError, match=r"^path formula closure too large \(15 temporal operators\)$"):
+            V._probe_verdicts(body, 1)
+
+    def test_an_oversized_enumeration_is_refused_as_before(self):
+        with pytest.raises(EnumerationBoundError, match=r"^bounded-validity probe would enumerate 1407248 structures$"):
+            V._probe_verdicts(p("(p & q) | (r & x)"), 3)
+        with pytest.raises(EnumerationBoundError, match="would enumerate 1407248 structures"):
+            next(enumerate_structures(("p", "q", "r", "x"), 3))
+
+    def test_one_labelling_per_union_and_no_check_per_probe(self, fx, monkeypatch):
+        pulled, labelled, checked = [], [], []
+        enumerate_original, eval_original, check_original = V.enumerate_structures, V.eval_mask, V.check_ctl_star
+
+        def enumerate_counted(*args):
+            for probe in enumerate_original(*args):
+                pulled.append(probe)
+                yield probe
+
+        def eval_counted(k, phi, *args):
+            labelled.append(k)
+            return eval_original(k, phi, *args)
+
+        def check_counted(k, *args, **kwargs):
+            checked.append(k.name)
+            return check_original(k, *args, **kwargs)
+
+        monkeypatch.setattr(V, "enumerate_structures", enumerate_counted)
+        monkeypatch.setattr(V, "eval_mask", eval_counted)
+        monkeypatch.setattr(V, "check_ctl_star", check_counted)
+        v = decide_bisim_vacuity(P6, PA, fx("L"), bounded_validity=2)
+        assert (v.status, v.route) == (VacuityStatus.VACUOUS, "bounded-validity")
+        assert len(pulled) == 38 and "probe" not in checked
+        # 2 + 36 * 2 = 74 states fit in the first union: one labelling of all 38 probes
+        assert [(k.n, len(k.init)) for k in labelled] == [(74, 38)]
