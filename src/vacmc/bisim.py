@@ -16,6 +16,7 @@ predecessors of a row that shrank.  Results replay against the definitions
 """
 
 from collections.abc import Set
+from itertools import chain
 
 from .errors import KripkeError
 from .kleene import F3, M3, T3
@@ -27,7 +28,9 @@ class Relation(Set):
 
     rows[j] is the bitmask of left states related to right state j.  A
     membership test reads one bit of a row; `pairs`, the frozenset of (s, t)
-    name pairs, is built on first use.
+    name pairs, is built on first use.  `grouped` lists the pairs by left
+    state without a pair object: right states with equal rows form one group
+    (a bisimulation's block), whose right names are listed once and shared.
     """
 
     def __init__(self, k1, k2, rows):
@@ -61,17 +64,28 @@ class Relation(Set):
         i, j = self._k1._index.get(s), self._k2._index.get(t)
         return i is not None and j is not None and self.rows[j] >> i & 1 == 1
 
-    def sorted_pairs(self):
-        """The [s, t] name lists of `pairs`, sorted by (s, t): each left
-        state's right names are gathered in name order, then the left states
-        are emitted in name order."""
+    def grouped(self):
+        """(s, ts) for each left state s related to some right state, in name
+        order of s, with ts the right names related to s, in name order.  Right
+        states are grouped by equal row: a left state in one group gets that
+        group's list itself, shared by every left state of the group, and one
+        in several (which simulation rows allow) gets their names merged and
+        sorted."""
         left, right = self._k1.states, self._k2.states
-        columns = [[] for _ in left]
+        groups = {}
         for j in sorted(range(len(right)), key=right.__getitem__):
-            t = right[j]
-            for i in mask_members(self.rows[j]):
-                columns[i].append(t)
-        return [[left[i], t] for i in sorted(range(len(left)), key=left.__getitem__) for t in columns[i]]
+            if self.rows[j]:
+                groups.setdefault(self.rows[j], []).append(right[j])
+        member = [[] for _ in left]
+        for row, ts in groups.items():
+            for i in mask_members(row):
+                member[i].append(ts)
+        return [(s, lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists)))
+                for s, lists in sorted(zip(left, member)) if lists]
+
+    def sorted_pairs(self):
+        """The [s, t] name lists of `pairs`, sorted by (s, t), read off `grouped`."""
+        return [[s, t] for s, ts in self.grouped() for t in ts]
 
     def inverse(self):
         rows = [0] * self._k1.n

@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import time
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import formula as F
@@ -24,14 +23,24 @@ from .vacuity import VacuityStatus
 
 
 def _load_model(target):
-    if os.path.exists(target):
+    """The structure in the file `target`, else the fixture of that name.  The
+    file is opened and its bytes read and decoded as UTF-8 first; the path is
+    tested only when that fails, so a path that exists but cannot be read is
+    reported and any other goes to the fixtures."""
+    try:
+        fd = os.open(target, os.O_RDONLY)
         try:
-            with open(target) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            raise KripkeError(f"cannot read model {target!r}: {getattr(e, 'strerror', None) or e}") from None
-        return parse_kripke(text)
-    return load_fixture(target)
+            chunks = []
+            while chunk := os.read(fd, 1 << 20):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode()
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path, or bytes that are not UTF-8
+        if not os.path.exists(target):
+            return load_fixture(target)
+        raise KripkeError(f"cannot read model {target!r}: {getattr(e, 'strerror', None) or e}") from None
+    return parse_kripke(text)
 
 
 def _count(text):
@@ -64,32 +73,68 @@ def _parse_order(text):
     return PropOrdering.from_props(items)
 
 
+class _Pairs:
+    """A relation's sorted [s, t] name pairs, held as Relation.grouped() and
+    written as json.dumps writes the list of pairs, with no list or format
+    argument per pair: each left name is quoted once, each shared list of
+    right names once, and the items of one left state come from one str.join
+    over its quoted right names."""
+
+    def __init__(self, groups):
+        self.groups = groups
+
+    def dumps(self, indent=None):
+        """json.dumps(pairs, indent=2) for a list opened at `indent` (a newline
+        and its spaces), or json.dumps(pairs) with no indent."""
+        if not self.groups:
+            return "[]"
+        if indent is None:
+            indent = inner = cell = ""
+            sep = mid = ", "
+        else:
+            inner = indent + "  "
+            cell = inner + "  "
+            sep, mid = "," + inner, "," + cell
+        close = inner + "]"
+        quoted = {}  # id of a list of right names -> the names quoted; self.groups keeps each list alive
+        parts, before = [], "[" + inner
+        for s, ts in self.groups:
+            names = quoted.get(id(ts))
+            if names is None:
+                names = quoted[id(ts)] = list(map(_quote, ts))
+            head = "[" + cell + _quote(s) + mid
+            parts += (before, head, (close + sep + head).join(names), close)
+            before = sep
+        parts.append(indent + "]")
+        return "".join(parts)
+
+
 def _dumps(obj, indent="\n"):
     """json.dumps(obj, indent=2), byte for byte, for str-keyed trees.
 
     With an indent, json falls back to its pure-Python encoder; here strings
-    go through its C quoting, and a list of equal-length rows of strings (a
-    relation) fills one %-template per row, all in one % with each distinct
-    cell quoted once.
+    go through its C quoting, a list of strings is one join, and a relation's
+    _Pairs writes itself.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
-        items = [f"{inner}{_quote(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
-        return "{" + ",".join(items) + indent + "}" if items else "{}"
+        if not obj:
+            return "{}"
+        parts = []  # one join: a large value (a relation) is copied once per level
+        for key, value in obj.items():
+            parts += (",", inner, _quote(key), ": ", _dumps(value, inner))
+        parts[0] = "{"
+        parts.append(indent + "}")
+        return "".join(parts)
+    if isinstance(obj, _Pairs):
+        return obj.dumps(indent)
     if not isinstance(obj, (list, tuple)):
         return _quote(obj) if isinstance(obj, str) else json.dumps(obj)
     if not obj:
         return "[]"
     sep = "," + inner
-    kinds = set(map(type, obj))
-    if kinds == {str}:
+    if set(map(type, obj)) == {str}:
         body = sep.join(map(_quote, obj))
-    elif (kinds <= {list, tuple} and obj[0] and len(set(map(len, obj))) == 1
-          and set(map(type, chain.from_iterable(obj))) == {str}):
-        row = "[" + ",".join([inner + "  %s"] * len(obj[0])) + inner + "]"
-        distinct = set(chain.from_iterable(obj))
-        quoted = dict(zip(distinct, map(_quote, distinct)))
-        body = sep.join([row] * len(obj)) % tuple(map(quoted.__getitem__, chain.from_iterable(obj)))
     else:
         body = sep.join([_dumps(item, inner) for item in obj])
     return "[" + inner + body + indent + "]"
@@ -112,7 +157,9 @@ class _Report:
             print(_dumps(self.data))
         else:
             for key, value in result.items():
-                if isinstance(value, (dict, list)):
+                if isinstance(value, _Pairs):
+                    value = value.dumps()
+                elif isinstance(value, (dict, list)):
                     value = json.dumps(value)
                 print(f"{key}: {value}")
 
@@ -173,7 +220,7 @@ def _cmd_relation(args):
     rel = (bisimilar_over if args.command == "bisim" else simulates_over)(k1, k2, over)
     result = {"value": rel is not None}
     if rel is not None:
-        result["relation"] = rel.sorted_pairs()
+        result["relation"] = _Pairs(rel.grouped())
     report.finish(result, args.format)
     return 0
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -47,6 +48,44 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(model), "EF p")
         assert (code, out) == (1, "") and "internal" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_file_named_like_a_fixture_is_read_first(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "L").write_text("kripke Mine\nprops: p\ninit: a0\nstate a0:\ntrans: a0 a0\n")
+        assert cli._load_model("L").name == "Mine"
+        code, out, _ = run(capsys, "check", "L", "AG p")
+        assert code == 0 and "value: False" in out  # the fixture L satisfies AG p
+
+    def test_a_crlf_model_parses_as_its_lf_copy(self, tmp_path):
+        text = (Path(cli.__file__).parent / "fixtures" / "V.kr").read_text()
+        (tmp_path / "lf.kr").write_bytes(text.encode())
+        (tmp_path / "crlf.kr").write_bytes(text.replace("\n", "\r\n").encode())
+        lf, crlf = cli._load_model(str(tmp_path / "lf.kr")), cli._load_model(str(tmp_path / "crlf.kr"))
+        assert crlf == lf and render_kripke(crlf) == render_kripke(lf)
+
+    def test_paths_that_cannot_be_opened_go_to_the_fixtures(self, capsys, tmp_path):
+        model = tmp_path / "K.kr"
+        model.write_text("kripke K\nprops: p\ninit: s\nstate s: p\ntrans: s s\n")
+        for target in (str(tmp_path / "missing"), str(model / "under-a-file"), "K\0"):
+            code, out, err = run(capsys, "check", target, "EF p")
+            assert (code, out) == (1, "") and err.startswith(f"error: unknown fixture {target!r}; available: ")
+
+    def test_undecodable_bytes_name_the_codec_error(self, capsys, tmp_path):
+        model = tmp_path / "K.kr"
+        model.write_bytes(b"kripke K\n\xff\n")
+        code, _, err = run(capsys, "check", str(model), "EF p")
+        assert code == 1
+        assert err == (f"error: cannot read model {str(model)!r}: "
+                       "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n")
+
+    def test_an_unreadable_file_is_reported(self, capsys, tmp_path):
+        model = tmp_path / "K.kr"
+        model.write_text("kripke K\nprops: p\ninit: s\nstate s: p\ntrans: s s\n")
+        model.chmod(0)
+        if os.access(model, os.R_OK):
+            pytest.skip("permission bits do not stop this user from reading")
+        code, _, err = run(capsys, "check", str(model), "EF p")
+        assert (code, err) == (1, f"error: cannot read model {str(model)!r}: Permission denied\n")
 
     def test_deep_formula_on_a_long_ring(self, capsys, tmp_path):
         lines = ["kripke R", "props: p", "init: s0"]
