@@ -60,17 +60,19 @@ def _parse_props(text):
 
 
 def _parse_order(text):
+    """'p,q' (indices in list order) or 'p=1,q=2'; a proposition given twice is an error."""
     items = _parse_props(text)
-    if any("=" in item for item in items):
-        mapping = {}
-        for item in items:
-            p, _, i = item.partition("=")
-            try:
-                mapping[p] = int(i)
-            except ValueError as e:
-                raise OrderingError(str(e)) from None
-        return PropOrdering(mapping)
-    return PropOrdering.from_props(items)
+    explicit = any("=" in item for item in items)
+    mapping = {}
+    for n, item in enumerate(items, 1):
+        p, _, i = item.partition("=")
+        if p in mapping:
+            raise OrderingError(f"proposition {p!r} given twice in ordering")
+        try:
+            mapping[p] = int(i) if explicit else n
+        except ValueError as e:
+            raise OrderingError(str(e)) from None
+    return PropOrdering(mapping)
 
 
 class _Pairs:

@@ -280,10 +280,10 @@ def structurally_equal(k1, k2):
 
 @_gc_paused
 def parse_kripke(text):
-    """One pass over the lines, the most frequent directive (trans:) tested first."""
-    name = None
-    props = []
-    init = []
+    """One pass over the lines, the most frequent directive (trans:) tested
+    first.  A directive glued to its name ("kripkeK", "states0:"), a second
+    header line, or a proposition given twice on a state is an error."""
+    name = props = init = None
     labels = {}  # state -> assignment, in declaration order
     sources, targets = [], []  # one list each: no pair object per transition
     add_source, add_target = sources.append, targets.append
@@ -303,33 +303,46 @@ def parse_kripke(text):
             state = head.strip()
             if not state:
                 raise KripkeError(f"line {lineno}: missing state name")
+            if not head[0].isspace():
+                raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
             if state in labels:
                 raise KripkeError(f"line {lineno}: duplicate state {state!r}")
             # bools, not T3/F3: a dict holding only atomic values is left
             # untracked by the cyclic garbage collector
             assignment = labels[state] = {}
-            for item in rest.split():
+            items = rest.split()
+            for item in items:
                 if item.endswith("=M"):
                     assignment[item[:-2]] = M3
                 elif item.startswith("-"):
                     assignment[item[1:]] = False
                 else:
                     assignment[item] = True
+            if len(assignment) < len(items):
+                given = [i[:-2] if i.endswith("=M") else i[1:] if i.startswith("-") else i for i in items]
+                prop = next(p for j, p in enumerate(given) if p in given[:j])
+                raise KripkeError(f"line {lineno}: proposition {prop!r} given twice on state {state!r}")
         elif not line:
             continue
-        elif line.startswith("kripke"):
+        elif line[:6] == "kripke" and not line[6:7].strip():
+            if name is not None:
+                raise KripkeError(f"line {lineno}: second 'kripke' line")
             name = line[6:].strip()
             if not name:
                 raise KripkeError(f"line {lineno}: missing structure name")
         elif line.startswith("props:"):
+            if props is not None:
+                raise KripkeError(f"line {lineno}: second 'props:' line")
             props = line[6:].split()
         elif line.startswith("init:"):
+            if init is not None:
+                raise KripkeError(f"line {lineno}: second 'init:' line")
             init = line[5:].split()
         else:
             raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
     if name is None:
         raise KripkeError("missing 'kripke NAME' header")
-    return KripkeStructure(name, props, labels, init, zip(sources, targets), labels)
+    return KripkeStructure(name, props or (), labels, init or (), zip(sources, targets), labels)
 
 
 def render_kripke(k):

@@ -14,16 +14,17 @@ Genuine path formulas are decided in the automata-theoretic style
 depend on any structure.  Its atoms and one-step laws depend only on a
 state's leaf signature, the set of maximal state subformulas that hold
 there, so they are built once per signature and formula.  The automaton is
-compiled once per process: `_closure_cache`, bounded in atoms, hands it and
-its tables to every check, sweep and witness of an equal formula, on any
-structure.  `AtomGraph` is the automaton's product with one structure, built
-on the fly by Couvreur's SCC search for a cycle that covers every acceptance
-set (a generalized Buchi emptiness check), with a state's table and nodes
-made when the search gets to it.  A nested quantifier gets the product from
-every state, searched to completion; a check asks a root quantifier only at
-the initial states, and its search stops at the first accepting cycle; the
-witness reads the same graph.  Set atoms of a foreign structure are resolved
-through a bisimulation computed on demand.
+compiled once per process: `_closure_cache`, a dict by formula that is
+emptied whole when its closures' tables pass `_CLOSURE_ATOMS` atoms, hands
+it and its tables to every check, sweep and witness of an equal formula, on
+any structure.  `AtomGraph` is the automaton's product with one structure,
+built on the fly by Couvreur's SCC search for a cycle that covers every
+acceptance set (a generalized Buchi emptiness check), with a state's table
+and nodes made when the search gets to it.  A nested quantifier gets the
+product from every state, searched to completion; a check asks a root
+quantifier only at the initial states, and its search stops at the first
+accepting cycle; the witness reads the same graph.  Set atoms of a foreign
+structure are resolved through a bisimulation computed on demand.
 
 A sweep over the labelings of one fresh atom labels a chunk of them at once,
 one bit per labeling (`_LaneSweep`): a subformula that contains the atom
@@ -115,7 +116,6 @@ class _Closure:
 
     def __init__(self, pathform):
         state = _state_nodes(pathform)
-        self.pathform = pathform
         self.leaves = []       # maximal state subformulas
         self.temporal = []     # temporal subformulas, in post-order
         self._leaf_pos = []    # position of each leaf
@@ -143,15 +143,19 @@ class _Closure:
         # (U, F) position is set, and false while an invariant (R, G) one is unset.
         self._owed = [(bit, r, code in (_U, _F)) for code, bit, l, r in self._steps if code != _X]
         self._tables = {}
-        self.size = 1  # its tables' atoms, and one for itself
+        self.size = 0  # its tables' atoms
 
     def table(self, sig):
-        """The _Table of leaf signature sig, built on first use."""
+        """The _Table of leaf signature sig, built on first use.  When the
+        closures in `_closure_cache` then have more than _CLOSURE_ATOMS atoms
+        in their tables, it is emptied; its closures, this one too, stay with
+        the evaluators that hold them, and no longer count."""
         got = self._tables.get(sig)
         if got is None:
             got = self._tables[sig] = self._build_table(sig)
             self.size += len(got.vals)
-            _closure_cache.grew(self, len(got.vals))
+            if sum(c.size for c in _closure_cache.values()) > _CLOSURE_ATOMS:
+                _closure_cache.clear()
         return got
 
     def _build_table(self, sig):
@@ -233,47 +237,14 @@ class _Closure:
         return marks
 
 
-class _ClosureCache:
-    """The closure automata of the process by formula, least recently used
-    first: a formula equal to a cached one gets its closure, with the tables
-    and successor lists that earlier checks built.  While the cached
-    closures' sizes (atoms, plus one per closure) add up to more than
-    `limit`, the least recently used are dropped.  Equality ignores a
-    SetAtom's ref, so a cached closure's leaves may be another query's nodes
-    (see _Evaluator._closure)."""
-
-    def __init__(self, limit):
-        self.limit, self.size, self._by_formula = limit, 0, {}
-
-    def get(self, c):
-        got = self._by_formula.pop(c, None)
-        if got is None:
-            got = _Closure(c)
-            self.size += got.size
-        self._by_formula[got.pathform] = got  # the key that grew() looks up
-        self._evict()
-        return got
-
-    def grew(self, closure, atoms):
-        """closure built a table of `atoms` atoms."""
-        if self._by_formula.get(closure.pathform) is closure:
-            self.size += atoms
-            self._evict()
-
-    def _evict(self):
-        by_formula = self._by_formula
-        while self.size > self.limit:
-            self.size -= by_formula.pop(next(iter(by_formula))).size
-
-    def clear(self):
-        self._by_formula.clear()
-        self.size = 0
-
-
-# The closure cache's bound: an atom takes about 0.2 KB, and up to a few KB
-# with the successor lists into other tables.
+# The closure automata of the process by formula: a formula equal to a cached
+# one gets its closure, with the tables and successor lists that earlier checks
+# built.  Equality ignores a SetAtom's ref, so a cached closure's leaves may be
+# another query's nodes (see _Evaluator._closure).  Its bound in table atoms:
+# an atom takes about 0.2 KB, and up to a few KB with the successor lists into
+# other tables.
+_closure_cache = {}
 _CLOSURE_ATOMS = 1 << 12
-_closure_cache = _ClosureCache(_CLOSURE_ATOMS)
 
 
 def _bounded(closure):
@@ -288,18 +259,19 @@ class AtomGraph:
     """Product of a path formula's closure automaton with one structure, built
     forward from root atoms and searched on the fly for accepting cycles.
 
-    `leaves` are the state masks on k of the closure's leaves, in order; the
-    closure is `pathform`'s cached one unless given.  A state's table is built,
-    and its atoms get node ids (`atoms[a]` is node a's state, `vals[a]` its
+    `closure` is the path formula's `_Closure`, whose tables and successor
+    lists the graph reads as they are, and `leaves` are the state masks on k
+    of the closure's leaves, in order.  A state's table is fetched, and its
+    atoms get node ids (`atoms[a]` is node a's state, `vals[a]` its
     valuation), when the search first gets to the state.  The search lists a
     node's successors in `adj[a]` one successor state at a time, in
     state-then-atom order, as it goes through them; all of them once the
     node's SCC is complete, none if it never entered the node.  It is
     Couvreur's (1999) generalized Buchi emptiness check: a depth-first search
     over partial SCCs whose acceptance marks are OR-ed as cycles merge them.
-    A cycle whose marks cover every acceptance set is accepting, and E
-    pathform holds at a state iff one of its atoms with the root set reaches
-    one.
+    A cycle whose marks cover every acceptance set is accepting, and E c, c
+    the closure's path formula, holds at a state iff one of its atoms with
+    the root set reaches one.
 
     `starts` None searches from every state's root atoms to completion: every
     SCC reached is completed (`sccs`, `good`), the graph that a state mask
@@ -311,9 +283,9 @@ class AtomGraph:
 
     MAX_TEMPORAL = 14
 
-    def __init__(self, k, pathform, leaves, closure=None, starts=None):
+    def __init__(self, k, closure, leaves, starts=None):
         self.k = k
-        self.closure = closure = _bounded(closure or _closure_cache.get(pathform))
+        self.closure = closure = _bounded(closure)
         self.temporal = closure.temporal
         self._sig = sig = [0] * k.n
         for i, mask in enumerate(leaves):
@@ -321,7 +293,6 @@ class AtomGraph:
                 sig[si] |= 1 << i
         self._first = [None] * k.n   # per state: its first node id, once it has nodes
         self._tables = [None] * k.n
-        self._out = [None] * k.n     # per state: the successor lists into each successor state's table
         self.atoms, self.vals, self.marks, self.adj = [], [], [], []
         self._num, self.scc_of, self.reach = [], [], []  # visit number, SCC, reaches an accepting cycle
         self.sccs, self.good = [], []
@@ -373,12 +344,7 @@ class AtomGraph:
             return None
         ti = succ[j]
         first = self._state(ti)
-        out = self._out[si]
-        if out is None:
-            out = self._out[si] = [None] * len(succ)
-        lists = out[j]
-        if lists is None:
-            lists = out[j] = self._tables[ti].successors(self._tables[si])
+        lists = self._tables[ti].successors(self._tables[si])
         got = list(map(first.__add__, lists[a - self._first[si]]))
         self.adj[a] = self.adj[a] + got if j else got
         return got
@@ -778,6 +744,8 @@ class _Evaluator(_Duality):
         if got is None:
             c = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
             closure = _closure_cache.get(c)
+            if closure is None:
+                closure = _closure_cache[c] = _Closure(c)
             leaves = closure.leaves
             if closure.set_atoms:
                 own = {}  # each node of c: its first occurrence, as in the closure
@@ -796,7 +764,7 @@ class _Evaluator(_Duality):
         if got is None:
             closure, leaves = self._closure(phi)
             masks = [self.states(f) for f in leaves]
-            got = self._graphs[key] = AtomGraph(self.k, closure.pathform, masks, closure, starts)
+            got = self._graphs[key] = AtomGraph(self.k, closure, masks, starts)
         return got
 
     def rooted(self, phi):

@@ -89,9 +89,7 @@ class OracleKripkeStructure(KripkeStructure):
 def oracle_parse_kripke(text):
     """The .kr parser that tested every directive in file order, building
     one name pair per transition and an OracleKripkeStructure."""
-    name = None
-    props = []
-    init = []
+    headers = {}  # directive -> its argument
     states = []
     labels = {}
     trans = []
@@ -99,30 +97,36 @@ def oracle_parse_kripke(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("kripke"):
-            name = line[len("kripke"):].strip()
-            if not name:
+        directive = next((d for d in ("kripke", "props:", "init:") if line.startswith(d)), None)
+        if directive == "kripke" and line[len("kripke"):][:1].strip():
+            directive = None  # "kripkeK"
+        if directive is not None:
+            if directive in headers:
+                raise KripkeError(f"line {lineno}: second {directive!r} line")
+            headers[directive] = line[len(directive):]
+            if directive == "kripke" and not headers["kripke"].strip():
                 raise KripkeError(f"line {lineno}: missing structure name")
-        elif line.startswith("props:"):
-            props = line[len("props:"):].split()
-        elif line.startswith("init:"):
-            init = line[len("init:"):].split()
         elif line.startswith("state"):
             head, _, rest = line[len("state"):].partition(":")
             state = head.strip()
             if not state:
                 raise KripkeError(f"line {lineno}: missing state name")
+            if not head[0].isspace():
+                raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
             if state in labels:
                 raise KripkeError(f"line {lineno}: duplicate state {state!r}")
             states.append(state)
             assignment = {}
             for item in rest.split():
                 if item.endswith("=M"):
-                    assignment[item[:-2]] = M3
+                    prop, value = item[:-2], M3
                 elif item.startswith("-"):
-                    assignment[item[1:]] = F3
+                    prop, value = item[1:], F3
                 else:
-                    assignment[item] = T3
+                    prop, value = item, T3
+                if prop in assignment:
+                    raise KripkeError(f"line {lineno}: proposition {prop!r} given twice on state {state!r}")
+                assignment[prop] = value
             labels[state] = assignment
         elif line.startswith("trans:"):
             pair = line[len("trans:"):].split()
@@ -131,9 +135,10 @@ def oracle_parse_kripke(text):
             trans.append((pair[0], pair[1]))
         else:
             raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
-    if name is None:
+    if "kripke" not in headers:
         raise KripkeError("missing 'kripke NAME' header")
-    return OracleKripkeStructure(name, props, states, init, trans, labels)
+    return OracleKripkeStructure(headers["kripke"].strip(), headers.get("props:", "").split(), states,
+                                 headers.get("init:", "").split(), trans, labels)
 
 
 def oracle_compose_sync(k1, k2):

@@ -247,6 +247,11 @@ class TestTranslate:
         code, out, err = run(capsys, "translate", *argv)
         assert code == 1 and out == "" and err.startswith("error: ") and "internal" not in err
 
+    @pytest.mark.parametrize("order", ["p=1,p=2", "p,p", "p=2,q=1,p=3", "q p,p"])
+    def test_a_repeated_proposition_is_named(self, capsys, order):
+        code, out, err = run(capsys, "translate", "f", "p", "--order", order)
+        assert (code, out, err) == (1, "", "error: proposition 'p' given twice in ordering\n")
+
 
 class TestReports:
     def test_json_schema_roundtrip(self, capsys):

@@ -584,6 +584,16 @@ MALFORMED = [
     ("kripke K\nprops: p\ninit: s\nstate s: q\nstate t:\ntrans: s s\n", "K: state 't' has no outgoing transition"),
     ("kripke K\ntrans: s\nbogus\n", "line 2: expected 'trans: FROM TO'"),
     ("trans: s t u\nprops: p\n", "line 1: expected 'trans: FROM TO'"),
+    # a directive glued to its argument, a second header, a label given twice
+    ("kripkeK\nprops: p\n", "line 1: unrecognized directive 'kripkeK'"),
+    ("kripke K\nstates0: p\n", "line 2: unrecognized directive 'states0:'"),
+    ("kripke K\nstate:\n", "line 2: missing state name"),
+    ("kripke K\nprops: p\nkripke L\n", "line 3: second 'kripke' line"),
+    ("kripke K\nprops: p\nprops: q\n", "line 3: second 'props:' line"),
+    ("kripke K\ninit:\nprops: p\ninit: s\n", "line 4: second 'init:' line"),
+    ("kripke K\nprops: p\nstate s0: p -p\n", "line 3: proposition 'p' given twice on state 's0'"),
+    ("kripke K\nprops: p\nstate s0: p p=M\n", "line 3: proposition 'p' given twice on state 's0'"),
+    ("kripke K\nprops: p\nstate s0: -p -p\n", "line 3: proposition 'p' given twice on state 's0'"),
 ]
 
 
@@ -639,6 +649,66 @@ class TestMalformed:
                 parts[slot] = value
             want = raised(OracleKripkeStructure, *parts)
             assert want is not None and raised(KripkeStructure, *parts) == want, parts
+
+
+class TestMutations:
+    """One-line mutations of rendered random structures: each mutated file
+    parses to a structure equal to the original or raises KripkeError, and
+    never raises anything else."""
+
+    @staticmethod
+    def glue(rng, lines, k):
+        """A directive glued to its argument: kripkeK and states0: are errors,
+        props:p, init:s0 and trans:s0 s1 read as before."""
+        i = rng.randrange(len(lines))
+        word, _, rest = lines[i].partition(" ")
+        lines[i] = word + rest
+        return word in ("kripke", "state")
+
+    @staticmethod
+    def repeat_header(rng, lines, k):
+        lines.insert(rng.randrange(len(lines) + 1), lines[rng.randrange(3)])
+        return True
+
+    @staticmethod
+    def conflict(rng, lines, k):
+        """A second value for a proposition of a state line: p, -p or p=M."""
+        i = rng.choice([i for i, line in enumerate(lines) if line.startswith("state ")])
+        p = rng.choice(k.props)
+        forms = [p, f"-{p}", f"{p}=M"]
+        have = [f for f in lines[i].partition(":")[2].split() if f in forms]
+        lines[i] += " " + " ".join(rng.sample([f for f in forms if f not in have], 1 if have else 2))
+        return True
+
+    @staticmethod
+    def drop(rng, lines, k):
+        """One character dropped from a line's directive, up to its colon
+        (the space after kripke): a state named in a dropped state line still
+        has its transitions, so a changed name is an error."""
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        head = line.index(":") + 1 if ":" in line else len("kripke ")
+        j = rng.randrange(head)
+        lines[i] = line[:j] + line[j + 1:]
+        return False
+
+    def test_a_mutated_file_parses_equal_or_raises_kripke_error(self, rng):
+        outcomes = {}
+        for trial in range(400):
+            k = rand_kripke(rng, 8, props=("p", "q", "r")[:1 + trial % 3], name=f"K{trial % 7}")
+            mutate = rng.choice([self.glue, self.repeat_header, self.conflict, self.drop])
+            lines = render_kripke(k).splitlines()
+            must_fail = mutate(rng, lines, k)
+            text = "\n".join(lines) + "\n"
+            try:
+                got = parse_kripke(text)
+            except KripkeError:
+                got = None
+            assert got is None if must_fail else got in (None, k), text
+            outcome = mutate.__name__, got is None
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert all(outcomes.get((name, True), 0) >= 10 for name in ("glue", "repeat_header", "conflict", "drop"))
+        assert outcomes[("glue", False)] >= 20
 
 
 class TestLargeChain:

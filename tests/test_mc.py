@@ -290,15 +290,15 @@ class TestAssign:
         built = []
 
         class Counting(mc.AtomGraph):
-            def __init__(self, k, pathform, *args):
-                built.append(pathform)
-                super().__init__(k, pathform, *args)
+            def __init__(self, k, closure, *args):
+                built.append(closure)
+                super().__init__(k, closure, *args)
 
         monkeypatch.setattr(mc, "AtomGraph", Counting)
         ev = _Evaluator(k)
         self.lane_masks(ev, F.And(fixed, moving), self.X)
         kept = ev.graph(fixed)
-        assert built == [fixed.child]  # the lane product of the moving one is no AtomGraph
+        assert built == [ev._closure(fixed)[0]]  # the lane product of the moving one is no AtomGraph
         assert ev.graph(fixed) is kept and [f for f, _ in ev._graphs] == [fixed]
 
     def test_negated_hole_on_a_three_valued_structure(self):

@@ -287,7 +287,7 @@ class TestPathLanes:
             routed += phi in ev._tableau
             for mask, kx in enumerate(x_variants(k, "x")):
                 leaves = [mc.eval_mask(kx, f) for f in own]
-                e = mc.AtomGraph(kx, closure.pathform, leaves, closure).e_mask()
+                e = mc.AtomGraph(kx, closure, leaves).e_mask()
                 want = e if isinstance(phi, F.PathE) else kx.full_mask ^ e
                 assert got[mask] == want, (k.n, mask, F.render_formula(phi))
         assert several >= 16 and routed >= 40

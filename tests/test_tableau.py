@@ -253,19 +253,64 @@ class TestClosureCache:
             assert (verdict.status, verdict.route) == (VacuityStatus.NON_VACUOUS, route)
             assert len(built) == len(set(built)) == distinct
 
-    def test_past_its_bound_the_cache_drops_the_least_recently_used(self, rng, monkeypatch):
+    @pytest.fixture
+    def bound(self, monkeypatch):
+        """Sets the cache's bound; after every table built, the closures in
+        the cache hold at most that many table atoms."""
+        table = mc._Closure.table
+
+        def checked(closure, sig):
+            got = table(closure, sig)
+            assert sum(c.size for c in mc._closure_cache.values()) <= mc._CLOSURE_ATOMS
+            return got
+
+        monkeypatch.setattr(mc._Closure, "table", checked)
+        return lambda atoms: monkeypatch.setattr(mc, "_CLOSURE_ATOMS", atoms)
+
+    def test_past_its_bound_the_cache_is_emptied(self, rng, bound):
+        bound(60)
         cache = mc._closure_cache
-        monkeypatch.setattr(cache, "limit", 60)
         k = ring(8)
         first = [p("E(G F p & F q)"), p("A(F G p)")]
         want = [check_and_explain(k, phi) for phi in first]
         assert all(witness is not None for _, witness in want)
+        assert all(f in cache for f in (first[0].child, F.Not(first[1].child)))
         for text in BODIES:
             for quant in "EA":
                 check_and_explain(rand_structure(rng, 12), p(f"{quant}({text})"))
-                assert cache.size == sum(c.size for c in cache._by_formula.values()) <= 60
-        assert not any(f in cache._by_formula for f in (first[0].child, F.Not(first[1].child)))
+        assert not any(f in cache for f in (first[0].child, F.Not(first[1].child)))
         assert [check_and_explain(k, phi) for phi in first] == want
+
+    def test_a_closure_past_the_bound_alone_is_not_kept(self, rng, bound, built):
+        phi = p("E(G F p & F (q & X !p))")
+        structures = [ring(8)] + [rand_structure(rng, 12) for _ in range(6)]
+        want = [(check_and_explain(k, phi), eval_mask(k, phi)) for k in structures]
+        assert len(built) == 1 and max(c.size for c in mc._closure_cache.values()) > 3
+        mc._closure_cache.clear()
+        bound(3)
+        assert [(check_and_explain(k, phi), eval_mask(k, phi)) for k in structures] == want
+        assert not mc._closure_cache and len(built) > 1 + len(structures)
+
+    def test_each_pair_of_tables_builds_its_successor_lists_once(self, monkeypatch):
+        """ring(12) repeats ring(6)'s labels and edges between them, so its
+        check builds no successor list that ring(6)'s did not."""
+        made = []
+        successors = mc._Table.successors
+
+        def counting(table, source):
+            if source not in table._succ:
+                made.append((table, source))
+            return successors(table, source)
+
+        monkeypatch.setattr(mc._Table, "successors", counting)
+        phi = p("A(G F p -> F (q & X !p))")
+        eval_mask(ring(6), phi)
+        check_and_explain(ring(6), phi)
+        first = len(made)
+        assert first and len(set(made)) == first
+        eval_mask(ring(12), phi)
+        check_and_explain(ring(12), phi)
+        assert len(made) == first
 
     def test_set_atoms_resolve_in_their_own_structure(self):
         """Equal set atoms {a}@H of two structures named H share a cached
