@@ -281,8 +281,9 @@ def structurally_equal(k1, k2):
 @_gc_paused
 def parse_kripke(text):
     """One pass over the lines, the most frequent directive (trans:) tested
-    first.  A directive glued to its name ("kripkeK", "states0:"), a second
-    header line, or a proposition given twice on a state is an error."""
+    first.  A directive glued to its name ("kripkeK", "states0:"), a state
+    line without its colon, a second header line, or a proposition given
+    twice on a state is an error."""
     name = props = init = None
     labels = {}  # state -> assignment, in declaration order
     sources, targets = [], []  # one list each: no pair object per transition
@@ -299,12 +300,14 @@ def parse_kripke(text):
             add_source(s)
             add_target(t)
         elif line[:5] == "state":
-            head, _, rest = line[5:].partition(":")
+            head, colon, rest = line[5:].partition(":")
             state = head.strip()
             if not state:
                 raise KripkeError(f"line {lineno}: missing state name")
             if not head[0].isspace():
                 raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
+            if not colon:
+                raise KripkeError(f"line {lineno}: expected 'state NAME: ...'")
             if state in labels:
                 raise KripkeError(f"line {lineno}: duplicate state {state!r}")
             # bools, not T3/F3: a dict holding only atomic values is left

@@ -20,11 +20,12 @@ it and its tables to every check, sweep and witness of an equal formula, on
 any structure.  `AtomGraph` is the automaton's product with one structure,
 built on the fly by Couvreur's SCC search for a cycle that covers every
 acceptance set (a generalized Buchi emptiness check), with a state's table
-and nodes made when the search gets to it.  A nested quantifier gets the
-product from every state, searched to completion; a check asks a root
-quantifier only at the initial states, and its search stops at the first
-accepting cycle; the witness reads the same graph.  Set atoms of a foreign
-structure are resolved through a bisimulation computed on demand.
+and nodes made when the search gets to it.  Every search stops at its
+first accepting cycle.  A nested quantifier is labelled by a search from
+each state in turn, each reading what the earlier ones learned; a check
+asks a root quantifier only at the initial states, and the witness reads
+the same graph.  Set atoms of a foreign structure are resolved through a
+bisimulation computed on demand.
 
 A sweep over the labelings of one fresh atom labels a chunk of them at once,
 one bit per labeling (`_LaneSweep`): a subformula that contains the atom
@@ -273,12 +274,13 @@ class AtomGraph:
     the closure's path formula, holds at a state iff one of its atoms with
     the root set reaches one.
 
-    `starts` None searches from every state's root atoms to completion: every
-    SCC reached is completed (`sccs`, `good`), the graph that a state mask
-    reads.  Otherwise `starts` is a tuple of state masks, searched in turn,
-    each only up to its first accepting cycle; a node whose SCC completed is
-    then known to reach none.  `e_mask` and `lasso` answer for the states a
-    search credited.
+    `starts` is a tuple of state masks, searched in turn, each from its
+    states' root atoms up to its first accepting cycle; None is one mask per
+    state.  A later mask reads what earlier ones learned, so no node is
+    entered twice: a node left on a stopped search's stack reaches an
+    accepting cycle, and a node whose SCC completed reaches none.  `e_mask`
+    and `lasso` answer for the states a search credited, so with starts None
+    `e_mask` is exactly where E c holds.
     """
 
     MAX_TEMPORAL = 14
@@ -295,18 +297,14 @@ class AtomGraph:
         self._tables = [None] * k.n
         self.atoms, self.vals, self.marks, self.adj = [], [], [], []
         self._num, self.scc_of, self.reach = [], [], []  # visit number, SCC, reaches an accepting cycle
-        self.sccs, self.good = [], []
-        self._fragment = {}          # node -> the accepting (partial) SCC it was found in
-        self._visits = itertools.count()
+        self.sccs = []
+        self._fragment = {}          # node -> the accepting partial SCC it was found in
         if starts is None:
-            self.starts = k.full_mask
-            for _ in self._search(self._roots(k.full_mask)):
-                pass
-        else:
-            self.starts = 0
-            for mask in starts:
-                self.starts |= mask
-                next(self._search(self._roots(mask)), None)
+            starts = [1 << si for si in range(k.n)]
+        self.starts = 0
+        for mask in starts:
+            self.starts |= mask
+        self._search(starts)
 
     def _state(self, si):
         """State si's first node id; its table and nodes are made on first use."""
@@ -324,15 +322,6 @@ class AtomGraph:
             self.reach += [False] * count
         return first
 
-    def _roots(self, mask):
-        """The atoms with the root set of the states of mask, state by state."""
-        root, vals = self.closure.root, self.vals
-        for si in mask_members(mask):
-            first = self._state(si)
-            for a in range(first, first + len(self._tables[si].vals)):
-                if vals[a] & root:
-                    yield a
-
     def _successors(self, a, j):
         """The nodes of atom a's j-th successor state that may follow it, in
         atom order, appended to adj[a]; None past the last successor state.
@@ -349,104 +338,90 @@ class AtomGraph:
         self.adj[a] = self.adj[a] + got if j else got
         return got
 
-    def _search(self, roots):
-        """Couvreur's SCC search from the nodes `roots`, as a generator.
+    def _search(self, starts):
+        """Couvreur's SCC search from the root atoms of each mask of starts in
+        turn, state by state, up to the mask's first accepting cycle.
 
         `stack` holds the visited nodes whose SCC is not complete.  Each entry
-        of the root stack (`at`, `acc`, `hit`) is a partial SCC on it: its
-        first position, the OR of its members' marks, and whether it reaches
-        an accepting cycle.  The search yields when an entry first does: a
-        back edge merges it into a cycle whose marks cover every set, or an
-        edge leads to a node already known to reach one.  Every node on the
-        stack then reaches one and is marked in `reach`; a caller that stops
-        there leaves them so, and a later search counts them as reached
-        (their visit numbers are below its own).  Run to completion, it
-        completes every SCC it reaches."""
-        num, scc_of, reach, marks, adj = self._num, self.scc_of, self.reach, self.marks, self.adj
-        sccs, good, fragment, successors = self.sccs, self.good, self._fragment, self._successors
+        of the root stack (`at`, `acc`) is a partial SCC on it: its first
+        position and the OR of its members' marks.  A mask is credited when a
+        back edge merges a cycle whose marks cover every set, or an edge
+        leads to a node marked in `reach`.  Every node on the stack then
+        reaches an accepting cycle, is marked, and is left there, and the
+        search goes on to the next mask.  A completed SCC reaches none, so an
+        edge into it is passed over."""
+        num, scc_of, reach, marks, vals = self._num, self.scc_of, self.reach, self.marks, self.vals
+        sccs, fragment, successors, tables = self.sccs, self._fragment, self._successors, self._tables
         full = (1 << len(self.closure._owed)) - 1
-        visits = self._visits
-        low = next(visits)
-        stack, at, acc, hit = [], [], [], []  # the node stack; the root stack's entries
-
-        def reached():
-            for v in reversed(stack):  # the nodes marked so far are a prefix of the stack
-                if reach[v]:
-                    break
-                reach[v] = True
-
-        for r in roots:
-            if num[r] >= 0:
-                if reach[r]:
-                    yield r
-                continue
-            num[r] = next(visits)
-            at.append(len(stack))
-            acc.append(marks[r])
-            hit.append(False)
-            stack.append(r)
-            work = [(r, iter(successors(r, 0)), 1)]
-            while work:
-                v, it, j = work[-1]
-                for w in it:
-                    nw = num[w]
-                    if nw < 0:
-                        num[w] = next(visits)
-                        at.append(len(stack))
-                        acc.append(marks[w])
-                        hit.append(False)
-                        stack.append(w)
-                        work.append((w, iter(successors(w, 0)), 1))
+        root = self.closure.root
+        visits = itertools.count()
+        for mask in starts:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                si = low.bit_length() - 1
+                first = self._state(si)
+                for r in range(first, first + len(tables[si].vals)):
+                    if not vals[r] & root:
+                        continue
+                    if num[r] < 0:
+                        num[r] = next(visits)
+                        stack, at, acc = [r], [0], [marks[r]]  # the node stack; the root stack's entries
+                        work = [(r, iter(successors(r, 0)), 1)]
+                    else:
+                        work = ()
+                    while work:
+                        v, it, j = work[-1]
+                        for w in it:
+                            nw = num[w]
+                            if nw < 0:
+                                num[w] = next(visits)
+                                at.append(len(stack))
+                                acc.append(marks[w])
+                                stack.append(w)
+                                work.append((w, iter(successors(w, 0)), 1))
+                                break
+                            if not reach[w]:
+                                if scc_of[w] >= 0:
+                                    continue
+                                # a cycle through w: merge the entries entered after it
+                                i, m = at.pop(), acc.pop()
+                                while num[stack[i]] > nw:
+                                    i = at.pop()
+                                    m |= acc.pop()
+                                at.append(i)
+                                acc.append(m)
+                                if m != full:
+                                    continue
+                                part = stack[i:]
+                                for x in part:
+                                    fragment[x] = part
+                            for x in stack:
+                                reach[x] = True
+                            work = ()
+                            break
+                        else:
+                            more = successors(v, j)
+                            if more is not None:
+                                work[-1] = v, iter(more), j + 1
+                                continue
+                            work.pop()
+                            i = at[-1]
+                            if stack[i] != v:
+                                continue
+                            # v roots a complete SCC
+                            at.pop()
+                            acc.pop()
+                            comp = stack[i:]
+                            del stack[i:]
+                            comp.reverse()
+                            ci = len(sccs)
+                            for x in comp:
+                                scc_of[x] = ci
+                            sccs.append(comp)
+                    if reach[r]:  # the mask is credited
+                        mask = 0
                         break
-                    if nw < low or scc_of[w] >= 0:  # not on this search's stack
-                        if reach[w] and not hit[-1]:
-                            hit[-1] = True
-                            reached()
-                            yield w
-                        continue
-                    # a cycle through w: merge the entries entered after it
-                    i, m, h = at.pop(), acc.pop(), hit.pop()
-                    while num[stack[i]] > nw:
-                        i = at.pop()
-                        m |= acc.pop()
-                        h |= hit.pop()
-                    at.append(i)
-                    acc.append(m)
-                    hit.append(h or m == full)
-                    if m == full and not h:
-                        part = stack[i:]
-                        for x in part:
-                            fragment[x] = part
-                        reached()
-                        yield w
-                else:
-                    more = successors(v, j)
-                    if more is not None:
-                        work[-1] = v, iter(more), j + 1
-                        continue
-                    work.pop()
-                    i = at[-1]
-                    if stack[i] != v:
-                        continue
-                    # v roots a complete SCC
-                    at.pop()
-                    m, h = acc.pop(), hit.pop()
-                    comp = stack[i:]
-                    del stack[i:]
-                    comp.reverse()
-                    ci = len(sccs)
-                    for x in comp:
-                        scc_of[x] = ci
-                    ok = m == full and (len(comp) > 1 or v in adj[v])
-                    if h:
-                        for x in comp:
-                            reach[x] = True
-                            if ok:
-                                fragment[x] = comp
-                        if work:
-                            hit[-1] = True
-                    sccs.append(comp)
-                    good.append(ok)
 
     def _accepting_starts(self, si):
         first = self._first[si]
@@ -459,7 +434,7 @@ class AtomGraph:
 
     def e_mask(self):
         """Bitmask of the start states credited with a path satisfying the
-        formula: all of them when the search ran to completion."""
+        formula: all of them when each was a mask of its own."""
         mask = 0
         for si in mask_members(self.starts):
             if next(self._accepting_starts(si), None) is not None:
@@ -469,7 +444,7 @@ class AtomGraph:
     def lasso(self, state_name):
         """A witness (stem, loop) of state names from `state_name`, or None
         (also when the state was not credited): a breadth-first stem over the
-        nodes listed so far to an accepting (partial) SCC, and a loop in it."""
+        nodes listed so far to an accepting partial SCC, and a loop in it."""
         si = self.k.index(state_name)
         start = next(self._accepting_starts(si), None)
         if start is None:
@@ -756,9 +731,9 @@ class _Evaluator(_Duality):
 
     def graph(self, phi, starts=None):
         """The AtomGraph of phi's closure automaton with k, searched from
-        `starts` (AtomGraph's: None for every state to completion, the graph
-        that states(phi) reads); built once per evaluator, labeling and
-        starts, so a check and its witness share it."""
+        `starts` (AtomGraph's: None for each state in turn, the graph that
+        states(phi) reads); built once per evaluator, labeling and starts, so
+        a check and its witness share it."""
         key = phi, starts
         got = self._graphs.get(key)
         if got is None:

@@ -107,12 +107,14 @@ def oracle_parse_kripke(text):
             if directive == "kripke" and not headers["kripke"].strip():
                 raise KripkeError(f"line {lineno}: missing structure name")
         elif line.startswith("state"):
-            head, _, rest = line[len("state"):].partition(":")
+            head, colon, rest = line[len("state"):].partition(":")
             state = head.strip()
             if not state:
                 raise KripkeError(f"line {lineno}: missing state name")
             if not head[0].isspace():
                 raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
+            if not colon:
+                raise KripkeError(f"line {lineno}: expected 'state NAME: ...'")  # "state s0 p"
             if state in labels:
                 raise KripkeError(f"line {lineno}: duplicate state {state!r}")
             states.append(state)

@@ -594,6 +594,9 @@ MALFORMED = [
     ("kripke K\nprops: p\nstate s0: p -p\n", "line 3: proposition 'p' given twice on state 's0'"),
     ("kripke K\nprops: p\nstate s0: p p=M\n", "line 3: proposition 'p' given twice on state 's0'"),
     ("kripke K\nprops: p\nstate s0: -p -p\n", "line 3: proposition 'p' given twice on state 's0'"),
+    # a state line without its colon names no state "s0 p"
+    ("kripke K\nprops: p\ninit: s0\nstate s0 p\ntrans: s0 s0\n", "line 4: expected 'state NAME: ...'"),
+    ("kripke K\nstate s0\n", "line 2: expected 'state NAME: ...'"),
 ]
 
 
@@ -681,6 +684,14 @@ class TestMutations:
         return True
 
     @staticmethod
+    def colon(rng, lines, k):
+        """A state line's colon dropped: "state s0 p" is an error, not a
+        state named "s0 p"."""
+        i = rng.choice([i for i, line in enumerate(lines) if line.startswith("state ")])
+        lines[i] = lines[i].replace(":", "", 1)
+        return True
+
+    @staticmethod
     def drop(rng, lines, k):
         """One character dropped from a line's directive, up to its colon
         (the space after kripke): a state named in a dropped state line still
@@ -694,9 +705,9 @@ class TestMutations:
 
     def test_a_mutated_file_parses_equal_or_raises_kripke_error(self, rng):
         outcomes = {}
-        for trial in range(400):
+        for trial in range(500):
             k = rand_kripke(rng, 8, props=("p", "q", "r")[:1 + trial % 3], name=f"K{trial % 7}")
-            mutate = rng.choice([self.glue, self.repeat_header, self.conflict, self.drop])
+            mutate = rng.choice([self.glue, self.repeat_header, self.conflict, self.colon, self.drop])
             lines = render_kripke(k).splitlines()
             must_fail = mutate(rng, lines, k)
             text = "\n".join(lines) + "\n"
@@ -707,7 +718,7 @@ class TestMutations:
             assert got is None if must_fail else got in (None, k), text
             outcome = mutate.__name__, got is None
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        assert all(outcomes.get((name, True), 0) >= 10 for name in ("glue", "repeat_header", "conflict", "drop"))
+        assert all(outcomes.get((name, True), 0) >= 10 for name in ("glue", "repeat_header", "conflict", "colon", "drop"))
         assert outcomes[("glue", False)] >= 20
 
 

@@ -7,7 +7,7 @@ from vacmc import formula as F
 from vacmc import mc
 from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
-from vacmc.kripke import KripkeStructure, mask_members, restrict_init
+from vacmc.kripke import KripkeStructure, restrict_init
 from vacmc.mc import _Evaluator, check_and_explain, check_ctl_star, eval_mask
 from vacmc.three_valued import vacuity_via_thorough
 from vacmc.vacuity import VacuityStatus, decide_bisim_vacuity
@@ -71,16 +71,15 @@ def rand_structure(rng, max_states):
     return shaped_kripke(rng, "random", n, density=0.4)
 
 
-def reached_from(old, starts):
-    """The oracle's nodes reachable from the root atoms of the states of starts."""
-    todo = [a for si in mask_members(starts) for a in old.per_state[si] if old.vals[a][old.root]]
-    seen = set(todo)
-    for v in todo:
-        for w in old.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
+def strongly_connected(rng, n):
+    """Seeded strongly connected n-state graphs over p and q without end: a
+    ring, and two more random edges out of each state."""
+    states = [f"s{i}" for i in range(n)]
+    while True:
+        trans = [(s, states[(i + 1) % n]) for i, s in enumerate(states)]
+        trans += [(s, rng.choice(states)) for s in states for _ in range(2)]
+        labels = {s: {a: rng.random() < 0.35 for a in "pq"} for s in states}
+        yield KripkeStructure("K", ("p", "q"), states, ["s0"], trans, labels)
 
 
 def oracle_ids(new, old):
@@ -104,44 +103,23 @@ def assert_lasso_replays(k, s, got, body):
     assert eval_on_lasso(k, path, len(stem), body), F.render_formula(body)
 
 
-def assert_same_graph(k, phi):
-    """The every-state product equals the oracle's atom for atom and, on the
-    nodes reached from root atoms, edge for edge and SCC for SCC, with no
-    edge out of a node not reached; verdicts and witness lassos are the same,
-    and each lasso replays.  The rooted graph of the check passes
-    assert_rooted_graph."""
-    old = oracle_atom_graph(k, phi)
-    body = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
-    new = _Evaluator(k).graph(phi)
-    ids = oracle_ids(new, old)
-    reached = reached_from(old, k.full_mask)
-    assert len(new.temporal) == len(old.temporal)
-    assert sorted(ids) == list(range(len(old.atoms)))
-    assert new.e_mask() == old.e_mask()
-    for a, row in enumerate(new.adj):
-        assert [ids[b] for b in row] == (old.adj[ids[a]] if ids[a] in reached else [])
-    assert sorted(sorted(ids[a] for a in c) for c in new.sccs) == sorted(sorted(c) for c in old.sccs if c[0] in reached)
-    for s in k.states:
-        got = new.lasso(s)
-        assert got == old.lasso(s)
-        assert (got is not None) == bool(new.e_mask() >> k.index(s) & 1)
-        if got is not None:
-            assert_lasso_replays(k, s, got, body)
-    assert_rooted_graph(k, phi, old)
-    return new
-
-
-def assert_rooted_graph(k, phi, old=None):
-    """The graph that decides phi at the initial states against the oracle:
+def assert_graph(k, phi, rooted=False, old=None):
+    """The graph that labels every state with phi, or (rooted) the one that
+    decides phi at the initial states, against the per-state product oracle:
     every node the search entered has the oracle's successors (a prefix of
-    them when its SCC was left open), and no other node has any; a completed SCC is one of the oracle's and reaches no
-    accepting SCC; a node marked as reaching one does; E is credited at
-    exactly the initial states where it holds, and A's E !c at some of the
-    states where it holds, when there are any.  Each credited state's lasso replays."""
+    them when its SCC was left open), and no other node has any; a completed
+    SCC is one of the oracle's and reaches no accepting SCC; a node marked as
+    reaching one does; each start mask is credited at some of its states
+    where E c holds, when there are any, and at no other state (so a
+    one-state mask exactly, and the every-state graph's e_mask is the
+    oracle's).  Each credited state's lasso replays."""
     old = old or oracle_atom_graph(k, phi)
     body = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
-    new = _Evaluator(k).rooted(phi)
+    ev = _Evaluator(k)
+    new = ev.rooted(phi) if rooted else ev.graph(phi)
+    (starts,) = [starts for (_, starts), g in ev._graphs.items() if g is new]
     ids = oracle_ids(new, old)
+    assert len(new.temporal) == len(old.temporal)
     for a, row in enumerate(new.adj):
         want = old.adj[ids[a]] if new._num[a] >= 0 else []
         got = [ids[b] for b in row]
@@ -150,16 +128,15 @@ def assert_rooted_graph(k, phi, old=None):
     for comp in new.sccs:
         assert frozenset(ids[a] for a in comp) in oracle_sccs
         assert not old.can_reach_good[old.scc_of[ids[comp[0]]]]
-    assert not any(new.good)
     for a, reaches in enumerate(new.reach):
         if reaches:
             assert old.can_reach_good[old.scc_of[ids[a]]]
-    want, init = old.e_mask() & k.init_mask, k.init_mask
-    got = new.e_mask()
-    if isinstance(phi, F.PathE):
+    want, got = old.e_mask(), new.e_mask()
+    assert got & ~new.starts == 0
+    for mask in starts or [1 << si for si in range(k.n)]:
+        assert got & mask & ~want == 0 and bool(got & mask) == bool(want & mask)
+    if not rooted:
         assert got == want
-    else:
-        assert got & ~want == 0 and bool(got) == bool(want)
     for s in k.states:
         lasso = new.lasso(s)
         assert (lasso is not None) == bool(got >> k.index(s) & 1)
@@ -168,13 +145,21 @@ def assert_rooted_graph(k, phi, old=None):
     return new
 
 
+def assert_graphs(k, phi):
+    """assert_graph on the rooted graph and on the every-state one, which it
+    returns."""
+    old = oracle_atom_graph(k, phi)
+    assert_graph(k, phi, True, old)
+    return assert_graph(k, phi, False, old)
+
+
 class TestAgainstPerStateProduct:
     def test_hand_picked_formulas(self, rng, fx):
         structures = [fx("O"), fx("P"), fx("U"), fx("V")] + [rand_structure(rng, 12) for _ in range(4)]
         for k in structures:
             for text in BODIES:
                 for quant in "EA":
-                    assert_same_graph(k, p(f"{quant}({text})"))
+                    assert_graphs(k, p(f"{quant}({text})"))
 
     def test_random_formulas_on_random_graphs(self, rng):
         # at least 60 cases, and on until every T in 1..8 and T = 1 on more
@@ -189,7 +174,7 @@ class TestAgainstPerStateProduct:
             # candidate atoms n * 2^T stay at most 2048, so the oracle stays quick
             k = rand_structure(rng, min(40, 2048 >> temporal))
             for quant in (F.PathE, F.PathA):
-                assert_same_graph(k, quant(body))
+                assert_graphs(k, quant(body))
             sizes.add((temporal, k.n > 6))
             cases += 1
 
@@ -198,7 +183,7 @@ class TestAgainstPerStateProduct:
         torn = 0
         for _ in range(10):
             k = rand_structure(rng, 20)
-            g = assert_same_graph(k, phi)
+            g = assert_graphs(k, phi)
             assert g.e_mask() == 0
             # X F p set with F p unset: the two laws pull F p both ways at the successor
             (_, f_bit, _, _), (_, xf_bit, _, _) = g.closure._steps
@@ -212,8 +197,26 @@ class TestAgainstPerStateProduct:
 class TestCounters:
     def test_exact_counts_on_l(self, fx):
         g = _Evaluator(fx("L")).graph(p("E(F G p & (p U X p))"))
-        assert (len(g.temporal), len(g.atoms), sum(map(len, g.adj)), len(g.sccs)) == (4, 9, 6, 6)
-        assert g.e_mask() == 1 and sum(g.good) == 1
+        assert (len(g.temporal), len(g.atoms), sum(map(len, g.adj)), len(g.sccs)) == (4, 9, 6, 5)
+        assert g.e_mask() == 1
+
+    def test_the_every_state_graph_enters_at_most_half_its_nodes(self, rng):
+        """Where E((X X X p) & (F q)) holds at every state of a strongly
+        connected 150-state graph, each state's search stops at its first
+        accepting cycle and reads what the earlier ones left: the graph
+        enters at most half of the nodes it makes (a search run to
+        completion entered all of them)."""
+        phi = p("E((X X X p) & (F q))")
+        checked = 0
+        for k in strongly_connected(rng, 150):
+            g = _Evaluator(k).graph(phi)
+            if g.e_mask() != k.full_mask:
+                continue
+            assert len(set(g.atoms)) == k.n
+            assert 2 * sum(n >= 0 for n in g._num) <= len(g.atoms)
+            checked += 1
+            if checked == 5:
+                break
 
     def test_a_sweep_builds_one_closure(self, rng, built):
         x = F.Atom("x")
@@ -292,8 +295,9 @@ class TestClosureCache:
         assert not mc._closure_cache and len(built) > 1 + len(structures)
 
     def test_each_pair_of_tables_builds_its_successor_lists_once(self, monkeypatch):
-        """ring(12) repeats ring(6)'s labels and edges between them, so its
-        check builds no successor list that ring(6)'s did not."""
+        """ring(12) repeats ring(6)'s labels and edges between them; its
+        searches may reach a pair of tables that ring(6)'s stopped searches
+        did not, but no pair's lists are built twice."""
         made = []
         successors = mc._Table.successors
 
@@ -304,13 +308,10 @@ class TestClosureCache:
 
         monkeypatch.setattr(mc._Table, "successors", counting)
         phi = p("A(G F p -> F (q & X !p))")
-        eval_mask(ring(6), phi)
-        check_and_explain(ring(6), phi)
-        first = len(made)
-        assert first and len(set(made)) == first
-        eval_mask(ring(12), phi)
-        check_and_explain(ring(12), phi)
-        assert len(made) == first
+        for k in (ring(6), ring(12)):
+            eval_mask(k, phi)
+            check_and_explain(k, phi)
+        assert made and len(set(made)) == len(made)
 
     def test_set_atoms_resolve_in_their_own_structure(self):
         """Equal set atoms {a}@H of two structures named H share a cached
@@ -339,7 +340,7 @@ class TestRootedChecks:
 
     def test_the_initial_state_check_equals_the_full_mask(self, rng):
         """And the check's search, which stops at its first accepting cycle,
-        passes assert_rooted_graph against the per-state product oracle."""
+        passes assert_graph against the per-state product oracle."""
         inits, nested, stopped, cases = set(), 0, 0, 0
         while cases < 80:
             body = rand_body(rng, ("p", "q"), 4)
@@ -352,7 +353,7 @@ class TestRootedChecks:
                 for force in (False, True):
                     want = k.init_mask & eval_mask(k, phi, force_tableau=force) == k.init_mask
                     assert check_ctl_star(k, phi, force_tableau=force) == want, F.render_formula(phi)
-                g = assert_rooted_graph(k, phi)
+                g = assert_graph(k, phi, rooted=True)
                 # a search that stopped leaves nodes entered whose SCC is open
                 stopped += any(n >= 0 and c < 0 for n, c in zip(g._num, g.scc_of))
                 value, witness = check_and_explain(k, phi)
@@ -452,8 +453,6 @@ class TestRootedChecks:
         """E((X X X p) & (F q)) holds on a strongly connected 150-state graph:
         the check's search enters at most a tenth of the every-state graph's
         nodes, and builds the tables of fewer than half of its states."""
-        n = 150
-        states = [f"s{i}" for i in range(n)]
         phi = p("E((X X X p) & (F q))")
         built = []
 
@@ -464,11 +463,7 @@ class TestRootedChecks:
 
         monkeypatch.setattr(mc, "AtomGraph", Counting)
         checked = 0
-        while checked < 5:
-            trans = [(s, states[(i + 1) % n]) for i, s in enumerate(states)]
-            trans += [(s, rng.choice(states)) for s in states for _ in range(2)]
-            labels = {s: {a: rng.random() < 0.35 for a in "pq"} for s in states}
-            k = KripkeStructure("K", ("p", "q"), states, ["s0"], trans, labels)
+        for k in strongly_connected(rng, 150):
             built.clear()
             value, witness = check_and_explain(k, phi)
             if not value:
@@ -478,8 +473,10 @@ class TestRootedChecks:
             path = tuple(witness["stem"] + witness["loop"])
             assert eval_on_lasso(k, path, len(witness["stem"]), phi.child)
             assert 10 * sum(n >= 0 for n in g._num) <= len(every.atoms)
-            assert 2 * len(set(g.atoms)) < len(set(every.atoms)) == n
+            assert 2 * len(set(g.atoms)) < len(set(every.atoms)) == k.n
             checked += 1
+            if checked == 5:
+                break
 
 
 class TestDeepPathFormulas:
