@@ -4,11 +4,15 @@
 
 The queries are the `vacmc.cli.main` argument lists of the bench workloads
 (bench/workloads.py, generated once for the given seed); the two library
-calls without a subcommand are left out.  Each tree runs every query in a
-fresh Python process of its own, with its directory first on sys.path.  An
+calls without a subcommand are left out.  One more row runs a fixed list of
+queries on the fixtures Q and chi (FIXTURE_QUERIES), whose several initial
+states no bench structure has: vacuity (auto and --via thorough) and qctl
+under bisimulation semantics.  Each tree runs every query in a fresh
+Python process of its own, with its directory first on sys.path.  An
 output is the exit code, standard output with `meta.elapsed_ms` blanked, and
 standard error.  Prints a Markdown report with the number of queries whose
-outputs differ, per workload and in total, and names up to ten of them.
+outputs differ, per row and in total over the bench rows, and names up to
+ten of them.
 Each difference is named: `exit`, `stderr`, or the dotted paths of standard
 output's JSON where the two differ (`result.witness.stem`; `stdout` when it
 is not JSON on both sides).  It reports and does not judge: the exit status
@@ -29,6 +33,34 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("large-ctl", "ctlstar-tableau", "vacuity-sweep", "bisim-reduce")
 ELAPSED = re.compile(r'"elapsed_ms": [0-9.e-]+')
 ABSENT = object()  # a key on one side only
+
+# Multi-initial fixtures: bodies with set atoms of the model, hole under CTL
+# and CTL* path quantifiers; the thorough route asks each initial state alone.
+FIXTURE_QUERIES = [
+    ["vacuity", "Q", "EF (p & {d1}@Q) & EF (!p & {d0}@Q)", "--sub", "p"],
+    ["vacuity", "Q", "AG (p -> {d1}@Q) & EX !p", "--sub", "p", "--via", "thorough"],
+    ["vacuity", "Q", "EF (x & {d3}@Q) & AG (q | !{d3}@Q)", "--sub", "x", "--via", "thorough"],
+    ["vacuity", "Q", "EX p & EX !p", "--sub", "p"],
+    ["vacuity", "Q", "EX p & EX !p", "--sub", "p", "--via", "thorough"],
+    ["vacuity", "Q", "AG (q -> AX q) & EF !q", "--sub", "q"],
+    ["vacuity", "Q", "AG (q -> AX q) & EF !q", "--sub", "q", "--via", "thorough"],
+    ["vacuity", "Q", "E (G F p & F !p) | A (F x)", "--sub", "p"],
+    ["vacuity", "Q", "E (G F p & F !p) | A (F x)", "--sub", "p", "--via", "thorough"],
+    ["vacuity", "Q", "AG (p -> AX !p) & EX p", "--sub", "p"],
+    ["vacuity", "Q", "AG (p -> AX !p) & EX p", "--sub", "p", "--via", "thorough"],
+    ["vacuity", "chi", "EX x & EX !x", "--sub", "x"],
+    ["vacuity", "chi", "EX x & EX !x", "--sub", "x", "--via", "thorough"],
+    ["vacuity", "chi", "AG (x -> AX x) | EF !x", "--sub", "x"],
+    ["vacuity", "chi", "AG (x -> AX x) | EF !x", "--sub", "x", "--via", "thorough"],
+    ["vacuity", "chi", "E (G F x & F !x)", "--sub", "x", "--via", "thorough"],
+    ["vacuity", "chi", "EF (x & {x1}@chi) & AX (x | !x)", "--sub", "x"],
+    ["vacuity", "chi", "EF (x & {x1}@chi) & EF !x", "--sub", "x", "--via", "thorough"],
+    ["qctl", "Q", "forall y . AG (y -> AX y) | EF p", "--semantics", "bisim"],
+    ["qctl", "Q", "exists y . EX y & EX !y & AG (y -> q)", "--semantics", "bisim"],
+    ["qctl", "Q", "forall y . E (G F y) | A (F !y)", "--semantics", "bisim"],
+    ["qctl", "chi", "forall y . AG ((AX y) | (AX !y))", "--semantics", "bisim"],
+    ["qctl", "chi", "forall y . EF (y & {x0}@chi) | AG !y", "--semantics", "bisim"],
+]
 
 
 def run_queries(argvs):
@@ -90,23 +122,28 @@ def main(argv=None):
 
     lines, total, count, names = [], 0, 0, []
     with tempfile.TemporaryDirectory() as workdir:
+
+        def compare(name, argvs):
+            queries_path = os.path.join(workdir, f"{name}.json")
+            with open(queries_path, "w") as fh:
+                json.dump(argvs, fh)
+            base, head = (outputs_of(src, queries_path) for src in (args.base_src, args.head_src))
+            differ = {i: differences(a, b) for i, (a, b) in enumerate(zip(base, head)) if a != b}
+            names.extend(f"{name} #{i} `{' '.join(argvs[i])}`: {', '.join(what)}" for i, what in differ.items())
+            fields = sorted({field for what in differ.values() for field in what})
+            lines.append(f"| {name} | {len(argvs)} | {len(differ)} | {', '.join(fields)} |")
+            return len(differ)
+
         for name in args.workload or WORKLOADS:
             work = W.generate(name, args.seed, workdir)
             for path, text in work.files.items():
                 with open(path, "w") as fh:
                     fh.write(text)
-            queries = [q for q in work.queries if q.argv is not None]
-            queries_path = os.path.join(workdir, f"{name}.json")
-            with open(queries_path, "w") as fh:
-                json.dump([q.argv for q in queries], fh)
-            base, head = (outputs_of(src, queries_path) for src in (args.base_src, args.head_src))
-            differ = {i: differences(a, b) for i, (a, b) in enumerate(zip(base, head)) if a != b}
-            names += [f"{name} #{i} `{' '.join(queries[i].argv)}`: {', '.join(what)}" for i, what in differ.items()]
-            fields = sorted({field for what in differ.values() for field in what})
-            lines.append(f"| {name} | {len(queries)} | {len(differ)} | {', '.join(fields)} |")
-            total, count = total + len(queries), count + len(differ)
+            argvs = [q.argv for q in work.queries if q.argv is not None]
+            total, count = total + len(argvs), count + compare(name, argvs)
+        compare("fixtures Q, chi", [argv + ["--format", "json"] for argv in FIXTURE_QUERIES])
     print(f"### Same output (seed {args.seed}): {count} of {total} bench CLI queries differ\n")
-    print("| workload | queries | differing | what differs |\n|---|---|---|---|")
+    print("| queries of | queries | differing | what differs |\n|---|---|---|---|")
     print("\n".join(lines))
     for line in names[:10]:
         print(f"- {line.replace(workdir, '.')}")

@@ -35,8 +35,7 @@ lanes.  What does not contain the atom is labelled once.  A path
 quantifier over the atom keeps its closure automaton throughout and builds
 one product per chunk, whose nodes are enabled on the lanes of their leaf
 signature; a fair-EG fixpoint over lanes (Emerson-Lei) decides the chunk.
-A chunk's verdicts are one int, the AND of the root's lanes over the
-initial states.
+A chunk's result is the root's lanes at every state.
 """
 
 import itertools
@@ -423,21 +422,22 @@ class AtomGraph:
                         mask = 0
                         break
 
-    def _accepting_starts(self, si):
+    def _credited(self, si):
+        """Start state si's first root node that reaches an accepting cycle, or None."""
         first = self._first[si]
-        if not self.starts >> si & 1 or first is None:
-            return
-        root, vals, reach = self.closure.root, self.vals, self.reach
-        for a in range(first, first + len(self._tables[si].vals)):
-            if vals[a] & root and reach[a]:
-                yield a
+        if first is not None and self.starts >> si & 1:
+            root, vals, reach = self.closure.root, self.vals, self.reach
+            for a in range(first, first + len(self._tables[si].vals)):
+                if reach[a] and vals[a] & root:
+                    return a
+        return None
 
     def e_mask(self):
         """Bitmask of the start states credited with a path satisfying the
         formula: all of them when each was a mask of its own."""
         mask = 0
         for si in mask_members(self.starts):
-            if next(self._accepting_starts(si), None) is not None:
+            if self._credited(si) is not None:
                 mask |= 1 << si
         return mask
 
@@ -445,8 +445,7 @@ class AtomGraph:
         """A witness (stem, loop) of state names from `state_name`, or None
         (also when the state was not credited): a breadth-first stem over the
         nodes listed so far to an accepting partial SCC, and a loop in it."""
-        si = self.k.index(state_name)
-        start = next(self._accepting_starts(si), None)
+        start = self._credited(self.k.index(state_name))
         if start is None:
             return None
         fragment = self._fragment
@@ -569,17 +568,17 @@ class _Evaluator(_Duality):
         """phi's state mask: a fold over its state subformulas, in self.memo."""
         return F.fold(phi, self._operands, self._states, self.memo)
 
-    def holds(self, phi):
-        """K |= phi: phi at every initial state.  A root quantifier on the
-        tableau route is asked only there, on its rooted graph, and its mask
-        stays out of memo."""
-        init = self.k.init_mask
+    def holds(self, phi, at=None):
+        """phi at every state of the mask `at`, by default the initial states
+        (K |= phi).  A root quantifier on the tableau route is asked only
+        there, on its rooted graph, and its mask stays out of memo."""
+        at = self.k.init_mask if at is None else at
         if isinstance(phi, (F.PathA, F.PathE)) and phi not in self.memo:
             self._operands(phi)  # sends phi to the tableau, or not
             if phi in self._tableau:
-                mask = self.rooted(phi).e_mask()
-                return mask == init if isinstance(phi, F.PathE) else not mask
-        return init & self.states(phi) == init
+                mask = self.rooted(phi, at).e_mask()
+                return mask == at if isinstance(phi, F.PathE) else not mask
+        return at & self.states(phi) == at
 
     def _operands(self, phi):
         """The operands of a connective, or the state subformulas under a path
@@ -742,15 +741,15 @@ class _Evaluator(_Duality):
             got = self._graphs[key] = AtomGraph(self.k, closure, masks, starts)
         return got
 
-    def rooted(self, phi):
-        """The graph that decides root quantifier phi at the initial states.
-        E c must hold at each of them, so each is searched in turn up to its
-        first accepting cycle; A c fails at the first accepting cycle of E !c
-        from any of them, so they are searched together."""
-        init = self.k.init_mask
+    def rooted(self, phi, at=None):
+        """The graph that decides root quantifier phi at the states of `at`
+        (the initial ones).  E c must hold at each of them, so each is searched
+        in turn up to its first accepting cycle; A c fails at the first
+        accepting cycle of E !c from any of them, so they are searched together."""
+        at = self.k.init_mask if at is None else at
         if isinstance(phi, F.PathE):
-            return self.graph(phi, tuple(1 << si for si in mask_members(init)))
-        return self.graph(phi, (init,))
+            return self.graph(phi, tuple(1 << si for si in mask_members(at)))
+        return self.graph(phi, (at,))
 
 
 _CHUNK_CAP = 1 << 14  # labelings in the widest lane pass
@@ -781,8 +780,8 @@ class _LaneSweep(_Duality):
     Connectives work lane by lane, and CTL operators by worklists over the
     lanes.  A genuine path quantifier decides the chunk from one product of
     the closure automaton that ev keeps with k, by the same worklists over
-    the product's successor and predecessor lists.  `sweep` ANDs the
-    root's lanes at the initial states into the chunk's verdicts.
+    the product's successor and predecessor lists.  `sweep` hands on the
+    root's lanes.
     """
 
     def __init__(self, ev, phi, atom):
@@ -808,7 +807,6 @@ class _LaneSweep(_Duality):
     def lanes(self, base, width):
         """The root's lanes in the chunk of labelings base .. base+width-1."""
         n, memo = self.k.n, self.ev.memo
-        self.width = width
         self.ones = ones = (1 << width) - 1
         # bit j of the atom's lane at s is bit s of base+j: runs of 2^s zeros
         # and ones while 2^s < width, else bit s of base throughout
@@ -968,18 +966,13 @@ def check_ctl_star(k, phi, env=None, force_tableau=False):
 
 
 def sweep(k, phi, atom, env=None):
-    """(base, width, bits) for each chunk of the labelings 0 .. 2^|S|-1 of
-    `atom` in turn: bit j of bits is set iff K |= phi with atom labelled true
-    exactly on the states of base+j, the AND of phi's lanes over k's initial
-    states.  Each chunk is one lane pass; what does not contain atom is
-    labelled once."""
+    """(base, width, lanes) for each chunk of the labelings 0 .. 2^|S|-1 of
+    `atom` in turn: bit j of lanes[s] is set iff phi holds at state s with
+    atom labelled true exactly on the states of base+j.  Each chunk is one
+    lane pass; what does not contain atom is labelled once."""
     lanes = _LaneSweep(_Evaluator(k, env), phi, atom)
-    init = mask_members(k.init_mask)
     for base, width in _chunks(k.n):
-        root, bits = lanes.lanes(base, width), lanes.ones
-        for s in init:
-            bits &= root[s]
-        yield base, width, bits
+        yield base, width, lanes.lanes(base, width)
 
 
 def explain_path(k, phi, env=None, evaluator=None):

@@ -1,13 +1,14 @@
 """Vacuity definitions and detection, and the one decision behind every
 bisimulation-semantics question: does a body get verdict r on every
-structure x-bisimilar to K?  _Query holds it and its routes: two prove (the
+structure x-bisimilar to K?  _Query holds it and its routes: one proves (the
 K||X check), two only refute (the sweep of K's labelings, the x-variant
-search).  The vacuity dispatcher here, qctl's bisimulation and tree
-semantics and three_valued's thorough semantics are route lists over it with
-their own route names and evidence.  Every NonVacuous verdict carries a
-replayable witness.  The dispatcher's optional bounded-validity probe labels
-its small structures in batches, each batch one disjoint union and one
-labelling, and reads every member's verdict off its initial state.
+search), asked for verdict false by a view per initial state of K.  The
+vacuity dispatcher here, qctl's bisimulation and tree semantics and
+three_valued's thorough semantics are route lists over it with their own
+route names and evidence.  Every NonVacuous verdict carries a replayable
+witness.  The dispatcher's optional bounded-validity probe labels its small
+structures in batches, each batch one disjoint union and one labelling, and
+reads every member's verdict off its initial state.
 """
 
 import enum
@@ -17,10 +18,10 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import formula as F
-from .bisim import quotient_bisim
+from .bisim import greatest_bisimulation, quotient_bisim
 from .errors import EnumerationBoundError, EvalError, NotApplicableError, PreconditionError
-from .kripke import KripkeStructure, chi, compose_sync, duplicate_m, labelled, restrict_init, x_variants
-from .mc import check_ctl_star, eval_mask, eval_states, sweep
+from .kripke import KripkeStructure, _spread, chi, compose_sync, duplicate_m, labelled, mask_members, x_variants
+from .mc import _Evaluator, check_ctl_star, eval_mask, eval_states, sweep
 
 
 class VacuityStatus(enum.Enum):
@@ -55,11 +56,17 @@ def _env_with(k, env):
     return out
 
 
+def _holds_at(k, body, states, env):
+    """body at every state of the mask `states`: K |= body at k's initial states."""
+    return check_ctl_star(k, body, env) if states == k.init_mask else _Evaluator(k, env).holds(body, states)
+
+
 class _Query:
-    """Does `body` get verdict r on every structure x-bisimilar to k?  Keeps
-    what its routes find (the K||X product, the compositional bound and one
-    resumable sweep of k's labelings of x); the variant search tries k's
-    quotient, then partner(k), by default K^(2)."""
+    """Does `body` get verdict r on every structure x-bisimilar to k, at every
+    state of the mask `states` (k's initial states)?  Verdict false is asked by
+    a view per initial state s: !body at s, read off this query's one K||X
+    labelling, sweep, and variant bases k/~ and partner(k) (by default K^(2)),
+    at s's copies 2i and 2i+1 in K||X and the partner and at s's block in k/~."""
 
     def __init__(self, k, body, x, bound=20, variant_bound=12, env=None, partner=None):
         if x in k.props:
@@ -67,15 +74,36 @@ class _Query:
         self.k, self.body, self.x, self.env = k, body, x, env
         self.bound, self.variant_bound = bound, variant_bound
         self.partner = partner or functools.partial(duplicate_m, m=2)
+        self.root, self.states = self, k.init_mask
         self.agreed = None  # the verdict every labeling of x on k gives body, once known
         self._first = {}  # verdict -> first labeling (a mask) giving it
         self._replayed = set()  # verdicts whose first labeling was checked
-        self._chunks = None
-        self._negates = None  # the query whose sweep this one reads, negated
+        self._chunks, self._kept = None, []  # the sweep, and its chunks so far
+
+    def _view(self, states):
+        """!body at `states` alone, on the root's K||X, sweep and bases."""
+        view = _Query(self.k, F.Not(self.body), self.x, self.bound, self.variant_bound, self.env, self.partner)
+        view.root, view.states = self.root, states
+        return view
 
     @functools.cached_property
     def kx(self):
         return compose_sync(self.k, chi(self.x))
+
+    @functools.cached_property
+    def _kx_labels(self):
+        return _Evaluator(self.kx, self.env)
+
+    @functools.cached_property
+    def _bases(self):
+        """The queries of body on k's quotient and on partner(k)."""
+        bases = quotient_bisim(self.k), self.partner(self.k)
+        return [_Query(ks, self.body, self.x, env=self.env) for ks in bases]
+
+    @functools.cached_property
+    def _blocks(self):
+        """_blocks[i]: the state of k/~ whose block holds k's state i, as a mask."""
+        return greatest_bisimulation(self._bases[0].k, self.k, self.k.props).rows
 
     @functools.cached_property
     def compositional(self):
@@ -87,22 +115,30 @@ class _Query:
             return None  # K_x is renamed: every set atom is foreign there
         return eval_compositional3(lift_kx(self.k, self.x), self.body).value
 
-    def first(self, verdict):
-        """The first labeling of x on k (a mask) giving body `verdict`, or None.
-        One sweep serves every call and goes no further than asked: in each
-        chunk, the lowest set bit of bits (true) or of its complement (false).
-        A labeling reported is replayed by one check of k with x so labelled,
-        under k's own name, which must give the same verdict."""
-        if self._negates is not None:
-            mask, agreed = self._negates.first(not verdict), self._negates.agreed
-            self.agreed = None if agreed is None else not agreed
-            return mask
+    def _lanes(self):
+        """The sweep's chunks, each swept once and kept for the views.  A
+        reader stops where it likes and never resumes, so none interleave."""
+        yield from self._kept
         if self._chunks is None:
             self._chunks = sweep(self.k, self.body, F.Atom(self.x), self.env)
-        found = self._first
+        for chunk in self._chunks:
+            self._kept.append(chunk)
+            yield chunk
+
+    def first(self, verdict):
+        """The first labeling of x on k (a mask) giving body `verdict` at the
+        states, or None, off the root's one sweep (a view's lanes are !body's):
+        in each chunk, the lowest set bit of the AND of the lanes at the states
+        (true) or of its complement (false).  It is replayed by one check of k
+        with x so labelled, under k's own name, which must agree."""
+        found, view = self._first, self is not self.root
         if verdict not in found:
-            for base, width, bits in self._chunks:
-                for holds, hits in ((True, bits), (False, bits ^ (1 << width) - 1)):
+            for base, width, lanes in self.root._lanes():
+                ones = (1 << width) - 1
+                bits, flip = ones, ones if view else 0
+                for s in mask_members(self.states):
+                    bits &= lanes[s] ^ flip
+                for holds, hits in ((True, bits), (False, bits ^ ones)):
                     if hits:
                         found.setdefault(holds, base + (hits & -hits).bit_length() - 1)
                 if verdict in found:
@@ -112,26 +148,23 @@ class _Query:
         mask = found.get(verdict)
         if mask is not None and verdict not in self._replayed:
             self._replayed.add(verdict)
-            if check_ctl_star(labelled(self.k, self.x, mask), self.body, self.env) != verdict:
+            if _holds_at(labelled(self.k, self.x, mask), self.body, self.states, self.env) != verdict:
                 raise AssertionError(f"sweep of {self.k.name}: the lanes and a check disagree on labeling {mask}")
         return mask
 
     def decide(self, routes, r):
         """(value, route, evidence) of the first of `routes` that settles r, else
-        (None, None, None).  A structure refutes body once one initial state fails
-        it: r false holds iff some K_s gets verdict true for !body everywhere.
-        With one initial state K_s is k, and it reads this query's sweep."""
+        (None, None, None).  r false holds iff some initial state's view (of
+        !body) gets verdict true; only the value is returned."""
         if r is not False:
             return next(filter(None, (route(self, r) for route in routes)), (None, None, None))
-        values, several = [], len(self.k.init) > 1
-        for s in self.k.init:
-            qs = _Query(restrict_init(self.k, (s,)) if several else self.k, F.Not(self.body), self.x,
-                        self.bound, self.variant_bound, self.env, self.partner)
-            qs._negates = None if several else self
-            values.append(qs.decide(routes, True)[0])
-            if values[-1]:
+        undecided = False
+        for s in mask_members(self.states):
+            value = self._view(1 << s).decide(routes, True)[0]
+            if value:
                 return True, None, None
-        return (False if all(v is False for v in values) else None), None, None
+            undecided |= value is None
+        return (None if undecided else False), None, None
 
 
 def _scoped(body, x, r):
@@ -145,7 +178,7 @@ def _scoped(body, x, r):
 def _kx_route(q, r):
     """Decides r true when x is universal in body: K||X is itself an x-variant."""
     if r is True and _scoped(q.body, q.x, True):
-        return check_ctl_star(q.kx, q.body, q.env), "kx", None
+        return q.root._kx_labels.holds(q.body, _spread(q.states, 2)), "kx", None
     return None
 
 
@@ -159,11 +192,13 @@ def _variant_route(q, r):
     """Refutes by an x-variant of k's quotient or of partner(k), of at most
     variant_bound states, with another verdict than r.  A quotient of k's
     size is k renamed, so once k's own labelings all gave r it is skipped."""
-    quotient = quotient_bisim(q.k)
-    bases = [quotient, q.partner(q.k)]
-    if quotient.n == q.k.n and q.agreed == r:
-        del bases[0]
-    found = _variant_disagreement(bases, q.body, q.x, r, q.variant_bound, q.env)
+    bases = q.root._bases
+    if q is not q.root:  # a view asks at its states' blocks and copies
+        blocks = functools.reduce(int.__or__, map(q.root._blocks.__getitem__, mask_members(q.states)))
+        bases = [bases[0]._view(blocks), bases[1]._view(_spread(q.states, 2))]
+    if bases[0].k.n == q.k.n and q.agreed == r:
+        bases = bases[1:]
+    found = _variant_disagreement(bases, r, q.variant_bound)
     if found is None:
         return None
     labeling = {s: found.label3(s, q.x).value == "true" for s in found.states}
@@ -335,21 +370,22 @@ def _probe_verdicts(body, max_states):
     return verdicts
 
 
-def _variant_disagreement(base_structs, phix, x, reference, bound, env=None):
-    """The first x-variant of the given structures (of at most `bound` states)
-    on which phix's verdict != reference, or None.  Each structure's labelings
-    of x are swept in x_variants order and only the witness is built; but a
-    variant is a structure of another name, so when phix has a set atom named
-    after ks or one of its variants, every variant is built and checked."""
-    named = {f.structure for f in F.subformulas(phix) if isinstance(f, F.SetAtom)}
-    for ks in base_structs:
+def _variant_disagreement(questions, reference, bound):
+    """The first x-variant of a question's structure (of at most `bound`
+    states) on which its body's verdict at its states != reference, or None.
+    Each structure's labelings of x are swept in x_variants order and only
+    the witness is built; but a variant is a structure of another name, so
+    when the body names it or one of its variants, every variant is checked."""
+    for q in questions:
+        ks = q.k
         if ks.n > bound:
             continue
-        variants = x_variants(ks, x)
+        named = {f.structure for f in F.subformulas(q.body) if isinstance(f, F.SetAtom)}
+        variants = x_variants(ks, q.x)
         if any(n == ks.name or n.startswith(ks.name + "^") for n in named):
-            found = next((v for v in variants if check_ctl_star(v, phix, env) != reference), None)
+            found = next((v for v in variants if _holds_at(v, q.body, q.states, q.env) != reference), None)
         else:
-            mask = _Query(ks, phix, x, env=env).first(not reference)
+            mask = q.first(not reference)
             found = None if mask is None else variants[mask]
         if found is not None:
             return found

@@ -7,6 +7,7 @@ from vacmc.errors import EnumerationBoundError, EvalError, KripkeError
 from vacmc.kleene import F3, M3, T3, and3, info_le
 from vacmc.kripke import KripkeStructure, mask_members
 from vacmc.mc import _Evaluator, check_ctl_star, eval_mask
+from vacmc.vacuity import _Query
 
 # A path formula over x with more temporal operators (16) than AtomGraph.MAX_TEMPORAL.
 LARGE_CLOSURE = "E(F x & F X x & F X X x & F X X X x & G F x & F G x & (x U X x) & F (x U p) & X X X p)"
@@ -182,6 +183,19 @@ def oracle_restrict_init(k, inits):
     """restrict_init by rebuilding the whole structure."""
     labels = {s: k.labels_of(s) for s in k.states}
     return OracleKripkeStructure(f"{k.name}@{','.join(inits)}", k.props, k.states, inits, k.trans, labels)
+
+
+def per_initial_refutes(k, body, x, routes, **kw):
+    """The value of _Query(k, body, x).decide(routes, False) asked one initial
+    state at a time, each on a structure of its own: a _Query on
+    oracle_restrict_init(k, [s]) asked decide(routes, True) for !body."""
+    values = []
+    for s in k.init:
+        value = _Query(oracle_restrict_init(k, [s]), F.Not(body), x, **kw).decide(routes, True)[0]
+        if value:
+            return True
+        values.append(value)
+    return False if all(v is False for v in values) else None
 
 
 class FrontierEvaluator(_Evaluator):
@@ -701,14 +715,25 @@ def oracle_eval_structural(k, q, bound=20, env=None):
 
 
 def oracle_sweep(k, phi, atom, env=None):
-    """mc.sweep by a SetAtom substitution per mask, in chunks of width 1."""
+    """mc.sweep by a SetAtom substitution and a labelling of every state per
+    mask, in chunks of width 1: each state's lane is one bit."""
     for mask in range(1 << k.n):
-        yield mask, 1, check_ctl_star(k, F.substitute(phi, atom, F.SetAtom(k.name, k.names_of(mask), ref=k)), env)
+        here = eval_mask(k, F.substitute(phi, atom, F.SetAtom(k.name, k.names_of(mask), ref=k)), env)
+        yield mask, 1, [here >> s & 1 for s in range(k.n)]
 
 
-def per_mask(chunks):
-    """(mask, verdict) for each labeling of a sweep's (base, width, bits) chunks."""
-    return [(base + j, bool(bits >> j & 1)) for base, width, bits in chunks for j in range(width)]
+def init_bits(k, width, lanes):
+    """The verdicts of K in a sweep chunk: the AND of its lanes at k's initial states."""
+    bits = (1 << width) - 1
+    for s in mask_members(k.init_mask):
+        bits &= lanes[s]
+    return bits
+
+
+def per_mask(k, chunks):
+    """(mask, K's verdict) for each labeling of a sweep's (base, width, lanes) chunks."""
+    return [(base + j, bool(bits >> j & 1)) for base, width, lanes in chunks
+            for bits in [init_bits(k, width, lanes)] for j in range(width)]
 
 
 def transpose(rows, width):
@@ -717,13 +742,14 @@ def transpose(rows, width):
     return [sum((row >> c & 1) << r for r, row in enumerate(rows)) for c in range(width)]
 
 
-def oracle_variant_disagreement(base_structs, phix, x, reference, bound, env=None):
-    """vacuity._variant_disagreement by a fresh check of every built x-variant."""
-    for ks in base_structs:
-        if ks.n > bound:
+def oracle_variant_disagreement(questions, reference, bound):
+    """vacuity._variant_disagreement by a fresh labelling of every built
+    x-variant, read at each question's states."""
+    for q in questions:
+        if q.k.n > bound:
             continue
-        for variant in oracle_x_variants(ks, x):
-            if check_ctl_star(variant, phix, env) != reference:
+        for variant in oracle_x_variants(q.k, q.x):
+            if (eval_mask(variant, q.body, q.env) & q.states == q.states) != reference:
                 return variant
     return None
 

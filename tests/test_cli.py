@@ -415,6 +415,11 @@ ROUTES = [
      {"status": "unknown", "route": "unknown", "bounds": {"compositional": None, "labeling_agreement": True}}),
     (("vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p", "--via", "thorough"), 2,
      {"status": "unknown", "route": "thorough", "bounds": {"compositional": None, "labeling": "true"}}),
+    # Q has two initial states, each asked on Q itself, where Q's set atoms are its own
+    (("vacuity", "Q", "EF (p & {d1}@Q) & EF (!p & {d0}@Q)", "--sub", "p"), 0,
+     {"status": "vacuous", "route": "falx"}),
+    (("vacuity", "Q", "AG (p -> {d1}@Q) & EX !p", "--sub", "p", "--via", "thorough"), 0,
+     {"status": "non-vacuous", "route": "thorough", "witness": {"thorough": "maybe"}}),
     (("qctl", "L", "forall x . AG (x -> AX x)", "--semantics", "bisim"), 0,
      {"value": False, "route": "KParallelX"}),
     (("qctl", "M", "forall x . AG ((AX x) | (AX !x)) | EF (x & !x)", "--semantics", "bisim"), 0,

@@ -10,19 +10,22 @@ from vacmc.formula import parse_formula as p
 from vacmc.kleene import M3
 from vacmc.kripke import KripkeStructure, duplicate_m, x_variants
 from vacmc.qctl import eval_bisimulation, eval_structural, eval_tree
-from vacmc.three_valued import vacuity_via_thorough
+from vacmc.three_valued import thorough_kx, vacuity_via_thorough
 from vacmc.vacuity import _Query, _variant_disagreement, decide_bisim_vacuity, structure_vacuous
 
 from helpers import (
     LARGE_CLOSURE,
+    init_bits,
     oracle_eval_structural,
     oracle_structure_vacuous,
     oracle_sweep,
     oracle_variant_disagreement,
+    per_initial_refutes,
     per_mask,
     proper_subformulas,
     rand_ctl,
     rand_kripke,
+    rand_path,
     ring,
     transpose,
 )
@@ -165,14 +168,15 @@ class TestLaneSweep:
             k = sized_kripke(rng, n)
             texts = HOLES + (PATH_HOLES if n <= 8 else [])
             for phi in [p(t) for t in texts] + [foreign_body(k)]:
-                want = per_mask(oracle_sweep(k, phi, self.X))
-                assert per_mask(mc.sweep(k, phi, self.X)) == want, (n, F.render_formula(phi))
+                want = per_mask(k, oracle_sweep(k, phi, self.X))
+                assert per_mask(k, mc.sweep(k, phi, self.X)) == want, (n, F.render_formula(phi))
 
     def test_random_ctl_matches_the_oracle(self, rng):
         for i in range(40):
             k = sized_kripke(rng, 1 + i % 8)
             phi = rand_ctl(rng, ["p", "q", "x"], 4)
-            assert per_mask(mc.sweep(k, phi, self.X)) == per_mask(oracle_sweep(k, phi, self.X)), F.render_formula(phi)
+            want = per_mask(k, oracle_sweep(k, phi, self.X))
+            assert per_mask(k, mc.sweep(k, phi, self.X)) == want, F.render_formula(phi)
 
     def test_a_resumed_sweep_finds_the_same_first_masks(self, rng):
         for n in (3, 7, 9):
@@ -180,7 +184,7 @@ class TestLaneSweep:
             for text in HOLES[2:] + PATH_HOLES[:1]:
                 body = p(text)
                 want = {}
-                for mask, holds in per_mask(oracle_sweep(k, body, self.X)):
+                for mask, holds in per_mask(k, oracle_sweep(k, body, self.X)):
                     want.setdefault(holds, mask)
                 for order in ((True, False), (False, True)):
                     q = _Query(k, body, "x")
@@ -206,8 +210,9 @@ class TestChunkBits:
         for i in range(36):
             k = sized_kripke(rng, 1 + i % 9)
             phi = p(rng.choice(HOLES)) if i % 3 else rand_ctl(rng, ["p", "q", "x"], 4)
-            want = [holds for _, holds in per_mask(oracle_sweep(k, phi, self.X))]
-            for base, width, bits in mc.sweep(k, phi, self.X):
+            want = [holds for _, holds in per_mask(k, oracle_sweep(k, phi, self.X))]
+            for base, width, lanes in mc.sweep(k, phi, self.X):
+                bits = init_bits(k, width, lanes)
                 assert [bool(bits >> j & 1) for j in range(width)] == want[base:base + width]
             lowest = {v: want.index(v) if v in want else None for v in (True, False)}
             agreed = want[0] if len(set(want)) == 1 else None
@@ -327,12 +332,62 @@ class TestDecisionsMatchTheOracle:
             for body in [p(b) for b in BODIES] + [foreign_body(k)]:
                 for reference in (True, False):
                     bases = (k, duplicate_m(k, 2))
-                    got = _outcome(_variant_disagreement, bases, body, x.name, reference, 8)
-                    want = _outcome(oracle_variant_disagreement, bases, body, x.name, reference, 8)
+                    asked = [[_Query(b, body, x.name) for b in bases] for _ in range(2)]
+                    got = _outcome(_variant_disagreement, asked[0], reference, 8)
+                    want = _outcome(oracle_variant_disagreement, asked[1], reference, 8)
                     if isinstance(want, KripkeStructure):
                         assert got.name == want.name and got == want
                     else:
                         assert got == want
+
+
+class TestEachInitialState:
+    """decide(routes, False) asks each initial state by a view of the query;
+    against the reference that asks each on a structure of its own."""
+
+    @staticmethod
+    def bodies(rng, count):
+        """Multi-initial structures of 1-6 states with CTL bodies and CTL*
+        bodies whose path quantifiers range over x (no set atoms)."""
+        for i in range(count):
+            k = rand_kripke(rng, 6)
+            if i % 2:
+                body = rand_ctl(rng, ["p", "q", "x"], 3)
+            else:
+                body = rng.choice([F.PathE, F.PathA])(rand_path(rng, ["p", "q", "x"], 3))
+            if "x" in F.atoms(body):
+                yield k, body
+
+    def test_decide_false_matches_a_query_per_initial_state(self, rng):
+        """Past bound (0) K is not swept, so each view searches the quotient
+        and the partner."""
+        several = 0
+        for i, (k, body) in enumerate(self.bodies(rng, 240)):
+            several += len(k.init) > 1
+            bound = 20 if i % 2 else 0
+            got = _outcome(lambda: _Query(k, body, "x", bound).decide(vacuity.BISIM_ROUTES, False)[0])
+            want = _outcome(per_initial_refutes, k, body, "x", vacuity.BISIM_ROUTES, bound=bound)
+            assert got == want, (k.n, k.init, bound, F.render_formula(body))
+        assert several >= 40
+
+    def test_thorough_matches_a_query_per_initial_state(self, rng, monkeypatch):
+        decide = _Query.decide
+
+        def per_initial(q, routes, r):
+            if r is not False:
+                return decide(q, routes, r)
+            kw = {"bound": q.bound, "variant_bound": q.variant_bound, "env": q.env}
+            return per_initial_refutes(q.k, q.body, q.x, routes, **kw), None, None
+
+        several = 0
+        for k, body in self.bodies(rng, 240):
+            several += len(k.init) > 1
+            got = _outcome(thorough_kx, k, "x", body)
+            with monkeypatch.context() as m:
+                m.setattr(_Query, "decide", per_initial)
+                want = _outcome(thorough_kx, k, "x", body)
+            assert got == want, (k.n, k.init, F.render_formula(body))
+        assert several >= 40
 
 
 class TestWorkPerSweep:
@@ -374,9 +429,9 @@ class TestWorkPerSweep:
         for n in (3, 10):
             k = self.ring(n)
             counts.update(substitute=0, structures=0)
-            assert _variant_disagreement([k], phix, "x", True, 12) is None
+            assert _variant_disagreement([_Query(k, phix, "x")], True, 12) is None
             assert counts == {"substitute": 0, "structures": 0}, n
-            found = _variant_disagreement([k], p("EF x"), "x", True, 12)
+            found = _variant_disagreement([_Query(k, p("EF x"), "x")], True, 12)
             assert found.name == f"ring{n}^1" and counts["structures"] == 2  # the replay and the witness
 
     def test_lane_passes(self, monkeypatch):
@@ -397,7 +452,7 @@ class TestWorkPerSweep:
         monkeypatch.setattr(mc._Evaluator, "_states", counting_states)
         k = self.ring(12)
         phi = p("AG (EX x | AX !x) & E[p U (x & q)] & !EG (x -> EX (q | p))")
-        verdicts = per_mask(mc.sweep(k, phi, F.Atom("x")))
+        verdicts = per_mask(k, mc.sweep(k, phi, F.Atom("x")))
         assert [mask for mask, _ in verdicts] == list(range(4096))
         assert passes == self.PASSES_12
         assert labelled == [p("p"), p("q"), p("q | p"), p("EX (q | p)")]
@@ -418,7 +473,8 @@ class TestWorkPerSweep:
 
         monkeypatch.setattr(mc._LaneSweep, "lanes", counting_lanes)
         monkeypatch.setattr(mc.AtomGraph, "__init__", counting_init)
-        verdicts = per_mask(mc.sweep(self.ring(12), p("A ((X x) | (X !x))"), F.Atom("x")))
+        k = self.ring(12)
+        verdicts = per_mask(k, mc.sweep(k, p("A ((X x) | (X !x))"), F.Atom("x")))
         assert verdicts == [(mask, True) for mask in range(4096)]
         assert passes == self.PASSES_12 and graphs == []
 
@@ -462,10 +518,46 @@ class TestWorkPerQuery:
         assert swept == ["L/~", "L^(2)"]
 
     def test_thorough_sweeps_k_once(self, swept):
-        """With one initial state K_s is K: the F side reads K's sweep negated."""
+        """The F side's view of K's one initial state reads K's sweep negated."""
         v = vacuity_via_thorough(p("AG (AX p | EX !p)"), F.Atom("p"), TestWorkPerSweep.ring(8))
         assert v.bounds == {"compositional": "maybe", "labeling": "true"}
         assert swept == ["ring8"]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The constructions of vacuity's structures, by name and argument."""
+        calls = []
+        for name in ("compose_sync", "quotient_bisim", "duplicate_m"):
+            monkeypatch.setattr(vacuity, name, lambda k, *args, make=getattr(vacuity, name), name=name, **kw: (
+                calls.append((name, k.name)), make(k, *args, **kw))[1])
+        return calls
+
+    @staticmethod
+    def three_initial(n):
+        """ring(n) with s0, s2 and s4 initial."""
+        r = ring(n)
+        return KripkeStructure(f"tri{n}", r.props, r.states, r.states[:6:2], r.trans,
+                               {s: r.labels_of(s) for s in r.states})
+
+    def test_thorough_on_three_initial_states_sweeps_each_structure_once(self, swept, built):
+        """Each initial state reads K's one sweep, and its variant search the
+        one quotient and partner, swept once."""
+        k = self.three_initial(5)
+        v = vacuity_via_thorough(p("AG (p -> AX !p) & EX p"), F.Atom("p"), k)
+        assert v.bounds == {"compositional": "maybe", "labeling": "false"}
+        assert swept == ["tri5", "tri5^(2)"]
+        assert built == [("quotient_bisim", "tri5"), ("duplicate_m", "tri5")]
+
+    def test_kx_on_three_initial_states_is_built_once(self, swept, built):
+        """The thorough ladder and the dispatcher's falx route read one K||X
+        at each initial state's copies."""
+        k, phi = self.three_initial(8), p("EX p & EX !p")
+        v = vacuity_via_thorough(phi, F.Atom("p"), k)
+        assert v.evidence == {"thorough": "maybe"}
+        assert swept == ["tri8"] and built == [("compose_sync", "tri8")]
+        del swept[:], built[:]
+        v = decide_bisim_vacuity(phi, F.Atom("p"), k)
+        assert v.route == "falx" and built == [("compose_sync", "tri8")] and swept == []
 
     def test_thorough_builds_no_completion_and_one_bound(self, monkeypatch):
         seen = {"structures": 0, "compositional": 0}

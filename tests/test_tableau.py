@@ -224,7 +224,7 @@ class TestCounters:
             k = rand_kripke(rng, 5)
             phi = p(text)
             built.clear()
-            verdicts = per_mask(mc.sweep(k, phi, x))
+            verdicts = per_mask(k, mc.sweep(k, phi, x))
             assert len(verdicts) == 1 << k.n and len(built) == 1
             for mask, value in verdicts:
                 here = F.SetAtom(k.name, k.names_of(mask), ref=k)
