@@ -5,9 +5,10 @@
 The queries are the `vacmc.cli.main` argument lists of the bench workloads
 (bench/workloads.py, generated once for the given seed); the two library
 calls without a subcommand are left out.  One more row runs a fixed list of
-queries on the fixtures Q and chi (FIXTURE_QUERIES), whose several initial
-states no bench structure has: vacuity (auto and --via thorough) and qctl
-under bisimulation semantics.  Each tree runs every query in a fresh
+queries on the fixtures (FIXTURE_QUERIES): on Q and chi, whose several
+initial states no bench structure has, vacuity (auto and --via thorough) and
+qctl under bisimulation semantics; and bodies with a set atom of the model,
+which K_x and K||X must read as the model's own.  Each tree runs every query in a fresh
 Python process of its own, with its directory first on sys.path.  An
 output is the exit code, standard output with `meta.elapsed_ms` blanked, and
 standard error.  Prints a Markdown report with the number of queries whose
@@ -60,6 +61,11 @@ FIXTURE_QUERIES = [
     ["qctl", "Q", "forall y . E (G F y) | A (F !y)", "--semantics", "bisim"],
     ["qctl", "chi", "forall y . AG ((AX y) | (AX !y))", "--semantics", "bisim"],
     ["qctl", "chi", "forall y . EF (y & {x0}@chi) | AG !y", "--semantics", "bisim"],
+    ["qctl", "Q", "forall y . AG (y -> {d1,d3}@Q)", "--semantics", "bisim"],
+    ["qctl", "Q", "forall y . AG (y -> {d1,d3}@Q)", "--semantics", "tree"],
+    ["vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p"],
+    ["vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p", "--via", "thorough"],
+    ["vacuity", "L", "EX {a0}@L | AX p", "--sub", "p", "--via", "thorough"],
 ]
 
 
@@ -141,7 +147,7 @@ def main(argv=None):
                     fh.write(text)
             argvs = [q.argv for q in work.queries if q.argv is not None]
             total, count = total + len(argvs), count + compare(name, argvs)
-        compare("fixtures Q, chi", [argv + ["--format", "json"] for argv in FIXTURE_QUERIES])
+        compare("fixtures", [argv + ["--format", "json"] for argv in FIXTURE_QUERIES])
     print(f"### Same output (seed {args.seed}): {count} of {total} bench CLI queries differ\n")
     print("| queries of | queries | differing | what differs |\n|---|---|---|---|")
     print("\n".join(lines))

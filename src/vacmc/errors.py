@@ -21,6 +21,10 @@ class EvalError(VacmcError):
     """Model-checking error: bad fragment, unknown proposition, foreign set atom."""
 
 
+class ForeignSetAtomError(EvalError):
+    """A set atom of a structure on other states, which 3-valued checking cannot read."""
+
+
 class PreconditionError(VacmcError):
     """A stated requires-clause of an algorithm does not hold."""
 

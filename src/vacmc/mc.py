@@ -24,8 +24,8 @@ and nodes made when the search gets to it.  Every search stops at its
 first accepting cycle.  A nested quantifier is labelled by a search from
 each state in turn, each reading what the earlier ones learned; a check
 asks a root quantifier only at the initial states, and the witness reads
-the same graph.  Set atoms of a foreign structure are resolved through a
-bisimulation computed on demand.
+the same graph.  A set atom names k's states when its home has k's state
+tuple; any other home's atom is carried over by a bisimulation on demand.
 
 A sweep over the labelings of one fresh atom labels a chunk of them at once,
 one bit per labeling (`_LaneSweep`): a subformula that contains the atom
@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import formula as F
-from .errors import EvalError
+from .errors import EvalError, ForeignSetAtomError
 from .kripke import _predecessor_lists, flags_mask, mask_flags, mask_members
 
 _TEMPORAL = (F.Next, F.Until, F.Release, F.Future, F.Globally)
@@ -555,9 +555,8 @@ class _Evaluator(_Duality):
             raise EvalError(f"{k.name} is 3-valued; use three_valued.eval_compositional3")
         self.k = k
         self.full = k.full_mask
-        self.env = dict(env or {})
-        self.env.setdefault(k.name, k)
-        self.force_tableau = force_tableau
+        self.env = {k.name: k, **(env or {})}
+        self.force_tableau, self.definite = force_tableau, definite
         self.memo = {}
         self._foreign = {}
         self._tableau = set()  # path formulas that _operands sent to the tableau
@@ -627,13 +626,19 @@ class _Evaluator(_Duality):
         raise EvalError(f"not a state formula: {F.render_formula(phi)}")
 
     def _setatom(self, atom):
+        """The states of k that a set atom names.  Its home is its ref, else
+        the env entry for its name.  A home with k's very state tuple (k, or a
+        structure built on k's statespace) names k's states; any other home's
+        are carried to k by a bisimulation, once per home, or refused if definite."""
         k = self.k
-        if atom.structure == k.name:
-            return k.mask_of(atom.states)
         home = atom.ref if atom.ref is not None else self.env.get(atom.structure)
+        if home is not None and home.states is k.states:
+            return k.mask_of(atom.states)
+        if self.definite:
+            raise ForeignSetAtomError("foreign set atoms are not supported in 3-valued checking")
         if home is None:
             raise EvalError(f"set atom over unknown structure {atom.structure!r}")
-        rows = self._foreign.get(atom.structure)
+        rows = self._foreign.get(id(home))  # the atom, a key of memo, keeps its home alive
         if rows is None:
             from .bisim import bisimilar_over
 
@@ -644,7 +649,7 @@ class _Evaluator(_Duality):
                     f"set atom of {atom.structure!r} on {k.name!r}: no bisimulation over {common}"
                 )
             # rows[i]: the states of k in the block of home state i
-            rows = self._foreign[atom.structure] = rel.rows
+            rows = self._foreign[id(home)] = rel.rows
         bad = [s for s in atom.states if s not in home.states]
         if bad:
             raise EvalError(f"set atom state {bad[0]!r} not in structure {atom.structure!r}")

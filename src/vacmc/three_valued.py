@@ -15,7 +15,7 @@ from .errors import EnumerationBoundError, EvalError, KripkeError
 from .kleene import F3, M3, T3
 from .kripke import KripkeStructure, LazySequence, mask_members
 from .mc import _Evaluator
-from .vacuity import BISIM_ROUTES, VacuityStatus, VacuityVerdict, _env_with, _Query, _status
+from .vacuity import BISIM_ROUTES, VacuityStatus, VacuityVerdict, _Query, _status
 
 # re-exported: this module owns the 3-valued layer's public surface
 from .kleene import TruthValue3, and3, implies3, info_le, kleene, not3, or3, truth_le  # noqa: F401
@@ -25,11 +25,10 @@ def eval_compositional3(k, phi, env=None):
     """Compositional value of a CTL formula, met over initial states: the
     classical labelling of nnf(phi), with literal p read as "p definitely
     true" and !p as "p definitely false", gives the states where phi is
-    definitely true, and the same run on nnf(!phi) those where it is false."""
+    definitely true, and the same run on nnf(!phi) those where it is false.
+    A set atom is read only when its home shares k's states (see _setatom)."""
     if not F.is_ctl(phi):
         raise EvalError("3-valued compositional checking is restricted to CTL")
-    if any(isinstance(f, F.SetAtom) and f.structure != k.name for f in F.subformulas(phi)):
-        raise EvalError("foreign set atoms are not supported in 3-valued checking")
     ev = _Evaluator(k, env, definite=True)
     true, false = ev.states(F.nnf(phi)), ev.states(F.nnf(F.Not(phi)))
     verdict = T3
@@ -118,7 +117,7 @@ def thorough_kx(k, x, phi, bound=20, variant_bound=12):
     x-bisimilar to K), or (None, bounds) when undecided."""
     if x not in F.atoms(phi):
         raise EvalError(f"{x!r} does not occur in the formula")
-    return _thorough(_Query(k, phi, x, bound, variant_bound, _env_with(k, None)))
+    return _thorough(_Query(k, phi, x, bound, variant_bound))
 
 
 def vacuity_via_thorough(phi, psi, k, bound=20, variant_bound=12):
@@ -128,7 +127,7 @@ def vacuity_via_thorough(phi, psi, k, bound=20, variant_bound=12):
     if x not in F.atoms(phix):
         # psi does not occur: the substitution is a no-op, thorough = classical.
         return VacuityVerdict(VacuityStatus.VACUOUS, "thorough", {"thorough": "definite"})
-    q = _Query(k, phix, x, bound, variant_bound, _env_with(k, None))
+    q = _Query(k, phix, x, bound, variant_bound)
     if q.compositional not in (None, "maybe"):
         return VacuityVerdict(VacuityStatus.VACUOUS, "compositional", {"compositional": q.compositional})
     v, bounds = _thorough(q)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import formula as F
 from .bisim import greatest_bisimulation, quotient_bisim
-from .errors import EnumerationBoundError, EvalError, NotApplicableError, PreconditionError
+from .errors import EnumerationBoundError, EvalError, ForeignSetAtomError, NotApplicableError, PreconditionError
 from .kripke import KripkeStructure, _spread, chi, compose_sync, duplicate_m, labelled, mask_members, x_variants
 from .mc import _Evaluator, check_ctl_star, eval_mask, eval_states, sweep
 
@@ -50,12 +50,6 @@ def _status(vacuous):
     return VacuityStatus.VACUOUS if vacuous else VacuityStatus.NON_VACUOUS
 
 
-def _env_with(k, env):
-    out = dict(env or {})
-    out.setdefault(k.name, k)
-    return out
-
-
 def _holds_at(k, body, states, env):
     """body at every state of the mask `states`: K |= body at k's initial states."""
     return check_ctl_star(k, body, env) if states == k.init_mask else _Evaluator(k, env).holds(body, states)
@@ -66,12 +60,14 @@ class _Query:
     state of the mask `states` (k's initial states)?  Verdict false is asked by
     a view per initial state s: !body at s, read off this query's one K||X
     labelling, sweep, and variant bases k/~ and partner(k) (by default K^(2)),
-    at s's copies 2i and 2i+1 in K||X and the partner and at s's block in k/~."""
+    at s's copies 2i and 2i+1 in K||X and the partner and at s's block in k/~.
+    k is in its own env, so every route reads k's set atoms alike: as k's own
+    on k's statespace (its labelings, K_x), by bisimulation on K||X and bases."""
 
     def __init__(self, k, body, x, bound=20, variant_bound=12, env=None, partner=None):
         if x in k.props:
             raise EvalError(f"quantified variable {x!r} is already a proposition of {k.name}")
-        self.k, self.body, self.x, self.env = k, body, x, env
+        self.k, self.body, self.x, self.env = k, body, x, {k.name: k, **(env or {})}
         self.bound, self.variant_bound = bound, variant_bound
         self.partner = partner or functools.partial(duplicate_m, m=2)
         self.root, self.states = self, k.init_mask
@@ -108,12 +104,16 @@ class _Query:
     @functools.cached_property
     def compositional(self):
         """The compositional value of body on K_x ("true", "maybe" or "false"),
-        or None outside CTL or with a set atom."""
+        or None outside CTL or with a foreign set atom.  K_x is built on k's
+        statespace, so k's set atoms are its own there."""
         from .three_valued import eval_compositional3, lift_kx
 
-        if not F.is_ctl(self.body) or any(isinstance(f, F.SetAtom) for f in F.subformulas(self.body)):
-            return None  # K_x is renamed: every set atom is foreign there
-        return eval_compositional3(lift_kx(self.k, self.x), self.body).value
+        if not F.is_ctl(self.body):
+            return None
+        try:
+            return eval_compositional3(lift_kx(self.k, self.x), self.body, self.env).value
+        except ForeignSetAtomError:
+            return None
 
     def _lanes(self):
         """The sweep's chunks, each swept once and kept for the views.  A
@@ -130,7 +130,7 @@ class _Query:
         states, or None, off the root's one sweep (a view's lanes are !body's):
         in each chunk, the lowest set bit of the AND of the lanes at the states
         (true) or of its complement (false).  It is replayed by one check of k
-        with x so labelled, under k's own name, which must agree."""
+        with x so labelled (on k's states), which must agree."""
         found, view = self._first, self is not self.root
         if verdict not in found:
             for base, width, lanes in self.root._lanes():
@@ -223,7 +223,7 @@ def _constants(phi, psi, k, env):
 
 def constant_vacuous(phi, psi, k, env=None):
     """Replacing psi by true and by false yields the same verdict on k."""
-    vt, vf = _constants(phi, psi, k, _env_with(k, env))
+    vt, vf = _constants(phi, psi, k, env)
     return vt == vf
 
 
@@ -232,7 +232,7 @@ def structure_vacuous(phi, psi, k, bound=20, env=None):
     (satisfying names, falsifying names)) for the first disagreeing pair."""
     if k.n > bound:
         raise EnumerationBoundError(f"2^{k.n} substitutions exceed the bound 2^{bound}")
-    q = _vacuity_query(phi, psi, k, bound, env=_env_with(k, env))
+    q = _vacuity_query(phi, psi, k, bound, env=env)
     sat, fal = q.first(True), q.first(False)
     return (True, None) if None in (sat, fal) else (False, (k.names_of(sat), k.names_of(fal)))
 
@@ -255,7 +255,6 @@ def is_mon_vacuous(phi, psi, k, env=None):
 
 def _reduction(phi, psi, k, env, sat, requirement, gate):
     """The K||X route on the side K's verdict `sat` names, behind its gate."""
-    env = _env_with(k, env)
     if check_ctl_star(k, phi, env) != sat:
         raise PreconditionError(requirement)
     q = _vacuity_query(phi, psi, k, env=env)
@@ -374,28 +373,20 @@ def _variant_disagreement(questions, reference, bound):
     """The first x-variant of a question's structure (of at most `bound`
     states) on which its body's verdict at its states != reference, or None.
     Each structure's labelings of x are swept in x_variants order and only
-    the witness is built; but a variant is a structure of another name, so
-    when the body names it or one of its variants, every variant is checked."""
+    the witness is built: a variant is built on the structure's statespace,
+    so it reads every set atom as the sweep does."""
     for q in questions:
-        ks = q.k
-        if ks.n > bound:
-            continue
-        named = {f.structure for f in F.subformulas(q.body) if isinstance(f, F.SetAtom)}
-        variants = x_variants(ks, q.x)
-        if any(n == ks.name or n.startswith(ks.name + "^") for n in named):
-            found = next((v for v in variants if _holds_at(v, q.body, q.states, q.env) != reference), None)
-        else:
+        if q.k.n <= bound:
+            variants = x_variants(q.k, q.x)
             mask = q.first(not reference)
-            found = None if mask is None else variants[mask]
-        if found is not None:
-            return found
+            if mask is not None:
+                return variants[mask]
     return None
 
 
 def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, variant_bound=12, env=None):
     """Three-valued bisimulation-vacuity verdict with route and evidence: does
     phi[psi <- x] keep K's verdict on every structure x-bisimilar to K?"""
-    env = _env_with(k, env)
     polarity = F.occurrence_polarity(phi, psi)
     if polarity is F.Polarity.ABSENT:
         return VacuityVerdict(VacuityStatus.VACUOUS, "absent")
@@ -421,9 +412,9 @@ def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, variant_b
             evidence = {"satisfying_set": list(witness[0]), "falsifying_set": list(witness[1])}
             return VacuityVerdict(VacuityStatus.NON_VACUOUS, "structure-witness", evidence)
         # Every state set gave one verdict (swept by structure_vacuous, the layer
-        # bench/ times); for a state formula psi it is K |= phi, psi's own set's.
-        empty = F.SetAtom(k.name, (), ref=k)
-        q.agreed = sat if F.is_state_formula(psi) else check_ctl_star(k, F.substitute(phi, psi, empty), env)
+        # bench/ times); for a state formula psi it is K |= phi, psi's own set's,
+        # and for a path psi the empty set's, phi[psi <- false].
+        q.agreed = sat if F.is_state_formula(psi) else check_ctl_star(k, F.substitute(phi, psi, F.FALSE), env)
         found = _variant_route(q, q.agreed)
         if found is not None:
             evidence = dict(found[2], formula=F.render_formula(q.body), verdict=not q.agreed)
@@ -449,7 +440,6 @@ def prop_simplify(phi, k, selector=None, env=None):
     subformula.  An explicit selector is an iterable of subformulas, each of
     which must be a state formula.
     """
-    env = _env_with(k, env)
     targets = None if selector is None else set(selector)
     for f in targets or ():
         if not F.is_state_formula(f):

@@ -410,11 +410,14 @@ ROUTES = [
     # past --bound the labelings are not swept, so the labeling bound is unknown
     (("vacuity", "L", "AG (AX p | EX !p)", "--sub", "p", "--via", "thorough", "--bound", "0"), 2,
      {"status": "unknown", "route": "thorough", "bounds": {"compositional": "maybe", "labeling": None}}),
-    # a set atom is foreign on the renamed K_x: no compositional bound, still a verdict
+    # K_x is built on K's states, so K's set atom is its own there and the
+    # compositional bound reads it
     (("vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p"), 2,
-     {"status": "unknown", "route": "unknown", "bounds": {"compositional": None, "labeling_agreement": True}}),
+     {"status": "unknown", "route": "unknown", "bounds": {"compositional": "maybe", "labeling_agreement": True}}),
     (("vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p", "--via", "thorough"), 2,
-     {"status": "unknown", "route": "thorough", "bounds": {"compositional": None, "labeling": "true"}}),
+     {"status": "unknown", "route": "thorough", "bounds": {"compositional": "maybe", "labeling": "true"}}),
+    (("vacuity", "L", "EX {a0}@L | AX p", "--sub", "p", "--via", "thorough"), 0,
+     {"status": "vacuous", "route": "compositional", "witness": {"compositional": "true"}}),
     # Q has two initial states, each asked on Q itself, where Q's set atoms are its own
     (("vacuity", "Q", "EF (p & {d1}@Q) & EF (!p & {d0}@Q)", "--sub", "p"), 0,
      {"status": "vacuous", "route": "falx"}),
@@ -443,6 +446,11 @@ ROUTES = [
      {"value": None, "route": "Unknown"}),
     (("qctl", "M", "exists x . EF (x & EX !x)", "--semantics", "tree"), 0,
      {"value": True, "route": "Duality", "witness": {"labeling": ["b0"]}}),
+    # K's set atoms are read on K||X (through a bisimulation) as on K
+    (("qctl", "Q", "forall y . AG (y -> {d1,d3}@Q)", "--semantics", "bisim"), 0,
+     {"value": False, "route": "KParallelX"}),
+    (("qctl", "Q", "forall y . AG (y -> {d1,d3}@Q)", "--semantics", "tree"), 0,
+     {"value": False, "route": "PathFormulaEquivalence"}),
 ]
 
 

@@ -8,7 +8,7 @@ from vacmc.bisim import quotient_bisim
 from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
 from vacmc.kleene import M3
-from vacmc.kripke import KripkeStructure, duplicate_m, load_fixture
+from vacmc.kripke import KripkeStructure, duplicate_m, labelled, load_fixture, parse_kripke, render_kripke
 from vacmc.mc import (
     StateSet,
     _chunks,
@@ -255,6 +255,26 @@ class TestSetAtoms:
     def test_unknown_structure_rejected(self, fx):
         with pytest.raises(EvalError, match="unknown structure"):
             eval_states(fx("M"), p("{a0}@Z"))
+
+    def test_a_home_on_the_same_states_is_read_by_state_not_by_name(self, fx):
+        # an x-labeling of M under another name shares M's states, so M's
+        # atom names the state b1 there; a copy of M under M's own name has
+        # states of its own, so its atom goes through the bisimulation
+        m = fx("M")
+        own = F.SetAtom("M", ("b1",), ref=m)
+        assert eval_states(labelled(m, "x", 0, "Mx"), own).names == ("b1",)
+        copy = parse_kripke(render_kripke(m))
+        assert eval_states(m, F.SetAtom("M", ("b1",), ref=copy)).names == ("b0", "b1")
+
+    def test_homes_of_one_name_get_a_bisimulation_each(self, fx):
+        # H1 is M and H2 is V, both renamed H: {v0}@H has no bisimulation to
+        # M over p, so a conjunction with it fails in either order
+        m, v = fx("M"), fx("V")
+        h1, h2 = (parse_kripke(render_kripke(k).replace(f"kripke {k.name}", "kripke H")) for k in (m, v))
+        first, second = F.SetAtom("H", ("b0",), ref=h1), F.SetAtom("H", ("v0",), ref=h2)
+        for phi in (second, F.And(first, second), F.And(second, first)):
+            with pytest.raises(EvalError, match="no bisimulation"):
+                eval_states(m, phi)
 
 
 class TestAssign:
