@@ -7,8 +7,9 @@ The queries are the `vacmc.cli.main` argument lists of the bench workloads
 calls without a subcommand are left out.  One more row runs a fixed list of
 queries on the fixtures (FIXTURE_QUERIES): on Q and chi, whose several
 initial states no bench structure has, vacuity (auto and --via thorough) and
-qctl under bisimulation semantics; and bodies with a set atom of the model,
-which K_x and K||X must read as the model's own.  Each tree runs every query in a fresh
+qctl under bisimulation semantics; bodies with a set atom of the model,
+which K_x, K||X and the bounded-validity probe must read; the --via mono
+route on a mixed occurrence; and a parse error.  Each tree runs every query in a fresh
 Python process of its own, with its directory first on sys.path.  An
 output is the exit code, standard output with `meta.elapsed_ms` blanked, and
 standard error.  Prints a Markdown report with the number of queries whose
@@ -66,6 +67,9 @@ FIXTURE_QUERIES = [
     ["vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p"],
     ["vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p", "--via", "thorough"],
     ["vacuity", "L", "EX {a0}@L | AX p", "--sub", "p", "--via", "thorough"],
+    ["vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p", "--bounded-validity", "2"],
+    ["vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", "--via", "mono"],
+    ["check", "L", "p q"],
 ]
 
 

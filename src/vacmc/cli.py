@@ -199,7 +199,7 @@ def _cmd_vacuity(args):
         report.finish(verdict.to_dict(), args.format)
         return 2 if verdict.status is VacuityStatus.UNKNOWN else 0
     if via == "mono":
-        value = vacuity.is_mon_vacuous(phi, psi, k)
+        value = vacuity.constant_vacuous(phi, psi, k)
         result = {"status": "vacuous" if value else "non-vacuous", "route": "monotone",
                   "gated": vacuity.syntactic_monotone(phi, psi)}
     elif via == "satx":

@@ -98,15 +98,17 @@ class Atom(Formula):
 class SetAtom(Formula):
     """A set of states of a named structure, used as an atomic proposition.
 
-    `ref` optionally carries the structure object itself; it is excluded
-    from equality and hashing so parsed and constructed atoms compare equal.
+    `ref` optionally carries the structure object itself, the atom's home.
+    Equality and hashing read it as `home`, its id (None without a ref): the
+    atom keeps its ref alive, so equal atoms name the states of one home
+    object, and parsed atoms, which resolve by name, equal each other.
     """
 
-    __slots__ = ("structure", "states", "ref")
-    _fields = ("structure", "states")
+    __slots__ = ("structure", "states", "home", "ref")
+    _fields = ("structure", "states", "home")
 
     def __init__(self, structure, states, ref=None):
-        super().__init__(structure, tuple(sorted(set(states))))
+        super().__init__(structure, tuple(sorted(set(states))), None if ref is None else id(ref))
         self.ref = ref
 
 
@@ -255,27 +257,24 @@ _TOKEN_RE = re.compile(
     r"|(?P<sym>[!&|()\[\].]))"
 )
 
-_KEYWORDS = {"true", "false", "forall", "exists"}
+_KINDS = {"setatom": "SETATOM", "word": "WORD"}  # the other tokens are their own kind
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 def _tokenize(text):
+    """(kind, text, position) of each token, then END; a position is where the
+    token itself starts, after the whitespace the pattern skips."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise FormulaSyntaxError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-        if m.group("setatom"):
-            tokens.append(("SETATOM", m.group("setatom"), m.start()))
-        elif m.group("word"):
-            tokens.append(("WORD", m.group("word"), m.start()))
-        elif m.group("arrow"):
-            tokens.append(("->", "->", m.start()))
-        else:
-            tokens.append((m.group("sym"), m.group("sym"), m.start()))
+            raise FormulaSyntaxError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+        group = m.lastgroup
+        tokens.append((_KINDS.get(group, m[group]), m[group], m.start(group)))
         pos = m.end()
     tokens.append(("END", "", len(text)))
     return tokens

@@ -133,8 +133,6 @@ class _Closure:
             return p
 
         self.root = 1 << F.fold(pathform, lambda f: () if state[f] else f.children(), position)
-        # An equal formula's leaves may hold set atoms of other structures (ref).
-        self.set_atoms = any(isinstance(g, F.SetAtom) for f in self.leaves for g in F.subformulas(f))
         self.npos = len(self._leaf_pos) + len(self._ops)
         # (code, position bit, left bit, right bit) of each temporal position in
         # order; a unary operator's child is both its left and its right.
@@ -239,10 +237,9 @@ class _Closure:
 
 # The closure automata of the process by formula: a formula equal to a cached
 # one gets its closure, with the tables and successor lists that earlier checks
-# built.  Equality ignores a SetAtom's ref, so a cached closure's leaves may be
-# another query's nodes (see _Evaluator._closure).  Its bound in table atoms:
-# an atom takes about 0.2 KB, and up to a few KB with the successor lists into
-# other tables.
+# built, and with leaves that name the same sets as its own (equal set atoms
+# share a home).  Its bound in table atoms: an atom takes about 0.2 KB, and up
+# to a few KB with the successor lists into other tables.
 _closure_cache = {}
 _CLOSURE_ATOMS = 1 << 12
 
@@ -560,7 +557,7 @@ class _Evaluator(_Duality):
         self.memo = {}
         self._foreign = {}
         self._tableau = set()  # path formulas that _operands sent to the tableau
-        self._closures = {}  # path quantifier -> (_Closure, leaves), kept for every labeling of a sweep
+        self._closures = {}  # path quantifier -> _Closure, kept for every labeling of a sweep
         self._graphs = {}
 
     def states(self, phi):
@@ -593,7 +590,7 @@ class _Evaluator(_Duality):
         if operands is not None and not self.force_tableau:
             return operands
         self._tableau.add(phi)
-        return self._closure(phi)[1]
+        return self._closure(phi).leaves
 
     def _states(self, phi, operands):
         """Mask of phi from the masks of its _operands, in order."""
@@ -650,12 +647,11 @@ class _Evaluator(_Duality):
                 )
             # rows[i]: the states of k in the block of home state i
             rows = self._foreign[id(home)] = rel.rows
-        bad = [s for s in atom.states if s not in home.states]
-        if bad:
-            raise EvalError(f"set atom state {bad[0]!r} not in structure {atom.structure!r}")
-        mask = 0
+        mask, index = 0, home._index
         for s in atom.states:
-            mask |= rows[home.index(s)]
+            if s not in index:
+                raise EvalError(f"set atom state {s!r} not in structure {atom.structure!r}")
+            mask |= rows[index[s]]
         return mask
 
     # -- CTL labelling -------------------------------------------------------
@@ -714,23 +710,15 @@ class _Evaluator(_Duality):
         return mask if isinstance(phi, F.PathE) else self.full ^ mask
 
     def _closure(self, phi):
-        """(closure, leaves): the cached closure automaton of E c for phi =
-        E c, or of E !c for phi = A c, and its leaves as this c's own nodes
-        when they hold set atoms; a cached closure may be an earlier query's,
-        whose equal set atoms name that query's structures.  It does not
-        depend on k's labels, so a sweep keeps it."""
+        """The cached closure automaton of E c for phi = E c, or of E !c for
+        phi = A c.  It does not depend on k's labels, so a sweep keeps it."""
         got = self._closures.get(phi)
         if got is None:
             c = phi.child if isinstance(phi, F.PathE) else F.Not(phi.child)
-            closure = _closure_cache.get(c)
-            if closure is None:
-                closure = _closure_cache[c] = _Closure(c)
-            leaves = closure.leaves
-            if closure.set_atoms:
-                own = {}  # each node of c: its first occurrence, as in the closure
-                F.fold(c, F.Formula.children, lambda f, parts: f, own)
-                leaves = [own[f] for f in leaves]
-            got = self._closures[phi] = closure, leaves
+            got = _closure_cache.get(c)
+            if got is None:
+                got = _closure_cache[c] = _Closure(c)
+            self._closures[phi] = got
         return got
 
     def graph(self, phi, starts=None):
@@ -741,8 +729,8 @@ class _Evaluator(_Duality):
         key = phi, starts
         got = self._graphs.get(key)
         if got is None:
-            closure, leaves = self._closure(phi)
-            masks = [self.states(f) for f in leaves]
+            closure = self._closure(phi)
+            masks = [self.states(f) for f in closure.leaves]
             got = self._graphs[key] = AtomGraph(self.k, closure, masks, starts)
         return got
 
@@ -857,7 +845,7 @@ class _LaneSweep(_Duality):
         the atoms whose marks have bit i: the sets that AtomGraph's cycles
         must cover."""
         k, ones = self.k, self.ones
-        closure = _bounded(self.ev._closure(phi)[0])
+        closure = _bounded(self.ev._closure(phi))
         groups, at, vals, marks, en = [], [], [], [], []  # groups[s]: (table, first node, lanes) per signature
         for s in range(k.n):
             split = [(0, ones)]

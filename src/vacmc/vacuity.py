@@ -357,11 +357,19 @@ def _probe_verdicts(body, max_states):
     shows both.  Consecutive probes are labelled together as one disjoint
     union (see _UNION_STATES): CTL and CTL* hold per state, so
     each member's verdict is the bit of its initial state.  A set atom names
-    the states of one structure, so a body with one is labelled probe by probe."""
-    cap = 0 if any(isinstance(f, F.SetAtom) for f in F.subformulas(body)) else _UNION_STATES
+    states of its home, which no probe has, so each distinct one is a fresh
+    proposition first: a verdict the body gets for every value of it, it gets
+    for the atom's states too."""
+    taken = F.atoms(body)
+    fresh = {}
+    for f in F.subformulas(body):
+        if isinstance(f, F.SetAtom):
+            fresh[f] = F.Atom(F.fresh_prop(taken, "r"))
+            taken.add(fresh[f].name)
+    body = F.fold(body, F.Formula.children, F._rebuild, fresh)
     verdicts = set()
-    for batch in _batches(enumerate_structures(sorted(F.atoms(body)), max_states), _FIRST_UNION, cap):
-        union, offsets = _union(batch) if len(batch) > 1 else (batch[0], (0,))
+    for batch in _batches(enumerate_structures(sorted(taken), max_states), _FIRST_UNION, _UNION_STATES):
+        union, offsets = _union(batch)
         mask = eval_mask(union, body)
         verdicts.update(bool(mask >> o & 1) for o in offsets)
         if len(verdicts) > 1:

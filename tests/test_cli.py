@@ -451,6 +451,15 @@ ROUTES = [
      {"value": False, "route": "KParallelX"}),
     (("qctl", "Q", "forall y . AG (y -> {d1,d3}@Q)", "--semantics", "tree"), 0,
      {"value": False, "route": "PathFormulaEquivalence"}),
+    # the routes asked by name
+    (("vacuity", "L", "AG (p | AX p)", "--sub", "p", "--via", "mono"), 0,
+     {"status": "non-vacuous", "route": "monotone", "gated": True}),
+    (("vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", "--via", "mono"), 0,
+     {"status": "vacuous", "route": "monotone", "gated": False}),
+    (("vacuity", "L", "AG (p -> AX p)", "--sub", "p", "--via", "satx"), 0,
+     {"status": "non-vacuous", "route": "satx"}),
+    (("vacuity", "M", "AG ((AX p) | (AX !p)) | EF (p & !p)", "--sub", "p", "--via", "structure"), 0,
+     {"status": "non-vacuous", "route": "structure", "witness": {"satisfying_set": [], "falsifying_set": ["b0"]}}),
 ]
 
 
@@ -461,3 +470,9 @@ class TestRouteContract:
     def test_route(self, capsys, argv, code, result):
         got, out, _ = run(capsys, *argv, "--format", "json")
         assert (got, json.loads(out)["result"]) == (code, result)
+
+    @pytest.mark.parametrize("formula", ["AG (p | AX p)", "(EX p) | (AX !p)"])
+    def test_the_mono_route_writes_no_warning(self, capsys, recwarn, formula):
+        """gated: false in the report says what the library's warning would."""
+        code, out, err = run(capsys, "vacuity", "L", formula, "--sub", "p", "--via", "mono")
+        assert code == 0 and "route: monotone" in out and err == "" and not recwarn.list

@@ -68,6 +68,24 @@ class TestParse:
             p("AG (p ->")
         assert e.value.pos is not None
 
+    @pytest.mark.parametrize("text, message, pos", [
+        ("forall ( . p", "expected 'quantified variable', found '('", 7),
+        ("forall X . p", "bad quantified variable 'X'", 7),
+        ("forall x p", "expected \"'.'\", found 'p'", 9),
+        ("forall 1 . p", "unexpected character '1'", 7),
+        ("E p", "expected '(' or '[' after 'E'", 2),
+        ("p q", "trailing input 'q'", 2),
+        ("A[p q]", "expected 'U' or 'R', found 'q'", 4),
+        ("(p & q]", "expected \"')'\", found ']'", 6),
+    ])
+    def test_an_error_names_where_its_token_starts(self, text, message, pos):
+        with pytest.raises(FormulaSyntaxError) as e:
+            p(text)
+        assert (str(e.value), e.value.pos) == (f"{message} (at position {pos})", pos)
+
+    def test_trailing_whitespace_parses(self):
+        assert p("p   ") == F.Atom("p")
+
     def test_quantifier_not_at_root(self):
         with pytest.raises(FormulaSyntaxError, match="root"):
             p("AG (forall x . x)")

@@ -276,6 +276,30 @@ class TestSetAtoms:
             with pytest.raises(EvalError, match="no bisimulation"):
                 eval_states(m, phi)
 
+    def test_an_atom_is_equal_only_to_one_of_its_own_home(self, fx):
+        m, copy = fx("M"), parse_kripke(render_kripke(fx("M")))
+        same = F.SetAtom("M", ("b1",), ref=m), F.SetAtom("M", ["b1", "b1"], ref=m)
+        assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+        other = F.SetAtom("M", ("b1",), ref=copy)
+        assert other != same[0] and len({same[0], other}) == 2
+        parsed = p("{b1}@M"), F.SetAtom("M", ("b1",))
+        assert parsed[0] == parsed[1] and hash(parsed[0]) == hash(parsed[1])
+        assert parsed[0] != same[0] and F.And(parsed[0], same[0]) != F.And(same[0], same[0])
+
+    def test_equal_looking_atoms_of_two_homes_are_labelled_each(self, fx):
+        # H1 (one p-state v0, bisimilar to M over p) and H2 (V, where v0 is
+        # no p-state) are both named H: {v0}@H & {v0}@H reads each atom on its
+        # own home, so it fails in either order, as H2's atom alone does
+        m = fx("M")
+        h1 = KripkeStructure("H", ("p",), ["v0"], ["v0"], [("v0", "v0")], {"v0": {"p": True}})
+        h2 = parse_kripke(render_kripke(fx("V")).replace("kripke V", "kripke H"))
+        assert eval_states(m, F.SetAtom("H", ("v0",), ref=h1)).names == ("b0", "b1")
+        for first, second in ((h1, h2), (h2, h1), (h2, h2)):
+            phi = F.And(F.SetAtom("H", ("v0",), ref=first), F.SetAtom("H", ("v0",), ref=second))
+            for check in (eval_states, check_ctl_star):
+                with pytest.raises(EvalError, match="set atom of 'H' on 'M': no bisimulation"):
+                    check(m, phi)
+
 
 class TestAssign:
     """The lane sweep labels every labeling of an atom in chunks: under each,
@@ -318,7 +342,7 @@ class TestAssign:
         ev = _Evaluator(k)
         self.lane_masks(ev, F.And(fixed, moving), self.X)
         kept = ev.graph(fixed)
-        assert built == [ev._closure(fixed)[0]]  # the lane product of the moving one is no AtomGraph
+        assert built == [ev._closure(fixed)]  # the lane product of the moving one is no AtomGraph
         assert ev.graph(fixed) is kept and [f for f, _ in ev._graphs] == [fixed]
 
     def test_negated_hole_on_a_three_valued_structure(self):

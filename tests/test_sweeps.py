@@ -287,11 +287,11 @@ class TestPathLanes:
             ev = mc._Evaluator(k, force_tableau=i % 4 == 0)
             lanes = mc._LaneSweep(ev, phi, self.X)
             got = [m for base, width in mc._chunks(k.n) for m in transpose(lanes.lanes(base, width), width)]
-            closure, own = ev._closure(phi)
-            several += sum(self.X in F.subformulas(f) for f in own) > 1
+            closure = ev._closure(phi)
+            several += sum(self.X in F.subformulas(f) for f in closure.leaves) > 1
             routed += phi in ev._tableau
             for mask, kx in enumerate(x_variants(k, "x")):
-                leaves = [mc.eval_mask(kx, f) for f in own]
+                leaves = [mc.eval_mask(kx, f) for f in closure.leaves]
                 e = mc.AtomGraph(kx, closure, leaves).e_mask()
                 want = e if isinstance(phi, F.PathE) else kx.full_mask ^ e
                 assert got[mask] == want, (k.n, mask, F.render_formula(phi))

@@ -292,7 +292,7 @@ class TestPropSimplify:
     def test_af_eg_p_on_o(self, fx):
         o = fx("O")
         out = prop_simplify(p("AF EG p"), o)
-        assert out == F.PathA(F.Future(F.SetAtom("O", ("o0", "o1"))))
+        assert out == F.PathA(F.Future(F.SetAtom("O", ("o0", "o1"), ref=o)))
         # extensionally AF p on O
         assert check_ctl_star(o, out) == check_ctl_star(o, p("AF p"))
 
@@ -300,15 +300,18 @@ class TestPropSimplify:
         assert prop_simplify(p("AG p"), fx("L")) == p("AG p")
 
     def test_whole_formula_replaced(self, fx):
-        assert prop_simplify(p("EF p"), fx("L")) == F.SetAtom("L", ("a0",))
+        l = fx("L")
+        assert prop_simplify(p("EF p"), l) == F.SetAtom("L", ("a0",), ref=l)
 
     def test_selector_rejects_path_formula(self, fx):
         with pytest.raises(EvalError, match="path formula"):
             prop_simplify(p("A(F p)"), fx("L"), selector=[p("F p")])
 
     def test_explicit_selector(self, fx):
-        out = prop_simplify(p("AG (p -> AF q)"), fx("P"), selector=[p("AF q")])
-        assert out == p("AG (p -> {c0,c1}@P)")
+        k = fx("P")
+        out = prop_simplify(p("AG (p -> AF q)"), k, selector=[p("AF q")])
+        assert out == F.PathA(F.Globally(F.Implies(PA, F.SetAtom("P", ("c0", "c1"), ref=k))))
+        assert F.render_formula(out) == "AG (p -> {c0,c1}@P)"
 
     def test_simplification_preserved_on_bisimilar(self, fx):
         # Prop(phi, L) evaluates identically on the bisimilar M
@@ -393,11 +396,30 @@ class TestBoundedValidityProbe:
                 for whole, verdict in ((F.Or(body, F.Not(body)), True), (F.And(body, F.Not(body)), False)):
                     assert V._probe_verdicts(whole, 4 - len(props)) == {verdict}
 
-    def test_a_set_atom_in_the_body_is_refused_as_before(self, fx):
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_set_atoms_are_probed_as_fresh_propositions(self, rng, fx, count):
+        """A body with set atoms gets the verdicts that it gets probe by probe
+        with a fresh proposition in each atom's place; atoms that differ only
+        in their home are two propositions (the first trial's pair)."""
+        atoms = [F.SetAtom("L", ("a0",)), F.SetAtom("L", ("a0",), ref=fx("L")),
+                 F.SetAtom("M", ("b0", "b1"), ref=fx("M"))]
+        fresh = ("r", "s")[:count]
+        for trial in range(8):
+            body = _rand_body(rng, ("x",) + fresh)
+            with_atoms = body
+            for name, atom in zip(fresh, rng.sample(atoms, count) if trial else atoms):
+                with_atoms = F.substitute(with_atoms, F.Atom(name), atom)
+            for n in (1, 2):
+                assert V._probe_verdicts(with_atoms, n) == _per_probe_verdicts(body, n), (F.render_formula(body), n)
+        assert V._probe_verdicts(F.Or(with_atoms, F.Not(with_atoms)), 2) == {True}
+        # valid only if the two atoms were one proposition
+        assert V._probe_verdicts(F.Implies(atoms[0], atoms[1]), 1) == {True, False}
+
+    def test_a_set_atom_in_the_body_is_probed_as_a_fresh_proposition(self, fx):
         m = fx("M")
         phi = p("AG ((AX p) | (EX !p)) | {b1}@M")
-        with pytest.raises(EvalError, match=r"^set atom over unknown structure 'M'$"):
-            decide_bisim_vacuity(phi, PA, m, bounded_validity=2)
+        v = decide_bisim_vacuity(phi, PA, m, bounded_validity=2)
+        assert (v.status, v.route, v.evidence) == (VacuityStatus.VACUOUS, "bounded-validity", {"side": "valid"})
 
     def test_an_over_cap_closure_is_refused_as_before(self):
         body = p("E(" + "X " * 15 + "x)")
