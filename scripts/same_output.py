@@ -9,8 +9,11 @@ queries on the fixtures (FIXTURE_QUERIES): on Q and chi, whose several
 initial states no bench structure has, vacuity (auto and --via thorough) and
 qctl under bisimulation semantics; bodies with a set atom of the model,
 which K_x, K||X and the bounded-validity probe must read; the --via mono
-route on a mixed occurrence; and a parse error.  Each tree runs every query in a fresh
-Python process of its own, with its directory first on sys.path.  An
+route on a mixed occurrence; and a parse error.  For each row, each tree
+runs in one Python process of its own, with its directory first on sys.path,
+which calls `vacmc.cli.main` for the row's queries one after another, as the
+bench does.  So what vacmc keeps from one call to the next is exercised: the
+closure cache, and the last model `parse_kripke` built.  An
 output is the exit code, standard output with `meta.elapsed_ms` blanked, and
 standard error.  Prints a Markdown report with the number of queries whose
 outputs differ, per row and in total over the bench rows, and names up to

@@ -8,6 +8,12 @@ sets are integer bitmasks over the state tuple, and labels are one "true"
 and one "maybe" bitmask per proposition (classical structures simply never
 use maybe).  Masks are built from flags or indices in time linear in the
 number of states; ORing bits one by one into an n-bit int is quadratic.
+
+`parse_kripke` holds the last text it parsed and the structure it built.  A
+repeat load of that text builds nothing: it gets a new structure that shares
+the held one's parts, which is sound only because structures are immutable.
+The new structure has its own state tuple, since a set atom's home is told
+apart by the identity of its `states`.
 """
 
 import gc
@@ -266,7 +272,7 @@ class KripkeStructure:
         return hash((self.name, self.states, frozenset(self.trans)))
 
     def __repr__(self):
-        return f"<KripkeStructure {self.name}: {self.n} states, {len(self.trans)} transitions>"
+        return f"<KripkeStructure {self.name}: {self.n} states, {sum(map(len, self.succ))} transitions>"
 
 
 def structurally_equal(k1, k2):
@@ -278,8 +284,33 @@ def structurally_equal(k1, k2):
 # .kr format
 
 
-@_gc_paused
+_held = None, None  # the text parse_kripke parsed last, and the structure it built
+
+
 def parse_kripke(text):
+    """The structure that the .kr text describes.  The last text parsed and
+    its structure are held: parsing the same text again builds no structure
+    but returns a new one through `_of` that shares the held one's immutable
+    parts (index, successor lists, label masks, and the predecessor lists
+    once a check has built them).  Its state tuple is a new object, so
+    identity tests on `states` (a set atom's home) tell the two loads apart
+    as they tell two parses apart.  Any other text drops the held structure
+    before building its own, so two models are not alive at once; a text
+    that fails to parse leaves nothing held."""
+    global _held
+    held_text, k = _held
+    if text == held_text:
+        return KripkeStructure._of(k.name, k.props, (*k.states,), k._index, k.init, k.succ,
+                                   k._tmask, k._mmask, k._pred)
+    del held_text, k  # these references too: the held model is freed before _parse builds
+    _held = None, None
+    k = _parse(text)
+    _held = text, k
+    return k
+
+
+@_gc_paused
+def _parse(text):
     """One pass over the lines, the most frequent directive (trans:) tested
     first.  A directive glued to its name ("kripkeK", "states0:"), a state
     line without its colon, a second header line, or a proposition given

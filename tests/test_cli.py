@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from vacmc import cli, mc
+from vacmc import cli, kripke, mc
 from vacmc.cli import main
 from vacmc.kripke import parse_kripke, render_kripke
 
@@ -344,6 +344,62 @@ class TestOneParser:
         assert result("quotient", "O")["inputs"]["props"] is None
         assert result("bisim", "L", "M", "--props", "p")["inputs"]["props"] == ["p"]
         assert result("check", "L", "AG p")["inputs"] == {"model": "L", "formula": "AG p"}
+
+
+def _counting_parses(monkeypatch):
+    """Empties parse_kripke's memo and counts the structures built from text."""
+    built = []
+    parse = kripke._parse
+    monkeypatch.setattr(kripke, "_held", (None, None))
+    monkeypatch.setattr(kripke, "_parse", lambda text: built.append(text) or parse(text))
+    return built
+
+
+# One query per subcommand that loads a model, run twice in one process.
+REPEATS = [
+    ("check", "P", "E(X X G q)"),
+    ("vacuity", "L", "AG ((AX p) | (AX !p)) | EF (p & !p)", "--sub", "p"),
+    ("bisim", "M", "M", "--props", "p"),
+    ("simulates", "V", "V", "--props", "p,q"),
+    ("quotient", "M"),
+    ("qctl", "M", "forall x . AG ((AX x) | (AX !x)) | EF (x & !x)", "--semantics", "bisim"),
+]
+
+
+class TestRepeatLoads:
+    """Queries on one model in one process build it once (parse_kripke's memo)."""
+
+    def test_one_file_is_parsed_once_per_run_of_queries(self, capsys, monkeypatch, tmp_path):
+        built = _counting_parses(monkeypatch)
+        a, b = tmp_path / "A.kr", tmp_path / "B.kr"
+        a.write_text("kripke A\nprops: p\ninit: s0\nstate s0: p\nstate s1:\ntrans: s0 s1\ntrans: s1 s0\n")
+        b.write_text("kripke B\nprops: p\ninit: t0\nstate t0:\ntrans: t0 t0\n")
+        for formula in ("EF p", "AG p", "E(G F p)"):
+            assert run(capsys, "check", str(a), formula)[0] == 0
+        assert len(built) == 1
+        monkeypatch.setattr(kripke, "_held", (None, None))
+        for path in (a, b, a):
+            assert run(capsys, "check", str(path), "EF p")[0] == 0
+        assert len(built) == 4
+
+    def test_a_rewritten_file_gives_the_new_model(self, capsys, monkeypatch, tmp_path):
+        built = _counting_parses(monkeypatch)
+        model = tmp_path / "K.kr"
+        model.write_text("kripke K\nprops: p\ninit: s0\nstate s0: p\ntrans: s0 s0\n")
+        assert "value: True" in run(capsys, "check", str(model), "AG p")[1]
+        model.write_text("kripke K\nprops: p\ninit: s0\nstate s0:\ntrans: s0 s0\n")
+        assert "value: False" in run(capsys, "check", str(model), "AG p")[1]
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("argv", REPEATS, ids=[a[0] for a in REPEATS])
+    def test_a_repeat_query_prints_the_same_bytes(self, capsys, monkeypatch, argv):
+        built = _counting_parses(monkeypatch)
+        outputs = []
+        for _ in range(2):
+            code, out, err = run(capsys, *argv, "--format", "json")
+            outputs.append((code, re.sub(r'("elapsed_ms": )[^,\n]*', r"\g<1>0", out), err))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert len(built) == 1
 
 
 class TestInternalErrors:

@@ -5,6 +5,7 @@ from collections.abc import Sequence
 import pytest
 
 from vacmc import formula as F
+from vacmc import kripke
 from vacmc.bisim import bisimilar_over
 from vacmc.errors import KripkeError
 from vacmc.kleene import F3, M3, T3
@@ -29,7 +30,7 @@ from vacmc.kripke import (
     x_variants,
 )
 
-from vacmc.mc import check_ctl_star
+from vacmc.mc import check_ctl_star, eval_states
 from vacmc.three_valued import labeling_completions, lift_kx
 
 from helpers import (
@@ -733,3 +734,48 @@ class TestLargeChain:
         assert check_ctl_star(k, F.parse_formula("EF p"))
         assert not check_ctl_star(k, F.parse_formula("EG !p"))
         assert "succ_masks" not in vars(k) and "trans" not in vars(k)
+
+
+class TestParseMemo:
+    """parse_kripke holds the last text it parsed: a repeat load shares the
+    held structure's parts under a state tuple of its own."""
+
+    def test_a_repeat_load_shares_all_but_the_state_tuple(self, fx):
+        text = render_kripke(fx("M"))
+        parse_kripke(render_kripke(fx("L")))  # so that the first load below is a miss
+        first = parse_kripke(text)
+        first.predecessors()
+        second = parse_kripke(text)
+        assert first == second and first is not second
+        assert first.states == second.states and first.states is not second.states
+        shared = ("succ", "_pred", "_index", "_tmask", "_mmask", "init", "props")
+        assert all(getattr(second, part) is getattr(first, part) for part in shared)
+
+    def test_each_load_of_a_b_a_equals_a_fresh_parse(self, fx):
+        a, b = render_kripke(fx("Q")), render_kripke(fx("V"))
+        for text in (a, b, a, a, b):
+            assert parse_kripke(text) == kripke._parse(text)
+
+    def test_a_failed_parse_holds_nothing(self, fx):
+        good, bad = render_kripke(fx("O")), "kripke K\ninit: s0\ntrans: s0\n"
+        message = raised(parse_kripke, bad)
+        assert message is not None and raised(parse_kripke, bad) == message
+        parse_kripke(good)
+        assert raised(parse_kripke, bad) == message
+        assert parse_kripke(good) == kripke._parse(good)
+
+    def test_a_set_atom_of_the_first_load_goes_through_the_bisimulation(self, fx):
+        text = render_kripke(fx("M"))
+        first = parse_kripke(text)
+        second = parse_kripke(text)
+        assert second.succ is first.succ
+        atom = F.SetAtom("M", ("b1",), ref=first)
+        assert eval_states(second, atom).names == ("b0", "b1")
+        assert eval_states(first, atom).names == ("b1",)
+        fresh = kripke._parse(text)
+        assert eval_states(fresh, atom).names == eval_states(second, atom).names
+
+    def test_repr_counts_transitions_without_building_them(self, fx):
+        k = parse_kripke(render_kripke(fx("P")))
+        assert repr(k) == f"<KripkeStructure P: {k.n} states, {len(fx('P').trans)} transitions>"
+        assert "trans" not in vars(k)
