@@ -9,13 +9,15 @@ queries on the fixtures (FIXTURE_QUERIES): on Q and chi, whose several
 initial states no bench structure has, vacuity (auto and --via thorough) and
 qctl under bisimulation semantics; bodies with a set atom of the model,
 which K_x, K||X and the bounded-validity probe must read; the --via mono
-route on a mixed occurrence; and a parse error.  For each row, each tree
+route on a mixed occurrence; a parse error; and usage errors and option
+spellings that only argparse reads.  For each row, each tree
 runs in one Python process of its own, with its directory first on sys.path,
 which calls `vacmc.cli.main` for the row's queries one after another, as the
 bench does.  So what vacmc keeps from one call to the next is exercised: the
 closure cache, and the last model `parse_kripke` built.  An
-output is the exit code, standard output with `meta.elapsed_ms` blanked, and
-standard error.  Prints a Markdown report with the number of queries whose
+output is the exit code (or the code of a SystemExit, as argparse raises on
+a usage error), standard output with `meta.elapsed_ms` blanked, and standard
+error.  Prints a Markdown report with the number of queries whose
 outputs differ, per row and in total over the bench rows, and names up to
 ten of them.
 Each difference is named: `exit`, `stderr`, or the dotted paths of standard
@@ -73,6 +75,12 @@ FIXTURE_QUERIES = [
     ["vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p", "--bounded-validity", "2"],
     ["vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", "--via", "mono"],
     ["check", "L", "p q"],
+    # usage errors and shapes only argparse reads: a missing positional, an
+    # abbreviated option, '--opt=value', and a negative count
+    ["check", "L"],
+    ["check", "L", "AG p", "--form", "json"],
+    ["check", "L", "AG p", "--format=json"],
+    ["vacuity", "L", "p", "--sub", "p", "--bound", "-1"],
 ]
 
 
@@ -86,6 +94,8 @@ def run_queries(argvs):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
+            except SystemExit as exc:  # a usage error: its code, and argparse's message on stderr
+                code = f"SystemExit {exc.code}"
             except Exception as exc:  # an escaped exception is an output too
                 code, err = "raised", io.StringIO(f"{type(exc).__name__}: {exc}")
         outputs.append([code, ELAPSED.sub('"elapsed_ms": null', out.getvalue()), err.getvalue()])

@@ -5,8 +5,10 @@ Exit codes: 0 for a successful evaluation (the verdict is in the report),
 """
 
 import argparse
+import collections
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -111,6 +113,23 @@ class _Pairs:
         return "".join(parts)
 
 
+def _scalar(obj):
+    """json.dumps(obj) for a scalar: null, true, false, an int and a finite
+    float written as json writes them, with no encoder built per call; NaN,
+    the infinities and subclasses still go through json.dumps."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if type(obj) is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    return json.dumps(obj)
+
+
 def _dumps(obj, indent="\n"):
     """json.dumps(obj, indent=2), byte for byte, for str-keyed trees.
 
@@ -131,7 +150,7 @@ def _dumps(obj, indent="\n"):
     if isinstance(obj, _Pairs):
         return obj.dumps(indent)
     if not isinstance(obj, (list, tuple)):
-        return _quote(obj) if isinstance(obj, str) else json.dumps(obj)
+        return _quote(obj) if isinstance(obj, str) else _scalar(obj)
     if not obj:
         return "[]"
     sep = "," + inner
@@ -307,70 +326,119 @@ def _cmd_table1(args):
     return 0
 
 
+_Arg = collections.namedtuple("_Arg", "name dest type choices default required help metavar")
+
+
+def _arg(name, type=None, choices=None, default=None, required=False, help=None, metavar=None):
+    """One argument of a subcommand: an option when `name` starts with '-',
+    else a positional; `dest` is the namespace attribute argparse gives it."""
+    return _Arg(name, name.lstrip("-").replace("-", "_"), type, choices, default, required, help, metavar)
+
+
+class _Command:
+    """A subcommand: its help line, its handler, and its arguments in the
+    order argparse adds them, the common options last; the rest is what
+    _read looks up per token."""
+
+    def __init__(self, help_text, fn, *arguments):
+        self.help, self.fn = help_text, fn
+        self.arguments = arguments + (
+            _arg("--format", choices=("text", "json"), default="text"),
+            _arg("--bound", type=_count, default=20, help="refuse 2^|S| enumerations past this size"),
+        )
+        self.positionals = [a for a in self.arguments if a.name[0] != "-"]
+        self.options = {a.name: a for a in self.arguments if a.name[0] == "-"}
+        self.defaults = {a.dest: a.default for a in self.options.values()}
+        self.defaults["fn"] = fn
+        self.required = {a.dest for a in self.options.values() if a.required}
+
+
+_RELATION = (_arg("left"), _arg("right"), _arg("--props", required=True))
+_COMMANDS = {
+    "check": _Command("model-check a formula (2- or 3-valued)", _cmd_check, _arg("model"), _arg("formula")),
+    "vacuity": _Command(
+        "decide vacuity of a subformula", _cmd_vacuity, _arg("model"), _arg("formula"),
+        _arg("--sub", required=True),
+        _arg("--via", choices=("auto", "mono", "satx", "thorough", "structure"), default="auto"),
+        _arg("--bounded-validity", type=_count, metavar="N"),
+    ),
+    "bisim": _Command("greatest bisimulation", _cmd_relation, *_RELATION),
+    "simulates": _Command("does A simulate B", _cmd_relation, *_RELATION),
+    "quotient": _Command("bisimulation quotient", _cmd_quotient, _arg("model"), _arg("--props")),
+    "qctl": _Command(
+        "evaluate a quantified formula", _cmd_qctl, _arg("model"), _arg("formula"),
+        _arg("--semantics", choices=("structure", "tree", "bisim"), required=True),
+    ),
+    "translate": _Command(
+        "hardness-reduction encodings", _cmd_translate, _arg("what", choices=("ez", "f", "g", "decode")),
+        _arg("input"), _arg("--order", required=True, help="comma list: 'p,q' or 'p=1,q=2'"),
+        _arg("--props", help="decoded propositions (decode only)"), _arg("--z", default="z"),
+    ),
+    "table1": _Command("reproduce the three-semantics comparison grid", _cmd_table1),
+}
+
+
 @functools.cache
 def _parser():
-    """The argument parser, built once per process; parse_args fills a fresh
-    namespace on every call, so nothing carries over between calls."""
+    """The argument parser built from _COMMANDS, once per process; parse_args
+    fills a fresh namespace on every call, so nothing carries over between
+    calls."""
     parser = argparse.ArgumentParser(prog="vacmc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--bound", type=_count, default=20, help="refuse 2^|S| enumerations past this size")
-
-    p = sub.add_parser("check", help="model-check a formula (2- or 3-valued)")
-    p.add_argument("model")
-    p.add_argument("formula")
-    common(p)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("vacuity", help="decide vacuity of a subformula")
-    p.add_argument("model")
-    p.add_argument("formula")
-    p.add_argument("--sub", required=True)
-    p.add_argument("--via", choices=("auto", "mono", "satx", "thorough", "structure"), default="auto")
-    p.add_argument("--bounded-validity", type=_count, default=None, metavar="N")
-    common(p)
-    p.set_defaults(fn=_cmd_vacuity)
-
-    for name, help_text in (("bisim", "greatest bisimulation"), ("simulates", "does A simulate B")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("left")
-        p.add_argument("right")
-        p.add_argument("--props", required=True)
-        common(p)
-        p.set_defaults(fn=_cmd_relation)
-
-    p = sub.add_parser("quotient", help="bisimulation quotient")
-    p.add_argument("model")
-    p.add_argument("--props", default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_quotient)
-
-    p = sub.add_parser("qctl", help="evaluate a quantified formula")
-    p.add_argument("model")
-    p.add_argument("formula")
-    p.add_argument("--semantics", choices=("structure", "tree", "bisim"), required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_qctl)
-
-    p = sub.add_parser("translate", help="hardness-reduction encodings")
-    p.add_argument("what", choices=("ez", "f", "g", "decode"))
-    p.add_argument("input")
-    p.add_argument("--order", required=True, help="comma list: 'p,q' or 'p=1,q=2'")
-    p.add_argument("--props", default=None, help="decoded propositions (decode only)")
-    p.add_argument("--z", default="z")
-    common(p)
-    p.set_defaults(fn=_cmd_translate)
-
-    p = sub.add_parser("table1", help="reproduce the three-semantics comparison grid")
-    common(p)
-    p.set_defaults(fn=_cmd_table1)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for a in command.arguments:
+            if a.name[0] != "-":
+                p.add_argument(a.name, choices=a.choices)
+            else:
+                p.add_argument(a.name, type=a.type, choices=a.choices, default=a.default, required=a.required,
+                               help=a.help, metavar=a.metavar)
+        p.set_defaults(fn=command.fn)
     return parser
 
 
+def _read(argv):
+    """The namespace _parser().parse_args(argv) returns, read in one pass, for
+    the plain shape: a subcommand, its positionals in order, and exact option
+    names each followed by a value that does not start with '-', passes its
+    converter and is among its choices, every required option given.  None
+    for anything else (help, an abbreviation, '--opt=value', '--', a value
+    such as '-1', a refusal), which argparse then reads and reports."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"command": argv[0], **command.defaults}
+    positionals, missing = iter(command.positionals), set(command.required)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] == "-":
+            a = command.options.get(token)
+            token = next(tokens, "-")  # no value left: declined as a value starting with '-' is
+            if a is None or token[:1] == "-":
+                return None
+            missing.discard(a.dest)
+        else:
+            a = next(positionals, None)
+            if a is None:
+                return None
+        if a.type is not None:
+            try:
+                token = a.type(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if a.choices is not None and token not in a.choices:
+            return None
+        values[a.dest] = token
+    if missing or next(positionals, None) is not None:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except VacmcError as e:

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
@@ -344,6 +347,112 @@ class TestOneParser:
         assert result("quotient", "O")["inputs"]["props"] is None
         assert result("bisim", "L", "M", "--props", "p")["inputs"]["props"] == ["p"]
         assert result("check", "L", "AG p")["inputs"] == {"model": "L", "formula": "AG p"}
+
+
+# One argument list per subcommand with every option at a valid value: the
+# shapes the bench sends, which must not fall back to argparse.
+CANONICAL = [
+    ["check", "L", "AG p", "--format", "json", "--bound", "3"],
+    ["vacuity", "L", "AG p", "--sub", "p", "--via", "auto", "--bounded-validity", "2", "--format", "json",
+     "--bound", "20"],
+    ["bisim", "L", "M", "--props", "p", "--format", "json", "--bound", "20"],
+    ["simulates", "M", "L", "--props", "p", "--format", "text", "--bound", "20"],
+    ["quotient", "M", "--props", "p", "--format", "json", "--bound", "20"],
+    ["qctl", "M", "forall x . AG (x -> AX x)", "--semantics", "structure", "--format", "json", "--bound", "20"],
+    ["translate", "f", "AG p", "--order", "p", "--props", "p", "--z", "z", "--format", "json", "--bound", "20"],
+    ["table1", "--format", "text", "--bound", "20"],
+]
+
+# Values a generated argument list draws from, valid and refused alike.
+_VALUES = {
+    "model": ["L", "M"], "left": ["L", "M"], "right": ["M"], "input": ["L", "AG p"],
+    "formula": ["AG p", "forall x . AG (x -> AX x)", "p q", ""], "sub": ["p", "q"], "props": ["p", "p,q"],
+    "order": ["p", "p=1", "p,p"], "z": ["z"],
+}
+_ODD = ["-h", "--", "-1", "-p", "extra"]
+
+
+def _value(a):
+    """Mostly a value the argument takes, else one argparse refuses or reads as an option."""
+    valid = ["0", "3"] if a.type is cli._count else [*(a.choices or ()), *_VALUES.get(a.dest, ())]
+    return st.sampled_from(valid * 4 + ["x" if a.type is cli._count else "xml", "-1", "-p"])
+
+
+@st.composite
+def _argvs(draw):
+    """Argument lists over the command table, and an unknown command: the
+    last positional at times dropped; options absent, repeated, abbreviated or
+    written with '=', placed before, between and after the positionals; at
+    times one stray token of _ODD, an extra positional among them."""
+    name = draw(st.sampled_from([*cli._COMMANDS, "nope"]))
+    command = cli._COMMANDS.get(name, cli._COMMANDS["check"])
+    groups = [[draw(_value(a))] for a in command.positionals]
+    if groups and draw(st.integers(0, 7)) == 7:
+        groups.pop()
+    for a in command.options.values():
+        for _ in range(draw(st.sampled_from([1, 0, 1, 2, 1]))):
+            value, spelling = draw(_value(a)), draw(st.sampled_from(["exact"] * 8 + ["abbreviated", "="]))
+            group = [a.name[:-1], value] if spelling == "abbreviated" else [a.name, value]
+            groups.insert(draw(st.integers(0, len(groups))), [f"{a.name}={value}"] if spelling == "=" else group)
+    if draw(st.integers(0, 3)) == 3:
+        groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(_ODD))])
+    return [name] + [token for group in groups for token in group]
+
+
+def _outcome(argv):
+    """main's exit code, standard output (elapsed time blanked) and standard
+    error; a SystemExit from argparse is an outcome too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, re.sub(r'"elapsed_ms": [^,\n]*', "", out.getvalue()), err.getvalue()
+
+
+class TestOnePassReader:
+    """cli._read reads the plain argument lists from the command table and
+    leaves everything else to argparse, which stays the reference."""
+
+    @seed(20261020)
+    @settings(max_examples=300, database=None, deadline=None)
+    @given(_argvs())
+    def test_agrees_with_argparse(self, argv):
+        args = cli._read(argv)
+        if args is not None:
+            assert vars(args) == vars(cli._parser().parse_args(argv))
+        with mock.patch.object(cli, "_read", lambda argv: None):
+            reference = _outcome(argv)
+        assert _outcome(argv) == reference
+
+    def test_canonical_lists_cover_every_command_and_option(self):
+        assert [argv[0] for argv in CANONICAL] == list(cli._COMMANDS)
+        for argv in CANONICAL:
+            assert {token for token in argv if token.startswith("--")} == set(cli._COMMANDS[argv[0]].options)
+
+    @pytest.mark.parametrize("argv", CANONICAL, ids=[argv[0] for argv in CANONICAL])
+    def test_a_canonical_list_never_builds_argparse(self, capsys, monkeypatch, argv):
+        args = cli._read(argv)
+        assert args is not None and vars(args) == vars(cli._parser().parse_args(argv))
+        monkeypatch.setattr(cli, "_parser", lambda: pytest.fail("argparse read a plain argument list"))
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2) and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "L", "AG p", "--bound", "-1"], ["check", "L", "AG p", "--bound", "x"],
+        ["check", "L", "AG p", "--form", "json"], ["check", "L", "AG p", "--format=json"],
+        ["check", "L", "AG p", "--format", "xml"], ["check", "L", "AG p", "--format"], ["check", "L"],
+        ["check", "L", "AG p", "extra"], ["check", "--", "L", "AG p"], ["check", "-h"], ["-h"], [], ["nope"],
+        ["vacuity", "L", "p"], ["translate", "x", "L", "--order", "p"],
+    ])
+    def test_other_shapes_are_left_to_argparse(self, argv):
+        assert cli._read(argv) is None
+
+    def test_the_process_arguments_are_read_when_none_are_given(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["vacmc", "check", "L", "AG p", "--format", "json"])
+        code, out = main(), capsys.readouterr().out
+        assert code == 0 and json.loads(out)["inputs"] == {"model": "L", "formula": "AG p"}
 
 
 def _counting_parses(monkeypatch):
