@@ -337,15 +337,10 @@ def _arg(name, type=None, choices=None, default=None, required=False, help=None,
 
 class _Command:
     """A subcommand: its help line, its handler, and its arguments in the
-    order argparse adds them, the common options last; the rest is what
-    _read looks up per token."""
+    order argparse adds them; the rest is what _read looks up per token."""
 
     def __init__(self, help_text, fn, *arguments):
-        self.help, self.fn = help_text, fn
-        self.arguments = arguments + (
-            _arg("--format", choices=("text", "json"), default="text"),
-            _arg("--bound", type=_count, default=20, help="refuse 2^|S| enumerations past this size"),
-        )
+        self.help, self.fn, self.arguments = help_text, fn, arguments
         self.positionals = [a for a in self.arguments if a.name[0] != "-"]
         self.options = {a.name: a for a in self.arguments if a.name[0] == "-"}
         self.defaults = {a.dest: a.default for a in self.options.values()}
@@ -353,26 +348,30 @@ class _Command:
         self.required = {a.dest for a in self.options.values() if a.required}
 
 
-_RELATION = (_arg("left"), _arg("right"), _arg("--props", required=True))
+_FORMAT = _arg("--format", choices=("text", "json"), default="text")
+_BOUND = _arg("--bound", type=_count, default=20,
+              help="sweep K's 2^|S| labelings only if |S| <= this; past it the sweep is skipped, "
+                   "or refused where it is the only route")
+_RELATION = (_arg("left"), _arg("right"), _arg("--props", required=True), _FORMAT)
 _COMMANDS = {
-    "check": _Command("model-check a formula (2- or 3-valued)", _cmd_check, _arg("model"), _arg("formula")),
+    "check": _Command("model-check a formula (2- or 3-valued)", _cmd_check, _arg("model"), _arg("formula"), _FORMAT),
     "vacuity": _Command(
         "decide vacuity of a subformula", _cmd_vacuity, _arg("model"), _arg("formula"),
         _arg("--sub", required=True),
         _arg("--via", choices=("auto", "mono", "satx", "thorough", "structure"), default="auto"),
-        _arg("--bounded-validity", type=_count, metavar="N"),
+        _arg("--bounded-validity", type=_count, metavar="N"), _FORMAT, _BOUND,
     ),
     "bisim": _Command("greatest bisimulation", _cmd_relation, *_RELATION),
     "simulates": _Command("does A simulate B", _cmd_relation, *_RELATION),
-    "quotient": _Command("bisimulation quotient", _cmd_quotient, _arg("model"), _arg("--props")),
+    "quotient": _Command("bisimulation quotient", _cmd_quotient, _arg("model"), _arg("--props"), _FORMAT),
     "qctl": _Command(
         "evaluate a quantified formula", _cmd_qctl, _arg("model"), _arg("formula"),
-        _arg("--semantics", choices=("structure", "tree", "bisim"), required=True),
+        _arg("--semantics", choices=("structure", "tree", "bisim"), required=True), _FORMAT, _BOUND,
     ),
     "translate": _Command(
         "hardness-reduction encodings", _cmd_translate, _arg("what", choices=("ez", "f", "g", "decode")),
         _arg("input"), _arg("--order", required=True, help="comma list: 'p,q' or 'p=1,q=2'"),
-        _arg("--props", help="decoded propositions (decode only)"), _arg("--z", default="z"),
+        _arg("--props", help="decoded propositions (decode only)"), _arg("--z", default="z"), _FORMAT,
     ),
     "table1": _Command("reproduce the three-semantics comparison grid", _cmd_table1),
 }

@@ -57,9 +57,6 @@ class Formula:
                     return False
         return True
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 

@@ -269,7 +269,7 @@ class KripkeStructure:
         return self.name == other.name and self._content() == other._content()
 
     def __hash__(self):
-        return hash((self.name, self.states, frozenset(self.trans)))
+        return hash((self.name, self.states))
 
     def __repr__(self):
         return f"<KripkeStructure {self.name}: {self.n} states, {sum(map(len, self.succ))} transitions>"

@@ -556,7 +556,6 @@ class _Evaluator(_Duality):
         self.force_tableau, self.definite = force_tableau, definite
         self.memo = {}
         self._foreign = {}
-        self._tableau = set()  # path formulas that _operands sent to the tableau
         self._closures = {}  # path quantifier -> _Closure, kept for every labeling of a sweep
         self._graphs = {}
 
@@ -569,12 +568,14 @@ class _Evaluator(_Duality):
         (K |= phi).  A root quantifier on the tableau route is asked only
         there, on its rooted graph, and its mask stays out of memo."""
         at = self.k.init_mask if at is None else at
-        if isinstance(phi, (F.PathA, F.PathE)) and phi not in self.memo:
-            self._operands(phi)  # sends phi to the tableau, or not
-            if phi in self._tableau:
-                mask = self.rooted(phi, at).e_mask()
-                return mask == at if isinstance(phi, F.PathE) else not mask
+        if isinstance(phi, (F.PathA, F.PathE)) and phi not in self.memo and self.on_tableau(phi):
+            mask = self.rooted(phi, at).e_mask()
+            return mask == at if isinstance(phi, F.PathE) else not mask
         return at & self.states(phi) == at
+
+    def on_tableau(self, phi):
+        """The path quantifier phi is labelled by the tableau, not by a CTL fixpoint."""
+        return self.force_tableau or _ctl_operands(phi.child) is None
 
     def _operands(self, phi):
         """The operands of a connective, or the state subformulas under a path
@@ -586,11 +587,8 @@ class _Evaluator(_Duality):
             return (phi.left, phi.right)
         if not isinstance(phi, (F.PathA, F.PathE)):
             return ()
-        operands = _ctl_operands(phi.child)
-        if operands is not None and not self.force_tableau:
-            return operands
-        self._tableau.add(phi)
-        return self._closure(phi).leaves
+        operands = None if self.force_tableau else _ctl_operands(phi.child)  # on_tableau's rule, read once
+        return self._closure(phi).leaves if operands is None else operands
 
     def _states(self, phi, operands):
         """Mask of phi from the masks of its _operands, in order."""
@@ -704,7 +702,7 @@ class _Evaluator(_Duality):
         return r ^ weak ^ flags_mask(live)
 
     def _quantified_path(self, phi, operands):
-        if phi not in self._tableau:
+        if not self.on_tableau(phi):
             return self._fixpoint(phi, operands)
         mask = self.graph(phi).e_mask()
         return mask if isinstance(phi, F.PathE) else self.full ^ mask
@@ -768,7 +766,8 @@ class _LaneSweep(_Duality):
     of labelings base .. base+width-1 each node that contains the atom gets
     one lane per state: a width-bit int whose bit j says whether the node
     holds there under labeling base+j.  Those nodes are kept in post-order
-    with their operands; the evaluator `ev` labels the others once, when
+    with their operands and their combiner (_path on the tableau route, else
+    _node); the evaluator `ev` labels the others once, when
     ev.states would reach them, and their masks are broadcast to lanes.
     Connectives work lane by lane, and CTL operators by worklists over the
     lanes.  A genuine path quantifier decides the chunk from one product of
@@ -790,7 +789,8 @@ class _LaneSweep(_Duality):
 
         def depends(f, parts):
             if any(parts):
-                self.nodes.append((f, operands[f]))
+                tableau = isinstance(f, (F.PathA, F.PathE)) and ev.on_tableau(f)
+                self.nodes.append((f, operands[f], self._path if tableau else self._node))
                 return True
             ev.states(f)
             return False
@@ -816,8 +816,8 @@ class _LaneSweep(_Duality):
                 got = lanes[f] = [ones * (mask >> s & 1) for s in range(n)]
             return got
 
-        for f, operands in self.nodes:
-            lanes[f] = self._node(f, [lane(o) for o in operands])
+        for f, operands, combine in self.nodes:
+            lanes[f] = combine(f, [lane(o) for o in operands])
         return lane(self.phi)
 
     def _node(self, f, args):
@@ -830,8 +830,6 @@ class _LaneSweep(_Duality):
             return list(map(int.__or__, *args))
         if isinstance(f, F.Implies):
             return [(ones ^ a) | b for a, b in zip(*args)]
-        if f in self.ev._tableau:
-            return self._path(f, args)
         return self._fixpoint(f, args)
 
     def _path(self, phi, args):
@@ -942,11 +940,9 @@ class _LaneSweep(_Duality):
         return z
 
 
-def eval_states(k, phi, env=None, force_tableau=False):
+def eval_states(k, phi, env=None):
     """Exact set of states of k satisfying the quantifier-free state formula."""
-    ev = _Evaluator(k, env, force_tableau)
-    mask = ev.states(phi)
-    return StateSet(k.name, k.names_of(mask))
+    return StateSet(k.name, k.names_of(_Evaluator(k, env).states(phi)))
 
 
 def eval_mask(k, phi, env=None, force_tableau=False):

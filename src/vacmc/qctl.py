@@ -48,10 +48,10 @@ def _result(question, routes):
     return QEvalResult(value, _ROUTE_NAMES[route], evidence)
 
 
-def _quantified(k, q, forall, bound, variant_bound, env):
+def _quantified(k, q, forall, bound, env):
     """`forall` (question -> QEvalResult) on q; exists var . body is !(forall var . !body)."""
     kind, var, body = F.strip_quantifier(q)
-    r = forall(_Query(k, body if kind == "forall" else F.Not(body), var, bound, variant_bound, env))
+    r = forall(_Query(k, body if kind == "forall" else F.Not(body), var, bound, env))
     if kind == "forall" or not r.decided:
         return r
     return QEvalResult(not r.value, DUALITY, r.witness)
@@ -68,9 +68,9 @@ def eval_structural(k, q, bound=20, env=None):
     return (not deciding, None) if mask is None else (deciding, k.names_of(mask))
 
 
-def eval_bisimulation(k, q, bound=20, variant_bound=12, env=None):
+def eval_bisimulation(k, q, bound=20, env=None):
     """Bisimulation semantics of a root-quantified formula."""
-    return _quantified(k, q, lambda question: _result(question, BISIM_ROUTES), bound, variant_bound, env)
+    return _quantified(k, q, lambda question: _result(question, BISIM_ROUTES), bound, env)
 
 
 def pathify(phi):
@@ -98,9 +98,9 @@ def _tree_forall(question):
     return QEvalResult(None, UNKNOWN)
 
 
-def eval_tree(k, q, bound=20, variant_bound=12, env=None):
+def eval_tree(k, q, bound=20, env=None):
     """Tree semantics by the first applicable sound route."""
-    return _quantified(k, q, _tree_forall, bound, variant_bound, env)
+    return _quantified(k, q, _tree_forall, bound, env)
 
 
 def refute_tree_with_witness(k, q, u):

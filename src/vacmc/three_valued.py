@@ -112,22 +112,22 @@ def _thorough(q):
     return None, {"compositional": q.compositional, "labeling": labeling}
 
 
-def thorough_kx(k, x, phi, bound=20, variant_bound=12):
+def thorough_kx(k, x, phi, bound=20):
     """Thorough value of phi on K_x (whose completions are the structures
     x-bisimilar to K), or (None, bounds) when undecided."""
     if x not in F.atoms(phi):
         raise EvalError(f"{x!r} does not occur in the formula")
-    return _thorough(_Query(k, phi, x, bound, variant_bound))
+    return _thorough(_Query(k, phi, x, bound))
 
 
-def vacuity_via_thorough(phi, psi, k, bound=20, variant_bound=12):
+def vacuity_via_thorough(phi, psi, k, bound=20):
     """Vacuous iff phi[psi <- x] is thoroughly definite on K_x."""
     x = F.fresh_prop(F.atoms(phi) | set(k.props))
     phix = F.substitute(phi, psi, F.Atom(x))
     if x not in F.atoms(phix):
         # psi does not occur: the substitution is a no-op, thorough = classical.
         return VacuityVerdict(VacuityStatus.VACUOUS, "thorough", {"thorough": "definite"})
-    q = _Query(k, phix, x, bound, variant_bound)
+    q = _Query(k, phix, x, bound)
     if q.compositional not in (None, "maybe"):
         return VacuityVerdict(VacuityStatus.VACUOUS, "compositional", {"compositional": q.compositional})
     v, bounds = _thorough(q)

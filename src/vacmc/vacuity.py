@@ -64,11 +64,11 @@ class _Query:
     k is in its own env, so every route reads k's set atoms alike: as k's own
     on k's statespace (its labelings, K_x), by bisimulation on K||X and bases."""
 
-    def __init__(self, k, body, x, bound=20, variant_bound=12, env=None, partner=None):
+    def __init__(self, k, body, x, bound=20, env=None, partner=None):
         if x in k.props:
             raise EvalError(f"quantified variable {x!r} is already a proposition of {k.name}")
         self.k, self.body, self.x, self.env = k, body, x, {k.name: k, **(env or {})}
-        self.bound, self.variant_bound = bound, variant_bound
+        self.bound = bound
         self.partner = partner or functools.partial(duplicate_m, m=2)
         self.root, self.states = self, k.init_mask
         self.agreed = None  # the verdict every labeling of x on k gives body, once known
@@ -78,7 +78,7 @@ class _Query:
 
     def _view(self, states):
         """!body at `states` alone, on the root's K||X, sweep and bases."""
-        view = _Query(self.k, F.Not(self.body), self.x, self.bound, self.variant_bound, self.env, self.partner)
+        view = _Query(self.k, F.Not(self.body), self.x, self.bound, self.env, self.partner)
         view.root, view.states = self.root, states
         return view
 
@@ -188,9 +188,12 @@ def _sweep_route(q, r):
     return None if mask is None else (False, "sweep", q.k.names_of(mask))
 
 
+_VARIANT_STATES = 12
+
+
 def _variant_route(q, r):
     """Refutes by an x-variant of k's quotient or of partner(k), of at most
-    variant_bound states, with another verdict than r.  A quotient of k's
+    _VARIANT_STATES states, with another verdict than r.  A quotient of k's
     size is k renamed, so once k's own labelings all gave r it is skipped."""
     bases = q.root._bases
     if q is not q.root:  # a view asks at its states' blocks and copies
@@ -198,7 +201,7 @@ def _variant_route(q, r):
         bases = [bases[0]._view(blocks), bases[1]._view(_spread(q.states, 2))]
     if bases[0].k.n == q.k.n and q.agreed == r:
         bases = bases[1:]
-    found = _variant_disagreement(bases, r, q.variant_bound)
+    found = _variant_disagreement(bases, r, _VARIANT_STATES)
     if found is None:
         return None
     labeling = {s: found.label3(s, q.x).value == "true" for s in found.states}
@@ -208,13 +211,12 @@ def _variant_route(q, r):
 BISIM_ROUTES = (_kx_route, _sweep_route, _variant_route)
 
 
-def _vacuity_query(phi, psi, k, bound=20, variant_bound=12, env=None):
+def _vacuity_query(phi, psi, k, bound=20, env=None):
     """phi[psi <- x] for a fresh x; its partner is K||X_y for a second fresh y."""
     taken = F.atoms(phi) | set(k.props)
     x = F.fresh_prop(taken)
     y = F.fresh_prop(taken | {x})
-    return _Query(k, F.substitute(phi, psi, F.Atom(x)), x, bound, variant_bound, env,
-                  lambda ks: compose_sync(ks, chi(y)))
+    return _Query(k, F.substitute(phi, psi, F.Atom(x)), x, bound, env, lambda ks: compose_sync(ks, chi(y)))
 
 
 def _constants(phi, psi, k, env):
@@ -281,7 +283,7 @@ def is_fal_vacuous(phi, psi, k, env=None):
                       "phi is not ECTL* and psi is not an existential subformula")
 
 
-def enumerate_structures(props, max_states, limit=200_000):
+def enumerate_structures(props, max_states):
     """Every classical pointed structure with <= max_states states over props.
 
     Initial state fixed to the first state; used by the bounded-validity
@@ -291,7 +293,7 @@ def enumerate_structures(props, max_states, limit=200_000):
     total = 0
     for n in range(1, max_states + 1):
         total += (1 << len(props)) ** n * ((1 << n) - 1) ** n
-    if total > limit:
+    if total > _PROBE_STRUCTURES:
         raise EnumerationBoundError(f"bounded-validity probe would enumerate {total} structures")
     no_maybe = dict.fromkeys(props, 0)
     for n in range(1, max_states + 1):
@@ -307,10 +309,11 @@ def enumerate_structures(props, max_states, limit=200_000):
                 yield KripkeStructure._of("probe", props, states, index, (states[0],), succ, tmask, no_maybe)
 
 
-# The bounded-validity probe labels unions of at most _UNION_STATES states, the
-# first of at most _FIRST_UNION and each next one up to twice its predecessor,
-# so that an early disagreement is found after little work.
-_FIRST_UNION, _UNION_STATES = 1 << 7, 1 << 10
+# The bounded-validity probe enumerates at most _PROBE_STRUCTURES structures.
+# It labels unions of at most _UNION_STATES states, the first of at most
+# _FIRST_UNION and each next one up to twice its predecessor, so that an early
+# disagreement is found after little work.
+_PROBE_STRUCTURES, _FIRST_UNION, _UNION_STATES = 200_000, 1 << 7, 1 << 10
 
 
 @functools.lru_cache(maxsize=16)  # unions come in few sizes: near each doubling of the limit, and tails
@@ -392,7 +395,7 @@ def _variant_disagreement(questions, reference, bound):
     return None
 
 
-def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, variant_bound=12, env=None):
+def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, env=None):
     """Three-valued bisimulation-vacuity verdict with route and evidence: does
     phi[psi <- x] keep K's verdict on every structure x-bisimilar to K?"""
     polarity = F.occurrence_polarity(phi, psi)
@@ -403,7 +406,7 @@ def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, variant_b
         return VacuityVerdict(_status(vt == vf), "monotone", {"substituted_true": vt, "substituted_false": vf})
 
     sat = check_ctl_star(k, phi, env)
-    q = _vacuity_query(phi, psi, k, bound, variant_bound, env)
+    q = _vacuity_query(phi, psi, k, bound, env)
     # satx/falx: the K||X route on the side K's verdict names.
     value = q.decide((_kx_route,), sat)[0]
     if value is not None:

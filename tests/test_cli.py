@@ -250,6 +250,9 @@ class TestTranslate:
         code, out, err = run(capsys, "translate", *argv)
         assert code == 1 and out == "" and err.startswith("error: ") and "internal" not in err
 
+    def test_decode_requires_props(self, capsys):
+        assert run(capsys, "translate", "decode", "L", "--order", "p") == (1, "", "error: decode requires --props\n")
+
     @pytest.mark.parametrize("order", ["p=1,p=2", "p,p", "p=2,q=1,p=3", "q p,p"])
     def test_a_repeated_proposition_is_named(self, capsys, order):
         code, out, err = run(capsys, "translate", "f", "p", "--order", order)
@@ -352,15 +355,15 @@ class TestOneParser:
 # One argument list per subcommand with every option at a valid value: the
 # shapes the bench sends, which must not fall back to argparse.
 CANONICAL = [
-    ["check", "L", "AG p", "--format", "json", "--bound", "3"],
+    ["check", "L", "AG p", "--format", "json"],
     ["vacuity", "L", "AG p", "--sub", "p", "--via", "auto", "--bounded-validity", "2", "--format", "json",
      "--bound", "20"],
-    ["bisim", "L", "M", "--props", "p", "--format", "json", "--bound", "20"],
-    ["simulates", "M", "L", "--props", "p", "--format", "text", "--bound", "20"],
-    ["quotient", "M", "--props", "p", "--format", "json", "--bound", "20"],
+    ["bisim", "L", "M", "--props", "p", "--format", "json"],
+    ["simulates", "M", "L", "--props", "p", "--format", "text"],
+    ["quotient", "M", "--props", "p", "--format", "json"],
     ["qctl", "M", "forall x . AG (x -> AX x)", "--semantics", "structure", "--format", "json", "--bound", "20"],
-    ["translate", "f", "AG p", "--order", "p", "--props", "p", "--z", "z", "--format", "json", "--bound", "20"],
-    ["table1", "--format", "text", "--bound", "20"],
+    ["translate", "f", "AG p", "--order", "p", "--props", "p", "--z", "z", "--format", "json"],
+    ["table1"],
 ]
 
 # Values a generated argument list draws from, valid and refused alike.

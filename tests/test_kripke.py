@@ -72,6 +72,11 @@ class TestFormat:
         with pytest.raises(KripkeError, match="undeclared proposition"):
             parse_kripke("kripke B\nprops: p\ninit: s\nstate s: q\ntrans: s s\n")
 
+    def test_index_of_an_unknown_state(self, fx):
+        assert fx("M").index("b1") == 1
+        with pytest.raises(KripkeError, match="M: unknown state 'a0'"):
+            fx("M").index("a0")
+
     def test_unknown_proposition_in_any_mask(self, fx):
         k = fx("L")
         for lookup in (k.true_mask, k.maybe_mask):

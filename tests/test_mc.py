@@ -252,6 +252,10 @@ class TestSetAtoms:
         with pytest.raises(EvalError, match="bisimulation"):
             eval_states(fx("V"), p("{a0}@L"), env={"L": fx("L")})
 
+    def test_a_state_its_home_lacks_is_rejected(self, fx):
+        with pytest.raises(EvalError, match="set atom state 'a9' not in structure 'L'"):
+            eval_states(fx("M"), p("{a9}@L"), env={"L": fx("L")})
+
     def test_unknown_structure_rejected(self, fx):
         with pytest.raises(EvalError, match="unknown structure"):
             eval_states(fx("M"), p("{a0}@Z"))

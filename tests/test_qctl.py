@@ -104,6 +104,14 @@ class TestRefuteTreeWithWitness:
     def test_does_not_refute_tautology(self, fx):
         assert not refute_tree_with_witness(fx("L"), QP3, self._witness(fx))
 
+    def test_an_existential_formula_is_refused(self, fx):
+        with pytest.raises(EvalError, match="universally quantified"):
+            refute_tree_with_witness(fx("L"), p("exists x . AG (x -> AX x)"), self._witness(fx))
+
+    def test_a_map_into_another_structure_is_refused(self, fx):
+        with pytest.raises(KripkeError, match="unrolling map targets a different structure"):
+            refute_tree_with_witness(fx("M"), QP1, self._witness(fx))
+
     def test_broken_map_rejected(self, fx):
         m4 = x_variants(fx("M"), "x")[1]
         bad = UnrollingMap(m4, fx("L"), {"b0": "a0", "b1": "a0"})

@@ -200,6 +200,14 @@ class TestLiftAndCompletions:
         assert lx.label3("a0", "p") is T3 and lx.label3("a0", "x") is M3
         assert structurally_equal(remove_prop(lx, "x"), fx("L"))
 
+    def test_lift_refuses_a_three_valued_structure(self, fx):
+        with pytest.raises(KripkeError, match="lift_kx expects a classical structure"):
+            lift_kx(lift_kx(fx("L"), "x"), "y")
+
+    def test_lift_refuses_a_present_proposition(self, fx):
+        with pytest.raises(KripkeError, match="L: proposition 'p' already present"):
+            lift_kx(fx("L"), "p")
+
     def test_completions_are_variants(self, fx):
         for name in ("L", "M"):
             kx = lift_kx(fx(name), "x")
@@ -242,6 +250,10 @@ class TestThorough:
     def test_requires_occurrence(self, fx):
         with pytest.raises(EvalError, match="occur"):
             thorough_kx(fx("L"), "x", p("AG p"))
+
+    def test_refuses_a_three_valued_base(self, fx):
+        with pytest.raises(KripkeError, match="thorough_kx expects a classical base structure"):
+            thorough_kx(lift_kx(fx("L"), "y"), "x", p("AG x"))
 
     def test_precision_and_labeling_bounds(self, rng, fx):
         for name in ("L", "M", "P", "V"):
@@ -299,6 +311,11 @@ class TestVacuityViaThorough:
     def test_p3_vacuous(self, fx):
         v = vacuity_via_thorough(p("A((X p) | (X !p))"), F.Atom("p"), fx("L"))
         assert v.status is VacuityStatus.VACUOUS
+
+    def test_a_subformula_that_does_not_occur_is_vacuous(self, fx):
+        # EX p does not occur in AG p, so replacing it changes no verdict
+        v = vacuity_via_thorough(p("AG p"), p("EX p"), fx("V"))
+        assert v.to_dict() == {"status": "vacuous", "route": "thorough", "witness": {"thorough": "definite"}}
 
     def test_pure_polarity_matches_monotone(self, fx):
         phi, psi = p("AG (p -> AF q)"), p("AF q")

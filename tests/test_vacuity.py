@@ -58,6 +58,12 @@ class TestStructureVacuous:
         flag, witness = structure_vacuous(p("AG (p -> AX q)"), AXQ, fx("P"))
         assert not flag and witness is not None
 
+    def test_refused_past_its_bound(self, fx):
+        m = fx("M")
+        with pytest.raises(EnumerationBoundError, match=r"2\^2 substitutions exceed the bound 2\^1"):
+            structure_vacuous(P4, PA, m, bound=1)
+        assert structure_vacuous(P4, PA, m, bound=2)[0] is False
+
 
 class TestSyntacticMonotone:
     def test_examples(self):
