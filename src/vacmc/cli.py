@@ -203,7 +203,21 @@ def _cmd_check(args):
     return 0
 
 
+def _bound(args):
+    """The --bound keyword of a library call: none when the option is not
+    given, so that the library's default holds."""
+    return {} if args.bound is None else {"bound": args.bound}
+
+
+# The --via routes that read each option of vacuity; any other route refuses it.
+_READ_BY = (("--bounded-validity", "bounded_validity", ("auto",)),
+            ("--bound", "bound", ("auto", "thorough", "structure")))
+
+
 def _cmd_vacuity(args):
+    for option, dest, routes in _READ_BY:
+        if getattr(args, dest) is not None and args.via not in routes:
+            _parsers()[1]["vacuity"].error(f"argument {option}: not read by --via {args.via}")
     k = _load_model(args.model)
     phi = F.parse_formula(args.formula)
     psi = F.parse_formula(args.sub)
@@ -212,9 +226,9 @@ def _cmd_vacuity(args):
     if via in ("auto", "thorough"):
         if via == "auto":
             verdict = vacuity.decide_bisim_vacuity(phi, psi, k, bounded_validity=args.bounded_validity,
-                                                   bound=args.bound)
+                                                   **_bound(args))
         else:
-            verdict = three_valued.vacuity_via_thorough(phi, psi, k, bound=args.bound)
+            verdict = three_valued.vacuity_via_thorough(phi, psi, k, **_bound(args))
         report.finish(verdict.to_dict(), args.format)
         return 2 if verdict.status is VacuityStatus.UNKNOWN else 0
     if via == "mono":
@@ -225,7 +239,7 @@ def _cmd_vacuity(args):
         value = vacuity.is_sat_vacuous(phi, psi, k)
         result = {"status": "vacuous" if value else "non-vacuous", "route": "satx"}
     else:  # structure
-        flag, witness = vacuity.structure_vacuous(phi, psi, k, bound=args.bound)
+        flag, witness = vacuity.structure_vacuous(phi, psi, k, **_bound(args))
         result = {"status": "vacuous-by-structure" if flag else "non-vacuous", "route": "structure"}
         if witness is not None:
             result["witness"] = {"satisfying_set": list(witness[0]), "falsifying_set": list(witness[1])}
@@ -262,14 +276,14 @@ def _cmd_qctl(args):
         raise VacmcError("qctl expects a root-quantified formula (forall x . ... / exists x . ...)")
     report = _Report(args, {"model": args.model, "formula": args.formula, "semantics": args.semantics})
     if args.semantics == "structure":
-        value, labeling = qctl.eval_structural(k, q, bound=args.bound)
+        value, labeling = qctl.eval_structural(k, q, **_bound(args))
         result = {"value": value, "route": qctl.BRUTE_FORCE_Y}
         if labeling is not None:
             result["witness"] = {"labeling": list(labeling)}
         report.finish(result, args.format)
         return 0
     fn = qctl.eval_tree if args.semantics == "tree" else qctl.eval_bisimulation
-    r = fn(k, q, bound=args.bound)
+    r = fn(k, q, **_bound(args))
     result = {"value": r.value, "route": r.route}
     if r.witness is not None:
         result["witness"] = r.witness
@@ -349,7 +363,7 @@ class _Command:
 
 
 _FORMAT = _arg("--format", choices=("text", "json"), default="text")
-_BOUND = _arg("--bound", type=_count, default=20,
+_BOUND = _arg("--bound", type=_count,
               help="sweep K's 2^|S| labelings only if |S| <= this; past it the sweep is skipped, "
                    "or refused where it is the only route")
 _RELATION = (_arg("left"), _arg("right"), _arg("--props", required=True), _FORMAT)
@@ -378,14 +392,16 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser():
-    """The argument parser built from _COMMANDS, once per process; parse_args
-    fills a fresh namespace on every call, so nothing carries over between
-    calls."""
+def _parsers():
+    """The argument parser built from _COMMANDS, once per process, and each
+    command's subparser by name (whose error() reports a refusal made after
+    parsing); parse_args fills a fresh namespace on every call, so nothing
+    carries over between calls."""
     parser = argparse.ArgumentParser(prog="vacmc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = subparsers[name] = sub.add_parser(name, help=command.help)
         for a in command.arguments:
             if a.name[0] != "-":
                 p.add_argument(a.name, choices=a.choices)
@@ -393,7 +409,11 @@ def _parser():
                 p.add_argument(a.name, type=a.type, choices=a.choices, default=a.default, required=a.required,
                                help=a.help, metavar=a.metavar)
         p.set_defaults(fn=command.fn)
-    return parser
+    return parser, subparsers
+
+
+def _parser():
+    return _parsers()[0]
 
 
 def _read(argv):

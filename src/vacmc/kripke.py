@@ -231,12 +231,37 @@ class KripkeStructure:
             self._pred = _predecessor_lists(self.succ)
         return self._pred
 
+    @cached_property
+    def _m(self):
+        """The number of transitions."""
+        return sum(map(len, self.succ))
+
     def pre(self, mask):
-        """States with a successor in mask; pre(full) = full since transitions are total."""
+        """States with a successor in mask, read from the smaller side of mask.
+
+        Transitions are total, so with out = full ^ mask, pre(mask) is full
+        less the states whose successors all lie in out: a count, per
+        predecessor of out, of its successors in out, against its out-degree.
+        With d = m/n the mean out-degree, the mask side reads about |mask|·d
+        predecessor entries and the out side |out|·d, plus a count per
+        candidate: about |out|·(1+d).  The out side is taken when it reads
+        fewer, |out|·(n+m) < |mask|·m.  So a mask that is full but for a few
+        states costs what those states do, not n.  As m >= n, that holds
+        whenever 2·|out| < |mask| and never when |out| >= |mask|; m is
+        counted only for a mask between the two.
+        """
         if not mask or mask == self.full_mask:
             return mask
-        pred = self.predecessors()
-        return indices_mask([i for j in mask_members(mask) for i in pred[j]], self.n)
+        n, pred, size = self.n, self.predecessors(), mask.bit_count()
+        out = n - size
+        if out < size and (2 * out < size or out * (n + self._m) < size * self._m):
+            hits = {}
+            for j in mask_members(self.full_mask ^ mask):
+                for i in pred[j]:
+                    hits[i] = hits.get(i, 0) + 1
+            succ = self.succ
+            return self.full_mask ^ indices_mask([i for i, c in hits.items() if c == len(succ[i])], n)
+        return indices_mask([i for j in mask_members(mask) for i in pred[j]], n)
 
     def reachable_mask(self, start_mask=None):
         """States reachable from start_mask (default: init); each is expanded once."""

@@ -2,10 +2,12 @@
 
 CTL-shaped nodes are labelled with state bitmasks by backward search over
 the predecessor lists (Clarke-Emerson-Sistla), in time linear in the
-structure: EX is pre(mask), E[l U r] is a worklist from r through l, E[l R r]
-drops the states of r & ~l whose successors have all been dropped, counting
-them down per state, and the A-forms are complements of E-forms.  The
-worklists keep bytearray flags and turn them into one mask at the end.
+structure: EX is pre(mask), read from the smaller side of the mask (so
+AX r = ~EX ~r on a sparse r reads what changes), E[l U r] is a worklist
+from r through l, E[l R r] drops the states of r & ~l whose successors have
+all been dropped, counting them down per state, and the A-forms are
+complements of E-forms.  The worklists keep bytearray flags and turn them
+into one mask at the end.
 Subformulas are labelled by `formula.fold`, the one bottom-up pass over
 formulas, so depth is unbounded.
 
@@ -555,6 +557,7 @@ class _Evaluator(_Duality):
         self.env = {k.name: k, **(env or {})}
         self.force_tableau, self.definite = force_tableau, definite
         self.memo = {}
+        self._routes = {}  # path quantifier -> its CTL operands, or None on the tableau route
         self._foreign = {}
         self._closures = {}  # path quantifier -> _Closure, kept for every labeling of a sweep
         self._graphs = {}
@@ -574,8 +577,13 @@ class _Evaluator(_Duality):
         return at & self.states(phi) == at
 
     def on_tableau(self, phi):
-        """The path quantifier phi is labelled by the tableau, not by a CTL fixpoint."""
-        return self.force_tableau or _ctl_operands(phi.child) is None
+        """The path quantifier phi is labelled by the tableau, not by a CTL
+        fixpoint.  Decided once per evaluator: _routes keeps the decision as
+        phi's CTL operands, None on the tableau route, for every later reader."""
+        routes = self._routes
+        if phi not in routes:
+            routes[phi] = None if self.force_tableau else _ctl_operands(phi.child)
+        return routes[phi] is None
 
     def _operands(self, phi):
         """The operands of a connective, or the state subformulas under a path
@@ -587,8 +595,7 @@ class _Evaluator(_Duality):
             return (phi.left, phi.right)
         if not isinstance(phi, (F.PathA, F.PathE)):
             return ()
-        operands = None if self.force_tableau else _ctl_operands(phi.child)  # on_tableau's rule, read once
-        return self._closure(phi).leaves if operands is None else operands
+        return self._closure(phi).leaves if self.on_tableau(phi) else self._routes[phi]
 
     def _states(self, phi, operands):
         """Mask of phi from the masks of its _operands, in order."""

@@ -230,6 +230,16 @@ class FrontierEvaluator(_Evaluator):
         return z
 
 
+class CountingRows(list):
+    """Predecessor lists that count the rows read."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
 # ---------------------------------------------------------------------------
 # Random structures
 

@@ -152,6 +152,18 @@ class TestVacuity:
             out = capsys.readouterr()
             assert exc.value.code == 2 and out.out == "" and f"vacuity: error: {message}" in out.err
 
+    @pytest.mark.parametrize("via, option", [
+        ("mono", "--bounded-validity"), ("satx", "--bounded-validity"), ("thorough", "--bounded-validity"),
+        ("structure", "--bounded-validity"), ("mono", "--bound"), ("satx", "--bound"),
+    ])
+    def test_an_option_the_route_does_not_read_is_refused(self, capsys, via, option):
+        """A usage error before the model is read, naming the option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["vacuity", "no-such-model", "AG p", "--sub", "p", "--via", via, option, "3"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"vacuity: error: argument {option}: not read by --via {via}" in out.err
+
     def test_counts_of_zero_and_up_are_taken(self, capsys):
         code, out, _ = run(capsys, "vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", "--bounded-validity", "0",
                            "--format", "json")

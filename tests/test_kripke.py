@@ -6,7 +6,7 @@ import pytest
 
 from vacmc import formula as F
 from vacmc import kripke
-from vacmc.bisim import bisimilar_over
+from vacmc.bisim import bisimilar_over, quotient_bisim
 from vacmc.errors import KripkeError
 from vacmc.kleene import F3, M3, T3
 from vacmc.kripke import (
@@ -34,6 +34,7 @@ from vacmc.mc import check_ctl_star, eval_states
 from vacmc.three_valued import labeling_completions, lift_kx
 
 from helpers import (
+    CountingRows,
     OracleKripkeStructure,
     oracle_compose_sync,
     oracle_duplicate_m,
@@ -41,6 +42,7 @@ from helpers import (
     oracle_restrict_init,
     oracle_x_variants,
     rand_kripke,
+    rand_kripke3,
     shaped_kripke,
 )
 
@@ -230,6 +232,65 @@ class TestMaskMembers:
                 members = [i for i in range(width) if rng.random() < density]
                 mask = sum(1 << i for i in members)
                 assert mask_members(mask) == members, (width, density)
+
+
+def self_loops(rng, n):
+    """Every state loops to itself, and about half have one more successor."""
+    states = [f"s{i}" for i in range(n)]
+    trans = [(s, s) for s in states] + [(s, rng.choice(states)) for s in states if rng.random() < 0.5]
+    return KripkeStructure(f"loops{n}", ("p",), states, [states[0]], trans, {})
+
+
+class TestPre:
+    """pre(mask) is read from the smaller side of mask; each side must give
+    the states with a successor in mask."""
+
+    @staticmethod
+    def by_definition(k, mask):
+        return sum(1 << i for i, row in enumerate(k.succ) if any(mask >> j & 1 for j in row))
+
+    def masks(self, rng, k):
+        """0, one state, half, full but one, full, and random densities."""
+        n, full = k.n, k.full_mask
+        one = 1 << rng.randrange(n)
+        half = k.mask_of(rng.sample(k.states, n // 2))
+        yield from (0, one, half, full ^ one, full)
+        for _ in range(4):
+            yield k.mask_of(rng.sample(k.states, rng.randint(0, n)))
+
+    def structures(self, rng):
+        for n in (1, 2, 5, 12, 300, 700):
+            for shape in ("ring", "chain", "random", "ladder"):
+                yield shaped_kripke(rng, shape, n + n % 2 if shape == "ladder" else n)
+            yield self_loops(rng, n)
+            yield shaped_kripke(rng, "random", n, maybe=0.3)
+        for _ in range(20):
+            yield rand_kripke(rng, 8)
+            yield rand_kripke3(rng, 12, maybe=0.4)
+        for k in (shaped_kripke(rng, "random", 40), shaped_kripke(rng, "ring", 90), rand_kripke(rng, 6)):
+            yield compose_sync(k, chi())
+            yield duplicate_m(k, 3)
+            yield quotient_bisim(k)
+            yield reachable_part(k)
+            yield lift_kx(k, "x")
+
+    def test_matches_its_definition(self, rng):
+        sides = set()
+        for k in self.structures(rng):
+            for mask in self.masks(rng, k):
+                size, m = mask.bit_count(), sum(map(len, k.succ))
+                sides.add((k.n - size) * (k.n + m) < size * m)
+                assert k.pre(mask) == self.by_definition(k, mask), (k.name, k.n, size)
+        assert sides == {False, True}
+
+    def test_a_mask_full_but_for_one_state_reads_one_row(self, rng):
+        for n in (300, 3000):
+            k = shaped_kripke(rng, "ring", n)
+            k._pred = CountingRows(k.predecessors())
+            for j in (0, n // 2, n - 1):
+                before = k._pred.reads
+                assert k.pre(k.full_mask ^ 1 << j) == k.full_mask ^ 1 << (j - 1) % n
+                assert k._pred.reads - before == 1
 
 
 class TestReachable:

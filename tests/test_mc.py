@@ -21,6 +21,7 @@ from vacmc.mc import (
 )
 
 from helpers import (
+    CountingRows,
     FrontierEvaluator,
     eval_on_lasso,
     oracle_e_path,
@@ -160,6 +161,32 @@ class TestDeepFormulas:
         w = explain_path(k, F.PathA(F.Next(phi)))
         assert w["kind"] == "counterexample" and w["state"] == "s0"
         assert w["stem"] == [] and w["loop"] == list(k.states)
+
+    @staticmethod
+    def ax(depth, phi):
+        for _ in range(depth):
+            phi = F.PathA(F.Next(phi))
+        return phi
+
+    def test_each_quantifier_is_routed_once(self, rng, monkeypatch):
+        decisions = []
+        route = mc._ctl_operands
+        monkeypatch.setattr(mc, "_ctl_operands", lambda c: decisions.append(c) or route(c))
+        k = shaped_kripke(rng, "ring", 50)
+        for depth in (1, 7, 40):
+            decisions.clear()
+            assert check_ctl_star(k, self.ax(depth, F.Atom("p"))) in (True, False)
+            assert len(decisions) == depth
+
+    def test_nested_ax_reads_rows_of_the_states_that_change(self, rng):
+        reads = set()
+        for n in (300, 3000):
+            k = shaped_kripke(rng, "ring", n, density=0.0)
+            k._pred = CountingRows(k.predecessors())
+            depth = 40
+            assert eval_mask(k, self.ax(depth, F.SetAtom(k.name, [f"s{n - 1}"]))) == 1 << (n - 1 - depth)
+            reads.add(k._pred.reads)
+        assert reads == {depth}
 
 
 class TestBisimulationClosure:
