@@ -14,10 +14,13 @@ spellings that only argparse reads.  For each row, each tree
 runs in one Python process of its own, with its directory first on sys.path,
 which calls `vacmc.cli.main` for the row's queries one after another, as the
 bench does.  So what vacmc keeps from one call to the next is exercised: the
-closure cache, and the last model `parse_kripke` built.  An
+closure cache, and the last models `parse_kripke` built.  An
 output is the exit code (or the code of a SystemExit, as argparse raises on
 a usage error), standard output with `meta.elapsed_ms` blanked, and standard
-error.  Prints a Markdown report with the number of queries whose
+error.  A last `batch` row sends every argument list of the rows above, in
+order, through one `python -m vacmc.cli batch` process of the HEAD tree, and
+compares each record with that tree's call of `cli.main` on the list.
+Prints a Markdown report with the number of queries whose
 outputs differ, per row and in total over the bench rows, and names up to
 ten of them.
 Each difference is named: `exit`, `stderr`, or the dotted paths of standard
@@ -133,6 +136,22 @@ def outputs_of(src, queries_path):
     return json.loads(done.stdout)
 
 
+def batch_outputs_of(src, argvs, workdir):
+    """The outputs of the argument lists run by one `vacmc batch` process,
+    an exit code written as run_queries writes it."""
+    path = [os.path.abspath(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    done = subprocess.run([sys.executable, "-m", "vacmc.cli", "batch"],
+                          input="".join(json.dumps(argv) + "\n" for argv in argvs), capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, cwd=workdir)
+    records = map(json.loads, done.stdout.splitlines())
+    return [[r["exit"], ELAPSED.sub('"elapsed_ms": null', r["stdout"]), r["stderr"]] for r in records]
+
+
+def exit_code(code):
+    """A run_queries exit code as batch records it: argparse's SystemExit by its code."""
+    return int(code.split()[-1]) if isinstance(code, str) and code.startswith("SystemExit") else code
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src")
@@ -144,27 +163,38 @@ def main(argv=None):
     import workloads as W
 
     lines, total, count, names = [], 0, 0, []
+    every_argv, every_head = [], []  # the lists of all rows, and HEAD's outputs of them, for the batch row
     with tempfile.TemporaryDirectory() as workdir:
 
-        def compare(name, argvs):
-            queries_path = os.path.join(workdir, f"{name}.json")
-            with open(queries_path, "w") as fh:
-                json.dump(argvs, fh)
-            base, head = (outputs_of(src, queries_path) for src in (args.base_src, args.head_src))
+        def report(name, argvs, base, head):
             differ = {i: differences(a, b) for i, (a, b) in enumerate(zip(base, head)) if a != b}
             names.extend(f"{name} #{i} `{' '.join(argvs[i])}`: {', '.join(what)}" for i, what in differ.items())
             fields = sorted({field for what in differ.values() for field in what})
             lines.append(f"| {name} | {len(argvs)} | {len(differ)} | {', '.join(fields)} |")
             return len(differ)
 
+        def compare(name, argvs):
+            queries_path = os.path.join(workdir, f"{name}.json")
+            with open(queries_path, "w") as fh:
+                json.dump(argvs, fh)
+            base, head = (outputs_of(src, queries_path) for src in (args.base_src, args.head_src))
+            every_argv.extend(argvs)
+            every_head.extend(head)
+            return report(name, argvs, base, head)
+
         for name in args.workload or WORKLOADS:
-            work = W.generate(name, args.seed, workdir)
+            home = os.path.join(workdir, name)  # one directory per workload: the batch row reads every model
+            os.mkdir(home)
+            work = W.generate(name, args.seed, home)
             for path, text in work.files.items():
                 with open(path, "w") as fh:
                     fh.write(text)
             argvs = [q.argv for q in work.queries if q.argv is not None]
             total, count = total + len(argvs), count + compare(name, argvs)
         compare("fixtures", [argv + ["--format", "json"] for argv in FIXTURE_QUERIES])
+        calls = [[exit_code(code), out, err] for code, out, err in every_head]
+        report("batch (HEAD: one process against a cli.main call each)", every_argv, calls,
+               batch_outputs_of(args.head_src, every_argv, workdir))
     print(f"### Same output (seed {args.seed}): {count} of {total} bench CLI queries differ\n")
     print("| queries of | queries | differing | what differs |\n|---|---|---|---|")
     print("\n".join(lines))

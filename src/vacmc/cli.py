@@ -1,4 +1,4 @@
-"""Command-line front end: vacmc check|vacuity|bisim|simulates|quotient|qctl|translate|table1.
+"""Command-line front end: vacmc check|vacuity|bisim|simulates|quotient|qctl|translate|table1|batch.
 
 Exit codes: 0 for a successful evaluation (the verdict is in the report),
 2 for Unknown, 1 for any error.
@@ -6,7 +6,9 @@ Exit codes: 0 for a successful evaluation (the verdict is in the report),
 
 import argparse
 import collections
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -340,13 +342,56 @@ def _cmd_table1(args):
     return 0
 
 
-_Arg = collections.namedtuple("_Arg", "name dest type choices default required help metavar")
+def _cmd_batch(args):
+    """Runs each non-blank input line, a JSON array of strings, as one
+    argument list, in this process, and writes one JSON line per list:
+    {"exit", "stdout", "stderr"} of what main gives for it.  A usage error or
+    --help is a record with argparse's exit code; so is a line that is not
+    such an array, or that runs batch."""
+    if args.file == "-":
+        source = contextlib.nullcontext(sys.stdin.buffer)
+    else:
+        try:
+            source = open(args.file, "rb")
+        except OSError as e:
+            raise VacmcError(f"cannot read batch input {args.file!r}: {e.strerror or e}") from None
+    with source as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = _batch_line(lineno, line)
+                except SystemExit as e:
+                    code = e.code
+            print(json.dumps({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}), flush=True)
+    return 0
 
 
-def _arg(name, type=None, choices=None, default=None, required=False, help=None, metavar=None):
+def _batch_line(lineno, line):
+    """main on the argument list of one input line; a line batch cannot run
+    is a usage error of batch (argparse is built only then)."""
+    try:
+        argv = json.loads(line)
+    except ValueError:  # not JSON, or bytes that are not UTF-8
+        argv = None
+    if not isinstance(argv, list) or not all(isinstance(token, str) for token in argv):
+        _parsers()[1]["batch"].error(f"line {lineno}: not a JSON array of strings")
+    args = _args(argv)
+    if args.command == "batch":
+        _parsers()[1]["batch"].error(f"line {lineno}: batch does not run inside batch")
+    return _run(args)
+
+
+_Arg = collections.namedtuple("_Arg", "name dest type choices default required help metavar nargs")
+
+
+def _arg(name, type=None, choices=None, default=None, required=False, help=None, metavar=None, nargs=None):
     """One argument of a subcommand: an option when `name` starts with '-',
-    else a positional; `dest` is the namespace attribute argparse gives it."""
-    return _Arg(name, name.lstrip("-").replace("-", "_"), type, choices, default, required, help, metavar)
+    else a positional (optional with nargs="?"); `dest` is the namespace
+    attribute argparse gives it."""
+    return _Arg(name, name.lstrip("-").replace("-", "_"), type, choices, default, required, help, metavar, nargs)
 
 
 class _Command:
@@ -357,7 +402,7 @@ class _Command:
         self.help, self.fn, self.arguments = help_text, fn, arguments
         self.positionals = [a for a in self.arguments if a.name[0] != "-"]
         self.options = {a.name: a for a in self.arguments if a.name[0] == "-"}
-        self.defaults = {a.dest: a.default for a in self.options.values()}
+        self.defaults = {a.dest: a.default for a in self.arguments if a.name[0] == "-" or a.nargs == "?"}
         self.defaults["fn"] = fn
         self.required = {a.dest for a in self.options.values() if a.required}
 
@@ -388,6 +433,10 @@ _COMMANDS = {
         _arg("--props", help="decoded propositions (decode only)"), _arg("--z", default="z"), _FORMAT,
     ),
     "table1": _Command("reproduce the three-semantics comparison grid", _cmd_table1),
+    "batch": _Command(
+        "run one argument list per line (a JSON array of strings), writing one JSON record per list",
+        _cmd_batch, _arg("file", nargs="?", default="-", help="the lines to run; standard input when absent or '-'"),
+    ),
 }
 
 
@@ -404,7 +453,7 @@ def _parsers():
         p = subparsers[name] = sub.add_parser(name, help=command.help)
         for a in command.arguments:
             if a.name[0] != "-":
-                p.add_argument(a.name, choices=a.choices)
+                p.add_argument(a.name, choices=a.choices, nargs=a.nargs, default=a.default, help=a.help)
             else:
                 p.add_argument(a.name, type=a.type, choices=a.choices, default=a.default, required=a.required,
                                help=a.help, metavar=a.metavar)
@@ -418,11 +467,12 @@ def _parser():
 
 def _read(argv):
     """The namespace _parser().parse_args(argv) returns, read in one pass, for
-    the plain shape: a subcommand, its positionals in order, and exact option
-    names each followed by a value that does not start with '-', passes its
-    converter and is among its choices, every required option given.  None
-    for anything else (help, an abbreviation, '--opt=value', '--', a value
-    such as '-1', a refusal), which argparse then reads and reports."""
+    the plain shape: a subcommand, its positionals in order (an optional one
+    may be left out), and exact option names each followed by a value that
+    does not start with '-', passes its converter and is among its choices,
+    every required option given.  None for anything else (help, an
+    abbreviation, '--opt=value', '--', a value such as '-1', a refusal),
+    which argparse then reads and reports."""
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
@@ -448,16 +498,21 @@ def _read(argv):
         if a.choices is not None and token not in a.choices:
             return None
         values[a.dest] = token
-    if missing or next(positionals, None) is not None:
+    if missing or any(a.nargs != "?" for a in positionals):
         return None
     return argparse.Namespace(**values)
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _args(argv):
     args = _read(argv)
-    if args is None:
-        args = _parser().parse_args(argv)
+    return _parser().parse_args(argv) if args is None else args
+
+
+def main(argv=None):
+    return _run(_args(sys.argv[1:] if argv is None else list(argv)))
+
+
+def _run(args):
     try:
         return args.fn(args)
     except VacmcError as e:

@@ -9,11 +9,11 @@ and one "maybe" bitmask per proposition (classical structures simply never
 use maybe).  Masks are built from flags or indices in time linear in the
 number of states; ORing bits one by one into an n-bit int is quadratic.
 
-`parse_kripke` holds the last text it parsed and the structure it built.  A
-repeat load of that text builds nothing: it gets a new structure that shares
-the held one's parts, which is sound only because structures are immutable.
-The new structure has its own state tuple, since a set atom's home is told
-apart by the identity of its `states`.
+`parse_kripke` holds the last `_HOLD` texts it parsed and the structures it
+built.  A repeat load of a held text builds nothing: it gets a new structure
+that shares the held one's parts, which is sound only because structures are
+immutable.  The new structure has its own state tuple, since a set atom's home
+is told apart by the identity of its `states`.
 """
 
 import gc
@@ -57,8 +57,10 @@ def flags_mask(flags):
 
 
 def indices_mask(indices, n):
-    """The bitmask of the given state indices, each below n."""
-    if n <= _SHORT:
+    """The bitmask of a sized collection of state indices, each below n.
+    Each OR of one bit costs the length of the mask built so far and a pass
+    over flags costs n, so a few indices are ORed whatever n is."""
+    if n <= _SHORT or len(indices) < min(n >> 5, _SHORT):
         mask = 0
         for i in indices:
             mask |= 1 << i
@@ -155,7 +157,7 @@ class KripkeStructure:
         self.n = len(states)
         self.full_mask = (1 << self.n) - 1
         self.init = init
-        self.init_mask = indices_mask(map(index.__getitem__, init), self.n)
+        self.init_mask = indices_mask([index[s] for s in init], self.n)
         self.succ = succ
         self._pred = pred
         self._tmask = tmask
@@ -176,7 +178,7 @@ class KripkeStructure:
             raise KripkeError(f"{self.name}: unknown state {state!r}") from None
 
     def mask_of(self, names):
-        return indices_mask(map(self.index, names), self.n)
+        return indices_mask(list(map(self.index, names)), self.n)
 
     def names_of(self, mask):
         states = self.states
@@ -309,28 +311,32 @@ def structurally_equal(k1, k2):
 # .kr format
 
 
-_held = None, None  # the text parse_kripke parsed last, and the structure it built
+_HOLD = 3  # a model K, and the K^(2) and K/~ files that queries compare it with
+_held = []  # (text, structure) of the last _HOLD distinct texts loaded, least recently loaded first
 
 
 def parse_kripke(text):
-    """The structure that the .kr text describes.  The last text parsed and
-    its structure are held: parsing the same text again builds no structure
-    but returns a new one through `_of` that shares the held one's immutable
-    parts (index, successor lists, label masks, and the predecessor lists
-    once a check has built them).  Its state tuple is a new object, so
-    identity tests on `states` (a set atom's home) tell the two loads apart
-    as they tell two parses apart.  Any other text drops the held structure
-    before building its own, so two models are not alive at once; a text
-    that fails to parse leaves nothing held."""
-    global _held
-    held_text, k = _held
-    if text == held_text:
-        return KripkeStructure._of(k.name, k.props, (*k.states,), k._index, k.init, k.succ,
-                                   k._tmask, k._mmask, k._pred)
-    del held_text, k  # these references too: the held model is freed before _parse builds
-    _held = None, None
+    """The structure that the .kr text describes.  The last `_HOLD` distinct
+    texts parsed and their structures are held, least recently loaded first.
+    Loading a held text again moves it to the newest end and builds no
+    structure: it returns a new one through `_of` that shares the held one's
+    immutable parts (index, successor lists, label masks, and the
+    predecessor lists once a check has built them).  Its state tuple is a new
+    object, so identity tests on `states` (a set atom's home) tell the two
+    loads apart as they tell two parses apart.  Any other text first drops
+    the oldest held structure when `_HOLD` are held, so that at most `_HOLD`
+    are alive, its own included, while it builds; a text that fails to parse
+    is not held."""
+    for i in range(len(_held) - 1, -1, -1):  # newest first: most repeat loads are of the last text
+        if _held[i][0] == text:
+            _held.append(_held.pop(i))
+            k = _held[-1][1]
+            return KripkeStructure._of(k.name, k.props, (*k.states,), k._index, k.init, k.succ,
+                                       k._tmask, k._mmask, k._pred)
+    if len(_held) == _HOLD:
+        del _held[0]
     k = _parse(text)
-    _held = text, k
+    _held.append((text, k))
     return k
 
 

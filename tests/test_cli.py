@@ -3,6 +3,9 @@ import io
 import json
 import os
 import re
+import select
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -376,13 +379,14 @@ CANONICAL = [
     ["qctl", "M", "forall x . AG (x -> AX x)", "--semantics", "structure", "--format", "json", "--bound", "20"],
     ["translate", "f", "AG p", "--order", "p", "--props", "p", "--z", "z", "--format", "json"],
     ["table1"],
+    ["batch", os.devnull],
 ]
 
 # Values a generated argument list draws from, valid and refused alike.
 _VALUES = {
     "model": ["L", "M"], "left": ["L", "M"], "right": ["M"], "input": ["L", "AG p"],
     "formula": ["AG p", "forall x . AG (x -> AX x)", "p q", ""], "sub": ["p", "q"], "props": ["p", "p,q"],
-    "order": ["p", "p=1", "p,p"], "z": ["z"],
+    "order": ["p", "p=1", "p,p"], "z": ["z"], "file": [os.devnull],
 }
 _ODD = ["-h", "--", "-1", "-p", "extra"]
 
@@ -414,16 +418,22 @@ def _argvs(draw):
     return [name] + [token for group in groups for token in group]
 
 
+def _blank_elapsed(out):
+    return re.sub(r'"elapsed_ms": [^,\n]*', "", out)
+
+
 def _outcome(argv):
     """main's exit code, standard output (elapsed time blanked) and standard
-    error; a SystemExit from argparse is an outcome too."""
+    error; a SystemExit from argparse is an outcome too.  Standard input is
+    empty, for `batch` without a file."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO())):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = ("SystemExit", exc.code)
-    return code, re.sub(r'"elapsed_ms": [^,\n]*', "", out.getvalue()), err.getvalue()
+    return code, _blank_elapsed(out.getvalue()), err.getvalue()
 
 
 class TestOnePassReader:
@@ -474,7 +484,7 @@ def _counting_parses(monkeypatch):
     """Empties parse_kripke's memo and counts the structures built from text."""
     built = []
     parse = kripke._parse
-    monkeypatch.setattr(kripke, "_held", (None, None))
+    monkeypatch.setattr(kripke, "_held", [])
     monkeypatch.setattr(kripke, "_parse", lambda text: built.append(text) or parse(text))
     return built
 
@@ -495,16 +505,19 @@ class TestRepeatLoads:
 
     def test_one_file_is_parsed_once_per_run_of_queries(self, capsys, monkeypatch, tmp_path):
         built = _counting_parses(monkeypatch)
-        a, b = tmp_path / "A.kr", tmp_path / "B.kr"
-        a.write_text("kripke A\nprops: p\ninit: s0\nstate s0: p\nstate s1:\ntrans: s0 s1\ntrans: s1 s0\n")
-        b.write_text("kripke B\nprops: p\ninit: t0\nstate t0:\ntrans: t0 t0\n")
+        paths = [tmp_path / f"{name}.kr" for name in "ABCD"]
+        for name, path in zip("ABCD", paths):
+            path.write_text(f"kripke {name}\nprops: p\ninit: s0\nstate s0: p\nstate s1:\ntrans: s0 s1\ntrans: s1 s0\n")
+        a, b, c, d = paths
         for formula in ("EF p", "AG p", "E(G F p)"):
             assert run(capsys, "check", str(a), formula)[0] == 0
         assert len(built) == 1
-        monkeypatch.setattr(kripke, "_held", (None, None))
-        for path in (a, b, a):
-            assert run(capsys, "check", str(path), "EF p")[0] == 0
-        assert len(built) == 4
+        for loads, builds in (((a, b, a), 2), ((a, b, c, d, a), 5)):  # D drops A, the oldest of three
+            built.clear()
+            monkeypatch.setattr(kripke, "_held", [])
+            for path in loads:
+                assert run(capsys, "check", str(path), "EF p")[0] == 0
+            assert len(built) == builds
 
     def test_a_rewritten_file_gives_the_new_model(self, capsys, monkeypatch, tmp_path):
         built = _counting_parses(monkeypatch)
@@ -524,6 +537,98 @@ class TestRepeatLoads:
             outputs.append((code, re.sub(r'("elapsed_ms": )[^,\n]*', r"\g<1>0", out), err))
         assert outputs[0] == outputs[1] and outputs[0][0] == 0
         assert len(built) == 1
+
+
+def _record(argv):
+    """What batch should write for argv: main's exit code (argparse's on a
+    usage error), standard output and standard error, elapsed time blanked."""
+    code, out, err = _outcome(argv)
+    return {"exit": code[1] if isinstance(code, tuple) else code, "stdout": out, "stderr": err}
+
+
+def _batch(capsys, lines, *argv):
+    """batch's exit code and its records, elapsed time blanked, for input lines
+    given on standard input (each bytes, or a list written as JSON)."""
+    data = b"".join((line if isinstance(line, bytes) else json.dumps(line).encode()) + b"\n" for line in lines)
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))):
+        code, out, err = run(capsys, "batch", *argv)
+    assert err == ""
+    return code, [{**r, "stdout": _blank_elapsed(r["stdout"])} for r in map(json.loads, out.splitlines())]
+
+
+BATCHED = [["check", "L"], ["check", "nope.kr", "AG p"], *(argv for argv in CANONICAL if argv[0] != "batch")]
+
+
+class TestBatch:
+    """batch runs one argument list per line and writes what main gives for each."""
+
+    def test_each_record_is_what_main_gives_for_its_line(self, capsys, tmp_path):
+        code, records = _batch(capsys, BATCHED)
+        assert code == 0 and [r["exit"] for r in records[:2]] == [2, 1]  # the failures stop nothing
+        assert records == [_record(argv) for argv in BATCHED]
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text("".join(json.dumps(argv) + "\n" for argv in BATCHED))
+        assert _batch(capsys, [], str(queries)) == (0, records)
+        assert _batch(capsys, [[]], "-") == (0, [_record([])])
+        with mock.patch.object(cli, "_parsers", side_effect=AssertionError("argparse read a plain list")):
+            assert _batch(capsys, BATCHED[2:]) == (0, records[2:])
+
+    def test_a_line_it_cannot_run_is_a_usage_record(self, capsys):
+        lines = [b"", b"  ", b"not json", b"{}", b'["check", 1]', b'"check"', ["batch"], ["batch", os.devnull],
+                 b'["\xff"]', ["check", "--help"], ["table1"]]  # b'["\xff"]': bytes that are not UTF-8
+        code, records = _batch(capsys, lines)
+        assert code == 0 and len(records) == len(lines) - 2  # blank lines are skipped
+        for lineno, record in zip(range(3, 10), records):
+            assert record["exit"] == 2 and record["stdout"] == "", lineno
+            assert record["stderr"].startswith("usage: vacmc batch") and f"error: line {lineno}: " in record["stderr"]
+        assert records[-2] == _record(["check", "--help"]) and records[-2]["exit"] == 0
+        assert records[-1] == _record(["table1"])
+
+    def test_an_unreadable_input_is_an_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "batch", str(tmp_path / "absent.jsonl"))
+        assert (code, out) == (1, "") and err.startswith("error: cannot read batch input")
+        code, out, err = run(capsys, "batch", str(tmp_path))
+        assert (code, out) == (1, "") and "Is a directory" in err
+
+    def test_a_two_model_command_parses_each_model_once(self, capsys, monkeypatch, tmp_path):
+        left, right = tmp_path / "K.kr", tmp_path / "K2.kr"
+        left.write_text(render_kripke(cli.load_fixture("M")))
+        right.write_text(render_kripke(cli.load_fixture("L")))
+        built = _counting_parses(monkeypatch)
+        lines = [["bisim", str(left), str(right), "--props", "p", "--format", "json"],
+                 ["simulates", str(left), str(right), "--props", "p"]] * 3
+        code, records = _batch(capsys, lines)
+        assert code == 0 and [r["exit"] for r in records] == [0] * 6
+        assert records[:2] == records[2:4] == records[4:] and len(built) == 2
+
+    def test_a_model_rewritten_between_lines_is_read_again(self, capsys, monkeypatch, tmp_path):
+        built = _counting_parses(monkeypatch)
+        model = tmp_path / "K.kr"
+        line = json.dumps(["check", str(model), "AG p"]).encode() + b"\n"
+
+        def lines():  # the model is rewritten after the first record is written
+            model.write_text("kripke K\nprops: p\ninit: s0\nstate s0: p\ntrans: s0 s0\n")
+            yield line
+            model.write_text("kripke K\nprops: p\ninit: s0\nstate s0:\ntrans: s0 s0\n")
+            yield line
+
+        monkeypatch.setattr(sys, "stdin", mock.Mock(buffer=lines()))
+        code, out, _ = run(capsys, "batch")
+        values = [json.loads(record)["stdout"].splitlines()[0] for record in out.splitlines()]
+        assert code == 0 and values == ["value: True", "value: False"] and len(built) == 2
+
+    def test_a_pipe_gets_each_record_before_the_next_line(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)  # standard output to a pipe is block-buffered: batch must flush
+        with subprocess.Popen([sys.executable, "-m", "vacmc.cli", "batch"], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env) as batch:
+            for argv, code in ((["check", "L", "AG p"], 0), (["check", "L"], 2), (["check", "nope.kr", "AG p"], 1)):
+                batch.stdin.write(json.dumps(argv).encode() + b"\n")
+                batch.stdin.flush()
+                assert select.select([batch.stdout], [], [], 60)[0], "no record within 60 s"
+                assert json.loads(batch.stdout.readline())["exit"] == code
+            batch.stdin.close()
+            assert batch.stdout.read() == b"" and batch.wait(timeout=60) == 0
 
 
 class TestInternalErrors:

@@ -283,14 +283,28 @@ class TestPre:
                 assert k.pre(mask) == self.by_definition(k, mask), (k.name, k.n, size)
         assert sides == {False, True}
 
-    def test_a_mask_full_but_for_one_state_reads_one_row(self, rng):
+    def test_a_mask_full_but_for_one_state_reads_one_row(self, rng, monkeypatch):
+        conversions = _counting_conversions(monkeypatch)
         for n in (300, 3000):
             k = shaped_kripke(rng, "ring", n)
             k._pred = CountingRows(k.predecessors())
             for j in (0, n // 2, n - 1):
                 before = k._pred.reads
+                conversions.clear()
                 assert k.pre(k.full_mask ^ 1 << j) == k.full_mask ^ 1 << (j - 1) % n
                 assert k._pred.reads - before == 1
+                assert conversions == []  # one index is ORed in, not written to n flags
+
+
+class TestIndicesMask:
+    def test_matches_the_or_of_its_bits(self, rng, monkeypatch):
+        conversions = _counting_conversions(monkeypatch)
+        for n in (1, 2, 200, kripke._SHORT, kripke._SHORT + 1, 700, 3000, 10_000):
+            for count in {0, 1, 2, 7, max(n // 32 - 1, 0), n // 32, kripke._SHORT, n // 2, n, 2 * n}:
+                indices = [rng.randrange(n) for _ in range(count)]  # repeats too, as pre's mask side gives
+                assert kripke.indices_mask(indices, n) == sum(1 << i for i in set(indices)), (n, count)
+        # flags past _SHORT states for more than a few indices, and never up to it
+        assert set(conversions) == {kripke._SHORT + 1, 700, 3000, 10_000}
 
 
 class TestReachable:
@@ -521,6 +535,25 @@ def assert_same(got, want):
     assert render_kripke(got) == render_kripke(want)
     assert got == want and hash(got) == hash(want)
     assert got.succ_masks == want.succ_masks
+
+
+def _counting_conversions(monkeypatch):
+    """The length of each flag array kripke.flags_mask converts, in order."""
+    conversions = []
+    flags_mask = kripke.flags_mask
+    monkeypatch.setattr(kripke, "flags_mask", lambda flags: conversions.append(len(flags)) or flags_mask(flags))
+    return conversions
+
+
+def _counting_parses(monkeypatch, clear=True):
+    """The texts parse_kripke builds a structure from, in order; the memo
+    emptied first unless clear is false."""
+    built = []
+    parse = kripke._parse
+    if clear:
+        kripke._held.clear()
+    monkeypatch.setattr(kripke, "_parse", lambda text: built.append(text) or parse(text))
+    return built
 
 
 def raised(fn, *args):
@@ -803,12 +836,12 @@ class TestLargeChain:
 
 
 class TestParseMemo:
-    """parse_kripke holds the last text it parsed: a repeat load shares the
-    held structure's parts under a state tuple of its own."""
+    """parse_kripke holds the last three texts it parsed: a repeat load shares
+    the held structure's parts under a state tuple of its own."""
 
     def test_a_repeat_load_shares_all_but_the_state_tuple(self, fx):
         text = render_kripke(fx("M"))
-        parse_kripke(render_kripke(fx("L")))  # so that the first load below is a miss
+        kripke._held.clear()  # so that the first load below is a miss
         first = parse_kripke(text)
         first.predecessors()
         second = parse_kripke(text)
@@ -817,18 +850,37 @@ class TestParseMemo:
         shared = ("succ", "_pred", "_index", "_tmask", "_mmask", "init", "props")
         assert all(getattr(second, part) is getattr(first, part) for part in shared)
 
-    def test_each_load_of_a_b_a_equals_a_fresh_parse(self, fx):
-        a, b = render_kripke(fx("Q")), render_kripke(fx("V"))
-        for text in (a, b, a, a, b):
-            assert parse_kripke(text) == kripke._parse(text)
+    def test_each_load_of_a_b_a_equals_a_fresh_parse(self, fx, rng, monkeypatch):
+        """Loads of five texts: each equals a fresh parse, and a load parses
+        exactly when its text is not among the last three distinct texts loaded."""
+        a, b, c, d, e = (render_kripke(fx(name)) for name in ("Q", "V", "L", "M", "O"))
+        fresh = kripke._parse
+        built = _counting_parses(monkeypatch)
+        lru = []  # the reference: distinct texts, least recently loaded first
+        fixed = [a, b, a, a, b, c, a, d, b, c, d, a, a]  # a b c a d: a was refreshed, so d drops b
+        for text in fixed + [rng.choice((a, b, c, d, e)) for _ in range(60)]:
+            assert parse_kripke(text) == fresh(text)
+            assert built == ([] if text in lru else [text])
+            built.clear()
+            lru = [t for t in lru if t != text][-2:] + [text]
+            assert [held for held, _ in kripke._held] == lru
 
-    def test_a_failed_parse_holds_nothing(self, fx):
+    def test_a_failed_parse_holds_nothing(self, fx, monkeypatch):
         good, bad = render_kripke(fx("O")), "kripke K\ninit: s0\ntrans: s0\n"
         message = raised(parse_kripke, bad)
         assert message is not None and raised(parse_kripke, bad) == message
         parse_kripke(good)
         assert raised(parse_kripke, bad) == message
         assert parse_kripke(good) == kripke._parse(good)
+        # with three held, the failed text drops the oldest and no other
+        others = render_kripke(fx("L")), render_kripke(fx("M"))
+        for text in (*others, good):
+            parse_kripke(text)
+        fresh = kripke._parse
+        built = _counting_parses(monkeypatch, clear=False)
+        assert raised(parse_kripke, bad) == message and built == [bad]
+        assert parse_kripke(others[1]) == fresh(others[1]) and parse_kripke(good) == fresh(good)
+        assert built == [bad] and [held for held, _ in kripke._held] == [others[1], good]
 
     def test_a_set_atom_of_the_first_load_goes_through_the_bisimulation(self, fx):
         text = render_kripke(fx("M"))
