@@ -436,31 +436,83 @@ def _tile(mask, width, count):
     return int(format(mask, f"0{width}b") * count, 2)
 
 
+def _product(k1, k2):
+    """The state names, index, initial names and successor rows of k1 || k2."""
+    n2 = k2.n
+    states = tuple(f"({s},{t})" for s in k1.states for t in k2.states)
+    index = {s: i for i, s in enumerate(states)}
+    if len(index) != len(states):  # names with commas can collide
+        raise KripkeError(f"{k1.name}||{k2.name}: duplicate state names")
+    init = tuple(f"({s},{t})" for s in k1.init for t in k2.init)
+    rows2 = k2.succ
+    succ = [[i * n2 + j for i in row1 for j in row2] for row1 in k1.succ for row2 in rows2]
+    return states, index, init, succ
+
+
 def compose_sync(k1, k2):
     """Parallel synchronous composition; proposition sets must be disjoint.
 
     State (s, t) has index i*|S2| + j for s = states[i] of k1 and t =
     states[j] of k2, so the successors of (s, t), taken in k1-then-k2
-    order, are ascending already.
+    order, are ascending already.  With a complete k2 whose state names have
+    no comma (chi, for one) the product is a LaneProduct.
     """
     overlap = set(k1.props) & set(k2.props)
     if overlap:
         raise KripkeError(f"composition requires disjoint propositions, shared: {sorted(overlap)}")
     name = f"{k1.name}||{k2.name}"
     n1, n2 = k1.n, k2.n
-    states = tuple(f"({s},{t})" for s in k1.states for t in k2.states)
-    index = {s: i for i, s in enumerate(states)}
-    if len(index) != len(states):  # names with commas can collide
-        raise KripkeError(f"{name}: duplicate state names")
-    init = tuple(f"({s},{t})" for s in k1.init for t in k2.init)
-    rows2 = k2.succ
-    succ = [[i * n2 + j for i in row1 for j in row2] for row1 in k1.succ for row2 in rows2]
     masks = []
     for own1, own2 in ((k1._tmask, k2._tmask), (k1._mmask, k2._mmask)):
         mask = {p: _spread(m, n2) for p, m in own1.items()}
         mask.update((p, _tile(m, n2, n1)) for p, m in own2.items())
         masks.append(mask)
-    return KripkeStructure._of(name, k1.props + k2.props, states, index, init, succ, *masks)
+    # with no comma in t, the last comma of "(s,t)" is t's: no two product names collide
+    if all(len(row) == n2 for row in k2.succ) and not any("," in t for t in k2.states):
+        return LaneProduct(name, k1, k2, *masks)
+    return KripkeStructure._of(name, k1.props + k2.props, *_product(k1, k2), *masks)
+
+
+class LaneProduct(KripkeStructure):
+    """k1 || k2 for a complete k2: k1's graph in m = |k2| lanes.  State (s, t)
+    is bit i*m + j, and its successors are every lane of s's successors, so
+    EX of a mask is k1's EX of its collapse (bit i: some lane of state i),
+    spread over the lanes; mc reduces E[l U r] and E[l R r] the same way.
+    The state names, index, initial names and successor rows are built
+    together when one of them is first read (by the tableau, bisimulation,
+    sweeps, witnesses, equality or rendering)."""
+
+    def __init__(self, name, k1, k2, tmask, mmask):
+        self.name, self.props, self.n = name, k1.props + k2.props, k1.n * k2.n
+        self.k1, self._k2, self.lanes = k1, k2, k2.n
+        self.full_mask = (1 << self.n) - 1
+        self.init_mask = self.spread(k1.init_mask) & _tile(k2.init_mask, k2.n, k1.n)
+        self._tmask, self._mmask, self._pred = tmask, mmask, None
+
+    def _parts(self, part):
+        states, index, init, succ = _product(self.k1, self._k2)
+        vars(self).update(states=states, _index=index, init=init, succ=succ)
+        return vars(self)[part]
+
+    states = cached_property(lambda self: self._parts("states"))
+    _index = cached_property(lambda self: self._parts("_index"))
+    init = cached_property(lambda self: self._parts("init"))
+    succ = cached_property(lambda self: self._parts("succ"))
+
+    def spread(self, mask):
+        return _spread(mask, self.lanes)
+
+    def collapse(self, mask):
+        """The states of k1 with some lane in mask."""
+        m, folded = self.lanes, mask
+        for shift in range(1, m):
+            folded |= mask >> shift
+        return int(format(folded, f"0{self.n}b")[m - 1::m], 2)
+
+    def pre(self, mask):
+        if not mask or mask == self.full_mask:
+            return mask
+        return self.spread(self.k1.pre(self.collapse(mask)))
 
 
 def chi(prop="x"):

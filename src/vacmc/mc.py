@@ -7,7 +7,9 @@ AX r = ~EX ~r on a sparse r reads what changes), E[l U r] is a worklist
 from r through l, E[l R r] drops the states of r & ~l whose successors have
 all been dropped, counting them down per state, and the A-forms are
 complements of E-forms.  The worklists keep bytearray flags and turn them
-into one mask at the end.
+into one mask at the end.  On a lane product (K||chi, `kripke.LaneProduct`)
+EX, E[l U r] and E[l R r] are those of K on the collapsed masks, spread back
+over the lanes, so no product row or predecessor list is built for them.
 Subformulas are labelled by `formula.fold`, the one bottom-up pass over
 formulas, so depth is unbounded.
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 from . import formula as F
 from .errors import EvalError, ForeignSetAtomError
-from .kripke import _predecessor_lists, flags_mask, mask_flags, mask_members
+from .kripke import LaneProduct, _predecessor_lists, flags_mask, mask_flags, mask_members
 
 _TEMPORAL = (F.Next, F.Until, F.Release, F.Future, F.Globally)
 _CONNECTIVES = (F.Not, F.And, F.Or, F.Implies)
@@ -671,42 +673,21 @@ class _Evaluator(_Duality):
         return self.k.pre(mask)
 
     def _eu(self, l, r):
-        """E[l U r]: a backward search from r through the states of l & ~r,
-        each entered once, over the predecessor lists."""
+        """E[l U r]; on a lane product, E[L U R] on its left factor for the
+        collapses L, R of l, r: EX of a product mask is the same on every
+        lane, so each iterate's collapse is the factor's iterate."""
         k = self.k
-        open_ = l & ~r
-        if not (open_ and r):
-            return r
-        flags = mask_flags(open_, k.n)
-        pred = k.predecessors()
-        todo = mask_members(r)
-        for j in todo:
-            for i in pred[j]:
-                if flags[i]:
-                    flags[i] = 0
-                    todo.append(i)
-        return r | open_ ^ flags_mask(flags)
+        if isinstance(k, LaneProduct):
+            return r | l & k.spread(k.k1.pre(_until(k.k1, k.collapse(l), k.collapse(r))))
+        return _until(k, l, r)
 
     def _er(self, l, r):
-        """E[l R r]: drop the states of r & ~l whose successors have all been
-        dropped, starting from ~r; each keeps a count of successors not yet
-        dropped, and each dropped state is expanded once."""
+        """E[l R r]; on a lane product, E[W R V] on its left factor for W, V
+        the collapses of r & l and r, as for _eu."""
         k = self.k
-        weak = r & ~l
-        if not weak or r == self.full:
-            return r
-        live = mask_flags(weak, k.n)
-        count = list(map(len, k.succ))
-        pred = k.predecessors()
-        todo = mask_members(self.full ^ r)
-        for j in todo:
-            for i in pred[j]:
-                if live[i]:
-                    count[i] -= 1
-                    if not count[i]:
-                        live[i] = 0
-                        todo.append(i)
-        return r ^ weak ^ flags_mask(live)
+        if isinstance(k, LaneProduct):
+            return r & (l | k.spread(k.k1.pre(_release(k.k1, k.collapse(r & l), k.collapse(r)))))
+        return _release(k, l, r)
 
     def _quantified_path(self, phi, operands):
         if not self.on_tableau(phi):
@@ -748,6 +729,44 @@ class _Evaluator(_Duality):
         if isinstance(phi, F.PathE):
             return self.graph(phi, tuple(1 << si for si in mask_members(at)))
         return self.graph(phi, (at,))
+
+
+def _until(k, l, r):
+    """E[l U r] on k: a backward search from r through the states of l & ~r,
+    each entered once, over the predecessor lists."""
+    open_ = l & ~r
+    if not (open_ and r):
+        return r
+    flags = mask_flags(open_, k.n)
+    pred = k.predecessors()
+    todo = mask_members(r)
+    for j in todo:
+        for i in pred[j]:
+            if flags[i]:
+                flags[i] = 0
+                todo.append(i)
+    return r | open_ ^ flags_mask(flags)
+
+
+def _release(k, l, r):
+    """E[l R r] on k: drop the states of r & ~l whose successors have all been
+    dropped, starting from ~r; each keeps a count of successors not yet
+    dropped, and each dropped state is expanded once."""
+    weak = r & ~l
+    if not weak or r == k.full_mask:
+        return r
+    live = mask_flags(weak, k.n)
+    count = list(map(len, k.succ))
+    pred = k.predecessors()
+    todo = mask_members(k.full_mask ^ r)
+    for j in todo:
+        for i in pred[j]:
+            if live[i]:
+                count[i] -= 1
+                if not count[i]:
+                    live[i] = 0
+                    todo.append(i)
+    return r ^ weak ^ flags_mask(live)
 
 
 _CHUNK_CAP = 1 << 14  # labelings in the widest lane pass
