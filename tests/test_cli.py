@@ -285,6 +285,22 @@ class TestReports:
         assert data["result"]["value"] is True
         assert {"seed", "elapsed_ms"} <= set(data["meta"])
 
+    @pytest.mark.parametrize("seed", ["abc", "", "1.5", "0x10"])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("VACMC_SEED", seed)
+        refused = {"exit": 2, "stdout": "", "stderr": f"error: VACMC_SEED is not an integer: {seed!r}\n"}
+        queries = [["check", "L", "AG p"], ["quotient", "M", "--format", "json"],
+                   ["vacuity", "L", "AG ((AX p) | (AX !p))", "--sub", "p"]]
+        for argv in queries:
+            assert dict(zip(("exit", "stdout", "stderr"), run(capsys, *argv))) == refused
+        assert _batch(capsys, queries) == (0, [refused] * 3)
+        assert run(capsys, "table1")[0] == 0  # it writes no seed
+
+    def test_the_seed_is_an_int_in_the_report(self, capsys, monkeypatch):
+        monkeypatch.setenv("VACMC_SEED", " 42 ")
+        code, out, _ = run(capsys, "check", "L", "AG p", "--format", "json")
+        assert code == 0 and json.loads(out)["meta"]["seed"] == 42
+
     def test_table1_matches_golden(self, capsys):
         code, out, _ = run(capsys, "table1")
         assert code == 0
@@ -484,7 +500,7 @@ def _counting_parses(monkeypatch):
     """Empties parse_kripke's memo and counts the structures built from text."""
     built = []
     parse = kripke._parse
-    monkeypatch.setattr(kripke, "_held", [])
+    monkeypatch.setattr(kripke, "_held", kripke.Held(kripke._HOLD))
     monkeypatch.setattr(kripke, "_parse", lambda text: built.append(text) or parse(text))
     return built
 
@@ -514,7 +530,7 @@ class TestRepeatLoads:
         assert len(built) == 1
         for loads, builds in (((a, b, a), 2), ((a, b, c, d, a), 5)):  # D drops A, the oldest of three
             built.clear()
-            monkeypatch.setattr(kripke, "_held", [])
+            kripke._held.clear()
             for path in loads:
                 assert run(capsys, "check", str(path), "EF p")[0] == 0
             assert len(built) == builds

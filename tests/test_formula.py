@@ -113,7 +113,7 @@ class TestDeepText:
     def test_parses_renders_and_round_trips(self, name):
         assert sys.getrecursionlimit() <= 1000
         f = p(self.TEXTS[name])
-        assert parse_formula(render_formula(f)) == f
+        assert F._parse(render_formula(f)) == f  # the parser itself: the rendering may be a held text
 
     def test_shapes(self):
         f = p(self.TEXTS["A[.. U ..]"])
@@ -124,6 +124,62 @@ class TestDeepText:
         assert p(self.TEXTS["parentheses"]) == F.Atom("p")
         assert render_formula(p(self.TEXTS["negations"])) == self.TEXTS["negations"]
         assert render_formula(p(self.TEXTS["implication chain"])) == self.TEXTS["implication chain"]
+
+
+class TestParseHold:
+    """parse_formula holds the formulas of the last _HOLD distinct texts."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The texts parse_formula parses, in order, from an empty hold."""
+        built, parse = [], F._parse
+        monkeypatch.setattr(F, "_held", F.Held(F._HOLD))
+        monkeypatch.setattr(F, "_parse", lambda text: built.append(text) or parse(text))
+        return built
+
+    def test_a_repeat_is_the_held_formula_itself(self, built):
+        f = p(P4)
+        assert p(P4) is f and p(" ".join(P4.split(" "))) is f
+        assert built == [P4] and f == F._parse(P4)
+
+    def test_the_least_recently_used_text_goes_first(self, built):
+        texts = [f"AG p{i}" for i in range(F._HOLD)]
+        first = [p(text) for text in texts]
+        assert p(texts[0]) is first[0]  # a hit refreshes: texts[1] is now the oldest
+        p("EF q")
+        assert list(F._held) == texts[2:] + [texts[0], "EF q"]
+        assert p(texts[0]) is first[0] and p(texts[2]) is first[2]
+        again = p(texts[1])
+        assert again is not first[1] and again == first[1]
+        assert built == texts + ["EF q", texts[1]] and len(F._held) == F._HOLD
+
+    @pytest.mark.parametrize("text", ["AG (p", "p ? q", "forall x . forall y . p", ""])
+    def test_a_failing_text_raises_the_same_error_and_is_not_held(self, built, text):
+        p("AG q")
+        errors = []
+        for _ in range(3):
+            with pytest.raises(FormulaSyntaxError) as e:
+                p(text)
+            errors.append((str(e.value), e.value.pos))
+        assert errors == errors[:1] * 3 and built == ["AG q"] + [text] * 3
+        assert list(F._held) == ["AG q"]
+
+    def test_set_atoms_round_trip(self, built):
+        text = "E[{s0,s1}@L U {a0}@M] & !{s1}@L"
+        f = p(text)
+        assert render_formula(f) == text and p(render_formula(f)) is f and built == [text]
+        assert f == F._parse(text) and f.left.child.left == F.SetAtom("L", ("s1", "s0"))
+
+    def test_held_keys_are_dropped_oldest_first(self):
+        held, built = F.Held(2), []
+
+        def build(key):
+            built.append(key)
+            return key.upper()
+
+        assert [held.lookup(key, build) for key in "abacb"] == list("ABACB")
+        assert built == list("abcb") and list(held) == ["c", "b"]
+        assert held.lookup("c", build, lambda v: v * 2) == "CC" and list(held) == ["b", "c"]
 
 
 class TestRender:

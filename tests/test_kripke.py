@@ -855,6 +855,21 @@ class TestParseMemo:
         shared = ("succ", "_pred", "_index", "_tmask", "_mmask", "init", "props")
         assert all(getattr(second, part) is getattr(first, part) for part in shared)
 
+    def test_predecessor_lists_built_on_any_load_reach_every_later_load(self, fx, monkeypatch):
+        text = render_kripke(fx("M"))
+        builds, build = [], kripke._predecessor_lists
+        monkeypatch.setattr(kripke, "_predecessor_lists", lambda succ: builds.append(succ) or build(succ))
+        kripke._held.clear()
+        held = parse_kripke(text)
+        c1 = parse_kripke(text)
+        c2 = parse_kripke(text)
+        pred = c1.predecessors()
+        assert held._pred is pred and c2._pred is None
+        c3 = parse_kripke(text)
+        assert c3._pred is pred and c2.predecessors() is pred and held.predecessors() is pred
+        assert kripke.restrict_init(c3, c3.init).predecessors() is pred
+        assert builds == [held.succ]
+
     def test_each_load_of_a_b_a_equals_a_fresh_parse(self, fx, rng, monkeypatch):
         """Loads of five texts: each equals a fresh parse, and a load parses
         exactly when its text is not among the last three distinct texts loaded."""
@@ -868,7 +883,7 @@ class TestParseMemo:
             assert built == ([] if text in lru else [text])
             built.clear()
             lru = [t for t in lru if t != text][-2:] + [text]
-            assert [held for held, _ in kripke._held] == lru
+            assert list(kripke._held) == lru
 
     def test_a_failed_parse_holds_nothing(self, fx, monkeypatch):
         good, bad = render_kripke(fx("O")), "kripke K\ninit: s0\ntrans: s0\n"
@@ -885,7 +900,7 @@ class TestParseMemo:
         built = _counting_parses(monkeypatch, clear=False)
         assert raised(parse_kripke, bad) == message and built == [bad]
         assert parse_kripke(others[1]) == fresh(others[1]) and parse_kripke(good) == fresh(good)
-        assert built == [bad] and [held for held, _ in kripke._held] == [others[1], good]
+        assert built == [bad] and list(kripke._held) == [others[1], good]
 
     def test_a_set_atom_of_the_first_load_goes_through_the_bisimulation(self, fx):
         text = render_kripke(fx("M"))

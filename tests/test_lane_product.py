@@ -8,9 +8,10 @@ import pytest
 
 from vacmc import formula as F
 from vacmc import kripke, vacuity
+from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
 from vacmc.kleene import M3
-from vacmc.kripke import KripkeStructure, LaneProduct, chi, compose_sync
+from vacmc.kripke import KripkeStructure, LaneProduct, chi, compose_sync, labelled, restrict_init
 from vacmc.mc import _Evaluator
 from vacmc.vacuity import decide_bisim_vacuity
 
@@ -89,6 +90,63 @@ class TestLaneProduct:
         assert got.succ == want.succ
         assert set(PARTS) <= set(vars(got))
         assert got.states == want.states and got.init == want.init and got == want
+
+
+def masks_or_error(k, bodies, env):
+    """Each body's mask on k, or the message of the EvalError it raises."""
+    ev, out = _Evaluator(k, env=env), []
+    for body in bodies:
+        try:
+            out.append(ev.states(body))
+        except EvalError as e:
+            out.append(str(e))
+    return out
+
+
+class TestSetAtomsOnLanes:
+    """A set atom whose home has K's state tuple is carried to K by K's own
+    bisimulation and spread over the lanes: the masks of the plain product,
+    which carries it by a bisimulation of K||chi with the home."""
+
+    @staticmethod
+    def homes(rng, k):
+        """K, and structures on K's state tuple: K with a fresh or a lane
+        proposition, and K with other initial states."""
+        mask = rng.getrandbits(k.n)
+        inits = rng.sample(k.states, rng.randint(1, k.n))
+        return [k, labelled(k, "r", mask), labelled(k, "x", mask), restrict_init(k, inits)]
+
+    def test_masks_match_the_plain_product(self, rng):
+        for trial in range(80):
+            props = ("p", "q")[:rng.randint(1, 2)]  # one proposition: more states are bisimilar
+            k = shaped_kripke(rng, rng.choice(["random", "chain", "ring"]), rng.randint(1, 25), props)
+            k = restrict_init(k, rng.sample(k.states, rng.randint(1, min(3, k.n))))
+            for factor in (chi(), chi("y"), complete3()):
+                want = plain(oracle_compose_sync(k, factor))
+                for home in self.homes(rng, k):
+                    got = compose_sync(k, factor)
+                    named = rng.sample(k.states, rng.randint(0, min(5, k.n)))
+                    by_ref = F.SetAtom(k.name, named, ref=home)
+                    by_env = F.SetAtom(k.name, named)
+                    leaf = F.Atom(rng.choice(props + factor.props))
+                    bodies = [by_ref, F.PathE(F.Future(F.And(by_ref, leaf))),
+                              F.PathA(F.Globally(F.Implies(by_ref, F.PathA(F.Next(by_ref))))),
+                              F.Or(rand_ctl(rng, props + factor.props, 3), F.Not(by_ref))]
+                    env = {k.name: home}
+                    assert masks_or_error(got, bodies, None) == masks_or_error(want, bodies, None)
+                    assert masks_or_error(got, [by_env], env) == masks_or_error(want, [by_env], env)
+                    if not set(home.props) & set(factor.props):  # carried on K: no product part was built
+                        assert not set(PARTS) & set(vars(got)) and "_pred" not in vars(got)
+
+    def test_a_ring_atom_builds_no_product_part(self, rng, monkeypatch):
+        products, make = [], vacuity.compose_sync
+        monkeypatch.setattr(vacuity, "compose_sync", lambda k1, k2: products.append(make(k1, k2)) or products[-1])
+        k = shaped_kripke(rng, "ring", 3000)
+        a = F.SetAtom(k.name, [f"s{i}" for i in rng.sample(range(3000), 5)], ref=k)
+        v = decide_bisim_vacuity(F.Or(p("AG ((AX q) | (AX !q))"), F.And(a, F.Not(a))), F.Atom("q"), k)
+        assert (v.route, v.status.value) == ("satx", "non-vacuous")
+        [kx] = products
+        assert isinstance(kx, LaneProduct) and not {"states", "succ", "_pred"} & set(vars(kx))
 
 
 class TestVacuityWork:
