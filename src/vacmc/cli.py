@@ -29,9 +29,10 @@ from .vacuity import VacuityStatus
 
 def _load_model(target):
     """The structure in the file `target`, else the fixture of that name.  The
-    file is opened and its bytes read and decoded as UTF-8 first; the path is
-    tested only when that fails, so a path that exists but cannot be read is
-    reported and any other goes to the fixtures."""
+    file is opened and its bytes read and decoded as UTF-8 first, less a
+    leading byte-order mark; the path is tested only when that fails, so a
+    path that exists but cannot be read is reported and any other goes to the
+    fixtures."""
     try:
         fd = os.open(target, os.O_RDONLY)
         try:
@@ -40,7 +41,7 @@ def _load_model(target):
                 chunks.append(chunk)
         finally:
             os.close(fd)
-        text = b"".join(chunks).decode()
+        text = b"".join(chunks).decode().removeprefix("\ufeff")
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path, or bytes that are not UTF-8
         if not os.path.exists(target):
             return load_fixture(target)

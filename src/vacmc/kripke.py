@@ -9,6 +9,11 @@ and one "maybe" bitmask per proposition (classical structures simply never
 use maybe).  Masks are built from flags or indices in time linear in the
 number of states; ORing bits one by one into an n-bit int is quadratic.
 
+The parser and `KripkeStructure(...)` both hand index-level columns to one
+checked builder, `_build`.  The parser reads a trailing run of lines that are
+each exactly 'trans: FROM TO' (the layout `render_kripke` writes) with one
+`str.split`, and the lines before it one by one.
+
 `parse_kripke` holds the last `_HOLD` texts it parsed and the structures it
 built, under the hold policy of `formula.parse_formula` (`formula.Held`).  A
 repeat load of a held text builds nothing: it gets a new structure that
@@ -116,9 +121,25 @@ class KripkeStructure:
     """Finite transition system with total transitions and 3-valued labels."""
 
     def __init__(self, name, props, states, init, trans, labels):
-        props, states = tuple(props), tuple(states)
-        n = len(states)
+        states = tuple(states)
         index = {s: i for i, s in enumerate(states)}
+        columns = {}
+        for s, assignment in labels.items():
+            i = index.get(s)
+            if i is None:
+                columns.setdefault((None, s), [])
+                continue
+            for p, v in assignment.items():
+                columns.setdefault((p, T3 if v is True or v is T3 else M3 if v is M3 else F3), []).append(i)
+        self._build(name, tuple(props), states, index, init, trans, columns)
+
+    def _build(self, name, props, states, index, init, trans, columns):
+        """self, from the states and their index, (source, target) name pairs
+        and, keyed (proposition, T3 | M3 | F3) in order of first mention, the
+        indices of the states so labelled; a key (None, s) labels the
+        undeclared state s.  Checked in this order, the first defect raised:
+        names, initial states, transitions, successors, labels."""
+        n = len(states)
         if len(index) != n:
             raise KripkeError(f"{name}: duplicate state names")
         if len(set(props)) != len(props):
@@ -135,22 +156,17 @@ class KripkeStructure:
             raise KripkeError(f"{name}: state {states[succ.index([])]!r} has no outgoing transition")
         succ = [row if len(row) == 1 else sorted(set(row)) for row in succ]
 
-        true = {p: [] for p in props}
-        maybe = {p: [] for p in props}
-        for s, assignment in labels.items():
-            i = index.get(s)
-            if i is None:
-                raise KripkeError(f"{name}: labels for undeclared state {s!r}")
-            for p, v in assignment.items():
-                if p not in true:
-                    raise KripkeError(f"{name}: undeclared proposition {p!r} on state {s!r}")
-                if v is True or v is T3:
-                    true[p].append(i)
-                elif v is M3:
-                    maybe[p].append(i)
-        self._set(name, props, states, index, init, succ,
-                  {p: indices_mask(col, n) for p, col in true.items()},
-                  {p: indices_mask(col, n) for p, col in maybe.items()})
+        tmask, mmask = dict.fromkeys(props, 0), dict.fromkeys(props, 0)
+        for (p, value), col in columns.items():
+            if p is None:
+                raise KripkeError(f"{name}: labels for undeclared state {value!r}")
+            if p not in tmask:
+                raise KripkeError(f"{name}: undeclared proposition {p!r} on state {states[col[0]]!r}")
+            if value is T3:
+                tmask[p] = indices_mask(col, n)
+            elif value is M3:
+                mmask[p] = indices_mask(col, n)
+        return self._set(name, props, states, index, init, succ, tmask, mmask)
 
     def _set(self, name, props, states, index, init, succ, tmask, mmask, pred=None):
         self.name = name
@@ -324,7 +340,9 @@ _held = Held(_HOLD)  # text -> the structure built from it
 
 
 def parse_kripke(text):
-    """The structure that the .kr text describes.  The last `_HOLD` distinct
+    """The structure that the .kr text describes; a trailing run of exact
+    'trans: FROM TO' lines read in bulk gives the structure, or the first
+    error and its line number, of reading each line.  The last `_HOLD` distinct
     texts parsed and their structures are held, least recently loaded first.
     Loading a held text again moves it to the newest end and builds no
     structure: it returns a new one through `_of` that shares the held one's
@@ -345,26 +363,60 @@ def _share(k):
 
 @_gc_paused
 def _parse(text):
-    """One pass over the lines, the most frequent directive (trans:) tested
-    first.  A directive glued to its name ("kripkeK", "states0:"), a state
-    line without its colon, a second header line, or a proposition given
-    twice on a state is an error."""
+    """The run from the first trans: line after the last state line, when
+    _trans_run reads it; the lines before it, or all lines, by _read_lines."""
+    start = text.find("\ntrans: ", text.rfind("\nstate") + 1) + 1
+    run = _trans_run(text, start) if start else None
+    if run is None:
+        return _read_lines(text.splitlines(), (), ())
+    return _read_lines(text[:start].splitlines(), *run)
+
+
+def _trans_run(text, start):
+    """The sources and the targets of the L lines of text[start:], when each
+    is exactly 'trans: FROM TO\n'; else None.  Counts prove that form: the
+    text ends in a newline, each line starts with 'trans: ' (start follows a
+    newline, and so does every other 'trans: '), no '#' and no other
+    'trans:' occur, and the 3L tokens have 'trans:' at every third place,
+    so each line splits into 'trans:' and two names.  Outside the tokens
+    there are only the L newlines and 2L spaces: no tab, CR or character
+    that splitlines breaks a line at and split takes for a space."""
+    lines = text.count("\n", start)
+    if (text[-1] != "\n" or text.count("\ntrans: ", start - 1) != lines or text.find("#", start) >= 0
+            or text.count("trans:", start) != lines or text.count(" ", start) != 2 * lines):
+        return None
+    tokens = text[start:].split()
+    if (len(tokens) != 3 * lines or tokens[::3].count("trans:") != lines
+            or len("".join(tokens)) != len(text) - start - 3 * lines):
+        return None
+    return tokens[1::3], tokens[2::3]
+
+
+def _item(item):
+    """The proposition and value of a label item of a state line: p, -p or p=M."""
+    if item.endswith("=M"):
+        return item[:-2], M3
+    if item.startswith("-"):
+        return item[1:], F3
+    return item, T3
+
+
+def _read_lines(lines, run_sources, run_targets):
+    """The structure of the .kr lines, with the transitions run_sources[k] ->
+    run_targets[k] after theirs.  One pass over the lines, the most frequent
+    directives (state, then trans:) tested first.  A directive glued to its
+    name ("kripkeK", "states0:"), a state line without its colon, a second
+    header line, or a proposition given twice on a state is an error."""
     name = props = init = None
-    labels = {}  # state -> assignment, in declaration order
+    index = {}  # state -> its index, in declaration order
+    labels = {}  # label item -> the indices of the states it is on, in order of first mention
     sources, targets = [], []  # one list each: no pair object per transition
     add_source, add_target = sources.append, targets.append
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line[:line.index("#")]
         line = line.strip()
-        if line[:6] == "trans:":
-            pair = line[6:].split()
-            if len(pair) != 2:
-                raise KripkeError(f"line {lineno}: expected 'trans: FROM TO'")
-            s, t = pair
-            add_source(s)
-            add_target(t)
-        elif line[:5] == "state":
+        if line[:5] == "state":
             head, colon, rest = line[5:].partition(":")
             state = head.strip()
             if not state:
@@ -373,23 +425,24 @@ def _parse(text):
                 raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
             if not colon:
                 raise KripkeError(f"line {lineno}: expected 'state NAME: ...'")
-            if state in labels:
+            if state in index:
                 raise KripkeError(f"line {lineno}: duplicate state {state!r}")
-            # bools, not T3/F3: a dict holding only atomic values is left
-            # untracked by the cyclic garbage collector
-            assignment = labels[state] = {}
+            i = index[state] = len(index)
             items = rest.split()
             for item in items:
-                if item.endswith("=M"):
-                    assignment[item[:-2]] = M3
-                elif item.startswith("-"):
-                    assignment[item[1:]] = False
-                else:
-                    assignment[item] = True
-            if len(assignment) < len(items):
-                given = [i[:-2] if i.endswith("=M") else i[1:] if i.startswith("-") else i for i in items]
-                prop = next(p for j, p in enumerate(given) if p in given[:j])
-                raise KripkeError(f"line {lineno}: proposition {prop!r} given twice on state {state!r}")
+                labels.setdefault(item, []).append(i)
+            if len(items) > 1:
+                given = [_item(item)[0] for item in items]
+                if len(set(given)) < len(given):
+                    prop = next(p for j, p in enumerate(given) if p in given[:j])
+                    raise KripkeError(f"line {lineno}: proposition {prop!r} given twice on state {state!r}")
+        elif line[:6] == "trans:":
+            pair = line[6:].split()
+            if len(pair) != 2:
+                raise KripkeError(f"line {lineno}: expected 'trans: FROM TO'")
+            s, t = pair
+            add_source(s)
+            add_target(t)
         elif not line:
             continue
         elif line[:6] == "kripke" and not line[6:7].strip():
@@ -410,7 +463,11 @@ def _parse(text):
             raise KripkeError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
     if name is None:
         raise KripkeError("missing 'kripke NAME' header")
-    return KripkeStructure(name, props or (), labels, init or (), zip(sources, targets), labels)
+    sources += run_sources
+    targets += run_targets
+    columns = {_item(item): col for item, col in labels.items()}
+    return object.__new__(KripkeStructure)._build(name, tuple(props or ()), tuple(index), index, init or (),
+                                                  zip(sources, targets), columns)
 
 
 def render_kripke(k):

@@ -84,6 +84,14 @@ class TestCheck:
         assert err == (f"error: cannot read model {str(model)!r}: "
                        "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n")
 
+    def test_a_byte_order_mark_is_not_part_of_the_text(self, capsys, tmp_path):
+        text = "kripke K\nprops: p\ninit: s\nstate s: p\ntrans: s s\n"
+        model = tmp_path / "bom.kr"
+        model.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code, out, err = run(capsys, "check", str(model), "AG p")
+        assert (code, err) == (0, "") and "value: True" in out
+        assert cli._load_model(str(model)) == parse_kripke(text)
+
     def test_an_unreadable_file_is_reported(self, capsys, tmp_path):
         model = tmp_path / "K.kr"
         model.write_text("kripke K\nprops: p\ninit: s\nstate s: p\ntrans: s s\n")

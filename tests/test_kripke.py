@@ -97,9 +97,12 @@ class TestFormat:
             assert parse_kripke(render_kripke(k)) == k
 
     def test_roundtrip_random(self, rng):
+        """What render_kripke writes parses back: plain and 3-valued
+        structures, a product with chi and a quotient."""
         for _ in range(30):
-            k = rand_kripke(rng, 5)
-            assert parse_kripke(render_kripke(k)) == k
+            k, three = rand_kripke(rng, 5), rand_kripke3(rng, 8, maybe=0.3)
+            for s in (k, three, compose_sync(k, chi()), compose_sync(three, chi("w")), quotient_bisim(k)):
+                assert parse_kripke(render_kripke(s)) == s
 
 
 class TestCompose:
@@ -838,6 +841,86 @@ class TestLargeChain:
         assert check_ctl_star(k, F.parse_formula("EF p"))
         assert not check_ctl_star(k, F.parse_formula("EG !p"))
         assert "succ_masks" not in vars(k) and "trans" not in vars(k)
+
+
+def _lines_read_one_by_one(monkeypatch):
+    """The number of lines kripke._read_lines is given, per parse, in order."""
+    seen = []
+    read = kripke._read_lines
+    monkeypatch.setattr(kripke, "_read_lines", lambda lines, *run: seen.append(len(lines)) or read(lines, *run))
+    return seen
+
+
+# six header and state lines, then a run of four transitions (lines 7-10)
+RUN_TEXT = ("kripke K\nprops: p\ninit: s0\nstate s0: p\nstate s1:\nstate s2: -p\n"
+            "trans: s0 s1\ntrans: s1 s2\ntrans: s2 s0\ntrans: s2 s2\n")
+
+
+def _run_lines(**lines):
+    """RUN_TEXT with the lines numbered in the keywords (l7=...) replaced."""
+    text = RUN_TEXT.splitlines()
+    for key, line in lines.items():
+        text[int(key[1:]) - 1] = line
+    return "\n".join(text) + "\n"
+
+
+# (case, text, the number of its lines read one by one): the run read in
+# bulk is the one from the first trans: line after the last state line, when
+# each of its lines is exact; else all lines are read one by one
+BULK_BOUNDARIES = [
+    ("as rendered", RUN_TEXT, 6),
+    ("a tab after trans:", _run_lines(l7="trans:\ts0 s1"), 7),
+    ("a tab between the names", _run_lines(l8="trans: s1\ts2"), 10),
+    ("a double space", _run_lines(l8="trans: s1  s2"), 10),
+    ("a trailing space", _run_lines(l10="trans: s2 s2 "), 10),
+    ("CRLF line endings", RUN_TEXT.replace("\n", "\r\n"), 10),
+    *((f"{c!r} in place of a space, a double space after it", _run_lines(l8=f"trans: s1{c}s2", l10="trans: s2  s2"), 11)
+      for c in ("\v", "\f", "\x1c", "\u2028")),
+    *((f"{c!r} at a line's end", _run_lines(l9=f"trans: s2 s0{c}"), 11) for c in ("\v", "\x1c", "\u2028")),
+    ("a comment on a run line", _run_lines(l9="trans: s2 s0 # back"), 10),
+    ("a comment glued to a name", _run_lines(l9="trans: s2 s0#back"), 10),
+    ("a comment line in the run", _run_lines(l8="# s1 next\ntrans: s1 s2"), 11),
+    ("a blank line in the run", _run_lines(l8="\ntrans: s1 s2"), 11),
+    ("a blank line after the run", RUN_TEXT + "\n", 11),
+    ("no final newline", RUN_TEXT[:-1], 10),
+    ("a name alone on a last line without a newline", RUN_TEXT[:-len("s2\n")] + "\ns2", 11),
+    ("a glued trans:", _run_lines(l9="trans:s2 s0"), 10),
+    *((f"{count} on line {no}", _run_lines(**{f"l{no}": line}), 10)
+      for no in (7, 8, 10) for count, line in (("one name", "trans: s0"), ("three names", "trans: s0 s1 s2"))),
+    ("one name and a trailing space on the last line", _run_lines(l10="trans: s2 "), 10),
+    ("a line broken before its target", _run_lines(l7="trans: s0", l8="s1 trans: s1 s2"), 10),
+    ("one name, then three", _run_lines(l7="trans: s0", l8="trans: s1 s2 s0"), 10),
+    ("trans: as a source", _run_lines(l9="trans: trans: s0"), 10),
+    ("trans: as a target", _run_lines(l10="trans: s2 trans:"), 10),
+    ("an undeclared state in the run", _run_lines(l9="trans: zz s0"), 6),
+    ("undeclared states in the run and before it", _run_lines(l5="state s1:\ntrans: s1 yy", l9="trans: zz s0"), 7),
+    ("a transition before the state lines", _run_lines(l4="trans: s0 s1", l7="state s0: p"), 7),
+    ("a state line after the run", RUN_TEXT + "state s3:\n", 11),
+]
+
+
+class TestBulkRead:
+    """A trailing run of lines that are each exactly 'trans: FROM TO' is read
+    in bulk; any other text is read line by line, and both give what the
+    name-level parser gives: the same structure or the same first error."""
+
+    @pytest.mark.parametrize("text,one_by_one", [case[1:] for case in BULK_BOUNDARIES],
+                             ids=[case[0] for case in BULK_BOUNDARIES])
+    def test_a_boundary_reads_as_the_oracle_reads_it(self, text, one_by_one, monkeypatch):
+        seen = _lines_read_one_by_one(monkeypatch)
+        want = raised(oracle_parse_kripke, text)
+        assert raised(kripke._parse, text) == want
+        if want is None:
+            assert_same(kripke._parse(text), oracle_parse_kripke(text))
+        assert seen[0] == one_by_one
+
+    def test_a_rendered_structure_is_read_in_bulk(self, rng, monkeypatch):
+        """render_kripke writes the header, the state lines, then the run: the
+        line-by-line reader sees only the first two."""
+        k = shaped_kripke(rng, "random", 3000, maybe=0.2)
+        seen = _lines_read_one_by_one(monkeypatch)
+        assert kripke._parse(render_kripke(k)) == k
+        assert seen == [3 + 3000]
 
 
 class TestParseMemo:
