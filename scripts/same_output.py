@@ -9,7 +9,9 @@ queries on the fixtures (FIXTURE_QUERIES): on Q and chi, whose several
 initial states no bench structure has, vacuity (auto and --via thorough) and
 qctl under bisimulation semantics; bodies with a set atom of the model,
 which K_x, K||X and the bounded-validity probe must read; the --via mono
-route on a mixed occurrence; a parse error; and usage errors and option
+route on a mixed occurrence; auto and thorough on O, where the compositional
+bound decides, and on Valpha with a path subformula, where the two
+semantics part; a parse error; and usage errors and option
 spellings that only argparse reads.  For each row, each tree
 runs in one Python process of its own, with its directory first on sys.path,
 which calls `vacmc.cli.main` for the row's queries one after another, as the
@@ -77,6 +79,12 @@ FIXTURE_QUERIES = [
     ["vacuity", "L", "EX {a0}@L | AX p", "--sub", "p", "--via", "thorough"],
     ["vacuity", "M", "AG ((AX p) | (EX !p)) | {b1}@M", "--sub", "p", "--bounded-validity", "2"],
     ["vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", "--via", "mono"],
+    # a definite compositional bound under auto and thorough; a path psi on
+    # which the two semantics part
+    ["vacuity", "O", "EX (q | p | !p)", "--sub", "p"],
+    ["vacuity", "O", "EX (q | p | !p)", "--sub", "p", "--via", "thorough"],
+    ["vacuity", "Valpha", "(EX !p) & !(AX !p)", "--sub", "X !p"],
+    ["vacuity", "Valpha", "(EX !p) & !(AX !p)", "--sub", "X !p", "--via", "thorough"],
     ["check", "L", "p q"],
     # usage errors and shapes only argparse reads: a missing positional, an
     # abbreviated option, '--opt=value', and a negative count

@@ -470,7 +470,28 @@ def _read_lines(lines, run_sources, run_targets):
                                                   zip(sources, targets), columns)
 
 
+def _unreadable(names, banned):
+    """The first of names that is empty or holds a character for which
+    str.isspace is true (str.split splits there) or one of banned, or None.
+    Tested on the names joined, at C speed, before any name alone."""
+    text = "".join(names)
+    if not names or all(names) and text.split() == [text] and not any(c in text for c in banned):
+        return None
+    return next(s for s in names if s.split() != [s] or any(c in s for c in banned))
+
+
 def render_kripke(k):
+    """The .kr text of k.  A name that parse_kripke would not read back is
+    refused with a KripkeError naming it: any name that is empty or holds a
+    space character or '#', a state name with ':' (a state line's first
+    colon ends the name), and a proposition name that starts with '-' or
+    ends in '=M' (the label items -p and p=M are values of p)."""
+    edge = next((p for p in k.props if p.startswith("-") or p.endswith("=M")), None)
+    for kind, bad in (("structure name", _unreadable((k.name,), "#")),
+                      ("proposition", _unreadable(k.props, "#") if edge is None else edge),
+                      ("state", _unreadable(k.states, "#:"))):
+        if bad is not None:
+            raise KripkeError(f"{k.name}: {kind} {bad!r} cannot be written to .kr text")
     lines = [f"kripke {k.name}", "props: " + " ".join(k.props), "init: " + " ".join(k.init)]
     n = k.n
     flags = [(p, mask_flags(k.true_mask(p), n), mask_flags(k.maybe_mask(p), n)) for p in k.props]
@@ -534,13 +555,13 @@ def compose_sync(k1, k2):
 
 
 class LaneProduct(KripkeStructure):
-    """k1 || k2 for a complete k2: k1's graph in m = |k2| lanes.  State (s, t)
-    is bit i*m + j, and its successors are every lane of s's successors, so
-    EX of a mask is k1's EX of its collapse (bit i: some lane of state i),
-    spread over the lanes; mc reduces E[l U r] and E[l R r] the same way.
-    The state names, index, initial names and successor rows are built
-    together when one of them is first read (by the tableau, bisimulation,
-    sweeps, witnesses, equality or rendering)."""
+    """k1 || k2 for a complete k2 (K||chi, K^(m)): k1's graph in m = |k2|
+    lanes.  State (s, t) is bit i*m + j, and its successors are every lane
+    of s's successors, so EX of a mask is k1's EX of its collapse (bit i:
+    some lane of state i), spread over the lanes; mc reduces E[l U r] and
+    E[l R r] the same way.  The state names, index, initial names and
+    successor rows are built together when one of them is first read (by
+    the tableau, bisimulation, sweeps, witnesses, equality or rendering)."""
 
     _pred = None  # set on the instance once predecessors() builds them
 
@@ -592,22 +613,17 @@ def chi(prop="x"):
 
 
 def duplicate_m(k, m):
-    """Duplicate every state m times; transitions ignore the copy index.
-
-    Copy i of states[s] has index s*m + i, so each successor row, the
-    copies of k's row in order, is ascending already; the m copies of a
-    state share one row.
-    """
+    """K^(m): every state copied m times, transitions ignoring the copy index.
+    It is the LaneProduct K || C_m for C_m the complete structure on states
+    0 .. m-1 with no propositions: copy i of states[s] is (s,i) at index
+    s*m + i, and its names and rows are built only when read."""
     if m < 1:
         raise KripkeError("duplication count must be at least 1")
-    states = tuple(f"({s},{i})" for s in k.states for i in range(m))
-    index = {s: i for i, s in enumerate(states)}
-    init = tuple(f"({s},{i})" for s in k.init for i in range(m))
-    rows = [[t * m + j for t in row for j in range(m)] for row in k.succ]
-    succ = [row for row in rows for _ in range(m)]
-    tmask = {p: _spread(mask, m) for p, mask in k._tmask.items()}
-    mmask = {p: _spread(mask, m) for p, mask in k._mmask.items()}
-    return KripkeStructure._of(f"{k.name}^({m})", k.props, states, index, init, succ, tmask, mmask)
+    states = tuple(map(str, range(m)))
+    complete = KripkeStructure._of(f"C{m}", (), states, dict(zip(states, range(m))), states,
+                                   [list(range(m))] * m, {}, {})
+    tmask, mmask = ({p: _spread(mask, m) for p, mask in masks.items()} for masks in (k._tmask, k._mmask))
+    return LaneProduct(f"{k.name}^({m})", k, complete, tmask, mmask)
 
 
 def remove_prop(k, prop):

@@ -7,9 +7,10 @@ AX r = ~EX ~r on a sparse r reads what changes), E[l U r] is a worklist
 from r through l, E[l R r] drops the states of r & ~l whose successors have
 all been dropped, counting them down per state, and the A-forms are
 complements of E-forms.  The worklists keep bytearray flags and turn them
-into one mask at the end.  On a lane product (K||chi, `kripke.LaneProduct`)
-EX, E[l U r] and E[l R r] are those of K on the collapsed masks, spread back
-over the lanes, so no product row or predecessor list is built for them.
+into one mask at the end.  On a lane product (K||chi or K^(2),
+`kripke.LaneProduct`) EX, E[l U r] and E[l R r] are those of K on the
+collapsed masks, spread back over the lanes, so no product row or
+predecessor list is built for them.
 Subformulas are labelled by `formula.fold`, the one bottom-up pass over
 formulas, so depth is unbounded.
 

@@ -1,8 +1,8 @@
 """Quantified formulas under structure, tree, and bisimulation semantics.
 
 Structure semantics is exact brute force over state subsets.  Bisimulation
-and tree semantics ask vacuity's forall-x decision (`_Query`) for verdict
-true (the variant-search partner is K^(2)); exists x . body is asked as
+and tree semantics ask vacuity's forall-x decision (`_Query`, searching the
+x-variants of K/~ and K^(2)) for verdict true; exists x . body is asked as
 forall x . !body and reported as Duality.  Bisimulation semantics runs the
 whole route table; tree semantics reports the cheapest sound route.
 """

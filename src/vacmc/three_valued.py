@@ -66,9 +66,10 @@ def lift_kx(k, x):
 
 def labeling_completions(k3, bound=20):
     """All classical structures resolving every maybe on the same statespace,
-    as a lazy sequence: completion `mask` resolves maybe slot j (slots by
-    state, then proposition) to true iff bit j of mask is set.  Each shares
-    k3's states and successor lists and ORs its true slots into the true masks."""
+    as a lazy sequence: completion `mask`, named k3.name^(mask+1), resolves
+    maybe slot j (slots by state, then proposition) to true iff bit j of mask
+    is set.  Each shares k3's states and successor lists and ORs its true
+    slots into the true masks."""
     props = k3.props
     slots = sorted((i, a) for a, p in enumerate(props) for i in mask_members(k3.maybe_mask(p)))
     if len(slots) > bound:
@@ -79,7 +80,7 @@ def labeling_completions(k3, bound=20):
         for j, (i, a) in enumerate(slots):
             if mask >> j & 1:
                 true[props[a]] |= 1 << i
-        return KripkeStructure._of(f"{k3.name}#{mask + 1}", props, k3.states, k3._index, k3.init,
+        return KripkeStructure._of(f"{k3.name}^{mask + 1}", props, k3.states, k3._index, k3.init,
                                    k3.succ, true, dict.fromkeys(props, 0), k3._pred)
 
     return LazySequence(1 << len(slots), completion)

@@ -59,17 +59,16 @@ class _Query:
     """Does `body` get verdict r on every structure x-bisimilar to k, at every
     state of the mask `states` (k's initial states)?  Verdict false is asked by
     a view per initial state s: !body at s, read off this query's one K||X
-    labelling, sweep, and variant bases k/~ and partner(k) (by default K^(2)),
-    at s's copies 2i and 2i+1 in K||X and the partner and at s's block in k/~.
-    k is in its own env, so every route reads k's set atoms alike: as k's own
-    on k's statespace (its labelings, K_x), by bisimulation on K||X and bases."""
+    labelling, sweep, and variant bases k/~ and K^(2), at s's copies 2i and
+    2i+1 in K||X and K^(2) and at s's block in k/~.  k is in its own env, so
+    every route reads k's set atoms alike: as k's own on k's statespace (its
+    labelings, K_x), by bisimulation on K||X and the bases."""
 
-    def __init__(self, k, body, x, bound=20, env=None, partner=None):
+    def __init__(self, k, body, x, bound=20, env=None):
         if x in k.props:
             raise EvalError(f"quantified variable {x!r} is already a proposition of {k.name}")
         self.k, self.body, self.x, self.env = k, body, x, {k.name: k, **(env or {})}
         self.bound = bound
-        self.partner = partner or functools.partial(duplicate_m, m=2)
         self.root, self.states = self, k.init_mask
         self.agreed = None  # the verdict every labeling of x on k gives body, once known
         self._first = {}  # verdict -> first labeling (a mask) giving it
@@ -78,7 +77,7 @@ class _Query:
 
     def _view(self, states):
         """!body at `states` alone, on the root's K||X, sweep and bases."""
-        view = _Query(self.k, F.Not(self.body), self.x, self.bound, self.env, self.partner)
+        view = _Query(self.k, F.Not(self.body), self.x, self.bound, self.env)
         view.root, view.states = self.root, states
         return view
 
@@ -92,8 +91,8 @@ class _Query:
 
     @functools.cached_property
     def _bases(self):
-        """The queries of body on k's quotient and on partner(k)."""
-        bases = quotient_bisim(self.k), self.partner(self.k)
+        """The queries of body on k's quotient and on K^(2)."""
+        bases = quotient_bisim(self.k), duplicate_m(self.k, 2)
         return [_Query(ks, self.body, self.x, env=self.env) for ks in bases]
 
     @functools.cached_property
@@ -192,9 +191,10 @@ _VARIANT_STATES = 12
 
 
 def _variant_route(q, r):
-    """Refutes by an x-variant of k's quotient or of partner(k), of at most
-    _VARIANT_STATES states, with another verdict than r.  A quotient of k's
-    size is k renamed, so once k's own labelings all gave r it is skipped."""
+    """Refutes by an x-variant of k's quotient or of K^(2), of at most
+    _VARIANT_STATES states, with another verdict than r: by the lemma
+    C(K_x) = C((C(K))_x) each is an x-variant of k.  A quotient of k's size
+    is k renamed, so once k's own labelings all gave r it is skipped."""
     bases = q.root._bases
     if q is not q.root:  # a view asks at its states' blocks and copies
         blocks = functools.reduce(int.__or__, map(q.root._blocks.__getitem__, mask_members(q.states)))
@@ -212,11 +212,9 @@ BISIM_ROUTES = (_kx_route, _sweep_route, _variant_route)
 
 
 def _vacuity_query(phi, psi, k, bound=20, env=None):
-    """phi[psi <- x] for a fresh x; its partner is K||X_y for a second fresh y."""
-    taken = F.atoms(phi) | set(k.props)
-    x = F.fresh_prop(taken)
-    y = F.fresh_prop(taken | {x})
-    return _Query(k, F.substitute(phi, psi, F.Atom(x)), x, bound, env, lambda ks: compose_sync(ks, chi(y)))
+    """The query of phi[psi <- x] on k, for a fresh x."""
+    x = F.fresh_prop(F.atoms(phi) | set(k.props))
+    return _Query(k, F.substitute(phi, psi, F.Atom(x)), x, bound, env)
 
 
 def _constants(phi, psi, k, env):
@@ -439,6 +437,10 @@ def decide_bisim_vacuity(phi, psi, k, bounded_validity=None, bound=20, env=None)
             bounds = {"bounded_validity": bounded_validity}
             return VacuityVerdict(VacuityStatus.VACUOUS, "bounded-validity", {"side": side}, bounds)
 
+    # A definite value on K_x holds on every completion (Bruns-Godefroid),
+    # and those are the x-variants; it proves vacuity when it is K's verdict.
+    if q.compositional == ("true" if sat else "false"):
+        return VacuityVerdict(VacuityStatus.VACUOUS, "compositional", {"compositional": q.compositional})
     # labeling_agreement: the structure sweep ran, and every labeling agreed
     bounds = {"compositional": q.compositional, "labeling_agreement": True if k.n <= bound else None}
     return VacuityVerdict(VacuityStatus.UNKNOWN, "unknown", None, bounds)

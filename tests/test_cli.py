@@ -695,7 +695,7 @@ ROUTES = [
       "witness": {"satisfying_set": [], "falsifying_set": ["b0"]}}),
     (("vacuity", "L", "AG ((AX p) | (AX !p)) | EF (p & !p)", "--sub", "p"), 0,
      {"status": "non-vacuous", "route": "variant-witness",
-      "witness": {"structure": "L||chi_x0^2", "labeling": {"(a0,x00)": True, "(a0,x01)": False},
+      "witness": {"structure": "L^(2)^2", "labeling": {"(a0,0)": True, "(a0,1)": False},
                   "formula": "(AG ((AX x) | (AX !x))) | (EF (x & !x))", "verdict": False}}),
     (("vacuity", "L", "(EX p) | (AX !p)", "--sub", "p", "--bounded-validity", "1"), 0,
      {"status": "vacuous", "route": "bounded-validity", "witness": {"side": "valid"},
@@ -706,6 +706,11 @@ ROUTES = [
     (("vacuity", "L", "AG (AX p | EX !p)", "--sub", "p", "--bound", "0"), 2,
      {"status": "unknown", "route": "unknown",
       "bounds": {"compositional": "maybe", "labeling_agreement": None}}),
+    # a definite compositional value that is K's verdict proves vacuity under auto as under thorough
+    (("vacuity", "O", "EX (q | p | !p)", "--sub", "p"), 0,
+     {"status": "vacuous", "route": "compositional", "witness": {"compositional": "true"}}),
+    (("vacuity", "O", "EX (q | p | !p)", "--sub", "p", "--via", "thorough"), 0,
+     {"status": "vacuous", "route": "compositional", "witness": {"compositional": "true"}}),
     (("vacuity", "L", "true | (EX p & EX !p)", "--sub", "p", "--via", "thorough"), 0,
      {"status": "vacuous", "route": "compositional", "witness": {"compositional": "true"}}),
     (("vacuity", "L", "A((X p) | (X !p))", "--sub", "p", "--via", "thorough"), 0,

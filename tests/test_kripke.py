@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from collections.abc import Sequence
 
@@ -31,6 +32,7 @@ from vacmc.kripke import (
 )
 
 from vacmc.mc import check_ctl_star, eval_states
+from vacmc.reductions import PropOrdering, ez_encode
 from vacmc.three_valued import labeling_completions, lift_kx
 
 from helpers import (
@@ -98,11 +100,33 @@ class TestFormat:
 
     def test_roundtrip_random(self, rng):
         """What render_kripke writes parses back: plain and 3-valued
-        structures, a product with chi and a quotient."""
+        structures and each construction of the package on them: both kinds
+        of product, K^(m), a quotient, K_x, an x-variant, a completion and
+        the single-proposition encoding."""
+        incomplete = KripkeStructure("U", ("r",), ("u0", "u1"), ("u0",), [("u0", "u0"), ("u0", "u1"), ("u1", "u1")],
+                                     {"u1": {"r": True}})
         for _ in range(30):
             k, three = rand_kripke(rng, 5), rand_kripke3(rng, 8, maybe=0.3)
-            for s in (k, three, compose_sync(k, chi()), compose_sync(three, chi("w")), quotient_bisim(k)):
-                assert parse_kripke(render_kripke(s)) == s
+            completions = labeling_completions(three)
+            built = (k, three, compose_sync(k, chi()), compose_sync(three, chi("w")), compose_sync(k, incomplete),
+                     duplicate_m(three, rng.randint(1, 3)), quotient_bisim(k), lift_kx(k, "x"),
+                     x_variants(k, "x")[rng.randrange(1 << k.n)], completions[rng.randrange(len(completions))],
+                     ez_encode(k, PropOrdering.from_props(k.props)))
+            for s in built:
+                assert parse_kripke(render_kripke(s)) == s, s.name
+
+    @pytest.mark.parametrize("kind,name", [
+        ("state", "a:b"), ("state", "a#b"), ("state", "a b"), ("state", "a\tb"), ("state", "trans:"),
+        ("proposition", "x=M"), ("proposition", "-p"), ("proposition", "p#"), ("proposition", "a b"),
+        ("structure name", "a#b"), ("structure name", ""),
+    ])
+    def test_render_refuses_a_name_that_does_not_read_back(self, kind, name):
+        parts = {"structure name": "K", "proposition": "q", "state": "s1", kind: name}
+        s1 = parts["state"]
+        k = KripkeStructure(parts["structure name"], ("p", parts["proposition"]), ("s0", s1), ("s0",),
+                            [("s0", s1), (s1, "s0")], {s1: {"p": True}})
+        with pytest.raises(KripkeError, match=re.escape(f"{kind} {name!r} cannot be written to .kr text")):
+            render_kripke(k)
 
 
 class TestCompose:
@@ -159,6 +183,13 @@ class TestDuplicate:
     def test_zero_rejected(self, fx):
         with pytest.raises(KripkeError):
             duplicate_m(fx("L"), 0)
+
+    def test_a_lane_product_equal_to_the_name_level_copy(self, fx):
+        for name in FIXTURE_NAMES:
+            for m in (1, 2, 3):
+                d = duplicate_m(fx(name), m)
+                assert isinstance(d, kripke.LaneProduct) and d.lanes == m
+                assert d == oracle_duplicate_m(fx(name), m), (name, m)
 
 
 class TestRemoveProp:
@@ -646,7 +677,7 @@ class TestIndexLists:
                 for j, (s, p) in enumerate(slots):
                     resolved[s][p] = T3 if mask >> j & 1 else F3
                 assert_same(completions[mask], OracleKripkeStructure(
-                    f"{name}#{mask + 1}", props, states, init, trans, resolved))
+                    f"{name}^{mask + 1}", props, states, init, trans, resolved))
             s, p = rng.choice(states), rng.choice(props)
             flipped = dict(labels, **{s: dict(labels[s], **{p: F3 if labels[s][p] is T3 else T3})})
             assert k != KripkeStructure(name, props, states, init, trans, flipped)

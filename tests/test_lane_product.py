@@ -1,6 +1,7 @@
-"""K||chi labelled as lanes of K: compose_sync with a complete right factor
-returns a kripke.LaneProduct, whose CTL masks mc reduces to fixpoints on the
-left factor and whose name-level parts are built only when read."""
+"""K||chi and K^(m) labelled as lanes of K: compose_sync with a complete
+right factor, and duplicate_m, return a kripke.LaneProduct, whose CTL masks
+mc reduces to fixpoints on the left factor and whose name-level parts are
+built only when read."""
 
 import random
 
@@ -11,11 +12,11 @@ from vacmc import kripke, vacuity
 from vacmc.errors import EvalError
 from vacmc.formula import parse_formula as p
 from vacmc.kleene import M3
-from vacmc.kripke import KripkeStructure, LaneProduct, chi, compose_sync, labelled, restrict_init
+from vacmc.kripke import KripkeStructure, LaneProduct, chi, compose_sync, duplicate_m, labelled, restrict_init
 from vacmc.mc import _Evaluator
 from vacmc.vacuity import decide_bisim_vacuity
 
-from helpers import oracle_compose_sync, rand_ctl, shaped_kripke
+from helpers import oracle_compose_sync, oracle_duplicate_m, rand_ctl, shaped_kripke
 
 PARTS = ("states", "_index", "init", "succ")
 
@@ -81,6 +82,15 @@ class TestLaneProduct:
                          "!A[!x R E[p U AX x]]", "EF (AG x | AG !x)", "E[x R (p & !x)]", "A[(!x | q) U (x & p)]"):
                 body = F.nnf(p(text))
                 assert _Evaluator(got, definite=True).states(body) == _Evaluator(want, definite=True).states(body)
+
+    def test_a_check_of_k2_builds_no_product_part(self, rng):
+        for trial in range(60):
+            k = lanes_k(rng)
+            got, want = duplicate_m(k, 2), plain(oracle_duplicate_m(k, 2))
+            ev, oracle = _Evaluator(got, definite=True), _Evaluator(want, definite=True)
+            for body in [F.nnf(rand_ctl(rng, k.props, 4)) for _ in range(4)]:
+                assert ev.states(body) == oracle.states(body), F.render_formula(body)
+            assert not set(PARTS) & set(vars(got)) and got._pred is None
 
     def test_parts_are_built_together_on_first_read(self):
         k = shaped_kripke(random.Random(0), "ring", 5)

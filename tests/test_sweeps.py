@@ -365,7 +365,7 @@ class TestEachInitialState:
 
     def test_decide_false_matches_a_query_per_initial_state(self, rng):
         """Past bound (0) K is not swept, so each view searches the quotient
-        and the partner."""
+        and K^(2)."""
         several = 0
         for i, (k, body) in enumerate(self.bodies(rng, 240)):
             several += len(k.init) > 1
@@ -512,7 +512,7 @@ class TestWorkPerQuery:
     def test_a_quotient_of_k_size_is_not_swept_after_k(self, fx, swept):
         l = fx("L")
         assert decide_bisim_vacuity(p("AG (AX p | EX !p)"), F.Atom("p"), l).route == "unknown"
-        assert swept == ["L", "L||chi_x0"]
+        assert swept == ["L", "L^(2)"]
         del swept[:]
         q = F.ForallProp("x", p(self.UNKNOWN_BODY))
         assert eval_bisimulation(l, q).route == qctl.UNKNOWN
@@ -546,7 +546,7 @@ class TestWorkPerQuery:
 
     def test_thorough_on_three_initial_states_sweeps_each_structure_once(self, swept, built):
         """Each initial state reads K's one sweep, and its variant search the
-        one quotient and partner, swept once."""
+        one quotient and K^(2), swept once."""
         k = self.three_initial(5)
         v = vacuity_via_thorough(p("AG (p -> AX !p) & EX p"), F.Atom("p"), k)
         assert v.bounds == {"compositional": "maybe", "labeling": "false"}

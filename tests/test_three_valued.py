@@ -26,6 +26,7 @@ from helpers import (
     rand_ctl,
     rand_kripke,
     rand_kripke3,
+    rand_path,
     shaped_kripke,
 )
 
@@ -336,3 +337,25 @@ class TestVacuityViaThorough:
                 if VacuityStatus.UNKNOWN in (a.status, b.status):
                     continue
                 assert a.status == b.status, (name, F.render_formula(phi), F.render_formula(psi))
+
+    def test_auto_is_vacuous_where_thorough_is_for_a_state_subformula(self, rng):
+        """On random models of up to 6 states, with CTL and CTL* bodies in which
+        a state formula psi occurs in both polarities: where thorough says
+        vacuous, so does the dispatcher, by the compositional bound when no
+        earlier route decides; and where both decide, they agree."""
+        seen, compositional, holed = 0, 0, ("p", "q", "h")
+        while seen < 150:
+            k, psi = rand_kripke(rng, 6), rand_ctl(rng, ("p", "q"), 2)
+            left = rng.choice([rand_ctl(rng, holed, 3), F.PathE(rand_path(rng, holed, 3))])
+            phi = F.substitute(F.And(left, F.Not(rand_ctl(rng, holed, 2))), F.Atom("h"), psi)
+            if F.occurrence_polarity(phi, psi) is not F.Polarity.MIXED:
+                continue
+            seen += 1
+            a, b = decide_bisim_vacuity(phi, psi, k), vacuity_via_thorough(phi, psi, k)
+            case = (F.render_formula(phi), F.render_formula(psi), a.to_dict(), b.to_dict())
+            if b.status is VacuityStatus.VACUOUS:
+                assert a.status is VacuityStatus.VACUOUS, case
+            if VacuityStatus.UNKNOWN not in (a.status, b.status):
+                assert a.status == b.status, case
+            compositional += a.route == "compositional"
+        assert compositional > 0

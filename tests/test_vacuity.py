@@ -243,7 +243,7 @@ def _status(fn, *args):
 class TestSetAtomsOfAMultiInitialModel:
     """A set atom of K is read as the states it names on K and on every
     structure built on K's states (its x-labelings, K_x), and through a
-    bisimulation on K||X, K/~ and K's partner, by every route.  So a body
+    bisimulation on K||X, K/~ and K^(2), by every route.  So a body
     with a set atom of K, with or without its ref, gets the same answer from
     every API as the same body with the atom replaced by a fresh proposition
     r, true on exactly the atom's states: the states of a CTL formula, a
