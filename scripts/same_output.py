@@ -11,8 +11,9 @@ qctl under bisimulation semantics; bodies with a set atom of the model,
 which K_x, K||X and the bounded-validity probe must read; the --via mono
 route on a mixed occurrence; auto and thorough on O, where the compositional
 bound decides, and on Valpha with a path subformula, where the two
-semantics part; a parse error; and usage errors and option
-spellings that only argparse reads.  For each row, each tree
+semantics part; a parse error; a root-quantified formula, which auto and
+thorough refuse; and usage errors and option spellings that only argparse
+reads.  For each row, each tree
 runs in one Python process of its own, with its directory first on sys.path,
 which calls `vacmc.cli.main` for the row's queries one after another, as the
 bench does.  So what vacmc keeps from one call to the next is exercised: the
@@ -86,6 +87,9 @@ FIXTURE_QUERIES = [
     ["vacuity", "Valpha", "(EX !p) & !(AX !p)", "--sub", "X !p"],
     ["vacuity", "Valpha", "(EX !p) & !(AX !p)", "--sub", "X !p", "--via", "thorough"],
     ["check", "L", "p q"],
+    # a root-quantified formula: refused by auto and thorough with the qctl message
+    ["vacuity", "L", "forall y . AG (y | p)", "--sub", "p"],
+    ["vacuity", "L", "forall y . AG (y | p)", "--sub", "p", "--via", "thorough"],
     # usage errors and shapes only argparse reads: a missing positional, an
     # abbreviated option, '--opt=value', and a negative count
     ["check", "L"],

@@ -1,12 +1,12 @@
-"""3-valued structures: compositional CTL checking, refinement, completions,
-thorough semantics on K_x, and the vacuity reduction through it.
+"""3-valued structures: compositional CTL and CTL* checking, refinement,
+completions, thorough semantics on K_x, and the vacuity reduction through it.
 
 Transitions stay 2-valued; only labels carry maybe, so compositional checking
-is two classical checks on NNF (Bruns-Godefroid).  Thorough semantics is
-computed exactly only for K_x-shaped inputs (one all-maybe proposition over
-a classical base), whose completions are the structures x-bisimilar to K:
-it is vacuity._Query's bisimulation route table, with its two bounds when
-undecided.
+is two classical checks on NNF (Bruns-Godefroid), by fixpoints or tableau.
+Thorough semantics is computed exactly only for K_x-shaped inputs (one
+all-maybe proposition over a classical base), whose completions are the
+structures x-bisimilar to K: it is vacuity._Query's bisimulation route
+table, with its two bounds when undecided.
 """
 
 from . import formula as F
@@ -22,13 +22,12 @@ from .kleene import TruthValue3, and3, implies3, info_le, kleene, not3, or3, tru
 
 
 def eval_compositional3(k, phi, env=None):
-    """Compositional value of a CTL formula, met over initial states: the
-    classical labelling of nnf(phi), with literal p read as "p definitely
-    true" and !p as "p definitely false", gives the states where phi is
-    definitely true, and the same run on nnf(!phi) those where it is false.
-    A set atom is read only when its home shares k's states (see _setatom)."""
-    if not F.is_ctl(phi):
-        raise EvalError("3-valued compositional checking is restricted to CTL")
+    """Compositional value of a CTL or CTL* formula, met over initial states:
+    the classical labelling of nnf(phi), with literal p read as "p definitely
+    true" and !p as "p definitely false", gives the states where phi is true
+    on every completion (NNF is monotone in its literals), and the same run on
+    nnf(!phi) those where it is false.  A set atom is read only when its home
+    shares k's states (see _setatom)."""
     ev = _Evaluator(k, env, definite=True)
     true, false = ev.states(F.nnf(phi)), ev.states(F.nnf(F.Not(phi)))
     verdict = T3

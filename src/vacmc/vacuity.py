@@ -65,6 +65,8 @@ class _Query:
     labelings, K_x), by bisimulation on K||X and the bases."""
 
     def __init__(self, k, body, x, bound=20, env=None):
+        if isinstance(body, F.QUANTIFIED):
+            raise EvalError("propositional quantifiers are handled by the qctl module")
         if x in k.props:
             raise EvalError(f"quantified variable {x!r} is already a proposition of {k.name}")
         self.k, self.body, self.x, self.env = k, body, x, {k.name: k, **(env or {})}
@@ -104,7 +106,9 @@ class _Query:
     def compositional(self):
         """The compositional value of body on K_x ("true", "maybe" or "false"),
         or None outside CTL or with a foreign set atom.  K_x is built on k's
-        statespace, so k's set atoms are its own there."""
+        statespace, so k's set atoms are its own there.  CTL* values are sound
+        too; the CTL test keeps routes stable: vacuity_via_thorough asks this
+        first, and CTL* bodies stay on its thorough route."""
         from .three_valued import eval_compositional3, lift_kx
 
         if not F.is_ctl(self.body):
@@ -166,17 +170,10 @@ class _Query:
         return (None if undecided else False), None, None
 
 
-def _scoped(body, x, r):
-    """The fragment gate of the K||X reduction: x occurs under A alone (r true)
-    or under E alone (r false).  ACTL* and ECTL* imply it, since a marker in
-    place of psi can only remove quantifiers."""
-    an = F.analyze(body, F.Atom(x))
-    return an.universal_in if r else an.existential_in
-
-
 def _kx_route(q, r):
-    """Decides r true when x is universal in body: K||X is itself an x-variant."""
-    if r is True and _scoped(q.body, q.x, True):
+    """Decides r true when x is universal in body (for a view's !body: x
+    existential in body): K||X is itself an x-variant."""
+    if r is True and F.analyze(q.body, F.Atom(q.x)).universal_in:
         return q.root._kx_labels.holds(q.body, _spread(q.states, 2)), "kx", None
     return None
 
@@ -254,13 +251,13 @@ def is_mon_vacuous(phi, psi, k, env=None):
 
 
 def _reduction(phi, psi, k, env, sat, requirement, gate):
-    """The K||X route on the side K's verdict `sat` names, behind its gate."""
+    """The K||X route on the side K's verdict `sat` names, or `gate` if it refuses."""
     if check_ctl_star(k, phi, env) != sat:
         raise PreconditionError(requirement)
-    q = _vacuity_query(phi, psi, k, env=env)
-    if not _scoped(q.body, q.x, sat):
+    value = _vacuity_query(phi, psi, k, env=env).decide((_kx_route,), sat)[0]
+    if value is None:
         raise NotApplicableError(gate)
-    return q.decide((_kx_route,), sat)[0]
+    return value
 
 
 def is_sat_vacuous(phi, psi, k, env=None):

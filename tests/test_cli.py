@@ -14,12 +14,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from vacmc import cli, kripke, mc
+from vacmc import formula as F
 from vacmc.cli import main
 from vacmc.kripke import parse_kripke, render_kripke
 
-from helpers import LARGE_CLOSURE
+from helpers import LARGE_CLOSURE, rand_ctl, rand_path
 
 GOLDEN = Path(__file__).parent / "golden"
+THREE_VALUED = "kripke T3\nprops: p q\ninit: s0\nstate s0: p q=M\nstate s1: q\ntrans: s0 s1\ntrans: s1 s0\n"
 
 
 def run(capsys, *argv):
@@ -42,6 +44,12 @@ class TestCheck:
         model.write_text("kripke K3\nprops: p\ninit: s\nstate s: p=M\ntrans: s s\n")
         code, out, _ = run(capsys, "check", str(model), "AG p")
         assert code == 0 and "value: M" in out
+
+    def test_three_valued_ctl_star(self, capsys, tmp_path):
+        model = tmp_path / "T3.kr"
+        model.write_text(THREE_VALUED)
+        for formula, value in (("E(G F q)", "T"), ("A(F G !p)", "F"), ("E(G F p & F G q)", "M")):
+            assert run(capsys, "check", str(model), formula) == (0, f"value: {value}\n", ""), formula
 
     def test_a_directory_is_not_a_model(self, capsys, tmp_path):
         code, out, err = run(capsys, "check", str(tmp_path), "EF p")
@@ -191,6 +199,11 @@ class TestVacuity:
     def test_deep_formula_goes_monotone(self, capsys):
         code, out, _ = run(capsys, "vacuity", "L.kr", "AX " * 300 + "p", "--sub", "p", "--format", "json")
         assert code == 0 and json.loads(out)["result"]["route"] == "monotone"
+
+    @pytest.mark.parametrize("via", ["auto", "mono", "satx", "thorough", "structure"])
+    def test_every_route_refuses_a_quantified_formula(self, capsys, via):
+        code, out, err = run(capsys, "vacuity", "L", "forall y . AG (y | p)", "--sub", "p", "--via", via)
+        assert (code, out, err) == (1, "", "error: propositional quantifiers are handled by the qctl module\n")
 
     def test_via_satx_precondition_error(self, capsys):
         code, _, err = run(capsys, "vacuity", "V", "AG p", "--sub", "p", "--via", "satx")
@@ -653,6 +666,101 @@ class TestBatch:
                 assert json.loads(batch.stdout.readline())["exit"] == code
             batch.stdin.close()
             assert batch.stdout.read() == b"" and batch.wait(timeout=60) == 0
+
+
+_SET_ATOMS = ["{a0}@L", "{b0,b1}@M", "{d1}@Q", "{d0,d3}@Q", "{x1}@chi", "{s0}@T3", "{a0}@nope"]
+
+
+def _fuzz_text(rng):
+    """A fixture's text or the 3-valued T3, with lines dropped, duplicated or cut."""
+    name = rng.choice(kripke.FIXTURE_NAMES)
+    text = THREE_VALUED if rng.random() < 0.15 else render_kripke(kripke.load_fixture(name))
+    lines = text.splitlines(keepends=True)
+    for _ in range(rng.randint(0, 2)):
+        i, edit = rng.randrange(len(lines)), rng.choice(["drop", "duplicate", "cut"])
+        if edit == "drop" and len(lines) > 1:
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    return "".join(lines)
+
+
+def _fuzz_formula(rng, quantified=None):
+    """(formula text, a subformula's text): a CTL, E-path or A-path body over
+    p, q and x, at times with a set atom for one atom and a root quantifier."""
+    props = ("p", "q", "x")
+    quantified = rng.random() < 0.25 if quantified is None else quantified
+    if quantified:
+        props += ("y",)
+    body = rng.choice([rand_ctl(rng, props, 3), F.PathE(rand_path(rng, props, 3)),
+                       F.PathA(rand_path(rng, props, 2))])
+    sub = F.render_formula(rng.choice(sorted(F.subformulas(body), key=F.render_formula)))
+    text = F.render_formula(body)
+    if rng.random() < 0.3:
+        text = re.sub(r"\b[pqx]\b", lambda m: rng.choice(_SET_ATOMS), text, count=1)
+    if quantified:
+        text = f"{rng.choice(['forall', 'exists'])} y . {text}"
+    return text, sub
+
+
+def _fuzz_argv(rng, models):
+    """A random argument list for a command other than table1 and batch."""
+    command = rng.choice(["check", "vacuity", "vacuity", "vacuity", "bisim", "simulates", "quotient", "qctl",
+                          "translate"])
+    model = rng.choice(models)
+    if command == "check":
+        argv = [model, _fuzz_formula(rng)[0]]
+    elif command == "vacuity":
+        phi, sub = _fuzz_formula(rng)
+        argv = [model, phi, "--sub", rng.choice([sub, sub, "p", "X p"])]
+        if rng.random() < 0.7:
+            argv += ["--via", rng.choice(["auto", "mono", "satx", "thorough", "structure"])]
+        if rng.random() < 0.2:
+            argv += ["--bound", rng.choice(["0", "2", "20"])]
+        if rng.random() < 0.1:
+            argv += ["--bounded-validity", rng.choice(["1", "2"])]
+    elif command in ("bisim", "simulates"):
+        argv = [model, rng.choice(models), "--props", rng.choice(["p", "p,q", "x"])]
+    elif command == "quotient":
+        argv = [model] + (["--props", rng.choice(["p", "q"])] if rng.random() < 0.3 else [])
+    elif command == "qctl":
+        argv = [model, _fuzz_formula(rng, quantified=rng.random() < 0.9)[0],
+                "--semantics", rng.choice(["structure", "tree", "bisim"])]
+    else:
+        what = rng.choice(["ez", "f", "g", "decode"])
+        source = model if what in ("ez", "decode") else _fuzz_formula(rng)[0]
+        argv = [what, source, "--order", rng.choice(["p", "p,q"])]
+        if what == "decode":
+            argv += ["--props", "p"]
+    return [command, *argv] + (["--format", "json"] if rng.random() < 0.5 else [])
+
+
+class TestBatchFuzz:
+    def test_random_argument_lists_end_in_no_internal_error_and_ignore_the_holds(self, capsys, rng, tmp_path):
+        """Random argument lists over fixtures and edited .kr texts: each record
+        has exit 0, 1 or 2 and no internal error, and equals the record of the
+        same list run alone with the held models, formulas and closures
+        emptied first."""
+        models = list(kripke.FIXTURE_NAMES) * 2
+        for i in range(10):
+            path = tmp_path / f"e{i}.kr"
+            path.write_text(_fuzz_text(rng))
+            models.append(str(path))
+        argvs = [_fuzz_argv(rng, models) for _ in range(500)]
+        code, records = _batch(capsys, argvs)
+        assert code == 0 and len(records) == len(argvs)
+        for argv, record in zip(argvs, records):
+            assert record["exit"] in (0, 1, 2) and "error: internal" not in record["stderr"], (argv, record)
+        alone = []
+        for argv in argvs:
+            kripke._held.clear()
+            F._held.clear()
+            mc._closure_cache.clear()
+            alone += _batch(capsys, [argv])[1]
+        assert alone == records
+        assert {r["exit"] for r in records} == {0, 1, 2}
 
 
 class TestInternalErrors:

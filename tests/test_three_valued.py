@@ -33,6 +33,22 @@ from helpers import (
 ALL3 = (T3, M3, F3)
 
 
+def _ctl_star(rng, props, depth):
+    """A random CTL or CTL* state formula: a CTL formula, a path quantifier
+    over a path formula whose leaf h is a CTL formula or an E-path formula,
+    or a Boolean combination of these."""
+    c = rng.randrange(4) if depth else 0
+    if c == 0:
+        return rand_ctl(rng, props, depth)
+    if c == 1:
+        inner = rand_ctl(rng, props, 2) if rng.random() < 0.5 else F.PathE(rand_path(rng, props, 2))
+        path = F.substitute(rand_path(rng, props + ("h",), depth), F.Atom("h"), inner)
+        return rng.choice([F.PathA, F.PathE])(path)
+    if c == 2:
+        return F.Not(_ctl_star(rng, props, depth - 1))
+    return rng.choice([F.And, F.Or])(_ctl_star(rng, props, depth - 1), _ctl_star(rng, props, depth - 1))
+
+
 class TestKleene:
     def test_examples(self):
         assert or3(M3, T3) is T3
@@ -76,9 +92,26 @@ class TestCompositional:
                 got = eval_compositional3(k, phi)
                 assert got is (T3 if check_ctl_star(k, phi) else F3), (name, F.render_formula(phi))
 
-    def test_non_ctl_rejected(self, fx):
-        with pytest.raises(EvalError, match="CTL"):
-            eval_compositional3(fx("L"), p("A((X p) | (X !p))"))
+    def test_ctl_star_values_hold_on_every_completion(self, rng, fx):
+        """Seeded 3-valued structures of up to 4 states with maybe labels, and
+        CTL and CTL* bodies: a value T means every completion satisfies the
+        body, F that none does.  The two CTL* formulas of the Kleene oracle's
+        error cases come first, on L and L_x."""
+        lx = lift_kx(fx("L"), "x")
+        cases = [(fx("L"), p("A((X p) | (X !p))"), T3), (lx, p("A((X p) | (X !p))"), T3), (lx, p("E(F G x)"), M3)]
+        for k, phi, want in cases:
+            assert eval_compositional3(k, phi) is want, (k.name, F.render_formula(phi))
+        for _ in range(60):
+            k = rand_kripke3(rng, 4, props=("p", "q"), maybe=0.35, name="K3")
+            cases += [(k, _ctl_star(rng, ("p", "q"), 3), None) for _ in range(50)]
+        definite = 0
+        for k, phi, _ in cases:
+            value = eval_compositional3(k, phi)
+            if value is not M3:
+                verdicts = {check_ctl_star(c, phi) for c in labeling_completions(k)}
+                assert verdicts == {value is T3}, (k.name, F.render_formula(phi), value)
+                definite += not F.is_ctl(phi)
+        assert definite > 500
 
     def test_equals_kleene_fixpoint_oracle(self, rng):
         structures = []
@@ -121,7 +154,7 @@ class TestCompositional:
 
     def test_errors_match_kleene_fixpoint_oracle(self, fx):
         kx = lift_kx(fx("L"), "x")
-        for phi in (p("A((X p) | (X !p))"), p("E(F G x)"), p("AG ({a0}@M -> x)"), p("EF (p & {b0}@M)")):
+        for phi in (p("AG ({a0}@M -> x)"), p("EF (p & {b0}@M)")):  # the oracle is CTL-only by design
             for k in (fx("L"), kx):
                 with pytest.raises(EvalError) as ours:
                     eval_compositional3(k, phi)
@@ -251,6 +284,10 @@ class TestThorough:
     def test_requires_occurrence(self, fx):
         with pytest.raises(EvalError, match="occur"):
             thorough_kx(fx("L"), "x", p("AG p"))
+
+    def test_refuses_a_quantified_formula(self, fx):
+        with pytest.raises(EvalError, match="^propositional quantifiers are handled by the qctl module$"):
+            thorough_kx(fx("L"), "x", p("forall y . AG (y | x)"))
 
     def test_refuses_a_three_valued_base(self, fx):
         with pytest.raises(KripkeError, match="thorough_kx expects a classical base structure"):

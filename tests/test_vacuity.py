@@ -115,6 +115,17 @@ class TestIsFalVacuous:
         with pytest.raises(PreconditionError):
             is_fal_vacuous(p("EF q"), F.Atom("q"), fx("P"))
 
+    def test_several_initial_states(self, fx):
+        # Q has two initial states; the precondition is asked before the
+        # fragment test, so a satisfied phi with q under A fails on the former
+        q = fx("Q")
+        with pytest.raises(PreconditionError, match="^is_fal_vacuous requires a formula falsified by K$"):
+            is_fal_vacuous(p("AX q & EX q"), F.Atom("q"), q)
+        with pytest.raises(NotApplicableError, match=r"^phi is not ECTL\* and psi is not an existential subformula$"):
+            is_fal_vacuous(p("AX p | EX !q"), PA, q)
+        assert not is_fal_vacuous(p("EX p"), PA, q)
+        assert is_fal_vacuous(p("EX (p & q) & EF x"), F.Atom("x"), q)
+
 
 class TestDecideBisimVacuity:
     def test_p4_non_vacuous_route_satx(self, fx):
@@ -228,6 +239,75 @@ class TestDecideBisimVacuity:
                     assert not got
                 if got:
                     assert all_sat
+
+
+def _reshuffled(rng, k):
+    """k with its states renamed, and its states, transitions and initial
+    states listed in a random order."""
+    order = list(range(k.n))
+    rng.shuffle(order)
+    names = {s: f"t{j}" for s, j in zip(k.states, order)}
+    states, init = list(names.values()), [names[s] for s in k.init]
+    trans = [(names[s], names[t]) for s, t in k.trans]
+    for items in (states, trans, init):
+        rng.shuffle(items)
+    return KripkeStructure("T", k.props, states, init, trans, {names[s]: k.labels_of(s) for s in k.states})
+
+
+def _mixed_query(rng):
+    """(phi, psi) without set atoms, psi of mixed polarity in phi: a state
+    psi under CTL and CTL* bodies, or a path psi under path quantifiers."""
+    holed = ("p", "q", "h")
+    while True:
+        if rng.random() < 0.5:
+            psi = rand_ctl(rng, ("p", "q"), 2)
+            left = rng.choice([rand_ctl(rng, holed, 3), F.PathE(rand_path(rng, holed, 3))])
+            right = rand_ctl(rng, holed, 2)
+        else:
+            psi = rand_path(rng, ("p", "q"), 2)
+            left, right = (rng.choice([F.PathE, F.PathA])(rand_path(rng, holed, d)) for d in (3, 2))
+        phi = F.substitute(F.And(left, F.Not(right)), F.Atom("h"), psi)
+        if F.occurrence_polarity(phi, psi) is F.Polarity.MIXED:
+            return phi, psi
+
+
+class TestLaws:
+    """Seeded laws over random structures of up to 4 states and mixed queries."""
+
+    def test_bisimilar_structures_get_the_same_decided_verdicts(self, rng):
+        """K, its quotient, K^(2) and a renamed, reshuffled copy of K are
+        bisimilar: check_ctl_star gives them one verdict, and the decided
+        statuses of the dispatcher and of the thorough route agree."""
+        from vacmc.three_valued import vacuity_via_thorough
+
+        decided = 0
+        for _ in range(120):
+            k = rand_kripke(rng, 4)
+            phi, psi = _mixed_query(rng)
+            ks = [k, quotient_bisim(k), duplicate_m(k, 2), _reshuffled(rng, k)]
+            case = (F.render_formula(phi), F.render_formula(psi))
+            assert len({check_ctl_star(kk, phi) for kk in ks}) == 1, case
+            for fn in (decide_bisim_vacuity, vacuity_via_thorough):
+                verdicts = [fn(phi, psi, kk) for kk in ks]
+                statuses = {v.status for v in verdicts} - {VacuityStatus.UNKNOWN}
+                assert len(statuses) <= 1, (fn.__name__, case, [v.to_dict() for v in verdicts])
+                decided += bool(statuses)
+        assert decided > 120
+
+    def test_a_decided_vacuous_verdict_implies_structure_vacuity(self, rng):
+        """Every labelling of x on K is an x-variant, so a structure-non-vacuous
+        K never gets a decided vacuous verdict, from auto or from thorough."""
+        from vacmc.three_valued import vacuity_via_thorough
+
+        vacuous = 0
+        for _ in range(200):
+            k = rand_kripke(rng, 4)
+            phi, psi = _mixed_query(rng)
+            verdicts = [fn(phi, psi, k) for fn in (decide_bisim_vacuity, vacuity_via_thorough)]
+            if any(v.status is VacuityStatus.VACUOUS for v in verdicts):
+                vacuous += 1
+                assert structure_vacuous(phi, psi, k)[0], (F.render_formula(phi), F.render_formula(psi))
+        assert vacuous > 20
 
 
 def _status(fn, *args):
